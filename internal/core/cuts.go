@@ -20,10 +20,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/dosemap"
@@ -41,8 +43,9 @@ type cut struct {
 }
 
 // cutPool is the growing pool of path cuts, shared by every clock-period
-// probe (a path cut is valid for all τ).  The mutex makes it safe for
-// the speculative QCP probes, which enrich the pool concurrently.
+// probe (a path cut is valid for all τ) and, in the wafer consensus, by
+// every member of a column group.  Members of a group add their cuts in
+// turn; the mutex keeps the pool safe for any future concurrent writer.
 type cutPool struct {
 	mu   sync.Mutex
 	cuts []cut
@@ -58,19 +61,23 @@ func (p *cutPool) snapshot() []cut {
 	return p.cuts[:len(p.cuts):len(p.cuts)]
 }
 
-// add appends c unless an equivalent cut is already pooled; it reports
-// whether the cut was new.
-func (p *cutPool) add(c cut) bool {
-	sig := c.signature()
+// add appends a copy of c unless a cut with the same key (see
+// appendCutKey) is already pooled; it reports whether the cut was new.
+// c may alias scratch buffers: only a new cut's rows are copied.
+func (p *cutPool) add(key []byte, c cut) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.seen[sig] {
+	if p.seen[string(key)] {
 		return false
 	}
-	p.seen[sig] = true
+	p.seen[string(key)] = true
+	c.cols = append([]int(nil), c.cols...)
+	c.vals = append([]float64(nil), c.vals...)
 	p.cuts = append(p.cuts, c)
 	return true
 }
+
+func newCutPool() *cutPool { return &cutPool{seen: make(map[string]bool)} }
 
 func (p *cutPool) size() int {
 	p.mu.Lock()
@@ -130,21 +137,16 @@ type cutSolver struct {
 	// rec is the telemetry recorder, refreshed from the context at each
 	// solveTau entry (ensure has no context of its own).
 	rec *obs.Recorder
-}
 
-// clone returns a probe-local copy sharing the read-only problem data
-// and the cut pool, with an independent warm-start iterate and dual
-// state.  Used by the speculative QCP bisection to run probes
-// concurrently; the qp.Solver is not shared (each clone builds its own
-// on first use).
-func (cs *cutSolver) clone() *cutSolver {
-	cp := *cs
-	cp.x = append([]float64(nil), cs.x...)
-	cp.y = append([]float64(nil), cs.y...)
-	cp.solver = nil
-	cp.prob = nil
-	cp.builtCuts = 0
-	return &cp
+	// Cut-generation scratch, reused round over round: makeCut's dense
+	// accumulator (acc, with mark flagging the touched columns listed in
+	// touched), the row it emits, and the dedup key buffer.
+	acc     []float64
+	mark    []bool
+	touched []int
+	rowCols []int
+	rowVals []float64
+	key     []byte
 }
 
 // resetSolver drops the persistent solver so the next round rebuilds
@@ -154,16 +156,6 @@ func (cs *cutSolver) resetSolver() {
 	cs.solver = nil
 	cs.prob = nil
 	cs.builtCuts = 0
-}
-
-// adopt takes over the iterate, dual and tangent state of a finished
-// probe clone (the speculative bisection winner).
-func (cs *cutSolver) adopt(p *cutSolver) {
-	copy(cs.x, p.x)
-	cs.y = append(cs.y[:0], p.y...)
-	cs.tangentTau, cs.tangentObj = p.tangentTau, p.tangentObj
-	cs.tangentSlope, cs.tangentOK = p.tangentSlope, p.tangentOK
-	cs.resetSolver()
 }
 
 // newtonCandidate extrapolates the clock period where the leakage
@@ -294,7 +286,7 @@ func newCutSolverCompiled(c *Compiled, opt Options) *cutSolver {
 		nG: c.NG, nVar: c.NVar, clampN: c.NVar,
 		pd:   append([]float64(nil), c.cutPD...),
 		q:    c.doseQ,
-		pool: &cutPool{seen: make(map[string]bool)},
+		pool: newCutPool(),
 	}
 	cs.x = make([]float64, cs.nVar)
 	return cs
@@ -333,10 +325,16 @@ func (cs *cutSolver) deltaFn(x []float64) func(id int) float64 {
 }
 
 // makeCut converts a path (from the linear-model enumeration at the
-// iterate x) into a constraint row over all actuator variables.
+// iterate x) into a constraint row over all actuator variables.  The
+// row's cols and vals live in the solver's scratch and stay valid until
+// the next makeCut; cutPool.add copies the rows it keeps.
 func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 	c := cs.comp
-	coeff := map[int]float64{}
+	if len(cs.acc) < cs.nVar {
+		cs.acc = make([]float64, cs.nVar)
+		cs.mark = make([]bool, cs.nVar)
+	}
+	touched := cs.touched[:0]
 	for i, id := range p.Nodes {
 		s, e := c.sensPtr[id], c.sensPtr[id+1]
 		if s == e {
@@ -349,38 +347,162 @@ func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 		isLaunch := i == 0 && kind == netlist.Seq
 		if kind == netlist.Comb || isLaunch {
 			for k := s; k < e; k++ {
-				coeff[c.sensCol[k]] += c.sensVal[k]
+				col := c.sensCol[k]
+				if !cs.mark[col] {
+					cs.mark[col] = true
+					touched = append(touched, col)
+				}
+				cs.acc[col] += c.sensVal[k]
 			}
 		}
 	}
-	// Emit columns in sorted order: map iteration order would vary run
-	// to run, reassociating the floating-point sum below and making
-	// cut.nom (hence the whole solve trajectory) nondeterministic.
-	cols := make([]int, 0, len(coeff))
-	for col := range coeff {
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	out := cut{}
+	// Emit columns sorted: the dedup key needs a canonical row, and
+	// summing the dot product below in column order keeps cut.nom (hence
+	// the whole solve trajectory) independent of the path's node order.
+	sort.Ints(touched)
+	cols, vals := cs.rowCols[:0], cs.rowVals[:0]
 	lin := 0.0
-	for _, col := range cols {
-		v := coeff[col]
-		out.cols = append(out.cols, col)
-		out.vals = append(out.vals, v)
+	for _, col := range touched {
+		v := cs.acc[col]
+		cols = append(cols, col)
+		vals = append(vals, v)
 		lin += v * x[col]
+		cs.acc[col], cs.mark[col] = 0, false
 	}
-	out.nom = p.Delay - lin
-	return out
+	cs.touched, cs.rowCols, cs.rowVals = touched, cols, vals
+	return cut{cols: cols, vals: vals, nom: p.Delay - lin}
 }
 
-func (c cut) signature() string {
-	// Columns are emitted sorted by makeCut, so the signature is
-	// canonical as-is.
-	s := fmt.Sprintf("%.2f|", c.nom)
-	for i := range c.cols {
-		s += fmt.Sprintf("%d:%.4f;", c.cols[i], c.vals[i])
+// Dedup key tags: each number of a cut key opens with one of these.
+const (
+	keyPos  = 0 // sign bit clear; uvarint round-half-even(|v|·10ᵖ) follows
+	keyNeg  = 1 // sign bit set (−0 and tiny negatives print as "-0.00")
+	keyText = 2 // non-finite or too large; strconv text and keyTextEnd follow
+
+	keyTextEnd = ';' // closes a keyText token; never part of a formatted float
+)
+
+// keyScale holds 10ᵖ for the two precisions a cut key uses.
+var keyScale = [...]float64{2: 1e2, 4: 1e4}
+
+// appendCutKey appends the pool's dedup key of c to buf.  Two cuts are
+// duplicates when their nominal delays print alike at 2 decimals (0.01
+// ps) and, column by column, their coefficients print alike at 4.  Each
+// number is encoded by appendFixed, whose token is equal for two values
+// exactly when their %.pf texts are; the tokens and the uvarint columns
+// are self-delimiting, so keys are equal exactly when the texts
+// nom|col:val;… would be.  Columns are emitted sorted by makeCut, so the
+// key is canonical as-is.
+func appendCutKey(buf []byte, c cut) []byte {
+	buf = appendFixed(buf, c.nom, 2)
+	for i, col := range c.cols {
+		buf = binary.AppendUvarint(buf, uint64(col))
+		buf = appendFixed(buf, c.vals[i], 4)
 	}
-	return s
+	return buf
+}
+
+// appendFixed appends a token for v at p decimal places.  strconv's %.pf
+// text is the sign bit followed by the digits of R =
+// round-half-even(|v|·10ᵖ), evaluated on the exact binary value, so
+// (sign, R) determines the text and vice versa.  R is computed exactly.
+// f = ⌊fl(|v|·10ᵖ)⌋ is the true floor, except when the product rounded
+// up onto an integer; then the true value lies less than 1/16 below f
+// and rounds to f either way.  math.FMA gives the exact sign of
+// |v|·10ᵖ − (f + ½), which picks f or f + 1, ties going to the even one.
+// NaN, ±Inf and R ≥ 2⁵⁰ fall back to the text itself under its own tag;
+// fast-path tokens all have R < 2⁵⁰, so no text has tokens under both
+// tags.
+func appendFixed(buf []byte, v float64, p int) []byte {
+	scale := keyScale[p]
+	a := math.Abs(v)
+	if y := a * scale; y < 1<<50 { // false for NaN and ±Inf
+		f := math.Floor(y)
+		r := uint64(f)
+		if h := math.FMA(a, scale, -(f + 0.5)); h > 0 || h == 0 && r&1 == 1 {
+			r++
+		}
+		if r < 1<<50 {
+			tag := byte(keyPos)
+			if math.Signbit(v) {
+				tag = keyNeg
+			}
+			return binary.AppendUvarint(append(buf, tag), r)
+		}
+	}
+	buf = strconv.AppendFloat(append(buf, keyText), v, 'f', p, 64)
+	return append(buf, keyTextEnd)
+}
+
+// addCut pools the cut of path p at the iterate cs.x and reports whether
+// it was new.
+func (cs *cutSolver) addCut(p *sta.Path) bool {
+	ct := cs.makeCut(p, cs.x)
+	cs.key = appendCutKey(cs.key[:0], ct)
+	return cs.pool.add(cs.key, ct)
+}
+
+// cutLimits returns the cut engine's settings with their defaults
+// applied: the MCT acceptance tolerance in ps, the round budget of one
+// probe and the number of paths enumerated per round.
+func (cs *cutSolver) cutLimits() (tolPs float64, maxRounds, perRound int) {
+	tolPs, maxRounds, perRound = cs.opt.CutTolPs, cs.opt.CutRounds, cs.opt.CutsPerRound
+	if tolPs <= 0 {
+		tolPs = 2e-4 * cs.comp.Golden.MCT
+	}
+	if maxRounds <= 0 {
+		maxRounds = 60
+	}
+	if perRound <= 0 {
+		perRound = 64
+	}
+	return tolPs, maxRounds, perRound
+}
+
+// generateCuts is one cut round's separation step at the clock period
+// tau: it enumerates the longest paths of the linear delay model at the
+// iterate cs.x (at most CutsPerRound, in non-increasing delay order),
+// pools a cut for each path with delay > tau + CutTolPs/2, and returns
+// how many were new.  delta is cs.deltaFn(cs.x).  The enumeration stops
+// at that cutoff too, so it never builds the sub-cutoff paths the loop
+// would discard.
+func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float64, tau float64) int {
+	_, sp := obs.Start(ctx, "core/cutgen")
+	defer sp.End()
+	tolPs, _, perRound := cs.cutLimits()
+	cutoff := tau + tolPs/2
+	c := cs.comp
+	gates := c.Golden.In.Circ.Gates
+	arcFn := func(from, to int) float64 {
+		a := c.Golden.ArcDelay(from, to)
+		if gates[to].Kind == netlist.Comb {
+			a += delta(to)
+		}
+		return a
+	}
+	startFn := func(id int) float64 {
+		s := c.Golden.StartWeight(id)
+		if gates[id].Kind == netlist.Seq {
+			s += delta(id)
+		}
+		return s
+	}
+	paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
+		perRound, 0, cutoff)
+	added := 0
+	for _, p := range paths {
+		if p.Delay <= cutoff {
+			break // paths arrive in non-increasing delay order
+		}
+		if cs.addCut(p) {
+			added++
+		}
+	}
+	cs.rec.Add("core/cuts_added", int64(added))
+	if cs.rec != nil {
+		cs.rec.Set("core/cut_pool_size", float64(cs.pool.size()))
+	}
+	return added
 }
 
 // buildProblem assembles the current QP: the compiled box/smoothness
@@ -425,18 +547,7 @@ func (cs *cutSolver) solveTau(ctx context.Context, tau, xiNW float64) (obj float
 	cs.tangentOK = false // only a converged round of THIS probe may feed a Newton step
 	c := cs.comp
 	opt := cs.opt
-	tolPs := opt.CutTolPs
-	if tolPs <= 0 {
-		tolPs = 2e-4 * c.Golden.MCT
-	}
-	maxRounds := opt.CutRounds
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	perRound := opt.CutsPerRound
-	if perRound <= 0 {
-		perRound = 64
-	}
+	tolPs, maxRounds, _ := cs.cutLimits()
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return 0, false, fmt.Errorf("core: cut probe canceled at round %d: %w", round, err)
@@ -500,36 +611,7 @@ func (cs *cutSolver) solveTau(ctx context.Context, tau, xiNW float64) (obj float
 		if mct <= tau+tolPs {
 			return o, true, nil
 		}
-		// Generate violated path cuts.
-		arcFn := func(from, to int) float64 {
-			a := c.Golden.ArcDelay(from, to)
-			if c.Golden.In.Circ.Gates[to].Kind == netlist.Comb {
-				a += delta(to)
-			}
-			return a
-		}
-		startFn := func(id int) float64 {
-			s := c.Golden.StartWeight(id)
-			if c.Golden.In.Circ.Gates[id].Kind == netlist.Seq {
-				s += delta(id)
-			}
-			return s
-		}
-		paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
-			perRound, 0)
-		added := 0
-		for _, p := range paths {
-			if p.Delay <= tau+tolPs/2 {
-				break // paths arrive in non-increasing delay order
-			}
-			if cs.pool.add(cs.makeCut(p, cs.x)) {
-				added++
-			}
-		}
-		cs.rec.Add("core/cuts_added", int64(added))
-		if cs.rec != nil {
-			cs.rec.Set("core/cut_pool_size", float64(cs.pool.size()))
-		}
+		added := cs.generateCuts(ctx, delta, tau)
 		if added == 0 {
 			// All violating paths already cut but the QP solution still
 			// violates: solver tolerance floor.  Accept if close.

@@ -15,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/qp"
-	"repro/internal/sta"
 )
 
 // solveTauGroup runs one cutting-plane probe for every member of a
@@ -46,19 +44,7 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau float64) (objs []f
 	lead := css[0]
 	pool := lead.pool
 	c := lead.comp
-	opt := lead.opt
-	tolPs := opt.CutTolPs
-	if tolPs <= 0 {
-		tolPs = 2e-4 * c.Golden.MCT
-	}
-	maxRounds := opt.CutRounds
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	perRound := opt.CutsPerRound
-	if perRound <= 0 {
-		perRound = 64
-	}
+	tolPs, maxRounds, _ := lead.cutLimits()
 
 	nb := len(css)
 	objs = make([]float64, nb)
@@ -151,33 +137,7 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau float64) (objs []f
 			}
 			// Violated path cuts from this member's iterate, appended in
 			// member order so the shared pool grows deterministically.
-			arcFn := func(from, to int) float64 {
-				a := c.Golden.ArcDelay(from, to)
-				if c.Golden.In.Circ.Gates[to].Kind == netlist.Comb {
-					a += delta(to)
-				}
-				return a
-			}
-			startFn := func(id int) float64 {
-				s := c.Golden.StartWeight(id)
-				if c.Golden.In.Circ.Gates[id].Kind == netlist.Seq {
-					s += delta(id)
-				}
-				return s
-			}
-			paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
-				perRound, 0)
-			added := 0
-			for _, p := range paths {
-				if p.Delay <= tau+tolPs/2 {
-					break // paths arrive in non-increasing delay order
-				}
-				if pool.add(cs.makeCut(p, cs.x)) {
-					added++
-				}
-			}
-			rec.Add("core/cuts_added", int64(added))
-			rec.Set("core/cut_pool_size", float64(pool.size()))
+			added := cs.generateCuts(ctx, delta, tau)
 			if added == 0 {
 				// Every violating path is already pooled yet the QP
 				// solution still violates.  When the pool grew past the

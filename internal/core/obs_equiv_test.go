@@ -111,6 +111,33 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 	if len(snap.Spans) == 0 {
 		t.Error("no spans recorded in enabled run")
 	}
+	// Cut generation runs under its own span, inside the QCP span, at
+	// most once per cut round.
+	qcp, ok := findSpan(snap.Spans, "core/qcp")
+	if !ok {
+		t.Fatal("core/qcp span missing in enabled run")
+	}
+	cutgen, ok := findSpan(qcp.Children, "core/cutgen")
+	if !ok {
+		t.Fatal("core/cutgen span missing under core/qcp in enabled run")
+	}
+	if cutgen.Count == 0 || cutgen.Count > snap.Counters["core/cut_rounds"] {
+		t.Errorf("core/cutgen span count %d, want 1..%d (core/cut_rounds)", cutgen.Count, snap.Counters["core/cut_rounds"])
+	}
+}
+
+// findSpan returns the first span named name in a depth-first walk of
+// the tree.
+func findSpan(spans []obs.SpanStat, name string) (obs.SpanStat, bool) {
+	for _, s := range spans {
+		if s.Name == name {
+			return s, true
+		}
+		if c, ok := findSpan(s.Children, name); ok {
+			return c, true
+		}
+	}
+	return obs.SpanStat{}, false
 }
 
 // TestWaferObsBitwiseInert extends the no-interference proof to the

@@ -67,12 +67,6 @@ type Options struct {
 	// Workers goroutines.  Zero selects runtime.GOMAXPROCS(0).  Results
 	// are bit-identical for every worker count.
 	Workers int
-	// Speculate lets the QCP bisection run probes concurrently,
-	// sharing the cut pool under a mutex.  Off by default because the
-	// extra probes enrich the pool and thereby change (slightly) the
-	// warm-start trajectory: the result is still a valid optimum but
-	// not bit-identical to the serial bisection.
-	Speculate bool
 
 	// Actuator selection.  The zero values reproduce the dose-only
 	// pipeline bit-for-bit.

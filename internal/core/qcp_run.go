@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/qp"
 	"repro/internal/sta"
 )
@@ -166,8 +165,8 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// fits the leakage budget; solver trouble counts as infeasible
 	// rather than aborting the whole bisection, but cancellation
 	// propagates.  Feasible evaluations feed the secant state.
-	probe := func(s *cutSolver, tau float64) (bool, error) {
-		obj, feasible, err := s.solveTau(ctx, tau, opt.XiNW)
+	probe := func(tau float64) (bool, error) {
+		obj, feasible, err := cs.solveTau(ctx, tau, opt.XiNW)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return false, err
@@ -175,7 +174,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 			return false, nil
 		}
 		ok := feasible && obj <= opt.XiNW+xiTol
-		if ok && s == cs {
+		if ok {
 			feasPrev, feasLast = feasLast, tauEval{tau, obj}
 		}
 		return ok, nil
@@ -198,7 +197,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	}
 
 	// First probe at the nominal period must be feasible.
-	ok, err := probe(cs, hi)
+	ok, err := probe(hi)
 	probes++
 	if err != nil {
 		return nil, err
@@ -216,7 +215,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	if seed := opt.SeedTau; seed > lo && seed < hi && probes < opt.MaxProbes {
 		guard := 0.5 * opt.BisectTol * golden.MCT
 		up := math.Min(seed+guard, hi)
-		ok, err := probe(cs, up)
+		ok, err := probe(up)
 		probes++
 		if err != nil {
 			return nil, err
@@ -227,7 +226,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 			obs.Add(ctx, "core/bisect_bracket_hits", 1)
 			if down := seed - guard; down > lo && probes < opt.MaxProbes &&
 				(hi-lo) > opt.BisectTol*golden.MCT {
-				ok, err = probe(cs, down)
+				ok, err = probe(down)
 				probes++
 				if err != nil {
 					return nil, err
@@ -260,42 +259,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	guard := 0.5 * opt.BisectTol * golden.MCT
 	newtonSteps, bisectFallbacks := 0, 0
 	floorTried := false
-	speculative := opt.Speculate && par.Workers(opt.Workers) > 1
 	for probes < opt.MaxProbes && (hi-lo) > opt.BisectTol*golden.MCT {
-		if speculative && opt.MaxProbes-probes >= 2 {
-			// Trisect: two concurrent probes sharing the cut pool.
-			// minLeak(τ) is non-increasing, so feasibility at m1 < m2
-			// narrows the interval to a third per round.
-			m1 := lo + (hi-lo)/3
-			m2 := lo + 2*(hi-lo)/3
-			p1, p2 := cs.clone(), cs.clone()
-			baseRounds, baseSolves := cs.rounds, cs.solves
-			res, err := par.Map(ctx, 2, 2, func(i int) (bool, error) {
-				if i == 0 {
-					return probe(p1, m1)
-				}
-				return probe(p2, m2)
-			})
-			if err != nil {
-				return nil, err
-			}
-			probes += 2
-			cs.rounds = baseRounds + (p1.rounds - baseRounds) + (p2.rounds - baseRounds)
-			cs.solves = baseSolves + (p1.solves - baseSolves) + (p2.solves - baseSolves)
-			switch {
-			case res[0]:
-				hi = m1
-				cs.adopt(p1)
-				bestX = append(bestX[:0], p1.x...)
-			case res[1]:
-				lo, hi = m1, m2
-				cs.adopt(p2)
-				bestX = append(bestX[:0], p2.x...)
-			default:
-				lo = m2
-			}
-			continue
-		}
 		t, candLo, newton := 0.0, 0.0, false
 		inBand := func(tn float64) bool {
 			w := hi - lo
@@ -332,7 +296,7 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 			t = 0.5 * (lo + hi)
 			bisectFallbacks++
 		}
-		ok, err := probe(cs, t)
+		ok, err := probe(t)
 		probes++
 		if err != nil {
 			return nil, err

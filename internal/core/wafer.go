@@ -343,7 +343,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 	// pool is what lets the members' constraint matrices stay bitwise
 	// identical round over round — the precondition for collapsing the
 	// per-member QP solves into one multi-RHS lockstep batch.
-	pool := &cutPool{seen: make(map[string]bool)}
+	pool := newCutPool()
 	members := make([]*member, len(gr.biases))
 	css := make([]*cutSolver, len(gr.biases))
 	for i, b := range gr.biases {
@@ -503,7 +503,6 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	defer sp.End()
 	opt := req.Opt.normalized()
 	opt.Snap = false
-	opt.Speculate = false
 	if err := c.check(opt); err != nil {
 		return nil, err
 	}

@@ -50,14 +50,24 @@ type Problem struct {
 	L, U []float64
 }
 
-// Validate checks dimensional consistency.
+// Validate checks dimensional consistency and that the data is
+// numeric: P, q and A must be finite, and no bound may be NaN (±Inf
+// bounds are the usual way to leave a side open).
 func (p *Problem) Validate() error {
 	n := len(p.Q)
 	if n == 0 {
 		return errors.New("qp: empty objective")
 	}
-	if p.P != nil && (p.P.M != n || p.P.N != n) {
-		return fmt.Errorf("qp: P is %d×%d, want %d×%d", p.P.M, p.P.N, n, n)
+	if err := checkFinite("q", p.Q); err != nil {
+		return err
+	}
+	if p.P != nil {
+		if p.P.M != n || p.P.N != n {
+			return fmt.Errorf("qp: P is %d×%d, want %d×%d", p.P.M, p.P.N, n, n)
+		}
+		if err := checkFinite("P value", p.P.Val); err != nil {
+			return err
+		}
 	}
 	if p.A == nil {
 		if len(p.L) != 0 || len(p.U) != 0 {
@@ -71,9 +81,32 @@ func (p *Problem) Validate() error {
 	if len(p.L) != p.A.M || len(p.U) != p.A.M {
 		return fmt.Errorf("qp: bounds length %d/%d, want %d", len(p.L), len(p.U), p.A.M)
 	}
-	for i := range p.L {
-		if p.L[i] > p.U[i] {
-			return fmt.Errorf("qp: constraint %d has l > u (%g > %g)", i, p.L[i], p.U[i])
+	if err := checkFinite("A value", p.A.Val); err != nil {
+		return err
+	}
+	return checkBounds("constraint", p.L, p.U)
+}
+
+// checkFinite rejects NaN and ±Inf entries of v.  Without it a NaN
+// slips through every residual test (NaN > tol is false) and the solve
+// reports success.
+func checkFinite(what string, v []float64) error {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("qp: %s %d is %v", what, i, x)
+		}
+	}
+	return nil
+}
+
+// checkBounds rejects NaN bounds and rows with l > u.
+func checkBounds(what string, l, u []float64) error {
+	for i := range l {
+		if math.IsNaN(l[i]) || math.IsNaN(u[i]) {
+			return fmt.Errorf("qp: %s %d has a NaN bound (%g, %g)", what, i, l[i], u[i])
+		}
+		if l[i] > u[i] {
+			return fmt.Errorf("qp: %s %d has l > u (%g > %g)", what, i, l[i], u[i])
 		}
 	}
 	return nil
@@ -360,10 +393,11 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	if len(l) != a.M || len(u) != a.M {
 		return fmt.Errorf("qp: appended bounds length %d/%d, want %d", len(l), len(u), a.M)
 	}
-	for i := range l {
-		if l[i] > u[i] {
-			return fmt.Errorf("qp: appended constraint %d has l > u", i)
-		}
+	if err := checkFinite("appended A value", a.Val); err != nil {
+		return err
+	}
+	if err := checkBounds("appended constraint", l, u); err != nil {
+		return err
 	}
 	scaled := a.Clone()
 	scaled.ScaleCols(s.d)
@@ -515,6 +549,9 @@ func (s *Solver) WarmStart(x, y []float64) error {
 		if len(x) != s.n {
 			return fmt.Errorf("qp: warm-start x has length %d, want %d", len(x), s.n)
 		}
+		if err := checkFinite("warm-start x", x); err != nil {
+			return err
+		}
 		for j := 0; j < s.n; j++ {
 			s.x[j] = x[j] / s.d[j]
 		}
@@ -523,6 +560,9 @@ func (s *Solver) WarmStart(x, y []float64) error {
 	if y != nil {
 		if len(y) != s.m {
 			return fmt.Errorf("qp: warm-start y has length %d, want %d", len(y), s.m)
+		}
+		if err := checkFinite("warm-start y", y); err != nil {
+			return err
 		}
 		for i := 0; i < s.m; i++ {
 			s.y[i] = y[i] / (s.e[i] * s.cinv)
@@ -542,6 +582,9 @@ func (s *Solver) UpdateLinear(q []float64) error {
 	if len(q) != s.n {
 		return fmt.Errorf("qp: linear term has length %d, want %d", len(q), s.n)
 	}
+	if err := checkFinite("q", q); err != nil {
+		return err
+	}
 	for j := 0; j < s.n; j++ {
 		s.q[j] = q[j] * s.d[j] / s.cinv
 	}
@@ -555,10 +598,10 @@ func (s *Solver) UpdateBounds(l, u []float64) error {
 	if len(l) != s.m || len(u) != s.m {
 		return fmt.Errorf("qp: bounds length %d/%d, want %d", len(l), len(u), s.m)
 	}
+	if err := checkBounds("constraint", l, u); err != nil {
+		return err
+	}
 	for i := 0; i < s.m; i++ {
-		if l[i] > u[i] {
-			return fmt.Errorf("qp: constraint %d has l > u", i)
-		}
 		s.l[i] = l[i] * s.e[i]
 		s.u[i] = u[i] * s.e[i]
 	}

@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/netlist"
@@ -23,33 +22,37 @@ func (p *Path) Slack(period float64) float64 { return period - p.Delay }
 func (p *Path) Start() int { return p.Nodes[0] }
 func (p *Path) End() int   { return p.Nodes[len(p.Nodes)-1] }
 
+// NoCutoff disables the early stop of TopPathsDAG: every path up to the
+// count and state limits is enumerated.
+var NoCutoff = math.Inf(-1)
+
+// cutoffMargin is the relative slack below the cutoff at which the
+// search stops.  A path's delay can exceed the bound of a prefix state it
+// extends only by floating-point re-association error (the bound sums
+// the same terms in suffix order), which is many orders of magnitude
+// smaller; see TopPathsDAG.
+const cutoffMargin = 1e-9
+
 // pathState is a node in the implicit prefix tree of the best-first
-// search.
+// search.  Its bound lives in the heap entry that refers to it.
 type pathState struct {
 	node     int
 	g        float64 // exact delay of the prefix up to (and including) node
-	bound    float64 // g + best possible suffix
 	parent   int     // index into the arena; -1 for roots
 	terminal bool
 }
 
-type stateHeap struct {
-	arena *[]pathState
-	idx   []int
+// heapItem is one frontier entry: a state's bound beside its arena
+// index, so sifting compares without touching the arena.
+type heapItem struct {
+	bound float64
+	idx   int
 }
 
-func (h stateHeap) Len() int { return len(h.idx) }
-func (h stateHeap) Less(a, b int) bool {
-	return (*h.arena)[h.idx[a]].bound > (*h.arena)[h.idx[b]].bound
-}
-func (h stateHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *stateHeap) Push(x any)   { h.idx = append(h.idx, x.(int)) }
-func (h *stateHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
-	return v
+// frontier is the search's state arena and its max-heap on bound.
+type frontier struct {
+	arena []pathState
+	heap  []heapItem
 }
 
 // TopPaths enumerates the K longest paths in exact non-increasing delay
@@ -58,19 +61,35 @@ func (h *stateHeap) Pop() any {
 // fewer distinct paths (enumeration also stops after visiting maxStates
 // prefix states as a safety valve; 0 means no limit).
 func (r *Result) TopPaths(k int, maxStates int) []*Path {
-	return TopPathsDAG(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates)
+	return TopPathsDAG(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff)
 }
 
 // TopPathsDAG is the graph-generic K-longest-path enumeration underlying
 // TopPaths: arc gives the delay of edge from→to, start the launch weight
 // of a startpoint, end the terminal weight of an endpoint.  The
-// optimizer reuses it on its linear delay model.
+// optimizer reuses it on its linear delay model.  Each arc is evaluated
+// once, in the suffix pass, and read back when a state is expanded.
+//
+// cutoff lets a caller that only wants paths with delay > cutoff stop
+// early: the search ends once the best frontier bound falls below
+// cutoff − 10⁻⁹·|cutoff|.  Every later path would descend from a
+// frontier state and so lie below the cutoff, up to re-association
+// error far under that margin.  Before the stop the frontier evolves
+// exactly as without a cutoff, so the result is a prefix of the
+// NoCutoff result that holds every path above the cutoff.
 func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) float64,
-	start, end func(id int) float64, k, maxStates int) []*Path {
+	start, end func(id int) float64, k, maxStates int, cutoff float64) []*Path {
 	if k <= 0 {
 		return nil
 	}
 	n := circ.NumGates()
+
+	// arcs[arcOff[id]+j] is the delay of id → Fanouts[j].
+	arcOff := make([]int, n+1)
+	for id, g := range circ.Gates {
+		arcOff[id+1] = arcOff[id] + len(g.Fanouts)
+	}
+	arcs := make([]float64, arcOff[n])
 
 	// suffix[id] = best achievable delay from id's output to any
 	// endpoint (excluding id's own launch weight); -inf for dead ends.
@@ -79,13 +98,13 @@ func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) floa
 		suffix[i] = math.Inf(-1)
 	}
 	relax := func(id int) {
-		g := circ.Gates[id]
 		best := math.Inf(-1)
-		for _, fo := range g.Fanouts {
-			fog := circ.Gates[fo]
+		off := arcOff[id]
+		for j, fo := range circ.Gates[id].Fanouts {
 			a := arc(id, fo)
+			arcs[off+j] = a
 			var v float64
-			if fog.Kind == netlist.PO || fog.Kind == netlist.Seq {
+			if kind := circ.Gates[fo].Kind; kind == netlist.PO || kind == netlist.Seq {
 				v = a + end(fo)
 			} else if !math.IsInf(suffix[fo], -1) {
 				v = a + suffix[fo]
@@ -113,57 +132,104 @@ func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) floa
 		}
 	}
 
-	arena := make([]pathState, 0, 4*k)
-	h := &stateHeap{arena: &arena}
-	push := func(s pathState) {
-		arena = append(arena, s)
-		heap.Push(h, len(arena)-1)
-	}
+	f := frontier{arena: make([]pathState, 0, 4*k)}
 	// Roots: all startpoints with a live suffix.
-	for _, sp := range circ.StartPoints() {
-		if math.IsInf(suffix[sp], -1) {
+	for id, g := range circ.Gates {
+		if g.Kind != netlist.PI && g.Kind != netlist.Seq || math.IsInf(suffix[id], -1) {
 			continue
 		}
-		g0 := start(sp)
-		push(pathState{node: sp, g: g0, bound: g0 + suffix[sp], parent: -1})
+		g0 := start(id)
+		f.push(pathState{node: id, g: g0, parent: -1}, g0+suffix[id])
 	}
 
+	stop := cutoff - cutoffMargin*math.Abs(cutoff)
 	var paths []*Path
 	visited := 0
-	for h.Len() > 0 && len(paths) < k {
-		si := heap.Pop(h).(int)
-		s := arena[si]
+	for len(f.heap) > 0 && len(paths) < k {
+		if f.heap[0].bound < stop {
+			break
+		}
+		si := f.pop()
+		st := f.arena[si]
 		visited++
 		if maxStates > 0 && visited > maxStates {
 			break
 		}
-		if s.terminal {
-			// Reconstruct.
-			var rev []int
-			for i := si; i >= 0; i = arena[i].parent {
-				rev = append(rev, arena[i].node)
-			}
-			nodes := make([]int, len(rev))
-			for i, v := range rev {
-				nodes[len(rev)-1-i] = v
-			}
-			paths = append(paths, &Path{Nodes: nodes, Delay: s.g})
+		if st.terminal {
+			paths = append(paths, &Path{Nodes: f.nodes(si), Delay: st.g})
 			continue
 		}
-		g := circ.Gates[s.node]
-		for _, fo := range g.Fanouts {
-			fog := circ.Gates[fo]
-			a := arc(s.node, fo)
-			if fog.Kind == netlist.PO || fog.Kind == netlist.Seq {
-				tot := s.g + a + end(fo)
-				push(pathState{node: fo, g: tot, bound: tot, parent: si, terminal: true})
+		off := arcOff[st.node]
+		for j, fo := range circ.Gates[st.node].Fanouts {
+			a := arcs[off+j]
+			if kind := circ.Gates[fo].Kind; kind == netlist.PO || kind == netlist.Seq {
+				tot := st.g + a + end(fo)
+				f.push(pathState{node: fo, g: tot, parent: si, terminal: true}, tot)
 			} else if !math.IsInf(suffix[fo], -1) {
-				ng := s.g + a
-				push(pathState{node: fo, g: ng, bound: ng + suffix[fo], parent: si})
+				ng := st.g + a
+				f.push(pathState{node: fo, g: ng, parent: si}, ng+suffix[fo])
 			}
 		}
 	}
 	return paths
+}
+
+// push adds a state with its bound, and pop removes the state with the
+// largest bound and returns its arena index.  They perform exactly the
+// comparisons and swaps of container/heap's Push and Pop, so states with
+// equal bounds leave the heap in the same order as they would there.
+func (f *frontier) push(st pathState, bound float64) {
+	f.arena = append(f.arena, st)
+	h := append(f.heap, heapItem{bound: bound, idx: len(f.arena) - 1})
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].bound > h[i].bound) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	f.heap = h
+}
+
+func (f *frontier) pop() int {
+	h := f.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].bound > h[j1].bound {
+			j = j2
+		}
+		if !(h[j].bound > h[i].bound) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	f.heap = h[:n]
+	return h[n].idx
+}
+
+// nodes rebuilds the gate sequence of the prefix ending at arena index
+// si, from startpoint to endpoint.
+func (f *frontier) nodes(si int) []int {
+	n := 0
+	for i := si; i >= 0; i = f.arena[i].parent {
+		n++
+	}
+	out := make([]int, n)
+	for i := si; i >= 0; i = f.arena[i].parent {
+		n--
+		out[n] = f.arena[i].node
+	}
+	return out
 }
 
 // PathCounts returns, for each gate, the number of the given paths that
