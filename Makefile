@@ -2,7 +2,7 @@
 # runs the race detector over the concurrent packages; `make bench`
 # records the serial-vs-parallel TableIV wall time; `make bench-json`
 # emits the machine-readable benchmark report; `make fuzz-smoke` gives
-# each parser fuzzer a 30 s budget; `make profile` captures CPU and
+# each parser fuzzer and the job-spec fuzzer a 30 s budget; `make profile` captures CPU and
 # heap profiles of the Table IV pipeline; `make serve-smoke` boots the
 # dmopt-serve daemon, runs one job through it and scrapes /metrics;
 # `make wafer-smoke` runs a tiny consensus wafer end-to-end and proves
@@ -36,14 +36,14 @@ bench:
 # span timings, solver iteration and gate-eval counters, linear-system
 # backend).  Built as a binary (not `go run`) so the toolchain stamps
 # vcs.revision into the report's git_rev field.  Also runs the CG vs
-# LDLᵀ micro-benchmark on the cut-pool matrix, the parallel numeric
-# factorization sweep, the multi-RHS supernodal solve sweep, and the
+# LDLᵀ micro-benchmark on the cut-pool matrix, the supernodal numeric
+# factorization, the multi-RHS supernodal solve sweep, and the
 # τ-Newton bisection benchmark.  The tables run covers Table IV plus the
 # actuator ablation (Table X), so the report times the joint dose+bias
 # solves alongside the dose-only pipeline.
 bench-json:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'LinSys|TauNewton|WaferSolve' -benchtime 3x
-	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTParallelFactor|SupernodalSolve' -benchtime 20x
+	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTFactor|SupernodalSolve' -benchtime 20x
 	$(GO) build -o tables.bin ./cmd/tables
 	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json BENCH_pr10.json
 	rm -f tables.bin
@@ -65,6 +65,7 @@ serve-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzParseNetlist -fuzztime 30s -run ^$$
 	$(GO) test ./internal/liberty/ -fuzz FuzzParseLiberty -fuzztime 30s -run ^$$
+	$(GO) test ./internal/api/ -fuzz FuzzJobSpec -fuzztime 30s -run ^$$
 
 # Profile the dominant pipeline (Table IV at bench scale); inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

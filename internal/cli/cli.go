@@ -61,7 +61,7 @@ func AddFlags(prog string) *Common {
 // AddFlagsTo registers the shared flags on an explicit flag set.
 func AddFlagsTo(fs *flag.FlagSet, prog string) *Common {
 	c := &Common{Prog: prog, profStop: func() {}}
-	fs.IntVar(&c.Workers, "workers", 0, "parallel fan-out of STA/fit/solver; 0 = GOMAXPROCS (bit-identical results)")
+	fs.IntVar(&c.Workers, "workers", 0, "fan-out across independent work (table rows, sweep points, wafer fields, STA levels, model fit); each solve runs on one goroutine; 0 = GOMAXPROCS (bit-identical results)")
 	fs.StringVar(&c.linsysName, "linsys", "auto", "ADMM linear-system backend: auto, cg or ldlt")
 	fs.BoolVar(&c.Stats, "stats", false, "print run telemetry (spans, counters) to stderr")
 	fs.StringVar(&c.BenchJSON, "bench-json", "", "write a machine-readable benchmark report to this file")

@@ -67,6 +67,22 @@ type DosePlResult struct {
 	SwapsTried    int
 }
 
+// checkFiniteDose rejects a dose map holding NaN or ±Inf.  Such a dose
+// flows into the delay and leakage of every cell on its grid cell, and
+// dosePl would report the NaN signoff as a successful run.  A nil map
+// (no active layer) passes.
+func checkFiniteDose(layer string, m *dosemap.Map) error {
+	if m == nil {
+		return nil
+	}
+	for k, v := range m.D {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: dosePl %s dose map holds %v at grid cell (%d,%d)", layer, v, k/m.Grid.N, k%m.Grid.N)
+		}
+	}
+	return nil
+}
+
 // DosePl runs the dose-map-aware placement optimization: it swaps
 // setup-critical cells into higher-dose grid regions (and non-critical
 // cells out), filtered by mutual bounding boxes, distance, HPWL and
@@ -88,6 +104,12 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	opt = opt.normalized()
 	if layers.Poly == nil {
 		return nil, fmt.Errorf("core: dosePl needs a poly dose map")
+	}
+	if err := checkFiniteDose("poly", layers.Poly); err != nil {
+		return nil, err
+	}
+	if err := checkFiniteDose("active", layers.Active); err != nil {
+		return nil, err
 	}
 	res := &DosePlResult{}
 	// One incremental timer serves every round: each evalNow re-times

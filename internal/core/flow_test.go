@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/dosemap"
 	"repro/internal/gen"
 	"repro/internal/sta"
 )
@@ -144,5 +146,43 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(7).String() == "" {
 		t.Error("unknown mode should format")
+	}
+}
+
+// TestDosePlRejectsNonFiniteDose: a NaN or infinite dose in either
+// layer map fails dosePl at entry with an error naming the layer and
+// the grid cell, before any timing or placement work.
+func TestDosePlRejectsNonFiniteDose(t *testing.T) {
+	d, golden := smallGolden(t, 0.05)
+	opt := DefaultOptions()
+	grid, err := dosemap.NewGrid(d.Pl.ChipW, d.Pl.ChipH, opt.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		active bool // corrupt the active map instead of the poly map
+		cell   int
+		v      float64
+		want   string
+	}{
+		{"poly NaN", false, 0, math.NaN(), "poly dose map holds NaN at grid cell (0,0)"},
+		{"poly +Inf", false, 1, math.Inf(1), "poly dose map holds +Inf at grid cell (0,1)"},
+		{"poly -Inf", false, grid.N, math.Inf(-1), "poly dose map holds -Inf at grid cell (1,0)"},
+		{"active NaN", true, grid.N + 2, math.NaN(), "active dose map holds NaN at grid cell (1,2)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			layers := dosemap.Layers{Poly: dosemap.NewMap(grid), Active: dosemap.NewMap(grid)}
+			bad := layers.Poly
+			if tc.active {
+				bad = layers.Active
+			}
+			bad.D[tc.cell] = tc.v
+			_, err := DosePl(golden, layers, opt, DefaultDosePlOptions())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -20,9 +20,7 @@ func cutPoolProblem(tb testing.TB) (*qp.Problem, float64) {
 	return cutPoolProblemScaled(tb, 0.04)
 }
 
-// cutPoolProblemScaled is cutPoolProblem at an explicit design scale —
-// the parallel-factor tests need an instance wide enough (n ≥ 256
-// columns) to clear the backend's serial-below threshold.
+// cutPoolProblemScaled is cutPoolProblem at an explicit design scale.
 func cutPoolProblemScaled(tb testing.TB, scale float64) (*qp.Problem, float64) {
 	tb.Helper()
 	d, err := gen.Generate(gen.AES65().Scaled(scale))

@@ -62,10 +62,12 @@ type Options struct {
 	QP qp.Settings
 	// STA sets golden-analysis boundary conditions.
 	STA sta.Config
-	// Workers is the one knob that reaches every layer: golden STA
-	// levels, solver reductions, and model fitting all fan out on up to
-	// Workers goroutines.  Zero selects runtime.GOMAXPROCS(0).  Results
-	// are bit-identical for every worker count.
+	// Workers bounds the fan-out across independent units of work: the
+	// gate levels of golden and signoff STA, the per-gate model fit, and
+	// the fields and column groups of a wafer solve.  A QP/QCP solve
+	// itself always runs on one goroutine.  Zero selects
+	// runtime.GOMAXPROCS(0).  Results are bit-identical for every
+	// worker count.
 	Workers int
 
 	// Actuator selection.  The zero values reproduce the dose-only
@@ -93,13 +95,9 @@ func (o Options) useDose() bool { return !o.DoseOff }
 // useBias reports whether the body-bias actuator is active.
 func (o Options) useBias() bool { return o.BiasGridUm > 0 }
 
-// normalized propagates the top-level Workers knob into the nested
-// solver and STA configurations (without overriding explicit per-layer
-// settings).
+// normalized propagates the top-level Workers knob into the nested STA
+// configuration (without overriding an explicit per-layer setting).
 func (o Options) normalized() Options {
-	if o.QP.Workers == 0 {
-		o.QP.Workers = o.Workers
-	}
 	if o.STA.Workers == 0 {
 		o.STA.Workers = o.Workers
 	}

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/obs"
-	"repro/internal/qp"
 	"repro/internal/sta"
 )
 
@@ -20,60 +18,6 @@ func bitsEqSlice(t *testing.T, name string, a, b []float64) {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("%s[%d] differs: %v vs %v", name, i, a[i], b[i])
-		}
-	}
-}
-
-// TestParallelFactorBitIdentity is the direct factor-equivalence proof
-// behind the elimination-tree scheduling: solving the AES cut-pool
-// instance through the LDLᵀ backend at workers 1, 2 and 8 must leave
-// bit-identical L and D factor entries — and a bit-identical solution —
-// because the numeric kernel fixes the per-column accumulation order
-// regardless of which worker runs the column.
-//
-// Scale 0.5 (n = 1225, a 35×35 grid) is the smallest AES instance
-// whose elimination tree carries a comfortable margin of level sets at
-// or above the 32-column dispatch threshold; smaller grids factor
-// serially by design and would make this test vacuous, which the
-// parallel-level counter assertion below guards against.
-func TestParallelFactorBitIdentity(t *testing.T) {
-	prob, _ := cutPoolProblemScaled(t, 0.5)
-
-	type outcome struct {
-		l, d, x []float64
-		par     int64
-	}
-	solve := func(workers int) outcome {
-		set := qp.DefaultSettings()
-		set.LinSys = qp.LinSysLDLT
-		set.Workers = workers
-		s, err := qp.NewSolver(prob, set)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rec := obs.New()
-		res, err := s.SolveCtx(obs.With(context.Background(), rec))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		l, d, ok := s.FactorEntries()
-		if !ok {
-			t.Fatalf("workers=%d: no live LDLᵀ factor after solve", workers)
-		}
-		return outcome{l, d, res.X, rec.Snapshot().Counters["qp/parallel_factor_levels"]}
-	}
-
-	base := solve(1)
-	if base.par != 0 {
-		t.Errorf("serial run reported %d parallel factor levels", base.par)
-	}
-	for _, w := range []int{2, 8} {
-		r := solve(w)
-		bitsEqSlice(t, "L", base.l, r.l)
-		bitsEqSlice(t, "D", base.d, r.d)
-		bitsEqSlice(t, "x", base.x, r.x)
-		if r.par == 0 {
-			t.Errorf("workers=%d never dispatched a parallel factor level; instance too small to exercise the schedule", w)
 		}
 	}
 }

@@ -562,7 +562,12 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	}
 	obs.Add(ctx, "wafer/field_dedup", int64(len(wafer.Fields)-len(biases)))
 
+	// The stages below fan out across distinct biases and column groups;
+	// the work inside each unit runs on one worker, so the fan-out owns
+	// the whole budget.  Either split yields bit-identical results.
 	workers := par.Workers(opt.Workers)
+	inner := opt
+	inner.Workers, inner.STA.Workers = 1, 1
 	in := c.Golden.In
 
 	// Stage A: uniform nominal dose — golden signoff of each distinct
@@ -574,7 +579,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 				dl[id] = biases[i]
 			}
 		}
-		ev, _, err := EvalPerturbCtx(ctx, in, opt.STA, &sta.Perturb{DL: dl})
+		ev, _, err := EvalPerturbCtx(ctx, in, inner.STA, &sta.Perturb{DL: dl})
 		return ev, err
 	})
 	if err != nil {
@@ -587,7 +592,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		pred float64
 	}
 	uncoupled, err := par.Map(ctx, len(biases), workers, func(i int) (uncoupledOut, error) {
-		fc, fopt := deriveField(c, opt, biases[i]/tech.DoseSensitivity)
+		fc, fopt := deriveField(c, inner, biases[i]/tech.DoseSensitivity)
 		r, err := SolveQCP(ctx, QCPRequest{Compiled: fc, Opt: fopt})
 		if err != nil {
 			return uncoupledOut{}, fmt.Errorf("core: uncoupled field solve (bias %.2f nm): %w", biases[i], err)
@@ -678,7 +683,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		if proc != nil {
 			gi = proc[i]
 		}
-		o, err := solveWaferGroup(ctx, c, opt, groups[gi], tau, rhoW, wopt)
+		o, err := solveWaferGroup(ctx, c, inner, groups[gi], tau, rhoW, wopt)
 		if err != nil {
 			return struct{}{}, err
 		}

@@ -103,9 +103,12 @@ type Context struct {
 	Scale float64
 	// K is the top-path count for path-based experiments.
 	K int
-	// Workers bounds the fan-out of every parallel stage the harness
-	// drives: concurrent table regeneration, the 21-point dose sweeps,
-	// and the Workers knobs of the underlying STA/fit/QP layers.  Zero
+	// Workers bounds the fan-out across independent units of work:
+	// concurrent table regeneration, table rows, optimization chains,
+	// dose- and bias-sweep points, wafer fields and column groups, and
+	// the STA levels and model fits of the cached artifact builds.  A
+	// run inside an optimization chain or a sweep point uses one
+	// worker, and every QP/QCP solve runs on one goroutine.  Zero
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
 	// LinSys selects the ADMM x-step backend for every QP the harness
@@ -723,17 +726,18 @@ func (c *Context) RunDMCtx(ctx context.Context, design string, gridUm float64, q
 // runDM is RunDMCtx with a warm-bracket seed: seedTau > 0 passes a
 // related run's achieved clock period into the QCP bisection.
 func (c *Context) runDM(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64) (*core.Result, error) {
-	return c.runDMActuators(ctx, design, gridUm, qcp, bothLayers, seedTau, "")
+	return c.runDMActuators(ctx, design, gridUm, qcp, bothLayers, seedTau, "", c.Workers)
 }
 
-// runDMActuators is runDM with an actuator mode: "" or "dose" for the
+// runDMActuators is runDM with an actuator mode — "" or "dose" for the
 // historical dose-only run, "bias" for body-bias only, "joint" for the
-// co-optimization (bias domains at the default 20 µm pitch and box).
-func (c *Context) runDMActuators(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64, actuators string) (*core.Result, error) {
+// co-optimization (bias domains at the default 20 µm pitch and box) —
+// and the worker budget of the run's own fan-out (signoff STA).
+func (c *Context) runDMActuators(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64, actuators string, workers int) (*core.Result, error) {
 	opt := core.DefaultOptions()
 	opt.G = gridUm
 	opt.BothLayers = bothLayers
-	opt.Workers = c.Workers
+	opt.Workers = workers
 	opt.QP.LinSys = c.LinSys
 	switch actuators {
 	case "", "dose":
@@ -787,7 +791,8 @@ type dmJob struct {
 // grid's achieved clock period (the warm bracket); QP runs stay
 // independent singletons.  Chains are internally serial and mutually
 // independent, so the rows stay bit-identical for every worker count —
-// only the Runtime column varies.
+// only the Runtime column varies.  The chains own the worker budget;
+// each run inside one is single-worker.
 func (c *Context) runDMJobs(ctx context.Context, jobs []dmJob) ([]DMRow, error) {
 	type item struct {
 		idx int
@@ -813,7 +818,7 @@ func (c *Context) runDMJobs(ctx context.Context, jobs []dmJob) ([]DMRow, error) 
 		seed := 0.0
 		for _, it := range chains[i] {
 			j := it.job
-			r, err := c.runDMActuators(ctx, j.design, j.grid, j.qcp, j.both, seed, j.mode)
+			r, err := c.runDMActuators(ctx, j.design, j.grid, j.qcp, j.both, seed, j.mode, 1)
 			if err != nil {
 				return struct{}{}, fmt.Errorf("%s %s %g µm: %w", j.design, j.label, j.grid, err)
 			}

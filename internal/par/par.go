@@ -1,19 +1,19 @@
-// Package par is the deterministic parallel-execution substrate shared
-// by every hot layer of the flow: a bounded worker pool with ordered
-// result collection, deterministic error propagation, and
-// context.Context cancellation.
+// Package par is the deterministic fan-out substrate of the flow: a
+// bounded worker pool over independent units of work (table rows,
+// sweep points, wafer fields, STA levels) with ordered result
+// collection, deterministic error propagation, and context.Context
+// cancellation.
 //
-// Determinism contract.  Every helper in this package produces results
-// that are bit-identical for any worker count, including workers = 1:
+// Determinism contract.  Do and Map produce results that are
+// bit-identical for any worker count, including workers = 1:
 //
-//   - Do/Map dispatch items by index and each item writes only its own
+//   - items are dispatched by index and each item writes only its own
 //     result slot, so the output never depends on completion order;
 //   - on error, the error of the *smallest* item index is returned, not
 //     the first one observed;
-//   - SumBlocks fixes the floating-point reduction tree by a constant
-//     block size chosen independently of the worker count, so partial
-//     sums are combined in the same order no matter how many goroutines
-//     computed them (no floating-point reassociation across workers).
+//   - an item that panics fails with an error carrying the panic value,
+//     under the same smallest-index rule, so a panic on a worker
+//     goroutine cannot take the process down.
 //
 // Cancellation contract.  When the context is canceled, in-flight items
 // finish but no new item starts, and the returned error wraps
@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +42,37 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// panicError is the error of an item whose function panicked.  The
+// panic unwound a goroutine no caller can recover on, so the error
+// keeps that goroutine's stack for whoever reports the failure.
+type panicError struct {
+	item  int
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("par: item %d panicked: %v", e.item, e.value)
+}
+
+// PanicStack returns the stack of the goroutine the panic unwound.
+func (e *panicError) PanicStack() []byte { return e.stack }
+
+// call runs f(i), turning a panic into the item's error.
+func call(f func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &panicError{item: i, value: p, stack: debug.Stack()}
+		}
+	}()
+	return f(i)
+}
+
 // Do runs f(i) for every i in [0, n) on at most workers goroutines.
 // Items are dispatched in index order from a shared counter.  The first
 // error by item index aborts the remaining (not yet started) items and
-// is returned; a canceled context stops dispatch and returns an error
-// wrapping ctx.Err().
+// is returned; a panicking item counts as a failed one.  A canceled
+// context stops dispatch and returns an error wrapping ctx.Err().
 func Do(ctx context.Context, n, workers int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -59,7 +86,7 @@ func Do(ctx context.Context, n, workers int, f func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("par: canceled after %d/%d items: %w", i, n, err)
 			}
-			if err := f(i); err != nil {
+			if err := call(f, i); err != nil {
 				return err
 			}
 		}
@@ -119,10 +146,10 @@ func Do(ctx context.Context, n, workers int, f func(i int) error) error {
 				var err error
 				if rec != nil {
 					t0 := time.Now()
-					err = f(i)
+					err = call(f, i)
 					busy += time.Since(t0)
 				} else {
-					err = f(i)
+					err = call(f, i)
 				}
 				if err != nil {
 					fail(i, err)
@@ -168,116 +195,4 @@ func Map[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// DoWorker runs f(worker, i) for every i in [0, n) on at most workers
-// goroutines, passing each invocation the stable index of the worker
-// executing it (0 ≤ worker < effective workers).  The worker index
-// exists so callers can hand each goroutine private scratch memory (a
-// dense workspace per factorization worker, say); the RESULT of f must
-// not depend on it, and f must write only state owned by item i — then
-// the output is bit-identical for every worker count, including the
-// inline workers == 1 path.  Unlike Do there is no error or context
-// plumbing: DoWorker is for small fixed-shape kernels (one level set of
-// an elimination tree) where items cannot fail individually and
-// cancellation is handled between calls.
-func DoWorker(n, workers int, f func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// SumBlockSize is the fixed reduction-block length of SumBlocks.  It is
-// a package constant — never derived from the worker count — so the
-// floating-point reduction tree is identical for every worker count.
-const SumBlockSize = 1024
-
-// SumBlocks computes Σ f(lo, hi) over consecutive [lo, hi) blocks of
-// fixed size SumBlockSize covering [0, n).  Blocks are evaluated
-// concurrently on up to workers goroutines; the block partials are then
-// folded serially in block order.  f must be a pure function of its
-// range (typically a partial dot product or partial norm).
-func SumBlocks(n, workers int, f func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	nb := (n + SumBlockSize - 1) / SumBlockSize
-	if nb == 1 {
-		return f(0, n)
-	}
-	partial := make([]float64, nb)
-	Blocks(n, workers, func(b, lo, hi int) { partial[b] = f(lo, hi) })
-	s := 0.0
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
-// Blocks runs f(b, lo, hi) for each fixed-size block b covering [0, n):
-// block b spans [b·SumBlockSize, min((b+1)·SumBlockSize, n)).  Blocks
-// run concurrently on up to workers goroutines.  Use it for row-
-// partitioned matrix kernels where each output element is owned by
-// exactly one block.
-func Blocks(n, workers int, f func(b, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	nb := (n + SumBlockSize - 1) / SumBlockSize
-	workers = Workers(workers)
-	if workers > nb {
-		workers = nb
-	}
-	if workers == 1 || nb == 1 {
-		for b := 0; b < nb; b++ {
-			lo := b * SumBlockSize
-			hi := min(lo+SumBlockSize, n)
-			f(b, lo, hi)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				lo := b * SumBlockSize
-				hi := min(lo+SumBlockSize, n)
-				f(b, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,49 +81,27 @@ func TestDoPreCanceled(t *testing.T) {
 	}
 }
 
-func TestSumBlocksDeterministic(t *testing.T) {
-	// The reduction must be bit-identical for every worker count,
-	// including sizes around the block boundary.
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 1023, 1024, 1025, 10_000, 100_000} {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64() * float64(i%13)
-		}
-		sum := func(workers int) float64 {
-			return SumBlocks(n, workers, func(lo, hi int) float64 {
-				s := 0.0
-				for i := lo; i < hi; i++ {
-					s += v[i]
-				}
-				return s
-			})
-		}
-		want := sum(1)
-		for _, w := range []int{2, 3, 8, 64} {
-			if got := sum(w); got != want {
-				t.Fatalf("n=%d workers=%d: %v != %v (reduction not deterministic)", n, w, got, want)
+// TestDoPanicIsItemError pins panic isolation: a panicking item fails
+// Do like an erroring one — smallest failing index wins, same error at
+// 1 and N workers — instead of killing the process from a worker
+// goroutine.  The error keeps the panic value and the panicking stack.
+func TestDoPanicIsItemError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Do(context.Background(), 64, workers, func(i int) error {
+			switch {
+			case i == 5 || i == 40:
+				panic(fmt.Sprintf("boom %d", i))
+			case i == 20:
+				return errors.New("item 20")
 			}
+			return nil
+		})
+		if err == nil || err.Error() != "par: item 5 panicked: boom 5" {
+			t.Fatalf("workers=%d: err = %v, want item 5's panic", workers, err)
 		}
-	}
-}
-
-func TestBlocksCoverage(t *testing.T) {
-	for _, n := range []int{1, 1024, 5000} {
-		for _, w := range []int{1, 4} {
-			seen := make([]atomic.Bool, n)
-			Blocks(n, w, func(b, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if seen[i].Swap(true) {
-						t.Errorf("index %d covered twice", i)
-					}
-				}
-			})
-			for i := range seen {
-				if !seen[i].Load() {
-					t.Fatalf("n=%d workers=%d: index %d not covered", n, w, i)
-				}
-			}
+		var ps interface{ PanicStack() []byte }
+		if !errors.As(err, &ps) || !strings.Contains(string(ps.PanicStack()), "TestDoPanicIsItemError") {
+			t.Fatalf("workers=%d: panic error carries no stack of the panicking item", workers)
 		}
 	}
 }

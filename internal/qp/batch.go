@@ -12,9 +12,9 @@
 // Determinism: members are visited in slice order at every step, the
 // shared ρ adaptation aggregates the members' residual scores with max
 // (order-free), and the multi-RHS solve itself is bit-identical to
-// per-RHS solves at any worker count (see ldlt.go).  A batch solve is
-// therefore reproducible for every worker count — the property
-// TestWaferWorkerBitIdentity pins end to end.
+// per-RHS solves (see ldlt.go).  A batch solve is therefore
+// reproducible no matter how many families run side by side — the
+// property TestWaferWorkerBitIdentity pins end to end.
 package qp
 
 import (
@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // batchCompatible reports whether the family can share the lead
@@ -93,7 +92,6 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 
 	host := solvers[0]
 	set := host.set
-	workers := par.Workers(set.Workers)
 	n, m := host.n, host.m
 	nb := len(solvers)
 
@@ -171,7 +169,7 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 
 		for _, q := range live {
 			s := solvers[q]
-			s.a.MulVecW(s.zt, s.xt, workers)
+			s.a.MulVec(s.zt, s.xt)
 			s.applyRelaxation()
 		}
 

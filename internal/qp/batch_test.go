@@ -12,7 +12,7 @@ import (
 // terms and shifted box bounds — the wafer column-group shape at
 // miniature scale.  All members equilibrate identically because the
 // matrices are identical, so the family passes batchCompatible.
-func batchFamily(t testing.TB, rng *rand.Rand, n, nb, workers int) ([]*Solver, []*Problem) {
+func batchFamily(t testing.TB, rng *rand.Rand, n, nb int) ([]*Solver, []*Problem) {
 	t.Helper()
 	pd := make([]float64, n)
 	for i := range pd {
@@ -34,7 +34,6 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb, workers int) ([]*Solver, [
 
 	set := DefaultSettings()
 	set.LinSys = LinSysLDLT
-	set.Workers = workers
 
 	solvers := make([]*Solver, nb)
 	probs := make([]*Problem, nb)
@@ -74,7 +73,7 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb, workers int) ([]*Solver, [
 // second (warm) batch call still works with the family's shared ρ.
 func TestSolveBatchLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	solvers, probs := batchFamily(t, rng, 60, 4, 1)
+	solvers, probs := batchFamily(t, rng, 60, 4)
 	if !batchCompatible(solvers) {
 		t.Fatal("family unexpectedly incompatible")
 	}
@@ -115,37 +114,6 @@ func TestSolveBatchLockstep(t *testing.T) {
 	}
 }
 
-// TestSolveBatchWorkerBitIdentity pins the determinism contract: the
-// whole lockstep trajectory — every member's solution and duals — is
-// bit-identical at any worker count.
-func TestSolveBatchWorkerBitIdentity(t *testing.T) {
-	run := func(workers int) []*Result {
-		rng := rand.New(rand.NewSource(43))
-		solvers, _ := batchFamily(t, rng, 60, 4, workers)
-		results, err := SolveBatchCtx(context.Background(), solvers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	base := run(1)
-	for _, w := range []int{2, 8} {
-		got := run(w)
-		for q := range base {
-			for j := range base[q].X {
-				if math.Float64bits(got[q].X[j]) != math.Float64bits(base[q].X[j]) {
-					t.Fatalf("workers=%d member %d: X[%d] differs", w, q, j)
-				}
-			}
-			for i := range base[q].Y {
-				if math.Float64bits(got[q].Y[i]) != math.Float64bits(base[q].Y[i]) {
-					t.Fatalf("workers=%d member %d: Y[%d] differs", w, q, i)
-				}
-			}
-		}
-	}
-}
-
 // TestSolveBatchFallbackBitIdentity checks the validation gate: a
 // family whose members do NOT share bitwise-identical data degrades to
 // sequential SolveCtx calls, bit-identical to running the members by
@@ -153,7 +121,7 @@ func TestSolveBatchWorkerBitIdentity(t *testing.T) {
 func TestSolveBatchFallbackBitIdentity(t *testing.T) {
 	build := func() []*Solver {
 		rng := rand.New(rand.NewSource(47))
-		solvers, _ := batchFamily(t, rng, 50, 3, 1)
+		solvers, _ := batchFamily(t, rng, 50, 3)
 		return solvers
 	}
 	batch := build()
@@ -188,7 +156,7 @@ func TestSolveBatchFallbackBitIdentity(t *testing.T) {
 // siblings continue to convergence in the same lockstep run.
 func TestSolveBatchInfeasibleMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	solvers, _ := batchFamily(t, rng, 40, 3, 1)
+	solvers, _ := batchFamily(t, rng, 40, 3)
 	// Member 1 gets bounds that cannot be met: raise the box to
 	// x ≥ 0.3 everywhere, then cap the first coupling row strictly
 	// below its minimum over that box.  Bounds do not enter K, so the

@@ -3,13 +3,13 @@ package qp
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// randomBoxQP builds a strictly convex box-and-coupling QP large enough
-// to push the blocked mat-vec/dot kernels through several CG blocks.
+// randomBoxQP builds a strictly convex box-and-coupling QP with n
+// variables, m random 4-entry coupling rows and a unit box per
+// variable.
 func randomBoxQP(n, m int, seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	pt := NewTriplet(n, n)
@@ -41,40 +41,6 @@ func randomBoxQP(n, m int, seed int64) *Problem {
 		q[i] = rng.NormFloat64()
 	}
 	return &Problem{P: pt.Compile(), Q: q, A: at.Compile(), L: l, U: u}
-}
-
-// TestSolveWorkersEquivalent asserts the solve trajectory — not just
-// the solution — is bit-identical for every worker count: same iterate,
-// same iteration count, same CG work.
-func TestSolveWorkersEquivalent(t *testing.T) {
-	prob := randomBoxQP(400, 120, 7)
-	set := DefaultSettings()
-	set.Workers = 1
-	ref, err := Solve(prob, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Status != Solved {
-		t.Fatalf("reference status %v", ref.Status)
-	}
-	for _, w := range []int{2, 3, 8, 0} {
-		set.Workers = w
-		res, err := Solve(prob, set)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if res.Iters != ref.Iters || res.CGIters != ref.CGIters {
-			t.Fatalf("workers=%d: iters %d/%d != %d/%d", w, res.Iters, res.CGIters, ref.Iters, ref.CGIters)
-		}
-		if math.Float64bits(res.Obj) != math.Float64bits(ref.Obj) {
-			t.Fatalf("workers=%d: obj %v != %v", w, res.Obj, ref.Obj)
-		}
-		for i := range res.X {
-			if math.Float64bits(res.X[i]) != math.Float64bits(ref.X[i]) {
-				t.Fatalf("workers=%d: x[%d] %v != %v (not bit-identical)", w, i, res.X[i], ref.X[i])
-			}
-		}
-	}
 }
 
 // TestSolveCtxCanceledAtIterationBoundary asserts the cancellation

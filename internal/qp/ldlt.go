@@ -32,16 +32,17 @@
 // the scalar gather through li/lx.  Padded panel slots introduced by
 // amalgamation hold exact zeros, whose updates are bitwise inert, so
 // the per-element accumulation order (ascending source column, fixed
-// by the symbolic views) is unchanged from the scalar kernel: results
-// stay bit-identical no matter how supernodes are scheduled.  That is
-// what lets the numeric phase and both triangular solves run in
-// parallel across SUPERNODAL level sets (supernodes of equal height in
-// the supernodal etree are mutually independent) while keeping the
-// package-wide determinism contract: identical bits for workers 1..N.
+// by the symbolic views) is unchanged from the scalar kernel: the
+// supernodal factor and solves match the scalar reference bit for bit.
 // No pivoting is needed because K is symmetric positive definite for
 // σ > 0, ρ > 0.
 //
-// Multi-RHS solves (SolveBatchW) stream the factor through cache once
+// Every kernel runs on the calling goroutine.  The ADMM loop that
+// drives a factor is inherently sequential, and the level sets of the
+// elimination tree are too small for a fork/join per level to pay, so
+// callers parallelize across independent solves instead.
+//
+// Multi-RHS solves (SolveBatch) stream the factor through cache once
 // per supernode for the whole right-hand-side block instead of once
 // per RHS — the wafer consensus loop batches its per-member x-steps
 // through this path.
@@ -51,9 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
-
-	"repro/internal/par"
 )
 
 // ldltFactor holds the symbolic analysis and, after Refactor, the
@@ -115,15 +113,6 @@ type ldltFactor struct {
 	rowSlot []int
 	extEnd  []int
 
-	// Supernodal elimination-tree level sets (the parallel schedule):
-	// sLevelNode[sLevelPtr[l]:sLevelPtr[l+1]] are the supernodes of
-	// height l, ascending; sLevelCols[l] is the total column count of
-	// level l (the dispatch-gate metric, mirroring the scalar gate).
-	sLevelPtr  []int
-	sLevelNode []int
-	sLevelCols []int
-	nSLevels   int
-
 	// Analytics from the supernodal symbolic phase: dense-equivalent
 	// flop counts of one numeric factorization (Σ lnz·(lnz+3)) and of
 	// one two-sweep triangular solve (4·Σ panel entries), the widest
@@ -137,17 +126,10 @@ type ldltFactor struct {
 	// Row-major view of the strictly lower L: row k holds the columns
 	// j < k with L[k,j] ≠ 0 (ascending j) and, aligned, the position of
 	// that entry inside li.  This is the external-update list of the
-	// left-looking numeric kernel and the gather list of the pull-mode
-	// parallel forward solve.  rowVal caches the numeric values in
-	// row-major order (rowVal[t] = px[rowSlot[t]], refreshed lazily per
-	// numeric generation, parallel solves only) so the pull-mode sweep
-	// streams values sequentially.
+	// left-looking numeric kernel.
 	rowPtr []int // len n+1
 	rowCol []int
 	rowPos []int
-	rowVal []float64
-	rowGen int // numeric generation rowVal was built from
-	numGen int // bumped whenever lx changes
 
 	// Lower-triangular view of the stored upper K pattern: lower column
 	// k lists the columns c ≥ k with K[k,c] ≠ 0 (ascending, diagonal
@@ -157,30 +139,13 @@ type ldltFactor struct {
 	lowRow []int
 	lowSrc []int
 
-	// Elimination-tree level sets: levelNode[levelPtr[l]:levelPtr[l+1]]
-	// are the columns of etree height l, ascending.  Columns within a
-	// level are mutually independent — the parallel schedule.
-	levelPtr  []int
-	levelNode []int
-	nLevels   int
-
-	// lastParLevels counts the SUPERNODAL level sets the most recent
-	// RefactorW dispatched through the worker pool (0 on serial runs) —
-	// the qp/parallel_factor_levels telemetry feed.
-	lastParLevels int
-
 	// Scratch reused across factorizations and solves.  w backs the
-	// serial numeric kernel and every single-RHS solve; wk holds one
-	// all-zero dense workspace per factorization worker (the supernode
-	// kernel restores its workspace to zero on every path, so the
-	// buffers never need re-clearing between levels); tb holds one
-	// below-panel gather buffer (len maxRows) per solve worker; wb
-	// holds one dense workspace per right-hand side of a batched
-	// solve.
+	// numeric kernel and every single-RHS solve; tt is the below-panel
+	// gather buffer of the triangular sweeps (len maxRows); wb holds one
+	// dense workspace per right-hand side of a batched solve.
 	flag []int
 	w    []float64
-	wk   [][]float64
-	tb   [][]float64
+	tt   []float64
 	wb   [][]float64
 }
 
@@ -716,11 +681,10 @@ func (f *ldltFactor) reorder() {
 
 // symbolic computes the elimination tree and column counts of L for
 // the current pattern, fills the pattern of L explicitly (row indices,
-// row-major view), compiles the lower-triangular K view and the etree
-// level sets, and sizes the numeric arrays.  After symbolic returns,
-// the numeric phase touches only lx and d — which is what makes both
-// factor caching (snapshot/restore of lx, d) and level-parallel
-// factorization (fixed disjoint write ranges per column) sound.
+// row-major view), compiles the lower-triangular K view and the
+// supernodal layout, and sizes the numeric arrays.  After symbolic
+// returns, the numeric phase touches only the panels and d — which is
+// what makes factor caching (snapshot/restore of px, d) sound.
 func (f *ldltFactor) symbolic() {
 	n := f.n
 	if f.parent == nil {
@@ -826,43 +790,9 @@ func (f *ldltFactor) symbolic() {
 		}
 	}
 
-	// Level sets by etree height.  parent[k] > k always, so a single
-	// ascending pass settles every height; columns of equal height have
-	// no ancestor relation and factor (and solve) independently.
-	lev := next // reuse the scratch; heights start at zero
-	clear(lev)
-	f.nLevels = 0
-	for k := 0; k < n; k++ {
-		if p := f.parent[k]; p >= 0 && lev[k]+1 > lev[p] {
-			lev[p] = lev[k] + 1
-		}
-		if lev[k]+1 > f.nLevels {
-			f.nLevels = lev[k] + 1
-		}
-	}
-	f.levelPtr = growInts(f.levelPtr, f.nLevels+1)
-	clear(f.levelPtr)
-	for k := 0; k < n; k++ {
-		f.levelPtr[lev[k]+1]++
-	}
-	for l := 0; l < f.nLevels; l++ {
-		f.levelPtr[l+1] += f.levelPtr[l]
-	}
-	f.levelNode = growInts(f.levelNode, n)
-	fill := make([]int, f.nLevels)
-	for k := 0; k < n; k++ {
-		l := lev[k]
-		f.levelNode[f.levelPtr[l]+fill[l]] = k
-		fill[l]++
-	}
-
-	// Supernodal partition, dense panels and the supernodal schedule —
-	// everything the blocked numeric kernels address through.
+	// Supernodal partition and dense panels — everything the blocked
+	// numeric kernels address through.
 	f.buildSupernodes()
-
-	// The pattern moved: any row-major value cache is stale.
-	f.numGen = 0
-	f.rowGen = -1
 }
 
 // buildSupernodes partitions the columns into supernodes, lays out the
@@ -1001,40 +931,6 @@ func (f *ldltFactor) buildSupernodes() {
 		f.extEnd[k] = t
 	}
 
-	// Supernodal etree level sets by height.  The parent supernode of s
-	// is the supernode of parent[last column of s] (always > s, columns
-	// being contiguous), so one ascending pass settles all heights.
-	slev := make([]int, ns)
-	f.nSLevels = 0
-	for s := 0; s < ns; s++ {
-		if p := f.parent[sPtr[s+1]-1]; p >= 0 {
-			if sp := f.snode[p]; slev[s]+1 > slev[sp] {
-				slev[sp] = slev[s] + 1
-			}
-		}
-		if slev[s]+1 > f.nSLevels {
-			f.nSLevels = slev[s] + 1
-		}
-	}
-	f.sLevelPtr = growInts(f.sLevelPtr, f.nSLevels+1)
-	clear(f.sLevelPtr)
-	for s := 0; s < ns; s++ {
-		f.sLevelPtr[slev[s]+1]++
-	}
-	for l := 0; l < f.nSLevels; l++ {
-		f.sLevelPtr[l+1] += f.sLevelPtr[l]
-	}
-	f.sLevelNode = growInts(f.sLevelNode, ns)
-	f.sLevelCols = growInts(f.sLevelCols, f.nSLevels)
-	clear(f.sLevelCols)
-	fillS := make([]int, f.nSLevels)
-	for s := 0; s < ns; s++ {
-		l := slev[s]
-		f.sLevelNode[f.sLevelPtr[l]+fillS[l]] = s
-		fillS[l]++
-		f.sLevelCols[l] += sPtr[s+1] - sPtr[s]
-	}
-
 	// Analytics and scratch sizing.
 	f.maxSuperCols, f.maxRows = 0, 0
 	var solveFlops, factorFlops int64
@@ -1054,32 +950,11 @@ func (f *ldltFactor) buildSupernodes() {
 	}
 	f.denseSolveFlops = solveFlops
 	f.denseFactorFlops = factorFlops
-	f.tb = nil // gather buffers are sized maxRows, which just moved
+	if cap(f.tt) < f.maxRows {
+		f.tt = make([]float64, f.maxRows)
+	}
 }
 
-// syncRowVal refreshes the row-major copy of the factor values after a
-// numeric change (refactorization or cache restore).  Only the
-// PARALLEL pull-mode forward solve reads it — the serial sweeps stream
-// the panels directly — so the nnz(L) gather is paid lazily, never on
-// the serial hot path.
-func (f *ldltFactor) syncRowVal() {
-	if f.rowGen == f.numGen {
-		return
-	}
-	nnz := len(f.rowSlot)
-	if cap(f.rowVal) < nnz {
-		f.rowVal = make([]float64, nnz)
-	} else {
-		f.rowVal = f.rowVal[:nnz]
-	}
-	for t, slot := range f.rowSlot {
-		f.rowVal[t] = f.px[slot]
-	}
-	f.rowGen = f.numGen
-}
-
-// restore overwrites the numeric factor with a cached snapshot of the
-// panel storage and diagonal.
 // adopt makes px and d the factor's live numeric arrays without
 // copying; the caller manages buffer ownership.  Both must be full
 // same-pattern arrays: px with the padded slots zero (any buffer that
@@ -1088,18 +963,6 @@ func (f *ldltFactor) syncRowVal() {
 func (f *ldltFactor) adopt(px, d []float64) {
 	f.px = px
 	f.d = d
-	f.numGen++
-}
-
-// factorL materializes the factor's off-diagonal values in CSC order
-// (aligned with li/lp) — the layout FactorEntries and the golden
-// factor-regression tests expect.
-func (f *ldltFactor) factorL() []float64 {
-	l := make([]float64, f.lp[f.n])
-	for p, slot := range f.cscPos {
-		l[p] = f.px[slot]
-	}
-	return l
 }
 
 // growInts resizes an int scratch slice to exactly n elements, reusing
@@ -1121,17 +984,6 @@ func (f *ldltFactor) NNZK() int { return len(f.ki) }
 // phase; the caller falls back to the CG backend.
 var errNotPositiveDefinite = errors.New("qp: ldlt: zero pivot (matrix not positive definite)")
 
-// Parallel dispatch thresholds.  Below minParCols total columns the
-// whole matrix factors and solves serially regardless of the worker
-// budget; a supernodal level set is dispatched to the pool only when
-// it covers at least minParLevelCols COLUMNS (sLevelCols — tiny levels
-// near the root run inline, because scheduling them costs more than
-// the flops; gating on column count rather than supernode count keeps
-// the dispatch density of the old scalar schedule).  Both are fixed
-// constants, never derived from the worker count: they gate WHETHER
-// work is dispatched, and the per-supernode kernels are
-// schedule-invariant, so the bits match either way.
-//
 // Amalgamation thresholds.  A supernode absorbs the next fundamental
 // block while the explicit zeros the merge pads into the panel stay
 // within amalgZeroFrac of the merged panel's entries; merges that keep
@@ -1143,11 +995,9 @@ var errNotPositiveDefinite = errors.New("qp: ldlt: zero pivot (matrix not positi
 // cannot affect result bits — padded slots hold exact zeros whose
 // updates are bitwise inert.
 const (
-	minParCols      = 256
-	minParLevelCols = 32
-	amalgMaxTiny    = 8
-	amalgZeroFrac   = 0.125
-	amalgTinyFrac   = 0.25
+	amalgMaxTiny  = 8
+	amalgZeroFrac = 0.125
+	amalgTinyFrac = 0.25
 )
 
 // factorSuper runs the left-looking numeric kernel over all columns of
@@ -1160,12 +1010,10 @@ const (
 // element the subtraction order is ascending source column, exactly
 // the scalar kernel's order (row k of L lists external then internal
 // columns, both ascending), and padded source slots contribute exact-
-// zero updates, so the bits match the scalar reference.  It reads only
-// panels of finalized supernodal-etree descendants and writes only its
-// own panel and d range, so supernodes of one level set run
-// concurrently without synchronization.  w must be all-zero on entry
-// and is restored to all-zero on every path, including the zero-pivot
-// abort.  Returns the failing column, or −1 on success.
+// zero updates, so the bits match the scalar reference.  w must be
+// all-zero on entry and is restored to all-zero on every path,
+// including the zero-pivot abort.  Returns the failing column, or −1
+// on success.
 func (f *ldltFactor) factorSuper(s int, rho float64, w []float64) int {
 	c0, c1 := f.sPtr[s], f.sPtr[s+1]
 	width := c1 - c0
@@ -1230,81 +1078,18 @@ func (f *ldltFactor) factorSuper(s int, rho float64, w []float64) int {
 	return -1
 }
 
-// Refactor runs the numeric phase serially for a concrete ρ.
-func (f *ldltFactor) Refactor(rho float64) error { return f.RefactorW(rho, 1) }
-
-// RefactorW runs the numeric phase on up to workers goroutines,
-// scheduling supernodal level sets bottom-up: all supernodes of one
-// level are independent, and every panel a level depends on lives in a
-// strictly lower level.  Results are bit-identical for any worker
-// count because each supernode's arithmetic order is fixed by the
-// symbolic views, not by the schedule.
-func (f *ldltFactor) RefactorW(rho float64, workers int) error {
-	n := f.n
-	ns := len(f.sPtr) - 1
-	f.lastParLevels = 0
-	workers = par.Workers(workers)
-	if workers > ns {
-		workers = ns
-	}
-	if workers <= 1 || n < minParCols {
-		w := f.w
-		clear(w) // w doubles as the solve vector, so it arrives dirty
-		for s := 0; s < ns; s++ {
-			if k := f.factorSuper(s, rho, w); k >= 0 {
-				return fmt.Errorf("%w at column %d", errNotPositiveDefinite, k)
-			}
-		}
-		f.numGen++
-		return nil
-	}
-	if len(f.wk) < workers {
-		old := len(f.wk)
-		f.wk = append(f.wk, make([][]float64, workers-old)...)
-		for i := old; i < workers; i++ {
-			f.wk[i] = make([]float64, n)
+// Refactor runs the numeric phase for a concrete ρ, supernode by
+// supernode in ascending order: every panel a supernode reads belongs
+// to an earlier one.
+func (f *ldltFactor) Refactor(rho float64) error {
+	w := f.w
+	clear(w) // w doubles as the solve vector, so it arrives dirty
+	for s := 0; s+1 < len(f.sPtr); s++ {
+		if k := f.factorSuper(s, rho, w); k >= 0 {
+			return fmt.Errorf("%w at column %d", errNotPositiveDefinite, k)
 		}
 	}
-	for l := 0; l < f.nSLevels; l++ {
-		lo, hi := f.sLevelPtr[l], f.sLevelPtr[l+1]
-		if f.sLevelCols[l] < minParLevelCols {
-			w := f.wk[0]
-			for t := lo; t < hi; t++ {
-				if k := f.factorSuper(f.sLevelNode[t], rho, w); k >= 0 {
-					return fmt.Errorf("%w at column %d", errNotPositiveDefinite, k)
-				}
-			}
-			continue
-		}
-		f.lastParLevels++
-		var bad atomic.Int64
-		bad.Store(int64(n))
-		par.DoWorker(hi-lo, workers, func(worker, i int) {
-			if k := f.factorSuper(f.sLevelNode[lo+i], rho, f.wk[worker]); k >= 0 {
-				// Smallest failing column wins, matching the serial
-				// error regardless of completion order.
-				for {
-					old := bad.Load()
-					if int64(k) >= old || bad.CompareAndSwap(old, int64(k)) {
-						break
-					}
-				}
-			}
-		})
-		if b := bad.Load(); b < int64(n) {
-			return fmt.Errorf("%w at column %d", errNotPositiveDefinite, b)
-		}
-	}
-	f.numGen++
 	return nil
-}
-
-// ensureTB sizes the per-worker below-panel gather buffers.
-func (f *ldltFactor) ensureTB(workers int) [][]float64 {
-	for len(f.tb) < workers {
-		f.tb = append(f.tb, make([]float64, f.maxRows))
-	}
-	return f.tb
 }
 
 // ensureWB sizes the per-RHS workspaces of a batched solve.
@@ -1324,9 +1109,8 @@ func (f *ldltFactor) ensureWB(nrhs int) [][]float64 {
 // element-independent — same bits as a separate pass), saving one full
 // sweep over w per solve.  Every target element accumulates its
 // subtractions in ascending source column — the same per-element order
-// as the scalar pull-mode sweep, with padded slots contributing
-// exact-zero terms — so serial push and parallel pull produce
-// identical bits.
+// as the scalar column sweep, with padded slots contributing
+// exact-zero terms — so the bits match the scalar reference.
 func (f *ldltFactor) fwdSuper(s int, w, tt []float64) {
 	c0 := f.sPtr[s]
 	width := f.sPtr[s+1] - c0
@@ -1450,43 +1234,15 @@ func (f *ldltFactor) fwdSuper(s int, w, tt []float64) {
 	}
 }
 
-// fwdPull computes the forward-solve values of supernode s in PULL
-// mode: each column k first gathers its external row entries through
-// the row-major value cache (true entries only, ascending source
-// column), then finishes against the already-final earlier columns of
-// its own panel.  Used by the parallel schedule, where pushing into
-// below-panel rows would race across same-level supernodes; bitwise
-// equal to fwdSuper because every element's subtraction order is
-// ascending source column either way.  Requires syncRowVal.
-func (f *ldltFactor) fwdPull(s int, w []float64) {
-	c0, c1 := f.sPtr[s], f.sPtr[s+1]
-	width := c1 - c0
-	ld := width + f.sRowPtr[s+1] - f.sRowPtr[s]
-	base := f.pOff[s]
-	px := f.px
-	for k := c0; k < c1; k++ {
-		wk := w[k]
-		for t := f.rowPtr[k]; t < f.extEnd[k]; t++ {
-			wk -= f.rowVal[t] * w[f.rowCol[t]]
-		}
-		kk := k - c0
-		for jj := 0; jj < kk; jj++ {
-			wk -= px[base+jj*ld+kk] * w[c0+jj]
-		}
-		w[k] = wk
-	}
-}
-
 // bwdSuper applies supernode s to the backward solve Lᵀw = b.  Each
 // column's accumulation chain subtracts its EXTERNAL terms first (the
 // dense dot against the below-panel rows, gathered once into tt,
 // ascending row) and its in-panel terms second — that convention frees
 // the external phase to run four columns per tt pass with independent
 // accumulators, where the one-chain-per-column form is pure multiply-
-// subtract latency.  The order is fixed per element and identical on
-// the serial sweep and the top-down parallel schedule (same kernel,
-// reads only strictly-later supernodes and finalized own columns), so
-// worker counts cannot change the bits.
+// subtract latency.  The order is fixed per element by the symbolic
+// views, so the bits match the scalar reference that follows the same
+// convention.
 func (f *ldltFactor) bwdSuper(s int, w, tt []float64) {
 	c0 := f.sPtr[s]
 	width := f.sPtr[s+1] - c0
@@ -1587,140 +1343,64 @@ func (f *ldltFactor) bwdSuper(s int, w, tt []float64) {
 	}
 }
 
-// solveSerial runs the serial sweeps over the permuted workspace in
-// place: push-mode forward (diagonal scale folded in per supernode),
-// then backward.
-func (f *ldltFactor) solveSerial(w, tt []float64) {
+// Solve overwrites x with K⁻¹ b via permute → L solve (D scale folded
+// in per supernode) → Lᵀ solve → unpermute.  x and b may alias.
+func (f *ldltFactor) Solve(x, b []float64) {
+	n := f.n
 	ns := len(f.sPtr) - 1
+	w, tt := f.w, f.tt
+	for k := 0; k < n; k++ {
+		w[k] = b[f.perm[k]]
+	}
 	for s := 0; s < ns; s++ {
 		f.fwdSuper(s, w, tt)
 	}
 	for s := ns - 1; s >= 0; s-- {
 		f.bwdSuper(s, w, tt)
 	}
-}
-
-// Solve overwrites x with K⁻¹ b serially.  x and b may alias.
-func (f *ldltFactor) Solve(x, b []float64) { f.SolveW(x, b, 1) }
-
-// SolveW overwrites x with K⁻¹ b via permute → L solve → D scale → Lᵀ
-// solve → unpermute, on up to workers goroutines.  The serial path
-// streams the panels push-mode (fwdSuper/bwdSuper); the parallel path
-// runs pull-mode forward (fwdPull, no cross-supernode writes) and the
-// shared backward kernel over supernodal level sets, forward bottom-up
-// and backward top-down, each element computed by exactly one owner
-// with its operand order fixed — identical bits either way.  x and b
-// may alias.
-func (f *ldltFactor) SolveW(x, b []float64, workers int) {
-	n := f.n
-	ns := len(f.sPtr) - 1
-	w := f.w
-	for k := 0; k < n; k++ {
-		w[k] = b[f.perm[k]]
-	}
-	workers = par.Workers(workers)
-	if workers > ns {
-		workers = ns
-	}
-	if workers <= 1 || n < minParCols {
-		f.solveSerial(w, f.ensureTB(1)[0])
-	} else {
-		f.solveParallel(w, workers)
-	}
 	for k := 0; k < n; k++ {
 		x[f.perm[k]] = w[k]
 	}
 }
 
-func (f *ldltFactor) solveParallel(w []float64, workers int) {
-	f.syncRowVal()
-	tb := f.ensureTB(workers)
-	for l := 0; l < f.nSLevels; l++ {
-		lo, hi := f.sLevelPtr[l], f.sLevelPtr[l+1]
-		if f.sLevelCols[l] < minParLevelCols {
-			for t := lo; t < hi; t++ {
-				f.fwdPull(f.sLevelNode[t], w)
-			}
-			continue
-		}
-		par.DoWorker(hi-lo, workers, func(_, i int) { f.fwdPull(f.sLevelNode[lo+i], w) })
-	}
-	d := f.d
-	for j := range w {
-		w[j] /= d[j]
-	}
-	for l := f.nSLevels - 1; l >= 0; l-- {
-		lo, hi := f.sLevelPtr[l], f.sLevelPtr[l+1]
-		if f.sLevelCols[l] < minParLevelCols {
-			for t := lo; t < hi; t++ {
-				f.bwdSuper(f.sLevelNode[t], w, tb[0])
-			}
-			continue
-		}
-		par.DoWorker(hi-lo, workers, func(worker, i int) { f.bwdSuper(f.sLevelNode[lo+i], w, tb[worker]) })
-	}
-}
-
-// SolveBatchW overwrites xs[q] with K⁻¹ bs[q] for every right-hand
-// side q, streaming the factor through cache ONCE per supernode for
-// the whole block on the serial path (supernode-outer, RHS-inner) —
-// the point of batching the ADMM x-steps of a wafer consensus group.
-// The parallel path dispatches whole right-hand sides to workers, each
-// running the full serial sweep in its own workspace; every RHS is
-// computed by exactly one owner with the serial kernel sequence, so
-// the result is bitwise identical to nrhs separate SolveW calls at any
-// worker count.  xs[q] and bs[q] may alias.
-func (f *ldltFactor) SolveBatchW(xs, bs [][]float64, workers int) {
+// SolveBatch overwrites xs[q] with K⁻¹ bs[q] for every right-hand side
+// q, streaming the factor through cache ONCE per supernode for the
+// whole block (supernode-outer, RHS-inner) — the point of batching the
+// ADMM x-steps of a wafer consensus group.  Each RHS runs the same
+// kernel sequence as a solo Solve, so every xs[q] is bitwise identical
+// to Solve(xs[q], bs[q]).  xs[q] and bs[q] may alias.
+func (f *ldltFactor) SolveBatch(xs, bs [][]float64) {
 	nrhs := len(xs)
 	if nrhs == 0 {
 		return
 	}
 	if nrhs == 1 {
-		f.SolveW(xs[0], bs[0], workers)
+		f.Solve(xs[0], bs[0])
 		return
 	}
 	n := f.n
 	ns := len(f.sPtr) - 1
-	wb := f.ensureWB(nrhs)
-	workers = par.Workers(workers)
-	if workers > nrhs {
-		workers = nrhs
-	}
-	if workers <= 1 {
-		tt := f.ensureTB(1)[0]
-		for q := 0; q < nrhs; q++ {
-			w, b := wb[q], bs[q]
-			for k := 0; k < n; k++ {
-				w[k] = b[f.perm[k]]
-			}
-		}
-		for s := 0; s < ns; s++ {
-			for q := 0; q < nrhs; q++ {
-				f.fwdSuper(s, wb[q], tt)
-			}
-		}
-		for s := ns - 1; s >= 0; s-- {
-			for q := 0; q < nrhs; q++ {
-				f.bwdSuper(s, wb[q], tt)
-			}
-		}
-		for q := 0; q < nrhs; q++ {
-			w, x := wb[q], xs[q]
-			for k := 0; k < n; k++ {
-				x[f.perm[k]] = w[k]
-			}
-		}
-		return
-	}
-	tb := f.ensureTB(workers)
-	par.DoWorker(nrhs, workers, func(worker, q int) {
-		w, b, x := wb[q], bs[q], xs[q]
+	wb, tt := f.ensureWB(nrhs), f.tt
+	for q := 0; q < nrhs; q++ {
+		w, b := wb[q], bs[q]
 		for k := 0; k < n; k++ {
 			w[k] = b[f.perm[k]]
 		}
-		f.solveSerial(w, tb[worker])
+	}
+	for s := 0; s < ns; s++ {
+		for q := 0; q < nrhs; q++ {
+			f.fwdSuper(s, wb[q], tt)
+		}
+	}
+	for s := ns - 1; s >= 0; s-- {
+		for q := 0; q < nrhs; q++ {
+			f.bwdSuper(s, wb[q], tt)
+		}
+	}
+	for q := 0; q < nrhs; q++ {
+		w, x := wb[q], xs[q]
 		for k := 0; k < n; k++ {
 			x[f.perm[k]] = w[k]
 		}
-	})
+	}
 }

@@ -6,8 +6,7 @@
 // appended.  Two interchangeable backends exist:
 //
 //   - cgBackend: the original Jacobi-preconditioned conjugate-gradient
-//     loop — matrix-free, O(nnz) per iteration, worker-parallel
-//     mat-vecs, robust for any fill;
+//     loop — matrix-free, O(nnz) per iteration, robust for any fill;
 //   - ldltBackend: a cached sparse LDLᵀ factor of K — factor once per
 //     ρ, then every x-step is two triangular solves, no inner loop.
 //
@@ -271,10 +270,9 @@ func (b *ldltBackend) ensureFactored() error {
 			b.f.adopt(px, d)
 			b.aliased = nil
 		}
-		if err := b.f.RefactorW(s.rho, s.set.Workers); err != nil {
+		if err := b.f.Refactor(s.rho); err != nil {
 			return err
 		}
-		s.nParLevels += int64(b.f.lastParLevels)
 		s.nDenseFlops += b.f.denseFactorFlops
 		if b.built[s.rho] {
 			s.nRefactor++
@@ -294,7 +292,7 @@ func (b *ldltBackend) solve(x, bvec []float64, _ float64) (int, error) {
 		return 0, err
 	}
 	s := b.s
-	b.f.SolveW(x, bvec, s.set.Workers)
+	b.f.Solve(x, bvec)
 	s.nTriSolve++
 	s.nDenseFlops += b.f.denseSolveFlops
 	return 0, nil
@@ -305,7 +303,7 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
 		return 0, err
 	}
 	s := b.s
-	b.f.SolveBatchW(xs, bs, s.set.Workers)
+	b.f.SolveBatch(xs, bs)
 	nrhs := int64(len(xs))
 	s.nTriSolve += nrhs
 	s.nDenseFlops += nrhs * b.f.denseSolveFlops
@@ -355,18 +353,4 @@ func (s *Solver) initLinsys() {
 func (s *Solver) fallbackToCG() {
 	s.lin = newCGBackend(s)
 	s.linFallbacks++
-}
-
-// FactorEntries exposes a copy of the live LDLᵀ numeric factor — the
-// off-diagonal values of L (materialized from the supernodal panels
-// into the internal column-compressed order) and the pivot diagonal D
-// — when the x-step backend currently holds one.  It exists for
-// determinism audits: the bit-identity tests compare factors produced
-// at different worker counts entry by entry.
-func (s *Solver) FactorEntries() (l, d []float64, ok bool) {
-	b, isLDLT := s.lin.(*ldltBackend)
-	if !isLDLT || !b.factored {
-		return nil, nil, false
-	}
-	return b.f.factorL(), append([]float64(nil), b.f.d...), true
 }

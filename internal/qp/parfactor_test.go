@@ -47,36 +47,30 @@ func diagCSRBench(d []float64) *CSR {
 	return tr.Compile()
 }
 
-// BenchmarkLDLTParallelFactor times the numeric phase of the
-// elimination-tree-scheduled factorization on a 64×64 grid dose matrix
-// at increasing worker counts.  The ρ argument alternates between two
-// rungs so every iteration runs the full numeric phase instead of the
-// factored-already fast path.
-func BenchmarkLDLTParallelFactor(b *testing.B) {
+// BenchmarkLDLTFactor times the supernodal numeric phase on a 64×64
+// grid dose matrix.  The ρ argument alternates between two rungs so
+// every iteration runs the full numeric phase.
+func BenchmarkLDLTFactor(b *testing.B) {
 	f := gridDoseFactor(64)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rhos := [2]float64{0.1, 1}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.RefactorW(rhos[i&1], workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rhos := [2]float64{0.1, 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Refactor(rhos[i&1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSupernodalSolve compares the blocked supernodal triangular
 // sweeps against the scalar column-at-a-time reference on the 64×64
 // grid dose matrix, then scales the supernodal path over batched
-// right-hand sides (SolveBatchW streams the factor once per supernode
+// right-hand sides (SolveBatch streams the factor once per supernode
 // for the whole block).  Every variant computes bit-identical results;
 // only the wall differs.
 func BenchmarkSupernodalSolve(b *testing.B) {
 	f := gridDoseFactor(64)
-	if err := f.RefactorW(0.5, 1); err != nil {
+	if err := f.Refactor(0.5); err != nil {
 		b.Fatal(err)
 	}
 	n := f.n
@@ -102,7 +96,7 @@ func BenchmarkSupernodalSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("supernodal/rhs=%d", nrhs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f.SolveBatchW(xs, bs, 1)
+				f.SolveBatch(xs, bs)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Status reports how a solve terminated.
@@ -163,13 +162,6 @@ type Settings struct {
 	// zero value (Auto) picks LDLᵀ when the symbolic fill estimate is
 	// low and CG otherwise; see linsys.go.
 	LinSys LinSys
-	// Workers bounds the fan-out of the CSR mat-vec and dot-product
-	// kernels inside CG and of the LDLᵀ numeric factorization and
-	// triangular solves (elimination-tree level sets).  Zero selects
-	// runtime.GOMAXPROCS(0).  All reductions use a fixed block order
-	// and the factor kernel a fixed per-column accumulation order, so
-	// the solve trajectory is bit-identical for every worker count.
-	Workers int
 	// FactorCache sizes the LDLᵀ ρ-ladder factor cache: an LRU of
 	// numeric factors keyed by (ρ, pattern epoch) that turns adaptive-ρ
 	// flips and stall restarts into snapshot restores instead of
@@ -258,7 +250,6 @@ type Solver struct {
 	nTriSolve    int64
 	nCacheHit    int64
 	nCacheEvict  int64
-	nParLevels   int64
 	linFallbacks int64
 	nDenseFlops  int64
 	nSolveBatch  int64
@@ -679,13 +670,13 @@ func (s *Solver) applyRelaxation() {
 // telemetry block can report per-solve deltas.
 type ctrSnap struct {
 	factor, refactor, trisolve, fallback int64
-	cacheHit, cacheEvict, parLevels      int64
+	cacheHit, cacheEvict                 int64
 	denseFlops, solveBatch, solveRHS     int64
 }
 
 func (s *Solver) snapCounters() ctrSnap {
 	return ctrSnap{s.nFactor, s.nRefactor, s.nTriSolve, s.linFallbacks,
-		s.nCacheHit, s.nCacheEvict, s.nParLevels,
+		s.nCacheHit, s.nCacheEvict,
 		s.nDenseFlops, s.nSolveBatch, s.nSolveRHS}
 }
 
@@ -705,7 +696,6 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	rec.Add("qp/triangular_solves", s.nTriSolve-c0.trisolve)
 	rec.Add("qp/factor_cache_hits", s.nCacheHit-c0.cacheHit)
 	rec.Add("qp/factor_cache_evictions", s.nCacheEvict-c0.cacheEvict)
-	rec.Add("qp/parallel_factor_levels", s.nParLevels-c0.parLevels)
 	rec.Add("qp/linsys_fallbacks", s.linFallbacks-c0.fallback)
 	rec.Add("qp/linsys_"+s.lin.kind().String()+"_solves", 1)
 	rec.Add("qp/dense_flops", s.nDenseFlops-c0.denseFlops)
@@ -730,7 +720,6 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 	n, m := s.n, s.m
 	set := s.set
-	workers := par.Workers(set.Workers)
 	res := &Result{Status: MaxIterations, RhoFinal: s.rho}
 
 	dyAcc := s.dyAcc // accumulated δy for infeasibility cert
@@ -773,7 +762,7 @@ func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 		res.CGIters += iters
 
 		// z̃ = A x̃, then the over-relaxed iterate updates.
-		s.a.MulVecW(s.zt, s.xt, workers)
+		s.a.MulVec(s.zt, s.xt)
 		s.applyRelaxation()
 
 		if iter%set.CheckEvery != 0 && iter != set.MaxIter {
@@ -957,12 +946,10 @@ func rhoRung(rho float64) float64 {
 func (s *Solver) cg(x, b []float64, tol float64, precond []float64) int {
 	n := s.n
 	set := s.set
-	workers := par.Workers(set.Workers)
 	apply := func(dst, v []float64) {
-		// dst = P v + σ v + ρ Aᵀ(A v).  The mat-vecs are row-partitioned
-		// across workers; the Aᵀ scatter stays serial (deterministic).
+		// dst = P v + σ v + ρ Aᵀ(A v).
 		if s.p != nil {
-			s.p.MulVecW(dst, v, workers)
+			s.p.MulVec(dst, v)
 		} else {
 			for j := range dst {
 				dst[j] = 0
@@ -971,7 +958,7 @@ func (s *Solver) cg(x, b []float64, tol float64, precond []float64) int {
 		for j := 0; j < n; j++ {
 			dst[j] += set.Sigma * v[j]
 		}
-		s.a.MulVecW(s.cgAx, v, workers)
+		s.a.MulVec(s.cgAx, v)
 		Scale(s.cgAx, s.rho)
 		s.a.AddMulTVec(dst, s.cgAx)
 	}
@@ -991,10 +978,10 @@ func (s *Solver) cg(x, b []float64, tol float64, precond []float64) int {
 		z[j] = precond[j] * r[j]
 	}
 	copy(p, z)
-	rz := DotW(r, z, workers)
+	rz := Dot(r, z)
 	for it := 1; it <= set.CGMaxIter; it++ {
 		apply(ap, p)
-		pap := DotW(p, ap, workers)
+		pap := Dot(p, ap)
 		if pap <= 0 {
 			return it
 		}
@@ -1007,7 +994,7 @@ func (s *Solver) cg(x, b []float64, tol float64, precond []float64) int {
 		for j := 0; j < n; j++ {
 			z[j] = precond[j] * r[j]
 		}
-		rzNew := DotW(r, z, workers)
+		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		for j := 0; j < n; j++ {

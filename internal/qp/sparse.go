@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // Triplet accumulates matrix entries in coordinate form.  Duplicate
@@ -127,32 +125,23 @@ func (t *Triplet) Compile() *CSR {
 func (c *CSR) NNZ() int { return len(c.Val) }
 
 // MulVec computes y = A·x.  y must have length M and is overwritten.
-func (c *CSR) MulVec(y, x []float64) { c.MulVecW(y, x, 1) }
-
-// MulVecW is MulVec with the rows partitioned across up to workers
-// goroutines.  Each row's sum is accumulated in the same order no
-// matter which worker owns it, so the result is bit-identical to the
-// serial product for every worker count.
-func (c *CSR) MulVecW(y, x []float64, workers int) {
+func (c *CSR) MulVec(y, x []float64) {
 	rp, col, val := c.RowPtr, c.Col, c.Val
-	ones := c.ones
-	par.Blocks(c.M, workers, func(_, lo, hi int) {
-		r := lo
-		// Single-entry prefix: RowPtr[r] == r there, so the row loop
-		// collapses to one multiply with no pointer loads.  Same single
-		// product as the generic row body, hence bit-identical.
-		for hi1 := min(hi, ones); r < hi1; r++ {
-			y[r] = val[r] * x[col[r]]
+	r := 0
+	// Single-entry prefix: RowPtr[r] == r there, so the row loop
+	// collapses to one multiply with no pointer loads.  Same single
+	// product as the generic row body, hence bit-identical.
+	for ; r < c.ones; r++ {
+		y[r] = val[r] * x[col[r]]
+	}
+	for ; r < c.M; r++ {
+		s := 0.0
+		end := rp[r+1]
+		for k := rp[r]; k < end; k++ {
+			s += val[k] * x[col[k]]
 		}
-		for ; r < hi; r++ {
-			s := 0.0
-			end := rp[r+1]
-			for k := rp[r]; k < end; k++ {
-				s += val[k] * x[col[k]]
-			}
-			y[r] = s
-		}
-	})
+		y[r] = s
+	}
 }
 
 // MulTVec computes y = Aᵀ·x.  y must have length N and is overwritten.
@@ -167,7 +156,7 @@ func (c *CSR) MulTVec(y, x []float64) {
 func (c *CSR) AddMulTVec(y, x []float64) {
 	rp, col, val := c.RowPtr, c.Col, c.Val
 	r := 0
-	// Single-entry prefix fast path (see MulVecW): one scatter per row,
+	// Single-entry prefix fast path (see MulVec): one scatter per row,
 	// keeping the exact-zero skip so the op sequence matches the generic
 	// loop bit for bit.
 	for ; r < c.ones; r++ {
@@ -358,22 +347,24 @@ func (c *CSR) Dense() [][]float64 {
 
 // Vector helpers.  All operate element-wise on equal-length slices.
 
-// Dot returns aᵀb.  The sum uses the fixed blocked reduction of
-// par.SumBlocks, so Dot and DotW agree bitwise for every worker count.
-func Dot(a, b []float64) float64 { return DotW(a, b, 1) }
+// dotBlock is the fixed reduction-block length of Dot.
+const dotBlock = 1024
 
-// DotW computes aᵀb with block partials evaluated on up to workers
-// goroutines.  The reduction tree is fixed by par.SumBlockSize —
-// independent of the worker count — so no floating-point
-// reassociation occurs across workers.
-func DotW(a, b []float64, workers int) float64 {
-	return par.SumBlocks(len(a), workers, func(lo, hi int) float64 {
-		s := 0.0
+// Dot returns aᵀb as a sum of fixed 1024-element block partials, the
+// partials added in block order.  The blocking is part of the result:
+// Solver.Objective reports Dot values, and a plain running sum would
+// round differently.
+func Dot(a, b []float64) float64 {
+	s := 0.0
+	for lo := 0; lo < len(a); lo += dotBlock {
+		hi := min(lo+dotBlock, len(a))
+		p := 0.0
 		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
+			p += a[i] * b[i]
 		}
-		return s
-	})
+		s += p
+	}
+	return s
 }
 
 // InfNorm returns max|a_i| (0 for an empty slice).

@@ -197,6 +197,41 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// TestDotBlockedFold pins Dot's reduction tree: partial sums over fixed
+// 1024-element blocks, a lone block returned as is, several blocks
+// folded from zero in block order.  Solver.Objective reports Dot
+// values, so any other summation order would change reported
+// objectives.  The lengths straddle the block boundary.
+func TestDotBlockedFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 1023, 1024, 1025, 5000} {
+		a := make([]float64, n)
+		b := make([]float64, n)
+		for i := range a {
+			a[i] = rng.NormFloat64() * float64(i%13)
+			b[i] = rng.NormFloat64()
+		}
+		var partials []float64
+		for lo := 0; lo < n; lo += 1024 {
+			p := 0.0
+			for i := lo; i < min(lo+1024, n); i++ {
+				p += a[i] * b[i]
+			}
+			partials = append(partials, p)
+		}
+		want := partials[0]
+		if len(partials) > 1 {
+			want = 0
+			for _, p := range partials {
+				want += p
+			}
+		}
+		if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: Dot = %v (%x), blocked fold %v (%x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // Property: (Ax)ᵀy == xᵀ(Aᵀy) for random sparse matrices — adjoint
 // consistency of MulVec and MulTVec.
 func TestPropertyAdjoint(t *testing.T) {

@@ -56,7 +56,17 @@ func scalarFactor(t testing.TB, f *ldltFactor, rho float64) (lx, d []float64) {
 	return lx, d
 }
 
-// scalarSolve is the scalar reference for SolveW: permute, push-mode
+// factorL materializes the factor's off-diagonal values in CSC order
+// (aligned with li/lp), the layout of the scalar reference.
+func (f *ldltFactor) factorL() []float64 {
+	l := make([]float64, f.lp[f.n])
+	for p, slot := range f.cscPos {
+		l[p] = f.px[slot]
+	}
+	return l
+}
+
+// scalarSolve is the scalar reference for Solve: permute, push-mode
 // forward solve (ascending source column per element), diagonal scale,
 // pull-mode backward solve, unpermute.  The backward sweep follows the
 // production accumulation convention: per column, below-supernode rows
@@ -203,15 +213,14 @@ func TestSupernodePartition(t *testing.T) {
 
 // TestSupernodalMatchesScalarBits factors random problems with the
 // supernodal kernels and with the scalar reference and demands exact
-// Float64bits agreement on L, D, single solves, worker solves and
-// batched solves.
+// Float64bits agreement on L, D, single solves and batched solves.
 func TestSupernodalMatchesScalarBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
 		n := 30 + rng.Intn(100)
 		f := randomFactor(rng, n, n+rng.Intn(n))
 		rho := math.Exp(rng.NormFloat64())
-		if err := f.RefactorW(rho, 1); err != nil {
+		if err := f.Refactor(rho); err != nil {
 			t.Fatalf("trial %d: refactor: %v", trial, err)
 		}
 		lx, d := scalarFactor(t, f, rho)
@@ -235,7 +244,7 @@ func TestSupernodalMatchesScalarBits(t *testing.T) {
 		want := make([]float64, n)
 		scalarSolve(f, lx, d, want, b)
 		got := make([]float64, n)
-		f.SolveW(got, b, 1)
+		f.Solve(got, b)
 		diffCount := 0
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -245,15 +254,8 @@ func TestSupernodalMatchesScalarBits(t *testing.T) {
 		if diffCount > 0 {
 			t.Fatalf("trial %d: serial solve differs from scalar reference at %d/%d entries", trial, diffCount, n)
 		}
-		f.SolveW(got, b, 4)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: workers=4 solve differs at %d", trial, i)
-			}
-		}
 
-		// Batched solves: every RHS bitwise equal to its solo solve, for
-		// the serial chain and the per-RHS parallel dispatch alike.
+		// Batched solves: every RHS bitwise equal to its solo solve.
 		const nrhs = 5
 		bs := make([][]float64, nrhs)
 		wantq := make([][]float64, nrhs)
@@ -263,19 +265,17 @@ func TestSupernodalMatchesScalarBits(t *testing.T) {
 				bs[q][i] = rng.NormFloat64()
 			}
 			wantq[q] = make([]float64, n)
-			f.SolveW(wantq[q], bs[q], 1)
+			f.Solve(wantq[q], bs[q])
 		}
-		for _, workers := range []int{1, 4} {
-			xs := make([][]float64, nrhs)
-			for q := range xs {
-				xs[q] = make([]float64, n)
-			}
-			f.SolveBatchW(xs, bs, workers)
-			for q := range xs {
-				for i := range xs[q] {
-					if math.Float64bits(xs[q][i]) != math.Float64bits(wantq[q][i]) {
-						t.Fatalf("trial %d: batch workers=%d rhs %d differs at %d", trial, workers, q, i)
-					}
+		xs := make([][]float64, nrhs)
+		for q := range xs {
+			xs[q] = make([]float64, n)
+		}
+		f.SolveBatch(xs, bs)
+		for q := range xs {
+			for i := range xs[q] {
+				if math.Float64bits(xs[q][i]) != math.Float64bits(wantq[q][i]) {
+					t.Fatalf("trial %d: batch rhs %d differs at %d", trial, q, i)
 				}
 			}
 		}

@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 func testSpec() api.JobSpec {
@@ -537,4 +539,70 @@ func TestHTTPWaferJob(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", bad); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wafer knobs on qp job: %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestJobPanicIsolated: a job whose executor panics ends failed with
+// the panic value in its error and ticks serve/jobs_panicked, and the
+// server keeps serving.  A panic on a fan-out goroutine — which no
+// recover on the job's goroutine can see — fails its job the same way
+// on the synchronous endpoint, through par.Do's item error.  The next
+// job completes, and shutdown leaves no pipeline goroutine behind.
+func TestJobPanicIsolated(t *testing.T) {
+	rec := obs.New()
+	srv := New(Config{MaxRunning: 1}, rec)
+	ts := httptest.NewServer(srv.Handler())
+	var calls atomic.Int32
+	srv.exec = func(ctx context.Context, art api.Artifacts, spec api.JobSpec) (*api.JobResult, error) {
+		switch calls.Add(1) {
+		case 1:
+			panic("injected executor panic")
+		case 2:
+			return nil, par.Do(ctx, 4, 2, func(i int) error {
+				if i == 1 {
+					panic("injected fan-out panic")
+				}
+				return nil
+			})
+		}
+		return executeJob(ctx, art, spec)
+	}
+	panicked := func() int64 { return rec.Snapshot().Counters["serve/jobs_panicked"] }
+
+	j, err := srv.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Wait(context.Background(), j, 0)
+	if v := srv.View(j); v.State != StateFailed || !strings.Contains(v.Error, "injected executor panic") {
+		t.Fatalf("panicking job: state %s, error %q; want failed with the panic value", v.State, v.Error)
+	}
+	if n := panicked(); n != 1 {
+		t.Fatalf("serve/jobs_panicked = %d after one panicking job, want 1", n)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/solve", testSpec())
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "injected fan-out panic") {
+		t.Fatalf("fan-out panic: status %d, body %s; want 500 with the panic value", resp.StatusCode, body)
+	}
+	if n := panicked(); n != 2 {
+		t.Fatalf("serve/jobs_panicked = %d after the fan-out panic, want 2", n)
+	}
+
+	j, err = srv.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Wait(context.Background(), j, 0)
+	if v := srv.View(j); v.State != StateDone || v.Result == nil {
+		t.Fatalf("job after the panics: state %s, error %q; want done", v.State, v.Error)
+	}
+
+	ts.Close()
+	srv.Close()
+	// Close waits for every job goroutine, so the terminal counters
+	// (ticked after a job's done channel closes) are final here.
+	if c := rec.Snapshot().Counters; c["serve/jobs_failed"] != 2 || c["serve/jobs_done"] != 1 {
+		t.Fatalf("counters failed=%d done=%d, want 2 and 1", c["serve/jobs_failed"], c["serve/jobs_done"])
+	}
+	waitNoRepoGoroutines(t, 5*time.Second)
 }

@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -111,6 +113,16 @@ type Server struct {
 	inflight map[string]*Job // canonical spec → queued/running job
 	queued   int
 	seq      int
+
+	// exec runs a job on its resolved artifacts (api.Execute outside
+	// tests).
+	exec func(context.Context, api.Artifacts, api.JobSpec) (*api.JobResult, error)
+}
+
+// executeJob is the production executor: the shared api contract.
+func executeJob(ctx context.Context, art api.Artifacts, spec api.JobSpec) (*api.JobResult, error) {
+	res, _, err := api.Execute(ctx, art, spec)
+	return res, err
 }
 
 // New returns a started server.  The Recorder accumulates pipeline and
@@ -136,6 +148,7 @@ func New(cfg Config, rec *obs.Recorder) *Server {
 		sem:       make(chan struct{}, cfg.MaxRunning),
 		jobs:      map[string]*Job{},
 		inflight:  map[string]*Job{},
+		exec:      executeJob,
 	}
 }
 
@@ -255,7 +268,24 @@ func (s *Server) run(ctx context.Context, j *Job) {
 // private copy of the placement: the cached design — which concurrent
 // jobs on the same design read through golden/compile rebuilds and
 // solve-stage signoff — is never written after it is built.
-func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult, error) {
+//
+// A panic fails only its own job.  One raised on this goroutine is
+// recovered here; one raised on a fan-out goroutine arrives as par.Do's
+// error for that item.  Either way the job fails with the panic value
+// in its error, the panicking stack goes to stderr, and
+// serve/jobs_panicked counts the job.
+func (s *Server) execute(ctx context.Context, spec api.JobSpec) (res *api.JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("serve: job panicked: %v", p)
+			s.jobPanicked(err, debug.Stack())
+			return
+		}
+		var pe interface{ PanicStack() []byte }
+		if errors.As(err, &pe) {
+			s.jobPanicked(err, pe.PanicStack())
+		}
+	}()
 	start := time.Now()
 	art, err := s.artifacts(ctx, spec)
 	if err != nil {
@@ -264,12 +294,18 @@ func (s *Server) execute(ctx context.Context, spec api.JobSpec) (*api.JobResult,
 	if spec.DosePl {
 		art = art.WithPrivatePlacement()
 	}
-	res, _, err := api.Execute(ctx, art, spec)
+	res, err = s.exec(ctx, art, spec)
 	if err != nil {
 		return nil, err
 	}
 	s.rec.Observe("serve/job_wall", time.Since(start))
 	return res, nil
+}
+
+// jobPanicked reports a job that failed on a panic.
+func (s *Server) jobPanicked(err error, stack []byte) {
+	s.rec.Add("serve/jobs_panicked", 1)
+	fmt.Fprintf(os.Stderr, "%v\n%s", err, stack)
 }
 
 // finish records the job's terminal state.
