@@ -33,16 +33,16 @@ bench:
 	$(GO) test -bench=TableIV -benchtime=1x -run=^$$ .
 
 # Schema-versioned benchmark report (git rev, scale, workers, per-stage
-# span timings, solver iteration and gate-eval counters, linear-system
-# backend).  Built as a binary (not `go run`) so the toolchain stamps
-# vcs.revision into the report's git_rev field.  Also runs the CG vs
-# LDLᵀ micro-benchmark on the cut-pool matrix, the supernodal numeric
-# factorization, the multi-RHS supernodal solve sweep, and the
-# τ-Newton bisection benchmark.  The tables run covers Table IV plus the
+# span timings, solver iteration, factorization and gate-eval
+# counters).  Built as a binary (not `go run`) so the toolchain stamps
+# vcs.revision into the report's git_rev field.  Also runs the full
+# ADMM solve of the cut-pool matrix, the τ-Newton bisection and wafer
+# benchmarks, the supernodal numeric factorization and the multi-RHS
+# supernodal solve sweep.  The tables run covers Table IV plus the
 # actuator ablation (Table X), so the report times the joint dose+bias
 # solves alongside the dose-only pipeline.
 bench-json:
-	$(GO) test ./internal/core/ -run '^$$' -bench 'LinSys|TauNewton|WaferSolve' -benchtime 3x
+	$(GO) test ./internal/core/ -run '^$$' -bench 'CutPoolSolve|TauNewton|WaferSolve' -benchtime 3x
 	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTFactor|SupernodalSolve' -benchtime 20x
 	$(GO) build -o tables.bin ./cmd/tables
 	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json BENCH_pr10.json

@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func BenchmarkAblationEngineCuts(b *testing.B) {
 	opt := core.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+		r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func BenchmarkAblationEngineNode(b *testing.B) {
 	opt.QP.EpsAbs, opt.QP.EpsRel = 1e-4, 1e-4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+		r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.G = g
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,7 +109,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Delta = delta
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +128,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 func BenchmarkAblationSnapPolicy(b *testing.B) {
 	golden, model := ablationFixture(b)
 	opt := core.DefaultOptions()
-	res, err := core.DMoptQP(golden, model, opt, golden.MCT)
+	res, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func BenchmarkExtTiledField(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Tiled = tiled
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -38,8 +38,7 @@ func main() {
 	defer com.Close()
 
 	ctx := com.Context()
-	c := expt.New(expt.WithScale(*scale), expt.WithTopK(*k), expt.WithWorkers(com.Workers),
-		expt.WithLinSys(com.LinSys))
+	c := expt.New(expt.WithScale(*scale), expt.WithTopK(*k), expt.WithWorkers(com.Workers))
 	sel := map[string]bool{}
 	for _, w := range strings.Split(strings.ToLower(*which), ",") {
 		sel[strings.TrimSpace(w)] = true

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,8 @@ func main() {
 	}
 	opt := repro.DefaultOptions()
 	opt.G = 5
-	res, err := repro.RunQP(golden, model, opt, golden.MCT)
+	res, err := repro.SolveQP(context.Background(),
+		repro.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dosemap"
 	"repro/internal/gen"
-	"repro/internal/qp"
 )
 
 // Schema identifies the request/response document layout.  Bump the
@@ -129,9 +128,16 @@ type JobSpec struct {
 	// Workers bounds the job's parallel fan-out; 0 = GOMAXPROCS.
 	// Results are bit-identical for every worker count.
 	Workers int `json:"workers,omitempty"`
-	// LinSys selects the ADMM x-step backend: "auto", "cg" or "ldlt".
+	// LinSys is legacy input: the ADMM x-step has one linear-system
+	// backend, the cached LDLᵀ factor.  "", "auto" and "ldlt" are
+	// accepted and normalize to "auto", which canonical specs keep so
+	// their bytes (and the dedup keys hashed from them) stay stable;
+	// any other value is rejected.
 	LinSys string `json:"linsys,omitempty"`
 }
+
+// linSysAuto is the normalized value of the legacy LinSys field.
+const linSysAuto = "auto"
 
 // Normalized returns a copy with every defaulted knob materialized, so
 // two specs describe the same job iff their normalized forms are equal.
@@ -154,8 +160,8 @@ func (s JobSpec) Normalized() JobSpec {
 	if s.DoseLo == 0 && s.DoseHi == 0 {
 		s.DoseLo, s.DoseHi = def.DoseLo, def.DoseHi
 	}
-	if s.LinSys == "" {
-		s.LinSys = qp.LinSys(0).String()
+	if s.LinSys == "" || s.LinSys == "ldlt" {
+		s.LinSys = linSysAuto
 	}
 	if s.Workers < 0 {
 		s.Workers = 0
@@ -285,10 +291,10 @@ func (s JobSpec) Validate() error {
 	if s.DoseLo > s.DoseHi {
 		return fmt.Errorf("api: dose range [%g, %g] is empty", s.DoseLo, s.DoseHi)
 	}
-	if s.LinSys != "" {
-		if _, err := qp.ParseLinSys(s.LinSys); err != nil {
-			return fmt.Errorf("api: %w", err)
-		}
+	switch s.LinSys {
+	case "", linSysAuto, "ldlt":
+	default:
+		return fmt.Errorf("api: unsupported linsys %q: the only linear-system backend is the cached LDLᵀ factor (want auto or ldlt)", s.LinSys)
 	}
 	return nil
 }
@@ -338,10 +344,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	if err := s.Validate(); err != nil {
 		return core.Options{}, err
 	}
-	linsys, err := qp.ParseLinSys(s.LinSys)
-	if err != nil {
-		return core.Options{}, err
-	}
 	opt := core.DefaultOptions()
 	opt.G = s.GridUm
 	opt.Delta = s.Delta
@@ -351,7 +353,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	opt.Snap = !s.NoSnap
 	opt.Tiled = s.Tiled
 	opt.Workers = s.Workers
-	opt.QP.LinSys = linsys
 	if s.biasOn() {
 		opt.DoseOff = strings.ToLower(s.Actuators) == ActuatorsBias
 		opt.BiasGridUm = s.BiasGridUm

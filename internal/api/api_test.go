@@ -43,6 +43,39 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestLegacyLinSys: linsys is validated legacy input.  The values that
+// name the one x-step backend pass Validate and Options and
+// canonicalize exactly like a spec without the field; any other value,
+// the deleted "cg" included, fails both with an error naming linsys.
+func TestLegacyLinSys(t *testing.T) {
+	base := JobSpec{Design: "AES-65", Scale: 0.1}
+	want := base.MarshalCanonical()
+	cases := []struct {
+		linsys string
+		ok     bool
+	}{{"", true}, {"auto", true}, {"ldlt", true}, {"cg", false}, {"gpu", false}}
+	for _, tc := range cases {
+		spec := base
+		spec.LinSys = tc.linsys
+		verr := spec.Validate()
+		_, oerr := spec.Options()
+		if !tc.ok {
+			for _, err := range []error{verr, oerr} {
+				if err == nil || !strings.Contains(err.Error(), "linsys") {
+					t.Errorf("linsys %q: err = %v, want a rejection naming linsys", tc.linsys, err)
+				}
+			}
+			continue
+		}
+		if verr != nil || oerr != nil {
+			t.Errorf("linsys %q rejected: Validate %v, Options %v", tc.linsys, verr, oerr)
+		}
+		if got := spec.MarshalCanonical(); got != want {
+			t.Errorf("linsys %q canonicalizes to\n  %s\nwant\n  %s", tc.linsys, got, want)
+		}
+	}
+}
+
 // TestNormalizedIdempotent: normalization is a fixed point, so spec
 // identity (MarshalCanonical) is stable.
 func TestNormalizedIdempotent(t *testing.T) {

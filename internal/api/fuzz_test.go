@@ -48,6 +48,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"design":"AES-65","bias_lo_v":0.1}`,
 		`{"design":"AES-65","dose_lo":3,"dose_hi":-3}`,
 		`{"design":"AES-65","linsys":"qr"}`,
+		`{"design":"AES-65","linsys":"cg"}`,
 		`{"design":"AES-65","scale":1e400}`,
 		`{"schema":"dmopt-job/v0","design":"AES-65"}`,
 	} {

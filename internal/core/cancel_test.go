@@ -12,7 +12,7 @@ func TestRunCtxCanceled(t *testing.T) {
 	d, _ := smallGolden(t, 0.03)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCtx(ctx, d, FlowConfig{Opt: DefaultOptions(), Mode: ModeQPLeakage})
+	_, err := SolveFlow(ctx, FlowRequest{Design: d, Config: FlowConfig{Opt: DefaultOptions(), Mode: ModeQPLeakage}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
@@ -31,10 +31,10 @@ func TestDMoptCtxCanceledMidFlight(t *testing.T) {
 	opt := DefaultOptions()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DMoptQPCtx(ctx, golden, model, opt, golden.MCT); !errors.Is(err, context.Canceled) {
+	if _, err := SolveQP(ctx, QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QP: want wrapped context.Canceled, got %v", err)
 	}
-	if _, err := DMoptQCPCtx(ctx, golden, model, opt); !errors.Is(err, context.Canceled) {
+	if _, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QCP: want wrapped context.Canceled, got %v", err)
 	}
 	if _, err := FitModelCtx(ctx, golden, false, 0); !errors.Is(err, context.Canceled) {
@@ -51,7 +51,7 @@ func TestDosePlCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	dm, err := DMoptQCP(golden, model, opt)
+	dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWorkersEquivalentQPFlow(t *testing.T) {
 	run := func(workers int) *FlowOutcome {
 		opt := DefaultOptions()
 		opt.Workers = workers
-		out, err := RunCtx(context.Background(), d, FlowConfig{Opt: opt, Mode: ModeQPLeakage})
+		out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: FlowConfig{Opt: opt, Mode: ModeQPLeakage}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -93,17 +93,17 @@ func TestCompiledImmutableUnderRuns(t *testing.T) {
 	before := snapshotCompiled(c)
 
 	ctx := context.Background()
-	if _, err := DMoptQCPCompiled(ctx, c, opt); err != nil {
+	if _, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt}); err != nil {
 		t.Fatal(err)
 	}
 	snapshotCompiled(c).requireEqual(t, before)
 
-	if _, err := DMoptQPCompiled(ctx, c, opt, 0.99*golden.MCT); err != nil {
+	if _, err := SolveQP(ctx, QPRequest{Compiled: c, Opt: opt, TauPs: 0.99 * golden.MCT}); err != nil {
 		t.Fatal(err)
 	}
 	nopt := opt
 	nopt.Method = MethodNode
-	if _, err := DMoptQPCompiled(ctx, c, nopt, 0.995*golden.MCT); err != nil {
+	if _, err := SolveQP(ctx, QPRequest{Compiled: c, Opt: nopt, TauPs: 0.995 * golden.MCT}); err != nil {
 		t.Fatal(err)
 	}
 	snapshotCompiled(c).requireEqual(t, before)
@@ -124,16 +124,16 @@ func TestCompiledRunsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	r1, err := DMoptQCPCompiled(ctx, c, opt)
+	r1, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DMoptQCPCompiled(ctx, c, opt)
+	r2, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// And against the compile-on-demand entry point.
-	r3, err := DMoptQCPCtx(ctx, golden, model, opt)
+	r3, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestCompiledOptionsMismatch(t *testing.T) {
 	}
 	bad := opt
 	bad.G = 10
-	if _, err := DMoptQPCompiled(context.Background(), c, bad, 0.99*golden.MCT); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Compiled: c, Opt: bad, TauPs: 0.99 * golden.MCT}); err == nil {
 		t.Fatal("expected compile-key mismatch error for G=10 run on G=20 artifact")
 	}
 	bad = opt
 	bad.BothLayers = true
-	if _, err := DMoptQCPCompiled(context.Background(), c, bad); err == nil {
+	if _, err := SolveQCP(context.Background(), QCPRequest{Compiled: c, Opt: bad}); err == nil {
 		t.Fatal("expected compile-key mismatch error for both-layers run on poly artifact")
 	}
 }

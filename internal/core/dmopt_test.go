@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestDMoptQPReducesLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := DMoptQP(golden, model, opt, golden.MCT)
+	res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDMoptQCPImprovesTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := DMoptQCP(golden, model, opt)
+	res, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestGranularityOrdering(t *testing.T) {
 	for _, g := range []float64{5, 30} {
 		opt := DefaultOptions()
 		opt.G = g
-		res, err := DMoptQP(golden, model, opt, golden.MCT)
+		res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,12 +197,12 @@ func TestDMoptQPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DMoptQP(golden, model, DefaultOptions(), 0); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: DefaultOptions(), TauPs: 0}); err == nil {
 		t.Error("non-positive tau should fail")
 	}
 	bad := DefaultOptions()
 	bad.G = -1
-	if _, err := DMoptQP(golden, model, bad, golden.MCT); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: bad, TauPs: golden.MCT}); err == nil {
 		t.Error("bad grid should fail")
 	}
 }
@@ -219,13 +220,13 @@ func TestCutsVsNodeAgree(t *testing.T) {
 	tau := golden.MCT
 
 	cuts := DefaultOptions()
-	rc, err := DMoptQP(golden, model, cuts, tau)
+	rc, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: cuts, TauPs: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
 	node := DefaultOptions()
 	node.Method = MethodNode
-	rn, err := DMoptQP(golden, model, node, tau)
+	rn, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: node, TauPs: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +255,13 @@ func TestBothLayersEdgeOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	optL := DefaultOptions()
-	rL, err := DMoptQP(golden, mL, optL, golden.MCT)
+	rL, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mL, Opt: optL, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	optLW := DefaultOptions()
 	optLW.BothLayers = true
-	rLW, err := DMoptQP(golden, mLW, optLW, golden.MCT)
+	rLW, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mLW, Opt: optLW, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}

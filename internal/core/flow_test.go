@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestRunFlowQP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := FlowConfig{Opt: DefaultOptions(), Mode: ModeQPLeakage}
-	out, err := Run(d, cfg)
+	out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestRunFlowQCPWithDosePl(t *testing.T) {
 	dopt.Rounds = 4
 	dopt.Gamma5 = 3
 	cfg := FlowConfig{Opt: DefaultOptions(), Mode: ModeQCPTiming, RunDosePl: true, DosePl: dopt}
-	out, err := Run(d, cfg)
+	out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDosePlRollbackSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	dm, err := DMoptQCP(golden, model, opt)
+	dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -38,7 +39,7 @@ func TestQCPLeakageBudgetProperty(t *testing.T) {
 		for _, xi := range tc.xis {
 			opt := DefaultOptions()
 			opt.XiNW = xi
-			dm, err := DMoptQCP(golden, model, opt)
+			dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 			if err != nil {
 				t.Fatalf("%s ξ=%g: %v", tc.preset.Name, xi, err)
 			}

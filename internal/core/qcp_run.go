@@ -29,29 +29,6 @@ type QCPRequest struct {
 	Opt Options
 }
 
-// DMoptQCP solves "Dose Map Optimization for Improved Timing Under
-// Leakage Constraint" (Section III-A.2 / III-B.2).
-//
-// Deprecated: use SolveQCP.
-func DMoptQCP(golden *sta.Result, model *Model, opt Options) (*Result, error) {
-	return SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
-}
-
-// DMoptQCPCtx is DMoptQCP with cancellation.
-//
-// Deprecated: use SolveQCP.
-func DMoptQCPCtx(ctx context.Context, golden *sta.Result, model *Model, opt Options) (*Result, error) {
-	return SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt})
-}
-
-// DMoptQCPCompiled runs the QCP bisection against a previously compiled
-// artifact.
-//
-// Deprecated: use SolveQCP.
-func DMoptQCPCompiled(ctx context.Context, c *Compiled, opt Options) (*Result, error) {
-	return SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt})
-}
-
 // SolveQCP solves the Section III QCP: minimize the clock period subject
 // to Δleakage ≤ Opt.XiNW, by monotone bisection on the clock period with
 // the QP as the feasibility oracle: minLeak(τ) is non-increasing in τ,

@@ -46,29 +46,6 @@ func (req QPRequest) compiled(ctx context.Context) (*Compiled, error) {
 	return CompileCtx(ctx, req.Golden, req.Model, req.Opt.CompileOptions())
 }
 
-// DMoptQP solves "Dose Map Optimization for Improved Leakage Under Timing
-// Constraint" (Section III-A.1 / III-B.1): minimize Δleakage subject to
-// MCT ≤ tau (ps) plus range and smoothness constraints.
-//
-// Deprecated: use SolveQP.
-func DMoptQP(golden *sta.Result, model *Model, opt Options, tau float64) (*Result, error) {
-	return SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: tau})
-}
-
-// DMoptQPCtx is DMoptQP with cancellation.
-//
-// Deprecated: use SolveQP.
-func DMoptQPCtx(ctx context.Context, golden *sta.Result, model *Model, opt Options, tau float64) (*Result, error) {
-	return SolveQP(ctx, QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: tau})
-}
-
-// DMoptQPCompiled runs the QP against a previously compiled artifact.
-//
-// Deprecated: use SolveQP.
-func DMoptQPCompiled(ctx context.Context, c *Compiled, opt Options, tau float64) (*Result, error) {
-	return SolveQP(ctx, QPRequest{Compiled: c, Opt: opt, TauPs: tau})
-}
-
 // SolveQP solves the Section III QP: minimize Δleakage subject to
 // MCT ≤ req.TauPs plus range and smoothness constraints.  A canceled
 // context aborts the solve between cut rounds / ADMM iterations with an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 	opt.G = math.Max(golden.In.Pl.ChipW, golden.In.Pl.ChipH) + 1
 	opt.Snap = false // snapping noise would hide the degeneracy
 
-	qp, err := DMoptQP(golden, model, opt, golden.MCT)
+	qp, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 			qp.PredDeltaLeakNW)
 	}
 
-	qcp, err := DMoptQCP(golden, model, opt)
+	qcp, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 	// leakage savings on the very same instance.
 	fine := DefaultOptions()
 	fine.Snap = false
-	fineRes, err := DMoptQP(golden, model, fine, golden.MCT)
+	fineRes, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: fine, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDMoptNeverBeatsMaxDose(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	qcp, err := DMoptQCP(golden, model, opt)
+	qcp, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestTiledOptionSeamSmooth(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := DefaultOptions()
-	rp, err := DMoptQP(golden, model, plain, golden.MCT)
+	rp, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: plain, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiled := DefaultOptions()
 	tiled.Tiled = true
-	rt, err := DMoptQP(golden, model, tiled, golden.MCT)
+	rt, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: tiled, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ type Report struct {
 	TopK      int     `json:"top_k,omitempty"`
 	Workers   int     `json:"workers"`
 	WallNS    int64   `json:"wall_ns"`
-	// LinSys records the ADMM linear-system backend the run selected
-	// ("auto", "cg" or "ldlt"); set by the caller after Report().
-	LinSys string `json:"linsys,omitempty"`
 	Snapshot
 }
 

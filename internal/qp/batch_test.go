@@ -32,9 +32,6 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb int) ([]*Solver, []*Problem
 	a := tr.Compile()
 	inf := math.Inf(1)
 
-	set := DefaultSettings()
-	set.LinSys = LinSysLDLT
-
 	solvers := make([]*Solver, nb)
 	probs := make([]*Problem, nb)
 	for q := 0; q < nb; q++ {
@@ -52,7 +49,7 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb int) ([]*Solver, []*Problem
 		// wafer consensus loop's exact protocol (the penalty target
 		// moves every outer iteration, the matrices never do).
 		probs[q] = &Problem{P: diagCSRBench(pd), Q: make([]float64, n), A: a.Clone(), L: l, U: u}
-		s, err := NewSolver(probs[q], set)
+		s, err := NewSolver(probs[q], DefaultSettings())
 		if err != nil {
 			t.Fatalf("member %d: %v", q, err)
 		}
@@ -93,7 +90,7 @@ func TestSolveBatchLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr := solo.Solve()
+		sr := mustSolve(t, solo)
 		if sr.Status != Solved {
 			t.Fatalf("member %d solo: status %v", q, sr.Status)
 		}
@@ -139,7 +136,7 @@ func TestSolveBatchFallbackBitIdentity(t *testing.T) {
 	seq[1].q[0] += 1e-9
 	seq[1].p.Val[0] *= 1 + 1e-12
 	for q, s := range seq {
-		sr := s.Solve()
+		sr := mustSolve(t, s)
 		for j := range sr.X {
 			if math.Float64bits(results[q].X[j]) != math.Float64bits(sr.X[j]) {
 				t.Fatalf("member %d: fallback X[%d] differs from sequential", q, j)

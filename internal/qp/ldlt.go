@@ -13,10 +13,9 @@
 //     the symbolic analysis every time.
 //
 // Between refactorizations every ADMM x-step is two sparse triangular
-// solves plus a diagonal scale — O(nnz(L)) with no inner iteration —
-// which is what kills the conjugate-gradient loop on the cut-generation
-// hot path: the cut QP's KKT matrix is τ-invariant, so whole bisection
-// probes run on a single factor.
+// solves plus a diagonal scale — O(nnz(L)) with no inner iteration.
+// On the cut-generation hot path the cut QP's KKT matrix is
+// τ-invariant, so whole bisection probes run on a single factor.
 //
 // The numeric phase is SUPERNODAL: the symbolic phase groups maximal
 // chains of elimination-tree columns with identical below-diagonal
@@ -974,15 +973,10 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// NNZL returns the fill count nnz(L) predicted by the symbolic phase,
-// and NNZK the stored upper-triangular pattern size of K.  Their ratio
-// is the fill estimate the Auto backend selection uses.
-func (f *ldltFactor) NNZL() int { return f.lp[f.n] }
-func (f *ldltFactor) NNZK() int { return len(f.ki) }
-
 // errNotPositiveDefinite reports a zero pivot during the numeric
-// phase; the caller falls back to the CG backend.
-var errNotPositiveDefinite = errors.New("qp: ldlt: zero pivot (matrix not positive definite)")
+// phase.  K = P + σI + ρAᵀA is positive definite whenever σ > 0, so
+// the solve that hits one stops with this error.
+var errNotPositiveDefinite = errors.New("ldlt: zero pivot (matrix not positive definite)")
 
 // Amalgamation thresholds.  A supernode absorbs the next fundamental
 // block while the explicit zeros the merge pads into the panel stay
@@ -1080,13 +1074,14 @@ func (f *ldltFactor) factorSuper(s int, rho float64, w []float64) int {
 
 // Refactor runs the numeric phase for a concrete ρ, supernode by
 // supernode in ascending order: every panel a supernode reads belongs
-// to an earlier one.
+// to an earlier one.  A zero pivot aborts it with an error naming the
+// failing column in the unpermuted numbering of K.
 func (f *ldltFactor) Refactor(rho float64) error {
 	w := f.w
 	clear(w) // w doubles as the solve vector, so it arrives dirty
 	for s := 0; s+1 < len(f.sPtr); s++ {
 		if k := f.factorSuper(s, rho, w); k >= 0 {
-			return fmt.Errorf("%w at column %d", errNotPositiveDefinite, k)
+			return fmt.Errorf("%w at column %d", errNotPositiveDefinite, f.perm[k])
 		}
 	}
 	return nil

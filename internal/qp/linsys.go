@@ -1,144 +1,22 @@
-// Linear-system backends for the ADMM x-step.  Every iteration solves
+// The ADMM x-step linear system.  Every iteration solves
 //
 //	(P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y)
 //
 // against the same matrix K until ρ adapts or constraint rows are
-// appended.  Two interchangeable backends exist:
-//
-//   - cgBackend: the original Jacobi-preconditioned conjugate-gradient
-//     loop — matrix-free, O(nnz) per iteration, robust for any fill;
-//   - ldltBackend: a cached sparse LDLᵀ factor of K — factor once per
-//     ρ, then every x-step is two triangular solves, no inner loop.
-//
-// Settings.LinSys selects a backend; the Auto default measures the
-// symbolic fill estimate and picks LDLᵀ when the factor stays sparse
-// (the dose-map QPs: banded grid Laplacian plus short cut rows), CG
-// otherwise.  A numeric breakdown in LDLᵀ (zero pivot) falls back to
-// CG for the remainder of the solver's life.
+// appended.  ldltBackend keeps a cached sparse LDLᵀ factor of K: factor
+// once per ρ, then every x-step is two triangular solves, with no inner
+// loop.  K is symmetric positive definite by construction when σ > 0,
+// so a zero pivot is a broken premise, not a numerical accident: the
+// solve stops at that x-step with an error wrapping
+// errNotPositiveDefinite.
 package qp
 
-import "fmt"
-
-// LinSys selects the ADMM x-step linear-system backend.
-type LinSys int
-
-const (
-	// LinSysAuto picks LDLᵀ when the symbolic fill estimate is below
-	// autoFillLimit, CG otherwise.
-	LinSysAuto LinSys = iota
-	// LinSysCG forces the preconditioned conjugate-gradient backend.
-	LinSysCG
-	// LinSysLDLT forces the cached sparse LDLᵀ backend.
-	LinSysLDLT
-)
-
-func (l LinSys) String() string {
-	switch l {
-	case LinSysAuto:
-		return "auto"
-	case LinSysCG:
-		return "cg"
-	case LinSysLDLT:
-		return "ldlt"
-	}
-	return fmt.Sprintf("linsys(%d)", int(l))
-}
-
-// ParseLinSys parses a -linsys flag value.
-func ParseLinSys(s string) (LinSys, error) {
-	switch s {
-	case "", "auto":
-		return LinSysAuto, nil
-	case "cg":
-		return LinSysCG, nil
-	case "ldlt":
-		return LinSysLDLT, nil
-	}
-	return LinSysAuto, fmt.Errorf("qp: unknown linear-system backend %q (want auto, cg or ldlt)", s)
-}
-
-// autoFillLimit is the Auto-selection threshold: LDLᵀ is chosen when
-// nnz(L) ≤ autoFillLimit × nnz(triu K).  Beyond that the factor's
-// triangular solves cost more than the few CG iterations the warm-
-// started ADMM x-step typically needs.
-const autoFillLimit = 20
-
-// linsys is the x-step solver contract.  Implementations live inside
-// one Solver and work on its scaled data.
-type linsys interface {
-	// solve overwrites x with (an approximation of) K⁻¹b for the
-	// current s.rho, starting from the initial guess already in x
-	// (iterative backends) and stopping at tol.  It returns the inner
-	// iteration count (0 for direct backends).
-	solve(x, b []float64, tol float64) (int, error)
-	// solveBatch solves K x[q] = b[q] for every right-hand side against
-	// one factorization pass: the direct backend streams the factor
-	// through cache once per supernode for the whole block, iterative
-	// backends degrade to per-RHS solves.  Each x[q] is bitwise
-	// identical to a solo solve(x[q], b[q], tol) call.
-	solveBatch(xs, bs [][]float64, tol float64) (int, error)
-	// appendRows re-syncs the backend after rows were appended to s.a.
-	appendRows(fromRow int)
-	// kind names the backend for telemetry.
-	kind() LinSys
-}
-
-// --- CG backend -----------------------------------------------------------
-
-// cgBackend wraps the historical preconditioned CG loop.  The Jacobi
-// preconditioner is rebuilt into solver scratch whenever ρ moved.
-type cgBackend struct {
-	s       *Solver
-	precond []float64
-	rho     float64 // ρ the preconditioner was built for (NaN-safe: 0 = never)
-	fresh   bool
-}
-
-func newCGBackend(s *Solver) *cgBackend {
-	return &cgBackend{s: s, precond: make([]float64, s.n)}
-}
-
-func (b *cgBackend) solve(x, bvec []float64, tol float64) (int, error) {
-	s := b.s
-	if !b.fresh || b.rho != s.rho {
-		for j := 0; j < s.n; j++ {
-			b.precond[j] = 1 / (s.diagP[j] + s.set.Sigma + s.rho*s.diagTA[j])
-		}
-		b.rho = s.rho
-		b.fresh = true
-	}
-	return s.cg(x, bvec, tol, b.precond), nil
-}
-
-func (b *cgBackend) solveBatch(xs, bs [][]float64, tol float64) (int, error) {
-	// No factor to stream: a batch is just the member solves in order.
-	total := 0
-	for q := range xs {
-		it, err := b.solve(xs[q], bs[q], tol)
-		total += it
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (b *cgBackend) appendRows(int) {
-	// diagTA already carries the appended rows; just force a
-	// preconditioner rebuild.
-	b.fresh = false
-}
-
-func (b *cgBackend) kind() LinSys { return LinSysCG }
-
-// --- LDLᵀ backend ---------------------------------------------------------
-
-// defaultFactorCache is the ρ-ladder factor-cache capacity when
-// Settings.FactorCache is zero.  Ten slots cover the working set the
-// adaptive-ρ trajectory actually revisits: the initial rung, the
-// settled rung, and the handful of rungs the eager adapter walks
-// through on the way (plus stall-restart returns to the initial rung).
-const defaultFactorCache = 10
+// factorCacheCap is the ρ-ladder factor-cache capacity.  Ten slots
+// cover the working set the adaptive-ρ trajectory actually revisits:
+// the initial rung, the settled rung, and the handful of rungs the
+// eager adapter walks through on the way (plus stall-restart returns to
+// the initial rung).
+const factorCacheCap = 10
 
 // factorSnap is one cached numeric factor: the (panel storage, d) pair
 // of a finished factorization, keyed by the exact ρ it was computed
@@ -167,7 +45,6 @@ type ldltBackend struct {
 	factored bool
 	epoch    int
 	cache    []*factorSnap
-	cacheCap int
 	useSeq   int64
 	// Snapshots are stored and restored by pointer swap, never by copy:
 	// aliased is the cache entry whose buffers the live factor currently
@@ -185,20 +62,15 @@ type ldltBackend struct {
 	// the first build of an (epoch, rung) pair is a factorization —
 	// unavoidable, the numbers did not exist — while building a pair
 	// again is a refactorization, repeat work the snapshot cache exists
-	// to eliminate (it only happens after an eviction or with caching
-	// disabled).
+	// to eliminate (it only happens after an eviction).
 	built map[float64]bool
 }
 
-func newLDLTBackend(s *Solver, f *ldltFactor) *ldltBackend {
-	capacity := s.set.FactorCache
-	if capacity == 0 {
-		capacity = defaultFactorCache
-	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &ldltBackend{s: s, f: f, cacheCap: capacity, built: make(map[float64]bool)}
+// newLDLTBackend runs the symbolic analysis of K for the solver's
+// scaled data; the first x-step runs the numeric phase.
+func newLDLTBackend(s *Solver) *ldltBackend {
+	f := newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
+	return &ldltBackend{s: s, f: f, built: make(map[float64]bool)}
 }
 
 // lookup returns the cached snapshot for ρ in the current pattern
@@ -218,10 +90,7 @@ func (b *ldltBackend) lookup(rho float64) *factorSnap {
 // buffers (zero copies), evicting the least-recently used entry at
 // capacity and recycling the evicted buffers.
 func (b *ldltBackend) store(rho float64) {
-	if b.cacheCap <= 0 {
-		return
-	}
-	if len(b.cache) >= b.cacheCap {
+	if len(b.cache) >= factorCacheCap {
 		lru := 0
 		for i, snap := range b.cache {
 			if snap.use < b.cache[lru].use {
@@ -244,7 +113,9 @@ func (b *ldltBackend) store(rho float64) {
 
 // ensureFactored makes the live factor current for s.rho: restore a
 // cached snapshot when the rung was factored before in this pattern
-// epoch, run the numeric phase otherwise.
+// epoch, run the numeric phase otherwise.  A zero pivot leaves no
+// current factor: the broken buffers are private (never a snapshot's),
+// and the next call factors again.
 func (b *ldltBackend) ensureFactored() error {
 	s := b.s
 	if b.factored && b.rho == s.rho {
@@ -271,6 +142,7 @@ func (b *ldltBackend) ensureFactored() error {
 			b.aliased = nil
 		}
 		if err := b.f.Refactor(s.rho); err != nil {
+			b.factored = false
 			return err
 		}
 		s.nDenseFlops += b.f.denseFactorFlops
@@ -287,20 +159,25 @@ func (b *ldltBackend) ensureFactored() error {
 	return nil
 }
 
-func (b *ldltBackend) solve(x, bvec []float64, _ float64) (int, error) {
+// solve overwrites x with K⁻¹b for the current s.rho.
+func (b *ldltBackend) solve(x, bvec []float64) error {
 	if err := b.ensureFactored(); err != nil {
-		return 0, err
+		return err
 	}
 	s := b.s
 	b.f.Solve(x, bvec)
 	s.nTriSolve++
 	s.nDenseFlops += b.f.denseSolveFlops
-	return 0, nil
+	return nil
 }
 
-func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
+// solveBatch solves K x[q] = b[q] for every right-hand side in one pass
+// that streams each supernode of the factor through cache once for the
+// whole block.  Each x[q] is bitwise identical to a solo
+// solve(x[q], b[q]) call.
+func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
 	if err := b.ensureFactored(); err != nil {
-		return 0, err
+		return err
 	}
 	s := b.s
 	b.f.SolveBatch(xs, bs)
@@ -309,9 +186,10 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
 	s.nDenseFlops += nrhs * b.f.denseSolveFlops
 	s.nSolveBatch++
 	s.nSolveRHS += nrhs
-	return 0, nil
+	return nil
 }
 
+// appendRows re-syncs the factor after rows were appended to s.a.
 func (b *ldltBackend) appendRows(fromRow int) {
 	b.f.AppendRows(b.s.a, fromRow)
 	b.factored = false
@@ -323,34 +201,4 @@ func (b *ldltBackend) appendRows(fromRow int) {
 	b.freePx, b.freeD = nil, nil
 	b.aliased = nil
 	clear(b.built)
-}
-
-func (b *ldltBackend) kind() LinSys { return LinSysLDLT }
-
-// initLinsys chooses and constructs the backend after the scaled
-// problem data is final.  Auto runs the symbolic analysis either way
-// (it is cheap — pattern merge plus an elimination-tree pass) and keeps
-// the factor only when the fill estimate clears the threshold.
-func (s *Solver) initLinsys() {
-	switch s.set.LinSys {
-	case LinSysCG:
-		s.lin = newCGBackend(s)
-		return
-	case LinSysLDLT:
-		s.lin = newLDLTBackend(s, newLDLTFactor(s.p, s.set.Sigma, s.a, s.n))
-		return
-	}
-	f := newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
-	if f.NNZL() <= autoFillLimit*f.NNZK() {
-		s.lin = newLDLTBackend(s, f)
-		return
-	}
-	s.lin = newCGBackend(s)
-}
-
-// fallbackToCG permanently switches a solver whose LDLᵀ factor broke
-// down (zero pivot on a numerically semidefinite K) to the CG backend.
-func (s *Solver) fallbackToCG() {
-	s.lin = newCGBackend(s)
-	s.linFallbacks++
 }

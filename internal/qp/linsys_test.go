@@ -2,87 +2,69 @@ package qp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// tightSettings returns the property-test solver configuration with a
-// forced linear-system backend.
-func tightSettings(ls LinSys) Settings {
+// tightSettings returns the property-test solver configuration.
+func tightSettings() Settings {
 	set := DefaultSettings()
 	set.EpsAbs, set.EpsRel = 1e-9, 1e-9
 	set.MaxIter = 200000
-	set.CGTol = 1e-12
-	set.LinSys = ls
 	return set
 }
 
-func TestParseLinSys(t *testing.T) {
-	cases := []struct {
-		in   string
-		want LinSys
-	}{{"", LinSysAuto}, {"auto", LinSysAuto}, {"cg", LinSysCG}, {"ldlt", LinSysLDLT}}
-	for _, c := range cases {
-		got, err := ParseLinSys(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseLinSys(%q) = %v, %v; want %v", c.in, got, err, c.want)
+// TestZeroPivotIsError: with σ = 0 a variable that no row and no
+// curvature touches leaves K singular.  The factorization hits a zero
+// pivot at that column, and the solve must stop with an error naming
+// it, never report a NaN iterate as solved.
+func TestZeroPivotIsError(t *testing.T) {
+	a := NewTriplet(1, 2)
+	a.Add(0, 0, 1)
+	prob := &Problem{Q: []float64{1, 0}, A: a.Compile(), L: []float64{-1}, U: []float64{1}}
+	set := DefaultSettings()
+	set.Sigma = 0
+	check := func(what string, res *Result, err error) {
+		t.Helper()
+		if !errors.Is(err, errNotPositiveDefinite) {
+			t.Fatalf("%s: err = %v, want a zero-pivot error", what, err)
 		}
-		if s := got.String(); s == "" {
-			t.Errorf("LinSys(%d).String() empty", int(got))
+		if !strings.Contains(err.Error(), "column 1") {
+			t.Errorf("%s: error %q does not name column 1", what, err)
+		}
+		if res == nil || res.Status == Solved {
+			t.Fatalf("%s: result %+v reports a solve", what, res)
+		}
+		if err := checkFinite("x", res.X); err != nil {
+			t.Errorf("%s: %v", what, err)
 		}
 	}
-	if _, err := ParseLinSys("cholmod"); err == nil {
-		t.Error("ParseLinSys accepted an unknown backend")
+
+	s, err := NewSolver(prob, set)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	res, err := s.SolveCtx(context.Background())
+	check("SolveCtx", res, err)
 
-// TestBackendEquivalenceProperty runs the randomized PSD instances
-// through both backends and demands tolerance-identical optima: same
-// status, ‖x_cg − x_ldlt‖∞ ≤ 1e-6, and a first-order certificate
-// (KKT stationarity and feasibility ≤ 1e-6) from each.
-func TestBackendEquivalenceProperty(t *testing.T) {
-	for seed := int64(0); seed < 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prob := randomFeasibleQP(rng)
-
-		solve := func(ls LinSys) *Result {
-			s, err := NewSolver(prob, tightSettings(ls))
-			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, ls, err)
-			}
-			if got := s.Backend(); got != ls {
-				t.Fatalf("seed %d: forced backend %v but solver picked %v", seed, ls, got)
-			}
-			res, err := s.SolveCtx(context.Background())
-			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, ls, err)
-			}
-			return res
+	var family []*Solver
+	for range 2 {
+		s, err := NewSolver(prob, set)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rcg := solve(LinSysCG)
-		rld := solve(LinSysLDLT)
-
-		if rcg.Status != rld.Status {
-			t.Fatalf("seed %d: status cg=%v ldlt=%v", seed, rcg.Status, rld.Status)
-		}
-		diff := 0.0
-		for j := range rcg.X {
-			if d := math.Abs(rcg.X[j] - rld.X[j]); d > diff {
-				diff = d
-			}
-		}
-		if diff > 1e-6 {
-			t.Errorf("seed %d: ‖x_cg − x_ldlt‖∞ = %g > 1e-6", seed, diff)
-		}
-		for _, r := range []*Result{rcg, rld} {
-			if v := prob.MaxViolation(r.X); v > 1e-6 {
-				t.Errorf("seed %d: violation %g > 1e-6", seed, v)
-			}
-			if g := kktStationarity(prob, r.X, r.Y); g > 1e-6 {
-				t.Errorf("seed %d: KKT stationarity %g > 1e-6", seed, g)
-			}
-		}
+		family = append(family, s)
+	}
+	results, err := SolveBatchCtx(context.Background(), family)
+	if len(results) != len(family) {
+		t.Fatalf("SolveBatchCtx returned %d results for %d members (err %v)", len(results), len(family), err)
+	}
+	for q, res := range results {
+		check(fmt.Sprintf("SolveBatchCtx member %d", q), res, err)
 	}
 }
 
@@ -170,7 +152,7 @@ func TestSolverAppendRowsMatchesCold(t *testing.T) {
 		sub := &Problem{P: prob.P, Q: prob.Q,
 			A: csrRows(prob.A, 0, split),
 			L: prob.L[:split], U: prob.U[:split]}
-		warm, err := NewSolver(sub, tightSettings(LinSysLDLT))
+		warm, err := NewSolver(sub, tightSettings())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -185,7 +167,7 @@ func TestSolverAppendRowsMatchesCold(t *testing.T) {
 			t.Fatalf("seed %d: post-append solve: %v", seed, err)
 		}
 
-		cold, err := NewSolver(prob, tightSettings(LinSysLDLT))
+		cold, err := NewSolver(prob, tightSettings())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -100,7 +100,7 @@ func TestRejectsNonFiniteData(t *testing.T) {
 	if err := s.AppendRows(row(1), []float64{-pinf}, []float64{pinf}); err != nil {
 		t.Fatalf("AppendRows with ±Inf bounds: %v", err)
 	}
-	if res := s.Solve(); res.Status != Solved {
+	if res := mustSolve(t, s); res.Status != Solved {
 		t.Fatalf("clean problem: status %v", res.Status)
 	}
 }

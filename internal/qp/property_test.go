@@ -95,11 +95,7 @@ func TestSolveKKTProperty(t *testing.T) {
 		if err := prob.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid problem: %v", seed, err)
 		}
-		set := DefaultSettings()
-		set.EpsAbs, set.EpsRel = 1e-9, 1e-9
-		set.MaxIter = 200000
-		set.CGTol = 1e-12
-		res, err := Solve(prob, set)
+		res, err := Solve(prob, tightSettings())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

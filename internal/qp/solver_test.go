@@ -1,12 +1,23 @@
 package qp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/fit"
 )
+
+// mustSolve runs s to termination and fails the test on a solve error.
+func mustSolve(t testing.TB, s *Solver) *Result {
+	t.Helper()
+	res, err := s.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func diagCSR(d []float64) *CSR {
 	tr := NewTriplet(len(d), len(d))
@@ -312,7 +323,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1 := s.Solve()
+	res1 := mustSolve(t, s)
 	if res1.Status != Solved {
 		t.Fatalf("first solve: %v", res1.Status)
 	}
@@ -328,7 +339,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err := s.UpdateBounds(l, u); err != nil {
 		t.Fatal(err)
 	}
-	res2 := s.Solve()
+	res2 := mustSolve(t, s)
 	if res2.Status != Solved {
 		t.Fatalf("second solve: %v", res2.Status)
 	}
@@ -341,7 +352,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err := s.WarmStart(res2.X, res2.Y); err != nil {
 		t.Fatal(err)
 	}
-	res3 := s.Solve()
+	res3 := mustSolve(t, s)
 	if res3.Status != Solved {
 		t.Errorf("warm-started solve: %v", res3.Status)
 	}

@@ -1,7 +1,7 @@
 // Package qp provides the mathematical-programming substrate for the
-// dose-map optimization: sparse matrices, a conjugate-gradient linear
-// solver, and a convex quadratic-program solver based on the operator-
-// splitting (ADMM) method popularized by OSQP.
+// dose-map optimization: sparse matrices, a sparse LDLᵀ factorization,
+// and a convex quadratic-program solver based on the operator-splitting
+// (ADMM) method popularized by OSQP.
 //
 // The paper solves its QP and QCP instances with ILOG CPLEX; no such
 // solver exists in the Go stdlib ecosystem, so this package implements
@@ -174,16 +174,6 @@ func (c *CSR) AddMulTVec(y, x []float64) {
 			y[col[k]] += val[k] * xr
 		}
 	}
-}
-
-// DiagATA returns the diagonal of AᵀA (the per-column sums of squares),
-// used to build the Jacobi preconditioner of the ADMM KKT operator.
-func (c *CSR) DiagATA() []float64 {
-	d := make([]float64, c.N)
-	for k, col := range c.Col {
-		d[col] += c.Val[k] * c.Val[k]
-	}
-	return d
 }
 
 // RowInfNorms returns the infinity norm of each row.
@@ -376,13 +366,6 @@ func InfNorm(a []float64) float64 {
 		}
 	}
 	return m
-}
-
-// AXPY computes y += alpha·x.
-func AXPY(y []float64, alpha float64, x []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
 }
 
 // Scale multiplies a by s in place.

@@ -114,17 +114,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestDiagATA(t *testing.T) {
-	tr := NewTriplet(2, 2)
-	tr.Add(0, 0, 3)
-	tr.Add(1, 0, 4)
-	tr.Add(1, 1, -2)
-	d := tr.Compile().DiagATA()
-	if d[0] != 25 || d[1] != 4 {
-		t.Errorf("DiagATA = %v, want [25 4]", d)
-	}
-}
-
 func TestRowColNorms(t *testing.T) {
 	tr := NewTriplet(2, 3)
 	tr.Add(0, 0, -3)
@@ -181,11 +170,7 @@ func TestVectorHelpers(t *testing.T) {
 	if InfNorm(nil) != 0 {
 		t.Error("InfNorm(nil)")
 	}
-	y := []float64{1, 1}
-	AXPY(y, 2, []float64{1, -1})
-	if y[0] != 3 || y[1] != -1 {
-		t.Errorf("AXPY = %v", y)
-	}
+	y := []float64{3, -1}
 	Scale(y, -1)
 	if y[0] != -3 || y[1] != 1 {
 		t.Errorf("Scale = %v", y)

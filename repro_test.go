@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -27,7 +28,8 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 	opt := repro.DefaultOptions()
 
-	qp, err := repro.RunQP(golden, model, opt, golden.MCT)
+	qp, err := repro.SolveQP(context.Background(),
+		repro.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Error("QP must reduce leakage")
 	}
 
-	qcp, err := repro.RunQCP(golden, model, opt)
+	qcp, err := repro.SolveQCP(context.Background(), repro.QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +57,17 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlowModes exercises RunFlow in both modes via the facade.
+// TestFlowModes exercises SolveFlow in both modes via the facade.
 func TestFlowModes(t *testing.T) {
 	d, err := repro.Generate(repro.AES90().Scaled(0.04))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []repro.Mode{repro.ModeQPLeakage, repro.ModeQCPTiming} {
-		out, err := repro.RunFlow(d, repro.FlowConfig{Opt: repro.DefaultOptions(), Mode: mode})
+		out, err := repro.SolveFlow(context.Background(), repro.FlowRequest{
+			Design: d,
+			Config: repro.FlowConfig{Opt: repro.DefaultOptions(), Mode: mode},
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
