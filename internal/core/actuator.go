@@ -74,13 +74,13 @@ func (c *Compiled) domainBias(bias []float64, id int) float64 {
 // (V) the golden analysis consumes, applying the timing-safe ladder snap
 // per domain when snap is set (rounding toward forward bias only speeds
 // gates up, mirroring SnapDoseUp).
-func (c *Compiled) biasDVth(bias []float64, snap bool, step float64) []float64 {
+func (c *Compiled) biasDVth(bias []float64, snap bool) []float64 {
 	n := len(c.domainOf)
 	snapped := bias
 	if snap {
 		snapped = make([]float64, len(bias))
 		for d, b := range bias {
-			snapped[d] = liberty.SnapBiasUp(b, c.Opts.BiasHi, step)
+			snapped[d] = liberty.SnapBiasUp(b, c.Opts.BiasHi, liberty.BiasStepV)
 		}
 	}
 	dvth := make([]float64, n)
@@ -93,18 +93,15 @@ func (c *Compiled) biasDVth(bias []float64, snap bool, step float64) []float64 {
 }
 
 // biasSnapMarginNW estimates the leakage cost of timing-safe bias
-// snapping: each domain rounds up by at most one ladder step, costing
-// about step/2 · Σ|BetaB| in expectation — the bias analogue of
+// snapping: each domain rounds up by at most one ladder step
+// (liberty.BiasStepV), costing about step/2 · Σ|BetaB| in expectation — the bias analogue of
 // snapLeakMargin.  The QCP subtracts it from its budget ξ.
-func biasSnapMarginNW(model *Model, step float64) float64 {
-	if step <= 0 {
-		step = liberty.BiasStepV
-	}
+func biasSnapMarginNW(model *Model) float64 {
 	sum := 0.0
 	for _, b := range model.BetaB {
 		sum += math.Abs(b)
 	}
-	return step / 2 * sum
+	return liberty.BiasStepV / 2 * sum
 }
 
 // predictAsn evaluates the linear timing model and the leakage model at

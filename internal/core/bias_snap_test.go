@@ -61,7 +61,7 @@ func TestBiasSnapQuantizationProperty(t *testing.T) {
 				// ...and its snapped image must sit on the quantization
 				// lattice, still inside the box (SnapBiasUp rounds toward
 				// the timing-safe side and clips at the upper bound).
-				s := liberty.SnapBiasUp(b, norm.BiasHi, norm.BiasStep)
+				s := liberty.SnapBiasUp(b, norm.BiasHi, liberty.BiasStepV)
 				if s < b-1e-12 {
 					t.Errorf("%s ξ=%g: domain %d snap moved bias down: %.6f → %.6f V",
 						tc.preset.Name, xi, dom, b, s)
@@ -70,10 +70,10 @@ func TestBiasSnapQuantizationProperty(t *testing.T) {
 					t.Errorf("%s ξ=%g: domain %d snapped bias %.6f V above box top %g",
 						tc.preset.Name, xi, dom, s, norm.BiasHi)
 				}
-				steps := s / norm.BiasStep
+				steps := s / liberty.BiasStepV
 				if s != norm.BiasHi && math.Abs(steps-math.Round(steps)) > 1e-6 {
 					t.Errorf("%s ξ=%g: domain %d snapped bias %.6f V off the %g V lattice",
-						tc.preset.Name, xi, dom, s, norm.BiasStep)
+						tc.preset.Name, xi, dom, s, liberty.BiasStepV)
 				}
 			}
 			// Budget property on the model prediction — what the QCP

@@ -471,17 +471,11 @@ func minDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
 	return math.Min(v, 0)
 }
 
-// linearArrivals runs a forward pass over the frozen golden arc delays
-// with the given per-gate delay deltas, returning per-gate output
-// arrivals and the resulting MCT.  This is the optimizer's linear timing
-// model (Eq. 5/10) evaluated at a concrete dose assignment.
-func linearArrivals(golden *sta.Result, delta func(id int) float64) ([]float64, float64) {
-	order, _ := golden.In.Circ.TopoOrder()
-	return linearArrivalsOrder(golden, order, delta)
-}
-
-// linearArrivalsOrder is linearArrivals borrowing a precomputed
-// topological order (the compile artifact's), saving the per-call sort.
+// linearArrivalsOrder runs a forward pass, in the given topological
+// order, over the frozen golden arc delays with the given per-gate delay
+// deltas, returning per-gate output arrivals and the resulting MCT.  This
+// is the optimizer's linear timing model (Eq. 5/10) evaluated at a
+// concrete dose assignment.
 func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) float64) ([]float64, float64) {
 	in := golden.In
 	n := in.Circ.NumGates()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,12 +11,10 @@ import (
 	"repro/internal/sta"
 )
 
-// cutPoolProblem runs one cut-generation QP on a scaled AES-65 instance
-// and assembles the resulting problem — box and smoothness prefix plus
-// every path cut the solve generated.  This is the real matrix the
-// x-step factors: a banded grid Laplacian with short dense-ish cut rows
-// appended.
-func cutPoolProblem(tb testing.TB) *qp.Problem {
+// aes65Compiled compiles the scaled AES-65 instance of the cut-pool
+// tests under the default options.  A cut probe at 0.99 × its golden MCT
+// needs more than one cut round.
+func aes65Compiled(tb testing.TB) (*Compiled, Options) {
 	tb.Helper()
 	d, err := gen.Generate(gen.AES65().Scaled(0.04))
 	if err != nil {
@@ -30,11 +29,23 @@ func cutPoolProblem(tb testing.TB) *qp.Problem {
 		tb.Fatal(err)
 	}
 	opt := DefaultOptions()
-	cs, err := newCutSolver(golden, model, opt)
+	c, err := Compile(golden, model, opt.CompileOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tau := 0.99 * golden.MCT
+	return c, opt
+}
+
+// cutPoolProblem runs one cut-generation QP on a scaled AES-65 instance
+// and assembles the resulting problem — box and smoothness prefix plus
+// every path cut the solve generated.  This is the real matrix the
+// x-step factors: a banded grid Laplacian with short dense-ish cut rows
+// appended.
+func cutPoolProblem(tb testing.TB) *qp.Problem {
+	tb.Helper()
+	c, opt := aes65Compiled(tb)
+	cs := newCutSolverCompiled(c, opt)
+	tau := 0.99 * c.Golden.MCT
 	if _, feasible, err := cs.solveTau(context.Background(), tau, math.Inf(1)); err != nil || !feasible {
 		tb.Fatalf("cut solve: feasible=%v err=%v", feasible, err)
 	}
@@ -58,6 +69,37 @@ func cutPoolProblem(tb testing.TB) *qp.Problem {
 		}
 	}
 	return cs.buildProblem(tau, cs.pool.snapshot())
+}
+
+// TestCutRoundBudgetLastRound: a probe that converges in the last round
+// its budget allows is feasible, whether solveTau or a one-member
+// solveTauGroup runs it, and one round less exhausts the budget.
+func TestCutRoundBudgetLastRound(t *testing.T) {
+	c, opt := aes65Compiled(t)
+	tau := 0.99 * c.Golden.MCT
+	ctx := context.Background()
+	ref := newCutSolverCompiled(c, opt)
+	if _, feasible, err := ref.solveTau(ctx, tau, math.Inf(1)); err != nil || !feasible {
+		t.Fatalf("default budget: feasible=%v err=%v", feasible, err)
+	}
+	r := ref.rounds
+	if r < 2 {
+		t.Fatalf("probe converged in %d round; the instance no longer needs cuts", r)
+	}
+	budget := func(rounds int) *cutSolver {
+		cs := newCutSolverCompiled(c, opt)
+		cs.maxRounds = rounds
+		return cs
+	}
+	if _, feasible, err := budget(r).solveTau(ctx, tau, math.Inf(1)); err != nil || !feasible {
+		t.Errorf("solveTau, %d-round budget: feasible=%v err=%v", r, feasible, err)
+	}
+	if _, feas, err := solveTauGroup(ctx, []*cutSolver{budget(r)}, tau, math.Inf(1)); err != nil || !feas[0] {
+		t.Errorf("solveTauGroup, %d-round budget: feas=%v err=%v", r, feas, err)
+	}
+	if _, _, err := budget(r-1).solveTau(ctx, tau, math.Inf(1)); err == nil || !strings.Contains(err.Error(), "round budget") {
+		t.Errorf("solveTau, %d-round budget: err=%v, want the round-budget error", r-1, err)
+	}
 }
 
 // TestCutPoolSolveKKT solves the AES-derived cut-pool instance at tight

@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -33,6 +32,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qp"
 	"repro/internal/sta"
+)
+
+// Cut-engine limits.  A probe runs at most cutRounds cut rounds; each
+// round enumerates at most cutsPerRound paths; and a probe is accepted
+// once its linear-model clock period is within cutTolRel × the golden
+// MCT of τ.
+const (
+	cutRounds    = 60
+	cutsPerRound = 64
+	cutTolRel    = 2e-4
 )
 
 // cut is one path constraint over the dose variables.
@@ -120,6 +129,9 @@ type cutSolver struct {
 	y         []float64 // last duals (unscaled), aligned to prob rows
 
 	rounds, solves int
+	// maxRounds is the round budget of one probe (cutRounds; tests
+	// lower it).
+	maxRounds int
 
 	// Tangent information of the most recent converged cut round: the
 	// probed clock period, the model objective there, and the derivative
@@ -127,15 +139,15 @@ type cutSolver struct {
 	// bound is τ − nom, so the bound moves one-for-one with τ and the
 	// dual sum prices the move).  The QCP outer loop turns this into a
 	// warm-started Newton/secant step on τ; tangentOK is false until a
-	// round converges and is reset at every solveTau entry, so stale
-	// probes never feed a step.
+	// round converges and is reset at every probe's solveTauGroup entry,
+	// so stale probes never feed a step.
 	tangentTau   float64
 	tangentObj   float64
 	tangentSlope float64
 	tangentOK    bool
 
 	// rec is the telemetry recorder, refreshed from the context at each
-	// solveTau entry (ensure has no context of its own).
+	// solveTauGroup entry (ensure has no context of its own).
 	rec *obs.Recorder
 
 	// Cut-generation scratch, reused round over round: makeCut's dense
@@ -284,23 +296,13 @@ func newCutSolverCompiled(c *Compiled, opt Options) *cutSolver {
 	cs := &cutSolver{
 		comp: c, opt: opt,
 		nG: c.NG, nVar: c.NVar, clampN: c.NVar,
-		pd:   append([]float64(nil), c.cutPD...),
-		q:    c.doseQ,
-		pool: newCutPool(),
+		pd:        append([]float64(nil), c.cutPD...),
+		q:         c.doseQ,
+		pool:      newCutPool(),
+		maxRounds: cutRounds,
 	}
 	cs.x = make([]float64, cs.nVar)
 	return cs
-}
-
-// newCutSolver compiles the formulation and wires a run view onto it in
-// one step (the historical constructor, kept for direct callers and
-// tests that bypass the cache layer).
-func newCutSolver(golden *sta.Result, model *Model, opt Options) (*cutSolver, error) {
-	c, err := Compile(golden, model, opt.CompileOptions())
-	if err != nil {
-		return nil, err
-	}
-	return newCutSolverCompiled(c, opt), nil
 }
 
 // deltaFn returns the per-gate linear delay delta under actuator
@@ -442,36 +444,19 @@ func (cs *cutSolver) addCut(p *sta.Path) bool {
 	return cs.pool.add(cs.key, ct)
 }
 
-// cutLimits returns the cut engine's settings with their defaults
-// applied: the MCT acceptance tolerance in ps, the round budget of one
-// probe and the number of paths enumerated per round.
-func (cs *cutSolver) cutLimits() (tolPs float64, maxRounds, perRound int) {
-	tolPs, maxRounds, perRound = cs.opt.CutTolPs, cs.opt.CutRounds, cs.opt.CutsPerRound
-	if tolPs <= 0 {
-		tolPs = 2e-4 * cs.comp.Golden.MCT
-	}
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	if perRound <= 0 {
-		perRound = 64
-	}
-	return tolPs, maxRounds, perRound
-}
-
 // generateCuts is one cut round's separation step at the clock period
 // tau: it enumerates the longest paths of the linear delay model at the
-// iterate cs.x (at most CutsPerRound, in non-increasing delay order),
-// pools a cut for each path with delay > tau + CutTolPs/2, and returns
-// how many were new.  delta is cs.deltaFn(cs.x).  The enumeration stops
-// at that cutoff too, so it never builds the sub-cutoff paths the loop
-// would discard.
+// iterate cs.x (at most cutsPerRound, in non-increasing delay order),
+// pools a cut for each path with delay > tau + tolPs/2, where tolPs is
+// cutTolRel × the golden MCT, and returns how many were new.  delta is
+// cs.deltaFn(cs.x).  The enumeration stops at that cutoff too, so it
+// never builds the sub-cutoff paths the loop would discard.
 func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float64, tau float64) int {
 	_, sp := obs.Start(ctx, "core/cutgen")
 	defer sp.End()
-	tolPs, _, perRound := cs.cutLimits()
-	cutoff := tau + tolPs/2
 	c := cs.comp
+	tolPs := cutTolRel * c.Golden.MCT
+	cutoff := tau + tolPs/2
 	gates := c.Golden.In.Circ.Gates
 	arcFn := func(from, to int) float64 {
 		a := c.Golden.ArcDelay(from, to)
@@ -488,7 +473,7 @@ func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float6
 		return s
 	}
 	paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
-		perRound, 0, cutoff)
+		cutsPerRound, 0, cutoff)
 	added := 0
 	for _, p := range paths {
 		if p.Delay <= cutoff {
@@ -543,85 +528,11 @@ func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 // canceled context aborts between cut rounds with an error wrapping
 // context.Canceled.
 func (cs *cutSolver) solveTau(ctx context.Context, tau, xiNW float64) (obj float64, feasible bool, err error) {
-	cs.rec = obs.From(ctx)
-	cs.tangentOK = false // only a converged round of THIS probe may feed a Newton step
-	c := cs.comp
-	opt := cs.opt
-	tolPs, maxRounds, _ := cs.cutLimits()
-	for round := 0; round < maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return 0, false, fmt.Errorf("core: cut probe canceled at round %d: %w", round, err)
-		}
-		cs.rounds++
-		cs.rec.Add("core/cut_rounds", 1)
-		if err := cs.ensure(tau, cs.pool.snapshot()); err != nil {
-			return 0, false, err
-		}
-		res, err := cs.solver.SolveCtx(ctx)
-		cs.solves++
-		if err != nil {
-			return 0, false, err
-		}
-		if res.Status == qp.PrimalInfeasible {
-			cs.resetSolver() // certificate duals would poison warm starts
-			return 0, false, nil
-		}
-		if res.Status != qp.Solved && cs.solver.MaxViolation(res.X) > 0.2 {
-			// Still stalled after the in-solver restarts: retry the round
-			// once on a completely fresh solver (new equilibration and
-			// ADMM state) warm-started at the stalled iterate, under the
-			// same iteration budget.  Genuinely infeasible probes fail
-			// both attempts and are cut off here rather than after a
-			// multiple of the budget.
-			solver, err := qp.NewSolver(cs.prob, opt.QP)
-			if err != nil {
-				return 0, false, err
-			}
-			if err := solver.WarmStart(res.X, res.Y); err != nil {
-				return 0, false, err
-			}
-			res, err = solver.SolveCtx(ctx)
-			cs.solves++
-			if err != nil {
-				return 0, false, err
-			}
-			viol := solver.MaxViolation(res.X)
-			cs.resetSolver()
-			if res.Status == qp.PrimalInfeasible {
-				return 0, false, nil
-			}
-			if res.Status != qp.Solved && viol > 0.5 {
-				return 0, false, fmt.Errorf("core: cut QP did not converge (τ=%.1f, round %d, viol %.3g)",
-					tau, round, viol)
-			}
-			// Residual violations below half a percent of dose (or half
-			// a picosecond on a cut) are absorbed by map legalization
-			// and re-measured by golden signoff.
-		}
-		cs.saveDuals(res.Y)
-		copy(cs.x, res.X)
-		cs.clampVars()
-		o := cs.objective(cs.x)
-		cs.recordTangent(tau, o, res.Y)
-		if o > xiNW+xiToleranceLeak(c.nomLeakUW, xiNW) {
-			return o, false, nil
-		}
-		delta := cs.deltaFn(cs.x)
-		_, mct := linearArrivalsOrder(c.Golden, c.order, delta)
-		if mct <= tau+tolPs {
-			return o, true, nil
-		}
-		added := cs.generateCuts(ctx, delta, tau)
-		if added == 0 {
-			// All violating paths already cut but the QP solution still
-			// violates: solver tolerance floor.  Accept if close.
-			if mct <= tau+5*tolPs {
-				return o, true, nil
-			}
-			return 0, false, fmt.Errorf("core: cut generation stalled at τ=%.1f (mct %.1f)", tau, mct)
-		}
+	objs, feas, err := solveTauGroup(ctx, []*cutSolver{cs}, tau, xiNW)
+	if err != nil {
+		return 0, false, err
 	}
-	return 0, false, errors.New("core: cut generation exceeded round budget")
+	return objs[0], feas[0], nil
 }
 
 // objective evaluates the model Δleakage of dose vector x in nW.

@@ -158,10 +158,11 @@ func TestMakeCutMatchesMapOracle(t *testing.T) {
 	opt := DefaultOptions()
 	opt.BothLayers = true
 	opt.BiasGridUm = 20
-	cs, err := newCutSolver(golden, model, opt)
+	c, err := Compile(golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := newCutSolverCompiled(c, opt)
 	rng := rand.New(rand.NewSource(5))
 	for j := range cs.x {
 		cs.x[j] = rng.Float64()*4 - 2

@@ -66,6 +66,10 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 	in := golden.In
 	n := in.Circ.NumGates()
 	nomLeak := power.Total(in.Masters, nil, nil)
+	order, err := in.Circ.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dose := range []float64{-4, -2, 2, 4} {
 		dP := make([]float64, n)
 		dL := make([]float64, n)
@@ -84,7 +88,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 			t.Errorf("dose %v: Δleak model %v vs golden %v µW", dose, predDelta, goldDelta)
 		}
 		// Timing.
-		_, predMCT := linearArrivals(golden, func(id int) float64 {
+		_, predMCT := linearArrivalsOrder(golden, order, func(id int) float64 {
 			return model.A[id] * (-2) * dP[id]
 		})
 		gr, err := sta.Analyze(in, golden.Cfg, &sta.Perturb{DL: dL})

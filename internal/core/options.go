@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/dosemap"
-	"repro/internal/liberty"
 	"repro/internal/qp"
 	"repro/internal/sta"
 )
@@ -37,9 +36,6 @@ type Options struct {
 	// wafer (Section II-B: "multiple copies of the dose map solution
 	// are tiled horizontally and vertically").
 	Tiled bool
-	// BisectTol is the relative clock-period tolerance of the QCP
-	// bisection.
-	BisectTol float64
 	// SeedTau warm-brackets the QCP bisection: a clock period (ps) that a
 	// related run — the previous table row or sweep point — found
 	// feasible.  When it falls inside the fresh [lo, hi] interval the
@@ -47,17 +43,10 @@ type Options struct {
 	// halving from scratch; a stale seed costs at most two probes and
 	// still narrows the interval.  Zero disables the hint.
 	SeedTau float64
-	// MaxProbes bounds the QCP bisection length.
-	MaxProbes int
 	// Method selects the solve engine: the default cutting-plane engine
 	// or the node-based arrival-variable assembly (kept for
 	// cross-validation; slower to converge under ADMM).
 	Method Method
-	// CutRounds, CutsPerRound and CutTolPs tune the cutting-plane engine
-	// (zero values select sensible defaults).
-	CutRounds    int
-	CutsPerRound int
-	CutTolPs     float64
 	// QP tunes the inner solver.
 	QP qp.Settings
 	// STA sets golden-analysis boundary conditions.
@@ -84,9 +73,6 @@ type Options struct {
 	// (forward positive).  Both zero selects the default [-0.2, +0.1]
 	// box when bias is enabled.
 	BiasLo, BiasHi float64
-	// BiasStep is the bias quantization ladder step in V used by the
-	// Snap path; zero selects liberty.BiasStepV.
-	BiasStep float64
 }
 
 // useDose reports whether the dose-map actuator is active.
@@ -104,9 +90,6 @@ func (o Options) normalized() Options {
 	if o.useBias() {
 		if o.BiasLo == 0 && o.BiasHi == 0 {
 			o.BiasLo, o.BiasHi = DefaultBiasLo, DefaultBiasHi
-		}
-		if o.BiasStep == 0 {
-			o.BiasStep = liberty.BiasStepV
 		}
 	}
 	return o
@@ -144,16 +127,14 @@ func DefaultOptions() Options {
 	set.MaxIter = 1500
 	set.EpsAbs, set.EpsRel = 3e-4, 3e-4
 	return Options{
-		G:         5,
-		Delta:     2,
-		DoseLo:    -5,
-		DoseHi:    5,
-		XiNW:      0,
-		Snap:      true,
-		BisectTol: 1e-3,
-		MaxProbes: 24,
-		QP:        set,
-		STA:       sta.DefaultConfig(),
+		G:      5,
+		Delta:  2,
+		DoseLo: -5,
+		DoseHi: 5,
+		XiNW:   0,
+		Snap:   true,
+		QP:     set,
+		STA:    sta.DefaultConfig(),
 	}
 }
 

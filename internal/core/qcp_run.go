@@ -16,6 +16,13 @@ import (
 	"repro/internal/sta"
 )
 
+// The QCP bisection stops once its bracket is narrower than bisectTol
+// times the golden clock period, or after maxProbes probes.
+const (
+	bisectTol = 1e-3
+	maxProbes = 24
+)
+
 // QCPRequest describes one clock-period-minimization solve.  Artifact
 // resolution follows the same rule as QPRequest: Compiled when set,
 // else an on-demand compile from (Golden, Model).
@@ -58,7 +65,7 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	if opt.Snap {
 		opt.XiNW -= c.snapMarginNW
 		if c.hasBias() {
-			opt.XiNW -= biasSnapMarginNW(c.Model, opt.BiasStep)
+			opt.XiNW -= biasSnapMarginNW(c.Model)
 		}
 	}
 	if c.hasDose() && c.hasBias() {
@@ -81,7 +88,7 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	probes := 0
 	lo, hi := tLo, tHi
 	xiTol := xiToleranceLeak(c.nomLeakUW, opt.XiNW)
-	for probes < opt.MaxProbes && (hi-lo) > opt.BisectTol*golden.MCT {
+	for probes < maxProbes && (hi-lo) > bisectTol*golden.MCT {
 		mid := 0.5 * (lo + hi)
 		if probes == 0 {
 			mid = hi // first probe at the nominal period must be feasible
@@ -189,8 +196,8 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// probes landing as predicted collapses the interval to the stop
 	// width — the log₂ bisection never runs; a moved frontier degrades
 	// to ordinary bisection on a one-sided narrowed interval.
-	if seed := opt.SeedTau; seed > lo && seed < hi && probes < opt.MaxProbes {
-		guard := 0.5 * opt.BisectTol * golden.MCT
+	if seed := opt.SeedTau; seed > lo && seed < hi && probes < maxProbes {
+		guard := 0.5 * bisectTol * golden.MCT
 		up := math.Min(seed+guard, hi)
 		ok, err := probe(up)
 		probes++
@@ -201,8 +208,8 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 			hi = up
 			bestX = append(bestX[:0], cs.x...)
 			obs.Add(ctx, "core/bisect_bracket_hits", 1)
-			if down := seed - guard; down > lo && probes < opt.MaxProbes &&
-				(hi-lo) > opt.BisectTol*golden.MCT {
+			if down := seed - guard; down > lo && probes < maxProbes &&
+				(hi-lo) > bisectTol*golden.MCT {
 				ok, err = probe(down)
 				probes++
 				if err != nil {
@@ -233,10 +240,10 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// bracket (stale tangent, flat slope, inexact duals) falls back to
 	// plain bisection — which also bounds the worst case, since every
 	// accepted probe shrinks the bracket by ≥ 5%.
-	guard := 0.5 * opt.BisectTol * golden.MCT
+	guard := 0.5 * bisectTol * golden.MCT
 	newtonSteps, bisectFallbacks := 0, 0
 	floorTried := false
-	for probes < opt.MaxProbes && (hi-lo) > opt.BisectTol*golden.MCT {
+	for probes < maxProbes && (hi-lo) > bisectTol*golden.MCT {
 		t, candLo, newton := 0.0, 0.0, false
 		inBand := func(tn float64) bool {
 			w := hi - lo

@@ -47,7 +47,7 @@ func signoffAsn(ctx context.Context, comp *Compiled, opt Options, asn Assignment
 	}
 	in := golden.In
 	dL, dW := asn.Layers.PerGate(in.Circ, in.Pl, opt.Snap)
-	dVth := comp.biasDVth(asn.BiasV, opt.Snap, opt.BiasStep)
+	dVth := comp.biasDVth(asn.BiasV, opt.Snap)
 	pert := &sta.Perturb{DL: dL, DW: dW, DVth: dVth}
 	r, err := sta.AnalyzeCtx(ctx, in, opt.STA, pert)
 	if err != nil {

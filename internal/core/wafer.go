@@ -371,7 +371,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 				return nil, err
 			}
 		}
-		_, feas, err := solveTauGroup(ctx, css, tau)
+		_, feas, err := solveTauGroup(ctx, css, tau, math.Inf(1))
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +426,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 		}
 		cs.resetSolver() // the penalty diagonal changed: rebuild once
 	}
-	_, feas, err := solveTauGroup(ctx, css, tau)
+	_, feas, err := solveTauGroup(ctx, css, tau, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}

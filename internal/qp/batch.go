@@ -1,13 +1,14 @@
-// Lockstep batched ADMM.  SolveBatchCtx advances a family of Solvers
-// whose scaled matrices are bitwise identical through their ADMM
-// iterations in lockstep: every iteration assembles one right-hand side
-// per member and hands the block to the lead solver's LDLᵀ factor as a
-// single multi-RHS solve (ldltBackend.solveBatch), so the factor is
-// streamed through cache once per iteration instead of once per member.
-// The wafer consensus loop is the producer of such families: every
-// field of a column group shares P, A and the equilibration by
-// construction and differs only in its bounds (the bias-shifted box)
-// and the moving penalty target q — neither enters K = P + σI + ρAᵀA.
+// The ADMM loop.  lockstep advances a family of Solvers whose scaled
+// matrices are bitwise identical through their ADMM iterations in
+// lockstep: every iteration assembles one right-hand side per member
+// and hands the block to the lead solver's LDLᵀ factor as a single
+// multi-RHS solve (ldltBackend.solveBatch), so the factor is streamed
+// through cache once per iteration instead of once per member.  It is
+// the only ADMM loop: SolveCtx runs a family of one, and SolveBatchCtx
+// runs the families the wafer consensus loop produces — every field of
+// a column group shares P, A and the equilibration by construction and
+// differs only in its bounds (the bias-shifted box) and the moving
+// penalty target q, neither of which enters K = P + σI + ρAᵀA.
 //
 // Determinism: members are visited in slice order at every step, the
 // shared ρ adaptation aggregates the members' residual scores with max
@@ -56,15 +57,15 @@ func batchCompatible(ss []*Solver) bool {
 // SolveBatchCtx runs ADMM on every solver in lockstep, sharing the lead
 // solver's factorization for the per-iteration x-steps when the family
 // passes the bitwise compatibility validation; otherwise it degrades to
-// sequential SolveCtx calls (counted as qp/batch_fallbacks).  The
-// returned slice is index-aligned with solvers.  A member that
-// converges (or certifies infeasibility) freezes — its iterate stops
-// moving while the rest of the family continues — and ρ is adapted
-// once for the whole family from the worst tolerance-normalized
-// residuals, staying equal across members so the family remains
-// batchable on the next call.  A canceled context stops every member
-// within one iteration, returning the usual wrapped error; so does a
-// zero pivot in the shared factorization.
+// one SolveCtx call per member in slice order (counted as
+// qp/batch_fallbacks).  The returned slice is index-aligned with
+// solvers.  A member that converges (or certifies infeasibility)
+// freezes — its iterate stops moving while the rest of the family
+// continues — and ρ is adapted once for the whole family from the worst
+// tolerance-normalized residuals, staying equal across members so the
+// family remains batchable on the next call.  A canceled context stops
+// every member within one iteration, returning the usual wrapped error;
+// so does a zero pivot in the shared factorization.
 func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	if len(solvers) == 0 {
 		return nil, nil
@@ -76,28 +77,41 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			}
 		}
 	}
-	if len(solvers) == 1 {
-		res, err := solvers[0].SolveCtx(ctx)
-		return []*Result{res}, err
-	}
 	if !batchCompatible(solvers) {
 		obs.From(ctx).Add("qp/batch_fallbacks", 1)
 		return solveSequential(ctx, solvers)
 	}
+	return lockstep(ctx, solvers)
+}
 
+// lockstep is the ADMM loop over a batch-compatible family (a family of
+// one always is).  Only families of two or more members count toward
+// qp/solve_batches, qp/solve_rhs and qp/batch_lockstep_solves, so a
+// solo solve reports none of them.
+func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	host := solvers[0]
 	set := host.set
 	n, m := host.n, host.m
 	nb := len(solvers)
+	batched := nb > 1
 
 	results := make([]*Result, nb)
 	snaps := make([]ctrSnap, nb)
 	warms := make([]bool, nb)
+	// Stall-restart state: ADMM with a drifted splitting variable or a
+	// runaway adaptive ρ can wedge — residuals flat for hundreds of
+	// iterations — while the same iterate re-anchored (z ← Ax, ρ ← ρ₀)
+	// converges in a few dozen.  Each member tracks the best
+	// tolerance-normalized residual score it has seen; after stallWindow
+	// consecutive checks without meaningful progress it restarts in
+	// place.
 	bestScore := make([]float64, nb)
 	stalledChecks := make([]int, nb)
 	for q, s := range solvers {
 		results[q] = &Result{Status: MaxIterations, RhoFinal: s.rho}
 		snaps[q] = s.snapCounters()
+		// A solve is a warm-start hit when it reuses iterate state — any
+		// solve after the first, or after an explicit WarmStart.
 		warms[q] = s.solves > 0 || s.warmed
 		for i := range s.dyAcc {
 			s.dyAcc[i] = 0
@@ -122,8 +136,9 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			break
 		}
 
-		// x-step: one right-hand side per live member, one multi-RHS
-		// solve against the lead solver's factor.
+		// x-step: (P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y), one
+		// right-hand side per live member, one multi-RHS solve against
+		// the lead solver's factor.
 		xs, bs = xs[:0], bs[:0]
 		for _, q := range live {
 			s := solvers[q]
@@ -138,7 +153,12 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			}
 			break
 		}
+		if batched {
+			host.nSolveBatch++
+			host.nSolveRHS += int64(len(live))
+		}
 
+		// z̃ = A x̃, then the over-relaxed iterate updates.
 		for _, q := range live {
 			s := solvers[q]
 			s.a.MulVec(s.zt, s.xt)
@@ -182,8 +202,8 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 				bestScore[q] = score
 				stalledChecks[q] = 0
 			} else if stalledChecks[q]++; stalledChecks[q] >= stallWindow {
-				// Per-member in-place restart (z re-anchored), exactly as
-				// in SolveCtx; the ρ part of the restart is shared below.
+				// Re-anchor this member's splitting variable; the ρ half
+				// of the restart is shared below.
 				s.a.MulVec(s.z, s.x)
 				stalledChecks[q] = 0
 				res.Restarts++
@@ -196,10 +216,16 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			break
 		}
 		// Shared ρ: one factor means one ρ for the family.  A stall
-		// restart resets to the initial rung (re-hitting the first
-		// factor's cache key); otherwise adapt from the aggregated
-		// residual scores on the usual 2× trigger and ρ-ladder.  Frozen
-		// members track the shared ρ too, so the family stays
+		// restart resets to Settings.Rho, which re-hits the first
+		// factor's cache key.  Otherwise ρ scales by
+		// sqrt(primScore/dualScore), the worst prim/epsP and dual/epsD
+		// over the live members, and snaps onto the ρ-ladder.  The 2×
+		// trigger is deliberately eager: a mild ρ misfit that the
+		// classical 5× threshold tolerates can grind for hundreds of
+		// iterations, and with the ρ-ladder factor cache an adaptation
+		// that revisits a known rung costs a snapshot restore, not a
+		// numeric refactorization.  A zero residual score leaves ρ alone.
+		// Frozen members track the shared ρ too, so the family stays
 		// batch-compatible for the caller's next round.
 		newRho := host.rho
 		if restart {
@@ -238,18 +264,19 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 		}
 		res.Obj = s.Objective(res.X)
 		res.RhoFinal = s.rho
-		warm := warms[q]
 		s.solves++
-		s.emitTelemetry(ctx, res, snaps[q], warm)
+		s.emitTelemetry(ctx, res, snaps[q], warms[q])
 	}
-	obs.From(ctx).Add("qp/batch_lockstep_solves", 1)
+	if batched {
+		obs.From(ctx).Add("qp/batch_lockstep_solves", 1)
+	}
 	return results, cause
 }
 
-// solveSequential is the degraded path: per-member SolveCtx calls in
-// slice order.  Results stay index-aligned; the first error aborts the
-// remaining members (matching the lockstep path, where a canceled
-// context stops the whole family).
+// solveSequential is the degraded path: each member solved as its own
+// family of one, in slice order.  Results stay index-aligned; the first
+// error aborts the remaining members (matching the lockstep path, where
+// a canceled context stops the whole family).
 func solveSequential(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	results := make([]*Result, len(solvers))
 	for i, s := range solvers {

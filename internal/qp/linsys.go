@@ -33,7 +33,7 @@ type factorSnap struct {
 
 // ldltBackend caches one live sparse factor of K plus a small LRU of
 // numeric snapshots keyed by (ρ, pattern epoch).  ADMM ρ-adaptation
-// quantizes onto the ρ-ladder (see Solver.adaptRho), so stall restarts
+// quantizes onto the ρ-ladder (see rhoRung), so stall restarts
 // and ρ flips revisit previously factored rungs and restore the cached
 // (lx, d) instead of re-running the numeric phase.  Appending rows
 // bumps the epoch and flushes the cache — a snapshot never outlives
@@ -159,22 +159,10 @@ func (b *ldltBackend) ensureFactored() error {
 	return nil
 }
 
-// solve overwrites x with K⁻¹b for the current s.rho.
-func (b *ldltBackend) solve(x, bvec []float64) error {
-	if err := b.ensureFactored(); err != nil {
-		return err
-	}
-	s := b.s
-	b.f.Solve(x, bvec)
-	s.nTriSolve++
-	s.nDenseFlops += b.f.denseSolveFlops
-	return nil
-}
-
-// solveBatch solves K x[q] = b[q] for every right-hand side in one pass
-// that streams each supernode of the factor through cache once for the
-// whole block.  Each x[q] is bitwise identical to a solo
-// solve(x[q], b[q]) call.
+// solveBatch solves K x[q] = b[q] for the current s.rho and every
+// right-hand side in one pass that streams each supernode of the factor
+// through cache once for the whole block.  Each x[q] is bitwise
+// identical to solving its right-hand side alone.
 func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
 	if err := b.ensureFactored(); err != nil {
 		return err
@@ -184,8 +172,6 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
 	nrhs := int64(len(xs))
 	s.nTriSolve += nrhs
 	s.nDenseFlops += nrhs * b.f.denseSolveFlops
-	s.nSolveBatch++
-	s.nSolveRHS += nrhs
 	return nil
 }
 

@@ -187,7 +187,7 @@ type Result struct {
 
 // stallWindow is the number of consecutive residual checks without at
 // least 1% progress on the tolerance-normalized residual score before
-// SolveCtx restarts the splitting in place.  At the default CheckEvery
+// the ADMM loop restarts the splitting in place.  At the default CheckEvery
 // of 25 this reacts within ~100 wasted iterations.
 const stallWindow = 4
 
@@ -234,7 +234,7 @@ type Solver struct {
 	nSolveBatch int64
 	nSolveRHS   int64
 
-	// solves counts completed SolveCtx calls; warmed records an explicit
+	// solves counts completed solves; warmed records an explicit
 	// WarmStart.  Together they classify a solve as warm-started (reusing
 	// iterate state) for telemetry.
 	solves int
@@ -637,101 +637,15 @@ func xStepError(iter int, rho float64, err error) error {
 }
 
 // SolveCtx runs ADMM from the current iterate (zero on first use, or
-// the previous solution / warm start on subsequent calls).  The context
-// is checked at every ADMM iteration boundary, and a canceled context
-// stops the loop within one iteration, returning the best iterate so
-// far together with an error that wraps context.Canceled.  A zero pivot
-// in the x-step factorization stops the loop the same way, with an
-// error that wraps errNotPositiveDefinite.
+// the previous solution / warm start on subsequent calls) as a lockstep
+// family of one.  The context is checked at every ADMM iteration
+// boundary, and a canceled context stops the loop within one iteration,
+// returning the best iterate so far together with an error that wraps
+// context.Canceled.  A zero pivot in the x-step factorization stops the
+// loop the same way, with an error that wraps errNotPositiveDefinite.
 func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
-	n, m := s.n, s.m
-	set := s.set
-	res := &Result{Status: MaxIterations, RhoFinal: s.rho}
-
-	dyAcc := s.dyAcc // accumulated δy for infeasibility cert
-	for i := range dyAcc {
-		dyAcc[i] = 0
-	}
-	c0 := s.snapCounters()
-	var cause error
-
-	// Stall-restart state: ADMM with a drifted splitting variable or a
-	// runaway adaptive ρ can wedge — residuals flat for hundreds of
-	// iterations — while the same iterate re-anchored (z ← Ax, ρ ← ρ₀)
-	// converges in a few dozen.  Track the best tolerance-normalized
-	// residual score seen; after stallWindow consecutive checks without
-	// meaningful progress, restart in place.
-	bestScore := math.Inf(1)
-	stalledChecks := 0
-
-	for iter := 1; iter <= set.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			cause = fmt.Errorf("qp: canceled at iteration %d: %w", iter, err)
-			res.Iters = iter - 1
-			break
-		}
-		// x-step: (P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y)
-		s.assembleXStepRHS()
-		if err := s.lin.solve(s.xt, s.rhs); err != nil {
-			cause = xStepError(iter, s.rho, err)
-			res.Iters = iter - 1
-			break
-		}
-
-		// z̃ = A x̃, then the over-relaxed iterate updates.
-		s.a.MulVec(s.zt, s.xt)
-		s.applyRelaxation()
-
-		if iter%set.CheckEvery != 0 && iter != set.MaxIter {
-			continue
-		}
-
-		prim, dual, epsP, epsD := s.residuals()
-		res.Iters = iter
-		res.PrimRes, res.DualRes = prim, dual
-		if prim <= epsP && dual <= epsD {
-			res.Status = Solved
-			break
-		}
-		if s.primalInfeasible(dyAcc) {
-			res.Status = PrimalInfeasible
-			break
-		}
-		for i := range dyAcc {
-			dyAcc[i] = 0
-		}
-		if set.AdaptiveRho {
-			s.adaptRho(prim, dual, epsP, epsD)
-		}
-		if score := math.Max(prim/epsP, dual/epsD); score < 0.99*bestScore {
-			bestScore = score
-			stalledChecks = 0
-		} else if stalledChecks++; stalledChecks >= stallWindow {
-			s.a.MulVec(s.z, s.x)
-			s.rho = set.Rho
-			stalledChecks = 0
-			res.Restarts++
-		}
-	}
-
-	// Unscale solution.
-	res.X = make([]float64, n)
-	for j := 0; j < n; j++ {
-		res.X[j] = s.d[j] * s.x[j]
-	}
-	res.Y = make([]float64, m)
-	for i := 0; i < m; i++ {
-		res.Y[i] = s.cinv * s.e[i] * s.y[i]
-	}
-	res.Obj = s.Objective(res.X)
-	res.RhoFinal = s.rho
-
-	// A solve is a warm-start hit when it reuses iterate state — any
-	// solve after the first, or after an explicit WarmStart.
-	warm := s.solves > 0 || s.warmed
-	s.solves++
-	s.emitTelemetry(ctx, res, c0, warm)
-	return res, cause
+	res, err := lockstep(ctx, []*Solver{s})
+	return res[0], err
 }
 
 // residuals computes unscaled primal/dual residuals and their tolerances.
@@ -817,29 +731,6 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 		}
 	}
 	return support < -eps
-}
-
-func (s *Solver) adaptRho(prim, dual, epsP, epsD float64) {
-	if dual <= 0 || prim <= 0 {
-		return
-	}
-	// Normalize residuals by their tolerances so the ratio is unitless.
-	// The 2× trigger is deliberately eager: a mild ρ misfit that the
-	// classical 5× threshold tolerates can grind for hundreds of
-	// iterations, and with the ρ-ladder factor cache an adaptation that
-	// revisits a known rung costs a snapshot restore, not a numeric
-	// refactorization.
-	ratio := math.Sqrt((prim / epsP) / (dual / epsD))
-	if ratio > 2 || ratio < 0.5 {
-		rho := s.rho * ratio
-		if rho < 1e-6 {
-			rho = 1e-6
-		}
-		if rho > 1e6 {
-			rho = 1e6
-		}
-		s.rho = rhoRung(rho)
-	}
 }
 
 // rhoRung quantizes ρ onto the geometric quarter-decade ladder
