@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,31 @@ func TestReportJSON(t *testing.T) {
 	}
 	if len(back.Spans) != 1 || back.Spans[0].Name != "flow/golden" {
 		t.Fatalf("span tree did not round-trip: %+v", back.Spans)
+	}
+}
+
+// TestReportMachineFacts checks that every dmopt-bench/v1 document
+// carries the machine it ran on: the gomaxprocs and nproc keys, equal
+// to runtime.GOMAXPROCS(0) and runtime.NumCPU().
+func TestReportMachineFacts(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	b, err := json.Marshal(New().Report("facts", 0, 0, 1, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["gomaxprocs"] != 1.0 {
+		t.Errorf("gomaxprocs = %v, want 1", doc["gomaxprocs"])
+	}
+	if doc["nproc"] != float64(runtime.NumCPU()) {
+		t.Errorf("nproc = %v, want %d", doc["nproc"], runtime.NumCPU())
+	}
+	if doc["schema"] != Schema {
+		t.Errorf("schema = %v, want %s", doc["schema"], Schema)
 	}
 }
 

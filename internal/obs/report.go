@@ -20,17 +20,21 @@ import (
 // incompatible change so trajectory diffing tools can dispatch.
 const Schema = "dmopt-bench/v1"
 
-// Report is the machine-readable run record.
+// Report is the machine-readable run record.  GOMAXPROCS and NumCPU
+// record the machine the numbers came from: runtime.GOMAXPROCS(0) and
+// runtime.NumCPU() when the report was assembled.
 type Report struct {
-	Schema    string  `json:"schema"`
-	GitRev    string  `json:"git_rev"`
-	GoVersion string  `json:"go_version"`
-	Timestamp string  `json:"timestamp"`
-	Label     string  `json:"label,omitempty"`
-	Scale     float64 `json:"scale,omitempty"`
-	TopK      int     `json:"top_k,omitempty"`
-	Workers   int     `json:"workers"`
-	WallNS    int64   `json:"wall_ns"`
+	Schema     string  `json:"schema"`
+	GitRev     string  `json:"git_rev"`
+	GoVersion  string  `json:"go_version"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"nproc"`
+	Timestamp  string  `json:"timestamp"`
+	Label      string  `json:"label,omitempty"`
+	Scale      float64 `json:"scale,omitempty"`
+	TopK       int     `json:"top_k,omitempty"`
+	Workers    int     `json:"workers"`
+	WallNS     int64   `json:"wall_ns"`
 	Snapshot
 }
 
@@ -72,16 +76,18 @@ func GitRev() string {
 // caller supplies run parameters; wall is the end-to-end wall time.
 func (r *Recorder) Report(label string, scale float64, topK, workers int, wall time.Duration) Report {
 	return Report{
-		Schema:    Schema,
-		GitRev:    GitRev(),
-		GoVersion: runtime.Version(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Label:     label,
-		Scale:     scale,
-		TopK:      topK,
-		Workers:   workers,
-		WallNS:    int64(wall),
-		Snapshot:  r.Snapshot(),
+		Schema:     Schema,
+		GitRev:     GitRev(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		Label:      label,
+		Scale:      scale,
+		TopK:       topK,
+		Workers:    workers,
+		WallNS:     int64(wall),
+		Snapshot:   r.Snapshot(),
 	}
 }
 

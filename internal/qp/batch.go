@@ -1,9 +1,11 @@
 // The ADMM loop.  lockstep advances a family of Solvers whose scaled
 // matrices are bitwise identical through their ADMM iterations in
-// lockstep: every iteration assembles one right-hand side per member
-// and hands the block to the lead solver's LDLᵀ factor as a single
-// multi-RHS solve (ldltBackend.solveBatch), so the factor is streamed
-// through cache once per iteration instead of once per member.  It is
+// lockstep: every iteration hands one right-hand side per member to the
+// lead solver's LDLᵀ factor as a single multi-RHS solve
+// (ldltBackend.solveBatch), so the factor is streamed through cache once
+// per iteration instead of once per member, and then makes one pass over
+// each member's rows of A (Solver.sweep) that finishes the iteration and
+// assembles the member's next right-hand side.  It is
 // the only ADMM loop: SolveCtx runs a family of one, and SolveBatchCtx
 // runs the families the wafer consensus loop produces — every field of
 // a column group shares P, A and the equilibration by construction and
@@ -127,6 +129,11 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	bs := make([][]float64, 0, nb)
 
 	var cause error
+	// rebuild marks the members' right-hand sides stale: before the first
+	// x-step of the call (bounds, q or the iterate may have moved since
+	// the last one), and after a residual check that moved ρ or
+	// re-anchored z.  Otherwise the previous sweep has assembled them.
+	rebuild := true
 	for iter := 1; iter <= set.MaxIter && len(live) > 0; iter++ {
 		if err := ctx.Err(); err != nil {
 			cause = fmt.Errorf("qp: canceled at iteration %d: %w", iter, err)
@@ -142,10 +149,13 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 		xs, bs = xs[:0], bs[:0]
 		for _, q := range live {
 			s := solvers[q]
-			s.assembleXStepRHS()
+			if rebuild {
+				s.assembleXStepRHS()
+			}
 			xs = append(xs, s.xt)
 			bs = append(bs, s.rhs)
 		}
+		rebuild = false
 		if err := host.lin.solveBatch(xs, bs); err != nil {
 			cause = xStepError(iter, host.rho, err)
 			for _, q := range live {
@@ -158,11 +168,10 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			host.nSolveRHS += int64(len(live))
 		}
 
-		// z̃ = A x̃, then the over-relaxed iterate updates.
+		// One pass over A per member: z̃ = A x̃, the over-relaxed iterate
+		// updates and the next right-hand side.
 		for _, q := range live {
-			s := solvers[q]
-			s.a.MulVec(s.zt, s.xt)
-			s.applyRelaxation()
+			solvers[q].sweep()
 		}
 
 		if iter%set.CheckEvery != 0 && iter != set.MaxIter {
@@ -243,6 +252,7 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 				newRho = rhoRung(r)
 			}
 		}
+		rebuild = restart || newRho != host.rho
 		if newRho != host.rho {
 			for _, s := range solvers {
 				s.rho = newRho

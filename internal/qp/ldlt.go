@@ -48,9 +48,10 @@
 package qp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ldltFactor holds the symbolic analysis and, after Refactor, the
@@ -154,6 +155,19 @@ type upperEntry struct {
 	row, col int
 	base     float64
 	ata      float64
+}
+
+// cmpColRow orders entries by column, then row: the CSC-upper pattern
+// order.  The sort is not stable, so duplicate (row, col) entries are
+// summed in the order pdqsort leaves them.  slices.SortFunc runs the
+// same generated pdqsort as sort.Slice with the matching less function,
+// so that order, and the summed bits, are the same for both
+// (TestSortFuncMatchesSortSlice).
+func cmpColRow(a, b upperEntry) int {
+	if a.col != b.col {
+		return cmp.Compare(a.col, b.col)
+	}
+	return cmp.Compare(a.row, b.row)
 }
 
 // newLDLTFactor runs the symbolic analysis for K = P + σI + ρAᵀA over
@@ -293,11 +307,11 @@ func rcmOrder(adj *CSR) []int {
 					nbuf = append(nbuf, w)
 				}
 			}
-			sort.Slice(nbuf, func(a, b int) bool {
-				if deg[nbuf[a]] != deg[nbuf[b]] {
-					return deg[nbuf[a]] < deg[nbuf[b]]
+			slices.SortFunc(nbuf, func(a, b int) int {
+				if deg[a] != deg[b] {
+					return cmp.Compare(deg[a], deg[b])
 				}
-				return nbuf[a] < nbuf[b]
+				return cmp.Compare(a, b)
 			})
 			queue = append(queue, nbuf...)
 		}
@@ -384,7 +398,7 @@ func ndOrder(adj *CSR) []int {
 						nbuf = append(nbuf, w)
 					}
 				}
-				sort.Ints(nbuf)
+				slices.Sort(nbuf)
 				queue = append(queue, nbuf...)
 			}
 		}
@@ -459,7 +473,7 @@ func ndOrder(adj *CSR) []int {
 		}
 		rec(left, leftID)
 		rec(right, rightID)
-		sort.Ints(sep)
+		slices.Sort(sep)
 		order = append(order, sep...)
 	}
 
@@ -525,12 +539,7 @@ func ataEntries(a *CSR, fromRow int, iperm []int) []upperEntry {
 // compilePattern sorts and deduplicates entries into the CSC-upper
 // pattern with the two aligned value streams.
 func (f *ldltFactor) compilePattern(ents []upperEntry) {
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].col != ents[b].col {
-			return ents[a].col < ents[b].col
-		}
-		return ents[a].row < ents[b].row
-	})
+	slices.SortFunc(ents, cmpColRow)
 	f.kp = make([]int, f.n+1)
 	f.ki = f.ki[:0]
 	f.baseVal = f.baseVal[:0]
@@ -565,12 +574,7 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 	if len(extra) == 0 {
 		return
 	}
-	sort.Slice(extra, func(a, b int) bool {
-		if extra[a].col != extra[b].col {
-			return extra[a].col < extra[b].col
-		}
-		return extra[a].row < extra[b].row
-	})
+	slices.SortFunc(extra, cmpColRow)
 	// Deduplicate the extra stream first.
 	dst := 0
 	for i := 0; i < len(extra); {

@@ -205,10 +205,10 @@ type Solver struct {
 	d, e []float64 // column / row equilibration scalings
 	cinv float64   // inverse cost scaling
 
-	// Iterates (scaled space).
-	x, y, z  []float64
-	xt, zt   []float64
-	rhs, tmp []float64
+	// Iterates (scaled space).  rhs holds the right-hand side of the next
+	// x-step, which sweep writes while it finishes the current iteration.
+	x, y, z []float64
+	xt, rhs []float64
 
 	// Reusable scratch for the per-check residual evaluation, the
 	// infeasibility certificate, and the unscaled Objective /
@@ -282,9 +282,7 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	s.y = make([]float64, m)
 	s.z = make([]float64, m)
 	s.xt = make([]float64, n)
-	s.zt = make([]float64, m)
 	s.rhs = make([]float64, n)
-	s.tmp = make([]float64, m)
 	s.resAx = make([]float64, m)
 	s.resPx = make([]float64, n)
 	s.resAty = make([]float64, n)
@@ -378,8 +376,6 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	grow := func(v []float64) []float64 { return append(v, make([]float64, a.M)...) }
 	s.y = grow(s.y)
 	s.z = grow(s.z)
-	s.zt = grow(s.zt)
-	s.tmp = grow(s.tmp)
 	s.resAx = grow(s.resAx)
 	s.dyAcc = grow(s.dyAcc)
 	s.vioAx = grow(s.vioAx)
@@ -549,45 +545,102 @@ func (s *Solver) UpdateBounds(l, u []float64) error {
 }
 
 // assembleXStepRHS builds the x-step right-hand side
-// σx − q + Aᵀ(ρz − y) into s.rhs (s.tmp is scratch).
+// σx − q + Aᵀ(ρz − y) into s.rhs from scratch.  The ADMM loop calls it
+// on the first iteration of a solve and after a residual check that
+// moved ρ or re-anchored z; every other iteration takes the right-hand
+// side the previous sweep left behind, which has the same bits: both
+// scatter ρz_i − y_i over the rows in ascending order and skip exact
+// zeros, as CSR.AddMulTVec does.
 func (s *Solver) assembleXStepRHS() {
-	rho, tmp, z, y := s.rho, s.tmp[:s.m], s.z[:s.m], s.y[:s.m]
-	for i := range tmp {
-		tmp[i] = rho*z[i] - y[i]
-	}
-	sigma := s.set.Sigma
+	sigma, rho := s.set.Sigma, s.rho
 	rhs, x, q := s.rhs[:s.n], s.x[:s.n], s.q[:s.n]
 	for j := range rhs {
 		rhs[j] = sigma*x[j] - q[j]
 	}
-	s.a.AddMulTVec(s.rhs, s.tmp)
+	rp, col, val := s.a.RowPtr, s.a.Col, s.a.Val
+	z, y := s.z[:s.m], s.y[:s.m]
+	for i := range z {
+		t := rho*z[i] - y[i]
+		if t == 0 {
+			continue
+		}
+		for k := rp[i]; k < rp[i+1]; k++ {
+			rhs[col[k]] += val[k] * t
+		}
+	}
 }
 
-// applyRelaxation applies the over-relaxed ADMM iterate updates after
-// an x-step: x blends toward x̃, z projects the relaxed constraint value
-// onto [l, u], y takes the matching dual step, and the per-row dual
-// movement accumulates into s.dyAcc for the infeasibility certificate.
-func (s *Solver) applyRelaxation() {
-	alpha, beta := s.set.Alpha, 1-s.set.Alpha
-	x, xt := s.x[:s.n], s.xt[:s.n]
+// sweep finishes an ADMM iteration after the x-step and assembles the
+// next x-step's right-hand side, reading A once.  x blends toward x̃ and
+// rhs restarts at σx − q; then, row by row in ascending order, it forms
+// z̃_i = a_i·x̃, projects the relaxed constraint value onto [l_i, u_i]
+// into z_i, takes the matching dual step y_i (accumulating the dual
+// movement into s.dyAcc for the infeasibility certificate) and scatters
+// (ρz_i − y_i)·a_i into rhs, skipping exact zeros.  The rows run in three
+// bodies — the one-entry prefix, the two-entry run after it, and
+// everything else — that apply the same operations in the same order:
+// a dot product starts at 0 and adds in ascending k (the one-entry
+// prefix is the single product, as in CSR.MulVec).  So the result is
+// bit for bit that of CSR.MulVec, the relaxed update and
+// assembleXStepRHS run one after another.
+func (s *Solver) sweep() {
+	alpha, beta, sigma, rho := s.set.Alpha, 1-s.set.Alpha, s.set.Sigma, s.rho
+	x, xt, q, rhs := s.x[:s.n], s.xt[:s.n], s.q[:s.n], s.rhs[:s.n]
 	for j := range x {
-		x[j] = alpha*xt[j] + beta*x[j]
+		xj := alpha*xt[j] + beta*x[j]
+		x[j] = xj
+		rhs[j] = sigma*xj - q[j]
 	}
-	rho := s.rho
-	z, zt, y, l, u, dy := s.z[:s.m], s.zt[:s.m], s.y[:s.m], s.l[:s.m], s.u[:s.m], s.dyAcc[:s.m]
-	for i := range z {
-		zc := alpha*zt[i] + beta*z[i] + y[i]/rho
-		zNew := zc
-		if zNew < l[i] {
-			zNew = l[i]
-		} else if zNew > u[i] {
-			zNew = u[i]
+	a := s.a
+	rp, col, val := a.RowPtr, a.Col, a.Val
+	z, y, l, u, dy := s.z[:s.m], s.y[:s.m], s.l[:s.m], s.u[:s.m], s.dyAcc[:s.m]
+	r := 0
+	for ; r < a.ones; r++ {
+		c, v := col[r], val[r]
+		if t := relax(r, v*xt[c], z, y, l, u, dy, alpha, beta, rho); t != 0 {
+			rhs[c] += v * t
 		}
-		yNew := rho * (zc - zNew)
-		dy[i] += yNew - y[i]
-		z[i] = zNew
-		y[i] = yNew
 	}
+	for k, end := r, r+a.twos; r < end; r, k = r+1, k+2 {
+		c0, c1, v0, v1 := col[k], col[k+1], val[k], val[k+1]
+		zt := 0.0
+		zt += v0 * xt[c0]
+		zt += v1 * xt[c1]
+		if t := relax(r, zt, z, y, l, u, dy, alpha, beta, rho); t != 0 {
+			rhs[c0] += v0 * t
+			rhs[c1] += v1 * t
+		}
+	}
+	for ; r < len(z); r++ {
+		lo, hi := rp[r], rp[r+1]
+		zt := 0.0
+		for k := lo; k < hi; k++ {
+			zt += val[k] * xt[col[k]]
+		}
+		if t := relax(r, zt, z, y, l, u, dy, alpha, beta, rho); t != 0 {
+			for k := lo; k < hi; k++ {
+				rhs[col[k]] += val[k] * t
+			}
+		}
+	}
+}
+
+// relax is the over-relaxed z/y step of row i given z̃_i = zt: it
+// projects αz̃_i + (1 − α)z_i + y_i/ρ onto [l_i, u_i] into z_i, takes
+// the matching dual step into y_i, adds the dual movement to dy_i, and
+// returns ρz_i − y_i, the row's weight in the next right-hand side.
+func relax(i int, zt float64, z, y, l, u, dy []float64, alpha, beta, rho float64) float64 {
+	zc := alpha*zt + beta*z[i] + y[i]/rho
+	zNew := zc
+	if zNew < l[i] {
+		zNew = l[i]
+	} else if zNew > u[i] {
+		zNew = u[i]
+	}
+	yNew := rho * (zc - zNew)
+	dy[i] += yNew - y[i]
+	z[i], y[i] = zNew, yNew
+	return rho*zNew - yNew
 }
 
 // ctrSnap freezes the solver's backend counters at solve entry so the

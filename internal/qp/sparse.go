@@ -17,9 +17,10 @@
 package qp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Triplet accumulates matrix entries in coordinate form.  Duplicate
@@ -64,23 +65,32 @@ type CSR struct {
 	Col    []int
 	Val    []float64
 
-	// ones is the length of the leading run of single-entry rows, set by
-	// markOneRows.  The dose-map constraint matrices open with one box
-	// row per variable, so both mat-vec kernels take a branch-free fast
-	// path over that prefix (where RowPtr[r] == r by construction).
-	// Zero means "not analyzed" — the generic loops handle everything.
-	ones int
+	// ones is the length of the leading run of single-entry rows and
+	// twos the length of the run of two-entry rows right after it, both
+	// set by markOneRows.  The dose-map constraint matrices open with one
+	// box row per variable and continue with the two-entry smoothness and
+	// seam rows.  MulVec takes a branch-free fast path over the first run
+	// (RowPtr[r] == r there), and the ADMM row sweep (Solver.sweep) has
+	// row bodies without row-pointer loads or inner loops for both
+	// (RowPtr[r] == ones + 2(r − ones) on the second).  Zero means "not
+	// analyzed" — the generic loops handle everything.
+	ones, twos int
 }
 
-// markOneRows measures the single-entry row prefix for the mat-vec fast
-// path.  Callers that own the matrix exclusively (the Solver marks its
-// private clone) invoke it once after the structure is final.
+// markOneRows measures the single-entry row prefix and the two-entry run
+// after it for the fast paths.  Callers that own the matrix exclusively
+// (the Solver marks its private clone) invoke it once after the
+// structure is final.
 func (c *CSR) markOneRows() {
 	r := 0
 	for r < c.M && c.RowPtr[r+1]-c.RowPtr[r] == 1 {
 		r++
 	}
 	c.ones = r
+	for r < c.M && c.RowPtr[r+1]-c.RowPtr[r] == 2 {
+		r++
+	}
+	c.twos = r - c.ones
 }
 
 // Compile converts the triplet form to CSR, summing duplicates and
@@ -94,11 +104,11 @@ func (t *Triplet) Compile() *CSR {
 	for i := range t.vals {
 		ents[i] = ent{t.rows[i], t.cols[i], t.vals[i]}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].r != ents[b].r {
-			return ents[a].r < ents[b].r
+	slices.SortFunc(ents, func(a, b ent) int {
+		if a.r != b.r {
+			return cmp.Compare(a.r, b.r)
 		}
-		return ents[a].c < ents[b].c
+		return cmp.Compare(a.c, b.c)
 	})
 	c := &CSR{M: t.m, N: t.n, RowPtr: make([]int, t.m+1)}
 	for i := 0; i < len(ents); {
@@ -130,7 +140,9 @@ func (c *CSR) MulVec(y, x []float64) {
 	r := 0
 	// Single-entry prefix: RowPtr[r] == r there, so the row loop
 	// collapses to one multiply with no pointer loads.  Same single
-	// product as the generic row body, hence bit-identical.
+	// product as the generic row body, except that a −0 product stays −0
+	// instead of becoming 0 + (−0) = +0; Solver.sweep's prefix body keeps
+	// that bare product.
 	for ; r < c.ones; r++ {
 		y[r] = val[r] * x[col[r]]
 	}
@@ -155,16 +167,7 @@ func (c *CSR) MulTVec(y, x []float64) {
 // AddMulTVec computes y += Aᵀ·x without zeroing y first.
 func (c *CSR) AddMulTVec(y, x []float64) {
 	rp, col, val := c.RowPtr, c.Col, c.Val
-	r := 0
-	// Single-entry prefix fast path (see MulVec): one scatter per row,
-	// keeping the exact-zero skip so the op sequence matches the generic
-	// loop bit for bit.
-	for ; r < c.ones; r++ {
-		if xr := x[r]; xr != 0 {
-			y[col[r]] += val[r] * xr
-		}
-	}
-	for ; r < c.M; r++ {
+	for r := 0; r < c.M; r++ {
 		xr := x[r]
 		if xr == 0 {
 			continue
@@ -223,6 +226,7 @@ func (c *CSR) Clone() *CSR {
 		Col:    append([]int(nil), c.Col...),
 		Val:    append([]float64(nil), c.Val...),
 		ones:   c.ones,
+		twos:   c.twos,
 	}
 	return out
 }

@@ -7,6 +7,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -358,5 +359,117 @@ func TestServeLoadSoak(t *testing.T) {
 	// every pipeline goroutine gone.
 	ts.Close()
 	srv.Close()
+	waitNoRepoGoroutines(t, 30*time.Second)
+}
+
+// TestServeLoadSoakPanics is the soak with a panicking executor: every
+// job of a fixed subset of the soak specs (the QCP ones at δ = 2.5, one
+// per design) panics inside Server.exec, while concurrent clients keep
+// submitting the whole mix.  Each panicking job must end failed with
+// the panic value in its error and be counted once in
+// serve/jobs_panicked and serve/jobs_failed; every other job must
+// finish done, and shutdown must leave no pipeline goroutine behind.
+//
+// Opt-in like TestServeLoadSoak: skipped under -short.
+func TestServeLoadSoakPanics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load soak is opt-in; run without -short")
+	}
+	srv, ts, metrics := newTestServer(t, Config{MaxRunning: 2, MaxQueue: 8, KeepJobs: 1 << 14})
+	const panicMsg = "injected soak panic"
+	panics := func(spec api.JobSpec) bool { return spec.Mode == api.ModeQCP && spec.Delta == 2.5 }
+	var injected atomic.Int64
+	srv.exec = func(ctx context.Context, art api.Artifacts, spec api.JobSpec) (*api.JobResult, error) {
+		if panics(spec) {
+			injected.Add(1)
+			panic(panicMsg)
+		}
+		return executeJob(ctx, art, spec)
+	}
+
+	const clients = 4
+	const perClient = 100
+	specs := soakSpecs()
+	var (
+		mu       sync.Mutex
+		accepted = map[string]bool{} // job id → its spec panics
+	)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				spec := specs[(cl*7+i)%len(specs)]
+				b, _ := json.Marshal(spec)
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(b)))
+				if err != nil {
+					t.Errorf("client %d: %v", cl, err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusAccepted:
+					var view JobView
+					if err := json.Unmarshal(body, &view); err != nil || view.ID == "" {
+						t.Errorf("client %d: bad 202 body %q: %v", cl, body, err)
+						return
+					}
+					mu.Lock()
+					accepted[view.ID] = panics(spec)
+					mu.Unlock()
+				case http.StatusTooManyRequests:
+					time.Sleep(2 * time.Millisecond)
+				default:
+					t.Errorf("client %d: unexpected status %d: %s", cl, resp.StatusCode, body)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+
+	wantPanicked, wantDone := int64(0), int64(0)
+	for id, panicking := range accepted {
+		var view JobView
+		getJSON(t, ts.URL+"/v1/jobs/"+id+"?wait=120s", &view)
+		switch {
+		case panicking:
+			wantPanicked++
+			if view.State != StateFailed || !strings.Contains(view.Error, panicMsg) {
+				t.Errorf("panicking job %s: state %s, error %q; want failed with the panic value", id, view.State, view.Error)
+			}
+		default:
+			wantDone++
+			if view.State != StateDone || view.Result == nil {
+				t.Errorf("job %s: state %s, error %q; want done", id, view.State, view.Error)
+			}
+		}
+	}
+	if wantPanicked == 0 || wantDone == 0 {
+		t.Fatalf("%d panicking and %d ordinary jobs accepted; the soak needs both", wantPanicked, wantDone)
+	}
+
+	// Close waits for every job goroutine, so the terminal counters are
+	// final once it returns.
+	ts.Close()
+	srv.Close()
+	c := metrics.Snapshot().Counters
+	t.Logf("panic soak: %d jobs, %d panicked, %d done", len(accepted), c["serve/jobs_panicked"], c["serve/jobs_done"])
+	if got := injected.Load(); got != wantPanicked {
+		t.Errorf("executor panicked %d times, want once per panicking job (%d)", got, wantPanicked)
+	}
+	if c["serve/jobs_panicked"] != wantPanicked || c["serve/jobs_failed"] != wantPanicked {
+		t.Errorf("serve/jobs_panicked = %d, serve/jobs_failed = %d; want both %d",
+			c["serve/jobs_panicked"], c["serve/jobs_failed"], wantPanicked)
+	}
+	if c["serve/jobs_done"] != wantDone || c["serve/jobs_canceled"] != 0 {
+		t.Errorf("serve/jobs_done = %d, serve/jobs_canceled = %d; want %d and 0",
+			c["serve/jobs_done"], c["serve/jobs_canceled"], wantDone)
+	}
+	if got := c["serve/jobs_submitted"]; got != int64(len(accepted)) {
+		t.Errorf("serve/jobs_submitted = %d, want %d accepted jobs", got, len(accepted))
+	}
 	waitNoRepoGoroutines(t, 30*time.Second)
 }
