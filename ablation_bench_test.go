@@ -1,10 +1,14 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - cutting-plane engine versus the verbatim node-based assembly;
 //   - dose-map grid granularity (the Section V sweep);
 //   - smoothness bound δ (tighter bounds shrink the reachable dose range
 //     per grid, Section V's closing discussion);
-//   - snapping policy (nearest versus timing-safe rounding).
+//   - snapping policy (nearest versus timing-safe rounding);
+//   - tiling seam constraints (the Section II-B multiple-copies case).
+//
+// The engine ablation (cut engine versus the node-based assembly) lives
+// beside its oracle in internal/core: BenchmarkAblationEngineCuts and
+// BenchmarkAblationEngineNode.
 package repro_test
 
 import (
@@ -16,7 +20,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/dosemap"
-	"repro/internal/expt"
 	"repro/internal/sta"
 )
 
@@ -42,42 +45,6 @@ func ablationFixture(b *testing.B) (*sta.Result, *core.Model) {
 		}
 	})
 	return ablGolden, ablModel
-}
-
-// BenchmarkAblationEngineCuts and ...EngineNode compare the default
-// cutting-plane engine against the node-based Eq. 5 assembly on the
-// same QP instance.
-func BenchmarkAblationEngineCuts(b *testing.B) {
-	golden, model := ablationFixture(b)
-	opt := core.DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("ablation engine=cuts: Δleak %.1f nW (%s)\n", r.PredDeltaLeakNW, r.Status)
-		}
-	}
-}
-
-func BenchmarkAblationEngineNode(b *testing.B) {
-	golden, model := ablationFixture(b)
-	opt := core.DefaultOptions()
-	opt.Method = core.MethodNode
-	opt.QP.MaxIter = 20000
-	opt.QP.EpsAbs, opt.QP.EpsRel = 1e-4, 1e-4
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("ablation engine=node: Δleak %.1f nW (%s)\n", r.PredDeltaLeakNW, r.Status)
-		}
-	}
 }
 
 // BenchmarkAblationGranularity sweeps the grid size G.
@@ -152,20 +119,6 @@ func BenchmarkAblationSnapPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := res.Layers.Poly.Clone()
 		m.SnapTimingSafe()
-	}
-}
-
-// BenchmarkExtWaferVariation exercises the Section VI future-work
-// extension: across-wafer MCT variation before and after per-field dose
-// correction.
-func BenchmarkExtWaferVariation(b *testing.B) {
-	c := harness()
-	printOnce("extwafer", func() (*expt.Table, error) { return c.WaferVariation("AES-65") }, b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.WaferVariation("AES-65"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -496,7 +496,6 @@ type JobResult struct {
 	PredMCTPs       float64 `json:"pred_mct_ps"`
 	PredDeltaLeakNW float64 `json:"pred_delta_leak_nw"`
 	Probes          int     `json:"probes"`
-	ArrivalVars     int     `json:"arrival_vars,omitempty"`
 	Rows            int     `json:"rows,omitempty"`
 	Cols            int     `json:"cols,omitempty"`
 	SolverStatus    string  `json:"solver_status"`
@@ -589,7 +588,6 @@ func ResultOf(spec JobSpec, out *core.FlowOutcome) *JobResult {
 		PredMCTPs:       dm.PredMCT,
 		PredDeltaLeakNW: dm.PredDeltaLeakNW,
 		Probes:          dm.Probes,
-		ArrivalVars:     dm.ArrivalVars,
 		Rows:            dm.Rows,
 		Cols:            dm.Cols,
 		SolverStatus:    dm.Status,

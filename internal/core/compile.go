@@ -2,8 +2,8 @@
 //
 // Tables IV-VI and the dose sweeps solve many QP/QCP variants over one
 // (design, grid, layers) formulation: the grid geometry, the gate→grid
-// map, the worst-case pruning arrivals, the objective coefficients and
-// the box/smoothness constraint pattern are all invariant across those
+// map, the objective coefficients, the delay sensitivity rows and the
+// box/smoothness constraint pattern are all invariant across those
 // runs.  Compile builds that invariant state once into an immutable
 // *Compiled artifact; the run views in qp_run.go / qcp_run.go / cuts.go
 // borrow it together with per-run mutable state (τ bounds, cut pool,
@@ -119,7 +119,8 @@ type Compiled struct {
 
 	// Dose-variable objective: ½·dosePD_j·x_j² + doseQ_j·x_j is the
 	// Eq. 2 Δleakage model.  cutPD adds the active-layer regularization
-	// the cutting-plane engine needs (the node assembly does not).
+	// the cut engine needs; the unregularized dosePD is what the
+	// node-assembly test oracle solves.
 	dosePD, doseQ []float64
 	cutPD         []float64
 
@@ -128,10 +129,6 @@ type Compiled struct {
 	// after this prefix, so dual indices survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64
-
-	// Worst-case (slowest reachable dose) linear arrivals and suffixes,
-	// used by the node assembly to prune arrival variables.
-	worstArr, worstSuf []float64
 
 	// fastMCT is the linear-model MCT at the fastest reachable dose —
 	// the QCP bisection's lower bound.
@@ -150,7 +147,7 @@ type Compiled struct {
 func (c *Compiled) ApproxBytes() int64 {
 	n := len(c.gridOf) + len(c.order)
 	f := len(c.dosePD) + len(c.doseQ) + len(c.cutPD) +
-		len(c.fixedL) + len(c.fixedU) + len(c.worstArr) + len(c.worstSuf)
+		len(c.fixedL) + len(c.fixedU)
 	csr := 0
 	if c.fixedA != nil {
 		csr = 8*(len(c.fixedA.RowPtr)+len(c.fixedA.Col)) + 8*len(c.fixedA.Val)
@@ -319,10 +316,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	// Fixed constraint prefix of the cut engine.
 	c.fixedA, c.fixedL, c.fixedU = compileFixedRows(grid, c.NG, c.NVar, co, c.Blocks)
 
-	// Pruning state (node assembly) and the QCP lower bound.
-	worstDelta := func(id int) float64 { return maxDelayDeltaFor(model, co, id) }
-	c.worstArr, _ = linearArrivalsOrder(golden, order, worstDelta)
-	c.worstSuf = linearSuffixOrder(golden, order, worstDelta)
+	// The QCP lower bound.
 	_, c.fastMCT = linearArrivalsOrder(golden, order, func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
@@ -436,26 +430,8 @@ func gateGrid(in sta.Input, grid dosemap.Grid) []int {
 	return g
 }
 
-// maxDelayDeltaFor returns the gate's largest possible delay increase
-// over the active actuator boxes (used for conservative pruning);
-// minDelayDeltaFor the largest possible decrease (most negative delta).
-func maxDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
-	ds := tech.DoseSensitivity
-	v := 0.0
-	if !co.DoseOff {
-		// A·Ds·d maximal at d = DoseLo (Ds<0, A≥0); B·Ds·d maximal at DoseHi.
-		v = model.A[id] * ds * co.DoseLo
-		if co.BothLayers {
-			v += model.B[id] * ds * co.DoseHi
-		}
-	}
-	if co.BiasGridUm > 0 && model.DB != nil {
-		// DB ≤ 0: delay grows most at the deepest reverse bias.
-		v += model.DB[id] * co.BiasLo
-	}
-	return math.Max(v, 0)
-}
-
+// minDelayDeltaFor returns the gate's largest possible delay decrease
+// (most negative delta) over the active actuator boxes.
 func minDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
 	ds := tech.DoseSensitivity
 	v := 0.0
@@ -516,52 +492,6 @@ func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) flo
 		}
 	}
 	return arr, mct
-}
-
-// linearSuffixOrder computes, per gate, the largest downstream delay to
-// any endpoint under the given per-gate deltas (analogous to the
-// path-search suffix but on the linear model), over a precomputed
-// topological order.
-func linearSuffixOrder(golden *sta.Result, order []int, delta func(id int) float64) []float64 {
-	in := golden.In
-	n := in.Circ.NumGates()
-	suf := make([]float64, n)
-	for i := range suf {
-		suf[i] = math.Inf(-1)
-	}
-	relax := func(id int) {
-		g := in.Circ.Gates[id]
-		best := math.Inf(-1)
-		for _, fo := range g.Fanouts {
-			fog := in.Circ.Gates[fo]
-			arc := golden.ArcDelay(id, fo)
-			var v float64
-			switch fog.Kind {
-			case netlist.PO, netlist.Seq:
-				v = arc + golden.EndWeight(fo)
-			default:
-				if math.IsInf(suf[fo], -1) {
-					continue
-				}
-				v = arc + delta(fo) + suf[fo]
-			}
-			if v > best {
-				best = v
-			}
-		}
-		suf[id] = best
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if in.Circ.Gates[order[i]].Kind != netlist.Seq {
-			relax(order[i])
-		}
-	}
-	for id, g := range in.Circ.Gates {
-		if g.Kind == netlist.Seq {
-			relax(id)
-		}
-	}
-	return suf
 }
 
 // predict evaluates the linear timing model and Eq. 2 leakage model at a

@@ -13,7 +13,6 @@ type compiledSnapshot struct {
 	fixedRowPtr, fixedCol []int
 	fixedVal              []float64
 	fixedL, fixedU        []float64
-	worstArr, worstSuf    []float64
 	fastMCT, snapMargin   float64
 	nomLeak               float64
 }
@@ -27,7 +26,6 @@ func snapshotCompiled(c *Compiled) compiledSnapshot {
 		fixedRowPtr: cpI(c.fixedA.RowPtr), fixedCol: cpI(c.fixedA.Col),
 		fixedVal: cpF(c.fixedA.Val),
 		fixedL:   cpF(c.fixedL), fixedU: cpF(c.fixedU),
-		worstArr: cpF(c.worstArr), worstSuf: cpF(c.worstSuf),
 		fastMCT: c.fastMCT, snapMargin: c.snapMarginNW, nomLeak: c.nomLeakUW,
 	}
 }
@@ -68,16 +66,14 @@ func (s compiledSnapshot) requireEqual(t *testing.T, o compiledSnapshot) {
 	eqF(t, "fixedA.Val", s.fixedVal, o.fixedVal)
 	eqF(t, "fixedL", s.fixedL, o.fixedL)
 	eqF(t, "fixedU", s.fixedU, o.fixedU)
-	eqF(t, "worstArr", s.worstArr, o.worstArr)
-	eqF(t, "worstSuf", s.worstSuf, o.worstSuf)
 	eqF(t, "scalars",
 		[]float64{s.fastMCT, s.snapMargin, s.nomLeak},
 		[]float64{o.fastMCT, o.snapMargin, o.nomLeak})
 }
 
-// TestCompiledImmutableUnderRuns pins the ownership rule: QCP with cuts
-// and the node QP both run off one artifact without mutating a single
-// bit of it.
+// TestCompiledImmutableUnderRuns pins the ownership rule: the cut
+// engine's QCP and QP and the node oracle's QP all run off one artifact
+// without mutating a single bit of it.
 func TestCompiledImmutableUnderRuns(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
 	model, err := FitModel(golden, false)
@@ -101,9 +97,7 @@ func TestCompiledImmutableUnderRuns(t *testing.T) {
 	if _, err := SolveQP(ctx, QPRequest{Compiled: c, Opt: opt, TauPs: 0.99 * golden.MCT}); err != nil {
 		t.Fatal(err)
 	}
-	nopt := opt
-	nopt.Method = MethodNode
-	if _, err := SolveQP(ctx, QPRequest{Compiled: c, Opt: nopt, TauPs: 0.995 * golden.MCT}); err != nil {
+	if _, err := solveQPNode(ctx, QPRequest{Compiled: c, Opt: opt, TauPs: 0.995 * golden.MCT}); err != nil {
 		t.Fatal(err)
 	}
 	snapshotCompiled(c).requireEqual(t, before)

@@ -1,7 +1,7 @@
-// Cutting-plane solve stage: the default engine for both DMopt
-// formulations.  It solves the identical mathematical program as the
-// node-based assembly (Eqs. 2-12) but represents the timing constraints
-// by path cuts generated on demand:
+// Cutting-plane solve stage: the solve engine of both DMopt
+// formulations.  It solves the paper's node-based program (Eqs. 2-12,
+// whose verbatim assembly is kept as a test oracle) but represents the
+// timing constraints by path cuts generated on demand:
 //
 //	nom(π) + Σ_{p∈π} (A_p·Ds·dP_{g(p)} + B_p·Ds·dA_{g(p)}) ≤ τ
 //
@@ -195,19 +195,7 @@ func (cs *cutSolver) newtonCandidate(xiNW float64) (float64, bool) {
 func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 	if cs.solver != nil && len(cuts) == cs.builtCuts {
 		cs.rec.Add("core/solver_reuses", 1)
-		if tau != cs.builtTau {
-			base := len(cs.prob.U) - cs.builtCuts
-			for i, c := range cuts {
-				cs.prob.U[base+i] = tau - c.nom
-			}
-			if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
-				return err
-			}
-			cs.builtTau = tau
-		}
-		// Re-anchor the primal at the clamped iterate; duals persist
-		// inside the solver.
-		return cs.solver.WarmStart(cs.x, nil)
+		return cs.retarget(tau, cuts)
 	}
 	if cs.solver != nil && len(cuts) > cs.builtCuts {
 		// Append-only growth: cut rows sit after the fixed box/smoothness
@@ -236,17 +224,7 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 		cs.prob.L = append(cs.prob.L, l...)
 		cs.prob.U = append(cs.prob.U, u...)
 		cs.builtCuts = len(cuts)
-		if tau != cs.builtTau {
-			base := len(cs.prob.U) - cs.builtCuts
-			for i, c := range cuts {
-				cs.prob.U[base+i] = tau - c.nom
-			}
-			if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
-				return err
-			}
-			cs.builtTau = tau
-		}
-		return cs.solver.WarmStart(cs.x, nil)
+		return cs.retarget(tau, cuts)
 	}
 	cs.rec.Add("core/solver_rebuilds", 1)
 	cs.prob = cs.buildProblem(tau, cuts)
@@ -266,6 +244,25 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 	cs.builtCuts = len(cuts)
 	cs.builtTau = tau
 	return nil
+}
+
+// retarget points the live solver at clock period tau and warm-starts
+// it: when τ moved since the last build every cut row's upper bound
+// becomes τ − nom (no CSR rebuild, no re-equilibration), then the
+// primal is re-anchored at the clamped iterate.  Duals persist inside
+// the solver.
+func (cs *cutSolver) retarget(tau float64, cuts []cut) error {
+	if tau != cs.builtTau {
+		base := len(cs.prob.U) - cs.builtCuts
+		for i, c := range cuts {
+			cs.prob.U[base+i] = tau - c.nom
+		}
+		if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
+			return err
+		}
+		cs.builtTau = tau
+	}
+	return cs.solver.WarmStart(cs.x, nil)
 }
 
 // saveDuals records the duals of a converged solve for the next round's
@@ -605,7 +602,8 @@ func (cs *cutSolver) layers() dosemap.Layers {
 	return out
 }
 
-// result packages the current iterate like the node-based path does.
+// result packages the current iterate as a Result: legalized maps,
+// model prediction and golden signoff.
 func (cs *cutSolver) result(ctx context.Context, probes int) (*Result, error) {
 	c := cs.comp
 	asn := Assignment{Layers: cs.layers(), BiasV: cs.biasOf()}

@@ -1,5 +1,5 @@
 // Run-request types of the DMopt pipeline: Options parameterize one
-// solve (clock-period target, leakage budget, engine, solver budgets),
+// solve (clock-period target, leakage budget, solver budgets),
 // while the design-invariant subset — grid geometry, dose range,
 // smoothness, layers — is split off by Options.CompileOptions into the
 // compile stage (see compile.go).
@@ -43,10 +43,6 @@ type Options struct {
 	// halving from scratch; a stale seed costs at most two probes and
 	// still narrows the interval.  Zero disables the hint.
 	SeedTau float64
-	// Method selects the solve engine: the default cutting-plane engine
-	// or the node-based arrival-variable assembly (kept for
-	// cross-validation; slower to converge under ADMM).
-	Method Method
 	// QP tunes the inner solver.
 	QP qp.Settings
 	// STA sets golden-analysis boundary conditions.
@@ -104,18 +100,6 @@ const (
 	DefaultBiasHi = 0.1
 )
 
-// Method selects the DMopt solve engine.
-type Method int
-
-const (
-	// MethodCuts solves the QP over dose variables with on-demand path
-	// cuts (default).
-	MethodCuts Method = iota
-	// MethodNode solves the full node-based assembly with arrival-time
-	// variables (Eq. 5/10 verbatim).
-	MethodNode
-)
-
 // DefaultOptions returns the paper's main configuration: 5 µm grids,
 // δ = 2, ±5% dose range, poly-only, ξ = 0 (no leakage increase allowed).
 func DefaultOptions() Options {
@@ -150,10 +134,7 @@ type Result struct {
 	Nominal, Golden Eval
 	// Probes counts QCP bisection iterations (1 for the plain QP).
 	Probes int
-	// ArrivalVars is the number of timing-relevant gates given arrival
-	// variables after pruning.
-	ArrivalVars int
-	// Rows and Cols are the assembled constraint-matrix dimensions.
+	// Rows is the final cut-pool size and Cols the variable count.
 	Rows, Cols int
 	// BiasV holds the optimized per-domain body-bias voltages in V
 	// (unsnapped, like Layers holds unsnapped doses); nil when the bias

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/qp"
 	"repro/internal/sta"
 )
 
@@ -57,10 +56,9 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	golden := c.Golden
 	// Lower bound: linear-model MCT at the fastest reachable dose
 	// (precomputed by the compile stage).
-	tLo := c.fastMCT
-	tHi := golden.MCT
-	if tLo >= tHi {
-		tLo = tHi * 0.8
+	lo, hi := c.fastMCT, golden.MCT
+	if lo >= hi {
+		lo = hi * 0.8
 	}
 	if opt.Snap {
 		opt.XiNW -= c.snapMarginNW
@@ -71,69 +69,12 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	if c.hasDose() && c.hasBias() {
 		obs.Add(ctx, "core/joint_solves", 1)
 	}
-	if opt.Method == MethodCuts {
-		return qcpByCuts(ctx, c, opt, tLo, tHi, start)
-	}
-	prob, err := assemble(c, opt, tLo-1, tHi)
-	if err != nil {
-		return nil, err
-	}
-	solver, err := qp.NewSolver(prob.qpProb, opt.QP)
-	if err != nil {
-		return nil, err
-	}
-
-	var best *qp.Result
-	bestTau := tHi
-	probes := 0
-	lo, hi := tLo, tHi
-	xiTol := xiToleranceLeak(c.nomLeakUW, opt.XiNW)
-	for probes < maxProbes && (hi-lo) > bisectTol*golden.MCT {
-		mid := 0.5 * (lo + hi)
-		if probes == 0 {
-			mid = hi // first probe at the nominal period must be feasible
-		}
-		if err := prob.setBoundsTau(solver, mid); err != nil {
-			return nil, err
-		}
-		res, err := solver.SolveCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		probes++
-		feasible := res.Status == qp.Solved && res.Obj <= opt.XiNW+xiTol &&
-			prob.qpProb.MaxViolation(res.X) < 0.05
-		if feasible {
-			hi = mid
-			best = res
-			bestTau = mid
-		} else {
-			lo = mid
-		}
-	}
-	if best == nil {
-		return nil, errors.New("core: QCP bisection found no feasible clock period")
-	}
-	obs.Add(ctx, "core/qcp_probes", int64(probes))
-	r, err := finish(ctx, prob, best, probes, start)
-	if err != nil {
-		return nil, err
-	}
-	if r.PredMCT > bestTau {
-		r.PredMCT = bestTau
-	}
-	return r, nil
-}
-
-// qcpByCuts runs the clock-period bisection on the cutting-plane engine.
-// The cut pool is shared across probes: a path cut is valid for every τ.
-func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, start time.Time) (*Result, error) {
-	golden := c.Golden
+	// The cut pool is shared across probes: a path cut is valid for
+	// every τ.
 	cs := newCutSolverCompiled(c, opt)
 	xiTol := xiToleranceLeak(c.nomLeakUW, opt.XiNW)
 	var bestX []float64
 	probes := 0
-	lo, hi := tLo, tHi
 
 	// Secant state: the last two feasible probe evaluations (τ, minLeak),
 	// most recent last.  When the dual-based tangent is useless — early

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/qp"
 	"repro/internal/sta"
 )
 
@@ -69,71 +68,18 @@ func SolveQP(ctx context.Context, req QPRequest) (*Result, error) {
 	if c.hasDose() && c.hasBias() {
 		obs.Add(ctx, "core/joint_solves", 1)
 	}
-	if opt.Method == MethodCuts {
-		cs := newCutSolverCompiled(c, opt)
-		_, feasible, err := cs.solveTau(ctx, tau, math.Inf(1))
-		if err != nil {
-			return nil, err
-		}
-		if !feasible {
-			return nil, fmt.Errorf("core: QP infeasible at τ = %.1f ps", tau)
-		}
-		r, err := cs.result(ctx, 1)
-		if err != nil {
-			return nil, err
-		}
-		r.Runtime = time.Since(start)
-		return r, nil
-	}
-	prob, err := assemble(c, opt, tau-1, tau)
+	cs := newCutSolverCompiled(c, opt)
+	_, feasible, err := cs.solveTau(ctx, tau, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	solver, err := qp.NewSolver(prob.qpProb, opt.QP)
-	if err != nil {
-		return nil, err
-	}
-	res, err := solver.SolveCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if res.Status == qp.PrimalInfeasible {
+	if !feasible {
 		return nil, fmt.Errorf("core: QP infeasible at τ = %.1f ps", tau)
 	}
-	return finish(ctx, prob, res, 1, start)
-}
-
-// finish converts a node-assembly solution into a Result: extract,
-// model prediction, and golden signoff.
-func finish(ctx context.Context, prob *problem, res *qp.Result, probes int, start time.Time) (*Result, error) {
-	c := prob.c
-	asn := Assignment{Layers: prob.extract(res.X), BiasV: prob.extractBias(res.X)}
-	layers := asn.Layers
-	predMCT, predLeak := c.predictAsn(asn)
-	nominal := Eval{MCTps: c.Golden.MCT, LeakUW: c.nomLeakUW}
-	golden, err := signoffAsn(ctx, c, prob.opt, asn)
+	r, err := cs.result(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	nArr := 0
-	for _, v := range prob.arrIdx {
-		if v >= 0 {
-			nArr++
-		}
-	}
-	return &Result{
-		Layers:          layers,
-		PredMCT:         predMCT,
-		PredDeltaLeakNW: predLeak,
-		Nominal:         nominal,
-		Golden:          golden,
-		Probes:          probes,
-		ArrivalVars:     nArr,
-		Rows:            prob.Rows,
-		Cols:            prob.nVar,
-		BiasV:           asn.BiasV,
-		BiasDomains:     c.nBias,
-		Status:          res.Status.String(),
-		Runtime:         time.Since(start),
-	}, nil
+	r.Runtime = time.Since(start)
+	return r, nil
 }

@@ -58,18 +58,18 @@ type WaferOptions struct {
 	// Fingerprint is the radial CD bias signature in nm.  The zero value
 	// is a flat wafer (no bias anywhere).
 	Fingerprint dosemap.RadialCD
-	// RhoW is the consensus penalty ρw; zero selects the mean dose
-	// curvature aggregated over a grid column.
-	RhoW float64
 	// MaxOuter bounds the consensus-ADMM outer iterations (default 8).
 	MaxOuter int
-	// ConsensusTol is the convergence tolerance on the slit-profile
-	// agreement in dose percent (default 1e-3).
-	ConsensusTol float64
-	// TauGuard is the relative guard added to the worst uncoupled clock
-	// period to form the common wafer target τ̄ (default 0.005).
-	TauGuard float64
 }
+
+// The consensus outer loop stops once the slit profiles agree to
+// waferConsensusTol dose percent.  The common wafer target τ̄ is the
+// worst uncoupled clock period plus a relative guard of waferTauGuard.
+// Both are typed so that 1 + waferTauGuard rounds like a float64 sum.
+const (
+	waferConsensusTol float64 = 1e-3
+	waferTauGuard     float64 = 0.005
+)
 
 func (w WaferOptions) normalized() WaferOptions {
 	if w.DiameterMM <= 0 {
@@ -88,12 +88,6 @@ func (w WaferOptions) normalized() WaferOptions {
 	}
 	if w.MaxOuter <= 0 {
 		w.MaxOuter = 8
-	}
-	if w.ConsensusTol <= 0 {
-		w.ConsensusTol = 1e-3
-	}
-	if w.TauGuard <= 0 {
-		w.TauGuard = 0.005
 	}
 	return w
 }
@@ -327,7 +321,7 @@ type groupOutcome struct {
 // the common clock period tau: parallel-safe (everything is local), but
 // internally serial over the group members so the averaging order — and
 // therefore every float — is fixed.
-func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferGroup, tau, rhoW float64, wopt WaferOptions) (*groupOutcome, error) {
+func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferGroup, tau, rhoW float64, maxOuter int) (*groupOutcome, error) {
 	grid := base.Grid
 	nG, nCols := base.NG, grid.N
 	out := &groupOutcome{z: make([]float64, nCols)}
@@ -362,7 +356,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 		wSum += w
 	}
 	zOld := make([]float64, nCols)
-	for it := 0; it < wopt.MaxOuter; it++ {
+	for it := 0; it < maxOuter; it++ {
 		for _, m := range members {
 			for j := 0; j < nCols; j++ {
 				m.cs.q[m.eBase+j] = -rhoW * (out.z[j] - m.u[j])
@@ -408,7 +402,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 		}
 		out.residuals = append(out.residuals, res)
 		out.iters++
-		if res < wopt.ConsensusTol && it >= 1 {
+		if res < waferConsensusTol && it >= 1 {
 			break
 		}
 	}
@@ -606,20 +600,18 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	for _, u := range uncoupled {
 		tau = math.Max(tau, u.pred)
 	}
-	tau *= 1 + wopt.TauGuard
+	tau *= 1 + waferTauGuard
 
 	// Stage C: consensus-coupled solve per column group.  Wafer columns
-	// with the same bias signature are one group.
-	rhoW := wopt.RhoW
+	// with the same bias signature are one group.  The consensus penalty
+	// ρw is the mean dose curvature aggregated over a grid column.
+	curv := 0.0
+	for g := 0; g < c.NG; g++ {
+		curv += c.cutPD[g]
+	}
+	rhoW := curv / float64(c.NG) * float64(c.Grid.M)
 	if rhoW <= 0 {
-		sum := 0.0
-		for g := 0; g < c.NG; g++ {
-			sum += c.cutPD[g]
-		}
-		rhoW = sum / float64(c.NG) * float64(c.Grid.M)
-		if rhoW <= 0 {
-			rhoW = 1
-		}
+		rhoW = 1
 	}
 	var groups []waferGroup
 	groupOf := map[string]int{}
@@ -683,7 +675,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		if proc != nil {
 			gi = proc[i]
 		}
-		o, err := solveWaferGroup(ctx, c, inner, groups[gi], tau, rhoW, wopt)
+		o, err := solveWaferGroup(ctx, c, inner, groups[gi], tau, rhoW, wopt.MaxOuter)
 		if err != nil {
 			return struct{}{}, err
 		}

@@ -3,14 +3,14 @@ package dosemap
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tech"
 )
 
-// This file implements the paper's stated future-work direction
-// (Section VI: "extension of the dose map optimization methodology to
-// minimize the delay variation of different chips across the wafer or
-// the exposure field") plus the Section II-B tiling remark ("multiple
+// This file holds the wafer side of the paper's stated future-work
+// direction (Section VI: "extension of the dose map optimization
+// methodology to minimize the delay variation of different chips across
+// the wafer or the exposure field"): the step-and-scan layout and the
+// radial CD fingerprint that the wafer consensus solve corrects per
+// field.  It also covers the Section II-B tiling remark ("multiple
 // copies of the dose map solution are tiled horizontally and
 // vertically: smoothness or gradient constraints are scaled").
 
@@ -104,42 +104,6 @@ func (r RadialCD) FieldCD(w *Wafer) []float64 {
 		out[i] = r.At(w, f.CX, f.CY)
 	}
 	return out
-}
-
-// AWLVCorrection computes the per-field dose offsets (percent) that
-// cancel the fingerprint's mean CD bias per field, clamped to the
-// equipment range.  It returns the offsets and the residual per-field
-// CD bias after correction.
-func AWLVCorrection(w *Wafer, fp RadialCD, doseLo, doseHi float64) (offsets, residual []float64) {
-	cd := fp.FieldCD(w)
-	offsets = make([]float64, len(cd))
-	residual = make([]float64, len(cd))
-	for i, bias := range cd {
-		// ΔCD = Ds·dose ⇒ cancel with dose = -bias/Ds.
-		d := -bias / tech.DoseSensitivity
-		if d < doseLo {
-			d = doseLo
-		}
-		if d > doseHi {
-			d = doseHi
-		}
-		offsets[i] = d
-		residual[i] = bias + tech.DoseSensitivity*d
-	}
-	return offsets, residual
-}
-
-// Spread returns max-min of a slice (the across-wafer variation metric).
-func Spread(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	lo, hi := v[0], v[0]
-	for _, x := range v[1:] {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return hi - lo
 }
 
 // Tile replicates an intrafield map n×m times (the Section II-B

@@ -71,45 +71,6 @@ func TestRadialCD(t *testing.T) {
 	}
 }
 
-func TestAWLVCorrection(t *testing.T) {
-	w, err := NewWafer(300, 26, 33, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := RadialCD{Center: -2, Edge: 4, Power: 2}
-	before := fp.FieldCD(w)
-	offsets, residual := AWLVCorrection(w, fp, -5, 5)
-	if len(offsets) != len(w.Fields) || len(residual) != len(w.Fields) {
-		t.Fatal("length mismatch")
-	}
-	// Correction must shrink the across-wafer CD spread dramatically
-	// (the fingerprint is within the dose range: |4 nm| < 10 nm reach).
-	if Spread(residual) > 0.05*Spread(before) {
-		t.Errorf("residual spread %.3f vs before %.3f", Spread(residual), Spread(before))
-	}
-	// Offsets within the equipment range.
-	for _, d := range offsets {
-		if d < -5-1e-9 || d > 5+1e-9 {
-			t.Fatalf("offset %v out of range", d)
-		}
-	}
-	// An out-of-reach fingerprint clamps and leaves residual.
-	big := RadialCD{Center: -30, Edge: 30, Power: 2}
-	_, res2 := AWLVCorrection(w, big, -5, 5)
-	if Spread(res2) < 10 {
-		t.Errorf("clamped correction should leave residual, spread %.1f", Spread(res2))
-	}
-}
-
-func TestSpread(t *testing.T) {
-	if Spread(nil) != 0 {
-		t.Error("empty spread")
-	}
-	if Spread([]float64{3, -1, 2}) != 4 {
-		t.Error("spread")
-	}
-}
-
 func TestTile(t *testing.T) {
 	g := mustGrid(t, 30, 20, 10)
 	m := NewMap(g)

@@ -1297,95 +1297,6 @@ func (c *Context) AllTables(ctx context.Context, fig10Design string) ([]*Table, 
 	return append(out, t8, f10), nil
 }
 
-// --- Extension: across-wafer delay variation (Section VI future work) ----
-
-// WaferVariation evaluates the paper's stated future-work direction:
-// minimize the delay variation of chips across the wafer.  A radial
-// across-wafer CD fingerprint biases every chip's gate lengths by its
-// field position; per-field dose offsets (the Dosicom per-field
-// actuator) cancel the mean bias.  The table reports the across-wafer
-// MCT spread before and after correction, measured by golden STA at the
-// best, median and worst field.
-func (c *Context) WaferVariation(design string) (*Table, error) {
-	return c.WaferVariationCtx(context.Background(), design)
-}
-
-// WaferVariationCtx is WaferVariation with cancellation.
-func (c *Context) WaferVariationCtx(ctx context.Context, design string) (*Table, error) {
-	d, err := c.DesignCtx(ctx, design)
-	if err != nil {
-		return nil, err
-	}
-	in := core.InputOf(d)
-	cfg := c.staCfg()
-	w, err := dosemap.NewWafer(300, 26, 33, 3)
-	if err != nil {
-		return nil, err
-	}
-	fp := dosemap.RadialCD{Center: -2, Edge: 4, Power: 2}
-	fieldCD := fp.FieldCD(w)
-	offsets, residual := dosemap.AWLVCorrection(w, fp, -5, 5)
-
-	// Golden MCT of a chip whose every gate carries the field's CD bias.
-	mctAt := func(biasNm float64) (float64, error) {
-		n := d.Circ.NumGates()
-		dl := make([]float64, n)
-		for id, m := range d.Masters {
-			if m != nil {
-				dl[id] = biasNm
-			}
-		}
-		r, err := sta.AnalyzeCtx(ctx, in, cfg, &sta.Perturb{DL: dl})
-		if err != nil {
-			return 0, err
-		}
-		return r.MCT, nil
-	}
-	mctSpread := func(biases []float64) (lo, hi float64, err error) {
-		lo, hi = math.Inf(1), math.Inf(-1)
-		// The golden MCT is monotone in a uniform bias, so the spread is
-		// set by the extreme fields.
-		bLo, bHi := biases[0], biases[0]
-		for _, b := range biases {
-			bLo = math.Min(bLo, b)
-			bHi = math.Max(bHi, b)
-		}
-		for _, b := range []float64{bLo, bHi} {
-			m, err := mctAt(b)
-			if err != nil {
-				return 0, 0, err
-			}
-			lo = math.Min(lo, m)
-			hi = math.Max(hi, m)
-		}
-		return lo, hi, nil
-	}
-	loB, hiB, err := mctSpread(fieldCD)
-	if err != nil {
-		return nil, err
-	}
-	loA, hiA, err := mctSpread(residual)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:     "Ext. wafer",
-		Title:  fmt.Sprintf("across-wafer MCT variation of %s under a radial CD fingerprint (%d fields)", design, len(w.Fields)),
-		Header: []string{"stage", "CD spread (nm)", "MCT min (ns)", "MCT max (ns)", "MCT spread (%)"},
-		Notes:  "Section VI future work: per-field dose offsets cancel the across-wafer fingerprint",
-	}
-	row := func(stage string, cd []float64, lo, hi float64) {
-		t.Rows = append(t.Rows, []string{
-			stage, f2(dosemap.Spread(cd)), f3(lo / 1000), f3(hi / 1000),
-			f2(100 * (hi - lo) / lo),
-		})
-	}
-	row("uncorrected", fieldCD, loB, hiB)
-	row("corrected", residual, loA, hiA)
-	_ = offsets
-	return t, nil
-}
-
 // --- Extension: full-wafer consensus co-optimization (Table IX) ---------
 
 // WaferGeometry is the production step-and-scan layout with the radial
