@@ -1,12 +1,12 @@
 # Development checks.  `make check` is the tier-1 gate; `make race`
 # runs the race detector over the concurrent packages; `make bench`
 # records the serial-vs-parallel TableIV wall time; `make bench-json`
-# emits the machine-readable benchmark report; `make fuzz-smoke` gives
-# each parser fuzzer and the job-spec fuzzer a 30 s budget; `make profile` captures CPU and
-# heap profiles of the Table IV pipeline; `make serve-smoke` boots the
-# dmopt-serve daemon, runs one job through it and scrapes /metrics;
-# `make wafer-smoke` runs a tiny consensus wafer end-to-end and proves
-# serial-vs-parallel bit-equality.
+# emits the machine-readable benchmark report (bench.json, untracked);
+# `make fuzz-smoke` gives the job-spec fuzzer a 30 s budget; `make
+# profile` captures CPU and heap profiles of the Table IV pipeline;
+# `make serve-smoke` boots the dmopt-serve daemon, runs one job through
+# it and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
+# wafer end-to-end and proves serial-vs-parallel bit-equality.
 
 GO ?= go
 
@@ -45,7 +45,7 @@ bench-json:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'CutPoolSolve|TauNewton|WaferSolve' -benchtime 3x
 	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTFactor|SupernodalSolve' -benchtime 20x
 	$(GO) build -o tables.bin ./cmd/tables
-	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json BENCH_pr10.json
+	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json bench.json
 	rm -f tables.bin
 
 # Tiny wafer end-to-end: the 12-field consensus smoke plus the
@@ -61,10 +61,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh ./dmopt-serve.bin
 	rm -f dmopt-serve.bin
 
-# 30-second CI smoke of each native fuzz target (corpus + new inputs).
+# 30-second CI smoke of the job-spec fuzz target (corpus + new inputs).
 fuzz-smoke:
-	$(GO) test ./internal/netlist/ -fuzz FuzzParseNetlist -fuzztime 30s -run ^$$
-	$(GO) test ./internal/liberty/ -fuzz FuzzParseLiberty -fuzztime 30s -run ^$$
 	$(GO) test ./internal/api/ -fuzz FuzzJobSpec -fuzztime 30s -run ^$$
 
 # Profile the dominant pipeline (Table IV at bench scale); inspect with

@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	golden, err := repro.AnalyzeCtx(ctx, d, workers)
+	golden, err := repro.AnalyzeCtx(ctx, d)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,10 +48,8 @@ func PrepareFrom(ctx context.Context, d *gen.Design, spec JobSpec) (Artifacts, e
 	if err != nil {
 		return Artifacts{}, err
 	}
-	cfg := opt.STA
-	cfg.Workers = spec.Workers
 	gctx, sp := obs.Start(ctx, "flow/golden")
-	golden, err := core.GoldenNominalCtx(gctx, d, cfg)
+	golden, err := core.GoldenNominalCtx(gctx, d, opt.STA)
 	sp.End()
 	if err != nil {
 		return Artifacts{}, err

@@ -56,7 +56,7 @@ func AddFlags(prog string) *Common {
 // AddFlagsTo registers the shared flags on an explicit flag set.
 func AddFlagsTo(fs *flag.FlagSet, prog string) *Common {
 	c := &Common{Prog: prog, profStop: func() {}}
-	fs.IntVar(&c.Workers, "workers", 0, "fan-out across independent work (table rows, sweep points, wafer fields, STA levels, model fit); each solve runs on one goroutine; 0 = GOMAXPROCS (bit-identical results)")
+	fs.IntVar(&c.Workers, "workers", 0, "fan-out across independent work (table rows, sweep points, wafer fields, model fit); each solve and each STA analysis runs on one goroutine; 0 = GOMAXPROCS (bit-identical results)")
 	fs.BoolVar(&c.Stats, "stats", false, "print run telemetry (spans, counters) to stderr")
 	fs.StringVar(&c.BenchJSON, "bench-json", "", "write a machine-readable benchmark report to this file")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")

@@ -45,10 +45,6 @@ func (c *Compiled) hasDose() bool { return !c.Opts.DoseOff }
 // hasBias reports whether the body-bias actuator block is present.
 func (c *Compiled) hasBias() bool { return c.nBias > 0 }
 
-// BiasDomainCount returns the number of per-domain bias variables (0
-// when the bias actuator is off).
-func (c *Compiled) BiasDomainCount() int { return c.nBias }
-
 // Assignment is a composed solution across all actuator blocks: the
 // dose maps plus the per-domain body-bias voltages (nil when the bias
 // actuator is off).  Both parts are unsnapped; the signoff applies the

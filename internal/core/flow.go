@@ -82,7 +82,7 @@ type FlowRequest struct {
 // SolveFlow executes the Fig. 7 flow: golden analysis → coefficient
 // fitting → DMopt → golden signoff → optional dosePl rounds.  A
 // canceled context aborts whichever stage is in flight — golden
-// analysis between levels, fitting between gates, DMopt between cut
+// analysis before it starts, fitting between gates, DMopt between cut
 // rounds / ADMM iterations / bisection probes, dosePl between rounds —
 // with an error wrapping context.Canceled.
 func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {

@@ -48,11 +48,10 @@ type Options struct {
 	// STA sets golden-analysis boundary conditions.
 	STA sta.Config
 	// Workers bounds the fan-out across independent units of work: the
-	// gate levels of golden and signoff STA, the per-gate model fit, and
-	// the fields and column groups of a wafer solve.  A QP/QCP solve
-	// itself always runs on one goroutine.  Zero selects
-	// runtime.GOMAXPROCS(0).  Results are bit-identical for every
-	// worker count.
+	// per-gate model fit and the fields and column groups of a wafer
+	// solve.  A QP/QCP solve and every STA analysis run on one
+	// goroutine.  Zero selects runtime.GOMAXPROCS(0).  Results are
+	// bit-identical for every worker count.
 	Workers int
 
 	// Actuator selection.  The zero values reproduce the dose-only
@@ -71,18 +70,12 @@ type Options struct {
 	BiasLo, BiasHi float64
 }
 
-// useDose reports whether the dose-map actuator is active.
-func (o Options) useDose() bool { return !o.DoseOff }
-
 // useBias reports whether the body-bias actuator is active.
 func (o Options) useBias() bool { return o.BiasGridUm > 0 }
 
-// normalized propagates the top-level Workers knob into the nested STA
-// configuration (without overriding an explicit per-layer setting).
+// normalized fills in the default body-bias box when bias is enabled
+// without one.
 func (o Options) normalized() Options {
-	if o.STA.Workers == 0 {
-		o.STA.Workers = o.Workers
-	}
 	if o.useBias() {
 		if o.BiasLo == 0 && o.BiasHi == 0 {
 			o.BiasLo, o.BiasHi = DefaultBiasLo, DefaultBiasHi

@@ -561,7 +561,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	// the whole budget.  Either split yields bit-identical results.
 	workers := par.Workers(opt.Workers)
 	inner := opt
-	inner.Workers, inner.STA.Workers = 1, 1
+	inner.Workers = 1
 	in := c.Golden.In
 
 	// Stage A: uniform nominal dose — golden signoff of each distinct

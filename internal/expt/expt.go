@@ -105,9 +105,9 @@ type Context struct {
 	// Workers bounds the fan-out across independent units of work:
 	// concurrent table regeneration, table rows, optimization chains,
 	// dose- and bias-sweep points, wafer fields and column groups, and
-	// the STA levels and model fits of the cached artifact builds.  A
-	// run inside an optimization chain or a sweep point uses one
-	// worker, and every QP/QCP solve runs on one goroutine.  Zero
+	// the model fits of the cached artifact builds.  A run inside an
+	// optimization chain or a sweep point uses one worker, and every
+	// QP/QCP solve and STA analysis runs on one goroutine.  Zero
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
 
@@ -209,13 +209,6 @@ func New(opts ...Option) *Context {
 	return c
 }
 
-// staCfg is the golden-analysis config with the harness worker knob.
-func (c *Context) staCfg() sta.Config {
-	cfg := sta.DefaultConfig()
-	cfg.Workers = c.Workers
-	return cfg
-}
-
 // Design returns the (cached) design for a preset name.
 func (c *Context) Design(name string) (*gen.Design, error) {
 	return c.DesignCtx(context.Background(), name)
@@ -269,7 +262,7 @@ func (c *Context) GoldenCtx(ctx context.Context, name string) (*sta.Result, erro
 		if err != nil {
 			return nil, err
 		}
-		return core.GoldenNominalCtx(ctx, d, c.staCfg())
+		return core.GoldenNominalCtx(ctx, d, sta.DefaultConfig())
 	})
 }
 
@@ -493,7 +486,7 @@ func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float
 		return nil, err
 	}
 	in := core.InputOf(d)
-	cfg := c.staCfg()
+	cfg := sta.DefaultConfig()
 	n := d.Circ.NumGates()
 	workers := par.Workers(c.Workers)
 
@@ -536,11 +529,8 @@ func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float
 	if err != nil {
 		return nil, err
 	}
-	// The points fan out across workers; keep each point's analysis
-	// serial inside to avoid nested oversubscription.  Either split
-	// of the same work yields bit-identical rows.
-	ptCfg := cfg
-	ptCfg.Workers = 1
+	// The points fan out across workers; either split of the same work
+	// yields bit-identical rows.
 	return par.Map(ctx, len(doses), workers, func(i int) (DoseSweepRow, error) {
 		dose := doses[i]
 		dl := make([]float64, n)
@@ -549,7 +539,7 @@ func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float
 				dl[id] = tech.DoseToLength(dose)
 			}
 		}
-		ev, _, err := core.EvalPerturbCtx(ctx, in, ptCfg, &sta.Perturb{DL: dl})
+		ev, _, err := core.EvalPerturbCtx(ctx, in, cfg, &sta.Perturb{DL: dl})
 		if err != nil {
 			return DoseSweepRow{}, err
 		}
@@ -594,18 +584,13 @@ func (c *Context) BiasSweepCtx(ctx context.Context, design string, biases []floa
 		return nil, err
 	}
 	in := core.InputOf(d)
-	cfg := c.staCfg()
+	cfg := sta.DefaultConfig()
 	n := d.Circ.NumGates()
 	workers := par.Workers(c.Workers)
 
 	nomEval, _, err := core.EvalPerturbCtx(ctx, in, cfg, nil)
 	if err != nil {
 		return nil, err
-	}
-	ptCfg := cfg
-	ptCfg.Workers = 1
-	if workers == 1 {
-		ptCfg = cfg
 	}
 	return par.Map(ctx, len(biases), workers, func(i int) (BiasSweepRow, error) {
 		b := biases[i]
@@ -615,7 +600,7 @@ func (c *Context) BiasSweepCtx(ctx context.Context, design string, biases []floa
 				dvth[id] = in.Node.BodyBiasDVth(b)
 			}
 		}
-		ev, _, err := core.EvalPerturbCtx(ctx, in, ptCfg, &sta.Perturb{DVth: dvth})
+		ev, _, err := core.EvalPerturbCtx(ctx, in, cfg, &sta.Perturb{DVth: dvth})
 		if err != nil {
 			return BiasSweepRow{}, err
 		}
@@ -1167,7 +1152,6 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 	opt := core.DefaultOptions()
 	opt.G = gridsFor(design, c.Scale)[0]
 	opt.Workers = c.Workers
-	opt.STA.Workers = c.Workers
 	// Compile while the placement is pristine (dosePl moves cells below).
 	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
 	if err != nil {

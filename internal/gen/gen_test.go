@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +97,27 @@ func TestGenerateSmall(t *testing.T) {
 	}
 	if err := d.Pl.InBounds(); err != nil {
 		t.Error(err)
+	}
+	// Every preset keeps the adjacency invariant that Connect and
+	// Disconnect maintain: each fanin edge has its matching fanout
+	// entry, and each fanout its matching fanin.
+	for _, p := range Presets() {
+		d, err := Generate(p.Scaled(0.05))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, g := range d.Circ.Gates {
+			for _, fi := range g.Fanins {
+				if !slices.Contains(d.Circ.Gates[fi].Fanouts, g.ID) {
+					t.Fatalf("%s: gate %d fanin %d lacks reciprocal fanout", p.Name, g.ID, fi)
+				}
+			}
+			for _, fo := range g.Fanouts {
+				if !slices.Contains(d.Circ.Gates[fo].Fanins, g.ID) {
+					t.Fatalf("%s: gate %d fanout %d lacks reciprocal fanin", p.Name, g.ID, fo)
+				}
+			}
+		}
 	}
 }
 

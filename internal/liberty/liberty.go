@@ -294,21 +294,6 @@ func SnapDoseUp(d float64) float64 {
 // bias analogue of the 21-step dose variant grid.
 const BiasStepV = 0.05
 
-// SnapBias rounds a body-bias voltage to the nearest step on the ladder,
-// clamped to [lo, hi].
-func SnapBias(b, lo, hi, step float64) float64 {
-	if step <= 0 {
-		step = BiasStepV
-	}
-	if b < lo {
-		b = lo
-	}
-	if b > hi {
-		b = hi
-	}
-	return math.Round(b/step) * step
-}
-
 // SnapBiasUp rounds a body-bias voltage up to the next ladder step
 // (clamped to hi).  Rounding toward forward bias can only speed gates
 // up, so a timing-feasible solution stays feasible after snapping — the

@@ -1,7 +1,6 @@
 // Report exporters: a human-readable tree for the -stats flag and a
 // schema-versioned JSON document for `cmd/tables -bench-json` / `make
-// bench-json`, seeding the repo's benchmark trajectory (BENCH_pr3.json
-// and successors).
+// bench-json`.
 package obs
 
 import (

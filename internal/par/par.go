@@ -1,6 +1,6 @@
 // Package par is the deterministic fan-out substrate of the flow: a
 // bounded worker pool over independent units of work (table rows,
-// sweep points, wafer fields, STA levels) with ordered result
+// sweep points, wafer fields, model fits) with ordered result
 // collection, deterministic error propagation, and context.Context
 // cancellation.
 //

@@ -64,29 +64,6 @@ func TotalV(masters []*liberty.Master, dL, dW, dVth []float64) float64 {
 	return total / NWPerUW
 }
 
-// PerGateV is PerGate with a per-gate threshold-voltage delta in V; nil
-// dVth takes the exact unbiased path.
-func PerGateV(masters []*liberty.Master, dL, dW, dVth []float64) []float64 {
-	if dVth == nil {
-		return PerGate(masters, dL, dW)
-	}
-	out := make([]float64, len(masters))
-	for id, m := range masters {
-		if m == nil {
-			continue
-		}
-		var dl, dw float64
-		if dL != nil {
-			dl = dL[id]
-		}
-		if dW != nil {
-			dw = dW[id]
-		}
-		out[id] = m.LeakageV(dl, dw, dVth[id])
-	}
-	return out
-}
-
 // PerGate returns each gate's leakage in nW (zero for ports).
 func PerGate(masters []*liberty.Master, dL, dW []float64) []float64 {
 	out := make([]float64, len(masters))

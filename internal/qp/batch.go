@@ -174,7 +174,7 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			solvers[q].sweep()
 		}
 
-		if iter%set.CheckEvery != 0 && iter != set.MaxIter {
+		if iter%checkEvery != 0 && iter != set.MaxIter {
 			continue
 		}
 
@@ -225,7 +225,7 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			break
 		}
 		// Shared ρ: one factor means one ρ for the family.  A stall
-		// restart resets to Settings.Rho, which re-hits the first
+		// restart resets to admmRho, which re-hits the first
 		// factor's cache key.  Otherwise ρ scales by
 		// sqrt(primScore/dualScore), the worst prim/epsP and dual/epsD
 		// over the live members, and snaps onto the ρ-ladder.  The 2×
@@ -238,8 +238,8 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 		// batch-compatible for the caller's next round.
 		newRho := host.rho
 		if restart {
-			newRho = set.Rho
-		} else if set.AdaptiveRho && primScore > 0 && dualScore > 0 {
+			newRho = admmRho
+		} else if primScore > 0 && dualScore > 0 {
 			ratio := math.Sqrt(primScore / dualScore)
 			if ratio > 2 || ratio < 0.5 {
 				r := host.rho * ratio

@@ -161,7 +161,7 @@ func TestGridSolveTrajectoryLock(t *testing.T) {
 			w64(math.Float64bits(v))
 		}
 		restarts += res.Restarts
-		if res.RhoFinal != DefaultSettings().Rho {
+		if res.RhoFinal != admmRho {
 			rhoMoves++
 		}
 	}

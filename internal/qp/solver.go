@@ -144,33 +144,27 @@ func (p *Problem) MaxViolation(x []float64) float64 {
 // Settings tunes the ADMM solver.  The zero value is not usable; start
 // from DefaultSettings.
 type Settings struct {
-	MaxIter     int
-	EpsAbs      float64
-	EpsRel      float64
-	Rho         float64 // initial ADMM step size
-	Sigma       float64 // x-regularization
-	Alpha       float64 // over-relaxation in (0, 2)
-	AdaptiveRho bool
-	CheckEvery  int     // residual/infeasibility check interval
-	ScaleIters  int     // Ruiz equilibration iterations (0 disables scaling)
-	EpsInfeas   float64 // primal-infeasibility certificate tolerance
+	MaxIter int
+	EpsAbs  float64
+	EpsRel  float64
+	Sigma   float64 // x-regularization
 }
 
 // DefaultSettings returns the settings used across the flow.
 func DefaultSettings() Settings {
-	return Settings{
-		MaxIter:     20000,
-		EpsAbs:      1e-4,
-		EpsRel:      1e-4,
-		Rho:         0.1,
-		Sigma:       1e-6,
-		Alpha:       1.6,
-		AdaptiveRho: true,
-		CheckEvery:  25,
-		ScaleIters:  10,
-		EpsInfeas:   1e-5,
-	}
+	return Settings{MaxIter: 20000, EpsAbs: 1e-4, EpsRel: 1e-4, Sigma: 1e-6}
 }
+
+// Fixed ADMM parameters.  The floats are typed float64: with an untyped
+// 1.6 the constant 1 − admmAlpha would fold one ulp away from the
+// float64 subtraction 1 − 1.6.
+const (
+	admmRho    float64 = 0.1  // initial step size ρ₀
+	admmAlpha  float64 = 1.6  // over-relaxation α in (0, 2)
+	checkEvery         = 25   // residual/infeasibility check interval
+	ruizIters          = 10   // Ruiz equilibration iterations
+	epsInfeas  float64 = 1e-5 // primal-infeasibility certificate tolerance
+)
 
 // Result carries the outcome of a solve.
 type Result struct {
@@ -187,8 +181,8 @@ type Result struct {
 
 // stallWindow is the number of consecutive residual checks without at
 // least 1% progress on the tolerance-normalized residual score before
-// the ADMM loop restarts the splitting in place.  At the default CheckEvery
-// of 25 this reacts within ~100 wasted iterations.
+// the ADMM loop restarts the splitting in place.  With a check every
+// checkEvery = 25 iterations this reacts within ~100 wasted iterations.
 const stallWindow = 4
 
 // Solver holds problem data in scaled form plus iterate state, so a
@@ -254,7 +248,7 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	if prob.A != nil {
 		m = prob.A.M
 	}
-	s := &Solver{set: set, n: n, m: m, orig: prob, rho: set.Rho, cinv: 1}
+	s := &Solver{set: set, n: n, m: m, orig: prob, rho: admmRho, cinv: 1}
 	s.q = append([]float64(nil), prob.Q...)
 	if prob.P != nil {
 		s.p = prob.P.Clone()
@@ -398,11 +392,8 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 // the OSQP paper.  Badly mixed scales — dose percentages (≈ ±5) against
 // arrival times (≈ thousands of ps) — make this essential.
 func (s *Solver) equilibrate() {
-	if s.set.ScaleIters <= 0 {
-		return
-	}
 	n, m := s.n, s.m
-	for it := 0; it < s.set.ScaleIters; it++ {
+	for range ruizIters {
 		colA := s.a.ColInfNorms()
 		var colP []float64
 		if s.p != nil {
@@ -584,7 +575,7 @@ func (s *Solver) assembleXStepRHS() {
 // bit for bit that of CSR.MulVec, the relaxed update and
 // assembleXStepRHS run one after another.
 func (s *Solver) sweep() {
-	alpha, beta, sigma, rho := s.set.Alpha, 1-s.set.Alpha, s.set.Sigma, s.rho
+	alpha, beta, sigma, rho := admmAlpha, 1-admmAlpha, s.set.Sigma, s.rho
 	x, xt, q, rhs := s.x[:s.n], s.xt[:s.n], s.q[:s.n], s.rhs[:s.n]
 	for j := range x {
 		xj := alpha*xt[j] + beta*x[j]
@@ -761,7 +752,7 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 	if normDy < 1e-12 {
 		return false
 	}
-	eps := s.set.EpsInfeas * normDy
+	eps := epsInfeas * normDy
 	aty := s.resAty
 	s.a.MulTVec(aty, dy)
 	// Unscale: columns j carry d[j]; certificate needs ‖D⁻¹?‖... we work
@@ -792,7 +783,7 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 // genuine adaptation — but it collapses the continuum of adapted ρ
 // values onto a handful of rungs that the LDLᵀ factor cache can
 // actually revisit.  Stall restarts reset to
-// the initial Settings.Rho, which re-hits the first factor's exact key
+// the initial admmRho, which re-hits the first factor's exact key
 // without being snapped itself.
 func rhoRung(rho float64) float64 {
 	return math.Pow(10, math.Round(4*math.Log10(rho))/4)

@@ -13,7 +13,7 @@ import (
 // value onto [l, u], y takes the matching dual step, and the per-row
 // dual movement accumulates into s.dyAcc.
 func (s *Solver) applyRelaxation(zt []float64) {
-	alpha, beta := s.set.Alpha, 1-s.set.Alpha
+	alpha, beta := admmAlpha, 1-admmAlpha
 	x, xt := s.x[:s.n], s.xt[:s.n]
 	for j := range x {
 		x[j] = alpha*xt[j] + beta*x[j]

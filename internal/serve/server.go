@@ -451,9 +451,7 @@ func (s *Server) artifacts(ctx context.Context, spec api.JobSpec) (api.Artifacts
 	d := dv.(*gen.Design)
 
 	gv, _, err := s.cache.GetOrBuild(ctx, "golden/"+dKey, func(ctx context.Context) (any, int64, error) {
-		cfg := opt.STA
-		cfg.Workers = spec.Workers
-		g, err := core.GoldenNominalCtx(ctx, d, cfg)
+		g, err := core.GoldenNominalCtx(ctx, d, opt.STA)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -2,8 +2,10 @@ package sta
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -13,9 +15,8 @@ import (
 	"repro/internal/tech"
 )
 
-// wide builds a design with many parallel inverter chains so that the
-// topological levels are wide enough (≥ levelGrain gates) to exercise
-// the per-level parallel path of AnalyzeCtx.
+// wide builds a design of 48 parallel inverter chains, each captured by
+// a flip-flop that drives a primary output.
 func wide(t *testing.T) Input {
 	t.Helper()
 	node := tech.N65()
@@ -73,47 +74,50 @@ func sameBits(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-// TestAnalyzeWorkersEquivalent asserts the tentpole determinism
-// contract: the analysis is bit-identical for every worker count.
-func TestAnalyzeWorkersEquivalent(t *testing.T) {
-	in := wide(t)
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	n := in.Circ.NumGates()
-	dl := make([]float64, n)
-	dw := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dl[i] = -10 + float64(i%21)
-		dw[i] = -5 + float64(i%11)
+// TestAnalyzeLock pins the full analysis bit for bit: one FNV-64a word
+// over MCT, CritEnd and the bits of AOut, AEnd, ROut, Slew, InSlew and
+// Load for the wide and mesh(7) designs, each nominal and under a dense
+// DL/DW/DVth perturbation.  A rewrite of AnalyzeCtx that moves any
+// arrival, required time, slew or load by one ulp changes the hash.
+func TestAnalyzeLock(t *testing.T) {
+	const want = 0x2754363e5800d164
+	h := fnv.New64a()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
-	pert := &Perturb{DL: dl, DW: dw}
-	ref, err := Analyze(in, cfg, pert)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range []Input{wide(t), mesh(t, 7)} {
+		n := in.Circ.NumGates()
+		dl := make([]float64, n)
+		dw := make([]float64, n)
+		dvth := make([]float64, n)
+		for i := 0; i < n; i++ {
+			dl[i] = -10 + float64(i%21)
+			dw[i] = -5 + float64(i%11)
+			dvth[i] = -0.04 + 0.01*float64(i%9)
+		}
+		for _, pert := range []*Perturb{nil, {DL: dl, DW: dw, DVth: dvth}} {
+			r, err := Analyze(in, DefaultConfig(), pert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w64(math.Float64bits(r.MCT))
+			w64(uint64(r.CritEnd))
+			for _, v := range [][]float64{r.AOut, r.AEnd, r.ROut, r.Slew, r.InSlew, r.Load} {
+				for _, x := range v {
+					w64(math.Float64bits(x))
+				}
+			}
+		}
 	}
-	for _, w := range []int{2, 3, 8, 0} {
-		cfg.Workers = w
-		r, err := AnalyzeCtx(context.Background(), in, cfg, pert)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if math.Float64bits(r.MCT) != math.Float64bits(ref.MCT) {
-			t.Fatalf("workers=%d: MCT %v != %v", w, r.MCT, ref.MCT)
-		}
-		if r.CritEnd != ref.CritEnd {
-			t.Fatalf("workers=%d: CritEnd %d != %d", w, r.CritEnd, ref.CritEnd)
-		}
-		sameBits(t, "AOut", r.AOut, ref.AOut)
-		sameBits(t, "AEnd", r.AEnd, ref.AEnd)
-		sameBits(t, "ROut", r.ROut, ref.ROut)
-		sameBits(t, "Slew", r.Slew, ref.Slew)
-		sameBits(t, "InSlew", r.InSlew, ref.InSlew)
-		sameBits(t, "Load", r.Load, ref.Load)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("analysis hash %#016x, want %#016x", got, want)
 	}
 }
 
 // TestAnalyzeCtxCanceled asserts cancellation surfaces as a wrapped
-// context.Canceled before any level is evaluated.
+// context.Canceled before any gate is evaluated.
 func TestAnalyzeCtxCanceled(t *testing.T) {
 	in := wide(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -23,7 +23,6 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/tech"
 )
@@ -77,12 +76,10 @@ type Config struct {
 	POLoad float64
 	// SlewWireFactor converts wire delay into added input slew.
 	SlewWireFactor float64
-	// Workers bounds the analysis fan-out: gates within one topological
-	// level are evaluated concurrently on up to Workers goroutines.
-	// Zero (the default) selects runtime.GOMAXPROCS(0).  Results are
-	// bit-identical for every worker count: gates in a level are
-	// mutually independent, each writes only its own slots, and the
-	// min/max reductions used here are exactly order-independent.
+	// Workers is ignored: the analysis is one serial pass.
+	//
+	// Deprecated: nothing reads Workers; it is kept so that code which
+	// still sets it compiles.
 	Workers int
 }
 
@@ -168,40 +165,14 @@ func Analyze(in Input, cfg Config, pert *Perturb) (*Result, error) {
 	return AnalyzeCtx(context.Background(), in, cfg, pert)
 }
 
-// levelGrain is the minimum number of gates in one topological level
-// worth fanning out to the worker pool; below it goroutine dispatch
-// costs more than the arithmetic it hides.
-const levelGrain = 16
-
-// eachGate applies f to every gate in ids, concurrently when the level
-// is large enough, serially (with one cancellation check) otherwise.
-// Either path yields bit-identical results: f writes only the slots of
-// its own gate.
-func eachGate(ctx context.Context, ids []int, workers int, f func(id int)) error {
-	if workers == 1 || len(ids) < levelGrain {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("sta: canceled: %w", err)
-		}
-		for _, id := range ids {
-			f(id)
-		}
-		return nil
-	}
-	return par.Do(ctx, len(ids), workers, func(i int) error {
-		f(ids[i])
-		return nil
-	})
-}
-
-// AnalyzeCtx is Analyze with cancellation: the analysis aborts between
-// topological levels when ctx is canceled, returning an error that
-// wraps context.Canceled.
+// AnalyzeCtx is Analyze with cancellation: a context canceled before the
+// analysis starts fails it with an error that wraps context.Canceled.
+// Once started, the analysis runs to completion.
 //
-// The forward and backward passes are levelized: gates within one
-// topological level are mutually independent (every unblocked timing
-// edge strictly increases the level), so they are evaluated
-// concurrently on up to cfg.Workers goroutines with results
-// bit-identical to the serial order.
+// The analysis is one serial walk of the topological order.  Loads and
+// flip-flop launches come first, then arrivals in topological order,
+// then required times gathered in reverse topological order with the
+// flip-flops last.
 func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Result, error) {
 	n := in.Circ.NumGates()
 	if n == 0 {
@@ -214,11 +185,9 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	levels, err := in.Circ.Levelize()
-	if err != nil {
-		return nil, err
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sta: canceled: %w", err)
 	}
-	workers := par.Workers(cfg.Workers)
 	r := &Result{
 		In: in, Cfg: cfg, Pert: pert,
 		AOut:   make([]float64, n),
@@ -233,59 +202,29 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 		r.AEnd[i] = math.NaN()
 	}
 
-	// Bucket gates by level (in topological order, so bucket contents
-	// are deterministic) and collect the sequential nodes, whose
-	// required times are gathered last in the backward pass.
-	maxLv := 0
-	for _, lv := range levels {
-		if lv > maxLv {
-			maxLv = lv
-		}
-	}
-	buckets := make([][]int, maxLv+1)
-	var seqIDs, allIDs []int
-	allIDs = make([]int, n)
-	for _, id := range order {
-		buckets[levels[id]] = append(buckets[levels[id]], id)
-		if in.Circ.Gates[id].Kind == netlist.Seq {
-			seqIDs = append(seqIDs, id)
-		}
-	}
-	for i := range allIDs {
-		allIDs[i] = i
-	}
-
 	// Loads first (they depend only on placement and fanout pins), then
-	// sequential launch values: launches depend only on loads, and the
-	// topological order does not constrain a flip-flop to precede its
-	// fanouts (edges out of registers cut the timing graph), so fanouts
-	// may be visited first and must already see the launch arrival.
-	if err := eachGate(ctx, allIDs, workers, func(id int) {
+	// each flip-flop's launch from its own load.  The topological order
+	// does not constrain a flip-flop to precede its fanouts (edges out
+	// of registers cut the timing graph), so fanouts may be visited
+	// first and must already see the launch arrival.
+	var seqIDs []int
+	for id := range n {
 		r.Load[id] = in.netLoad(id, cfg)
-	}); err != nil {
-		return nil, err
-	}
-	if err := eachGate(ctx, allIDs, workers, func(id int) {
 		if in.Circ.Gates[id].Kind != netlist.Seq {
-			return
+			continue
 		}
 		m := in.Masters[id]
 		r.AOut[id] = m.DelayV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
 		r.Slew[id] = m.OutSlewV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
 		r.InSlew[id] = cfg.ClockSlew
-	}); err != nil {
-		return nil, err
+		seqIDs = append(seqIDs, id)
 	}
 
-	// Forward pass, level by level.  A gate reads only its fanins'
-	// arrival/slew — all at strictly lower levels or precomputed
-	// flip-flop launch values — so gates within a level are independent.
-	for lv := 0; lv <= maxLv; lv++ {
-		if err := eachGate(ctx, buckets[lv], workers, func(id int) {
-			forwardGate(r, in, cfg, pert, id)
-		}); err != nil {
-			return nil, err
-		}
+	// Forward pass: a gate reads only its fanins' arrival/slew, and each
+	// fanin either precedes it in topological order or is a flip-flop
+	// whose launch is already set.
+	for _, id := range order {
+		forwardGate(r, in, cfg, pert, id)
 	}
 
 	// MCT = max endpoint arrival.
@@ -299,35 +238,22 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 	}
 
 	// Backward pass: required times at T = MCT, in gather form — each
-	// node takes the min over its own fanout edges, which equals the
-	// serial scatter relaxation exactly (min is order-independent).
-	// Non-sequential nodes run in descending level order: an unblocked
-	// edge u→v puts v at a strictly higher level, so ROut[v] is final
-	// before u gathers it.  Sequential nodes run last: nothing reads a
-	// flip-flop's required time (edges *into* a register need only MCT
-	// and its setup), while its own gather may read combinational
-	// fanouts at arbitrary levels.
+	// node takes the min over its own fanout edges.  Non-sequential
+	// nodes run in reverse topological order: an unblocked edge u→v
+	// puts v after u, so ROut[v] is final before u gathers it.
+	// Flip-flops run last: nothing reads a flip-flop's required time
+	// (edges *into* a register need only MCT and its setup), while its
+	// own gather may read combinational fanouts anywhere in the order.
 	for i := range r.ROut {
 		r.ROut[i] = math.Inf(1)
 	}
-	for lv := maxLv; lv >= 0; lv-- {
-		ids := buckets[lv]
-		nonSeq := ids[:0:0]
-		for _, id := range ids {
-			if in.Circ.Gates[id].Kind != netlist.Seq {
-				nonSeq = append(nonSeq, id)
-			}
-		}
-		if err := eachGate(ctx, nonSeq, workers, func(id int) {
+	for i := n - 1; i >= 0; i-- {
+		if id := order[i]; in.Circ.Gates[id].Kind != netlist.Seq {
 			gatherRequired(r, in, cfg, pert, id)
-		}); err != nil {
-			return nil, err
 		}
 	}
-	if err := eachGate(ctx, seqIDs, workers, func(id int) {
+	for _, id := range seqIDs {
 		gatherRequired(r, in, cfg, pert, id)
-	}); err != nil {
-		return nil, err
 	}
 	// Unloaded nodes: required defaults to MCT.
 	for id := range r.ROut {

@@ -20,9 +20,7 @@ import (
 //     set with the changed gates, and re-propagates forward through the
 //     fanout cones (with bitwise early cut-off when a gate's
 //     arrival/slew is unchanged) and backward through the affected
-//     required-time cone only;
-//   - SwapUpdate(a, b) invalidates exactly the nets incident to a
-//     swapped pair of cells and re-propagates the same way.
+//     required-time cone only.
 //
 // The contract is strict bitwise equivalence: after every update the
 // Timer's Result is identical under math.Float64bits to a cold full
@@ -32,9 +30,9 @@ import (
 // scan), evaluated in an order where every operand already carries its
 // cold-analysis bits.
 //
-// A Timer is not safe for concurrent use.  The Result returned by
-// Update/SwapUpdate/Result aliases the Timer's internal buffers and is
-// only valid until the next update (or Restore).
+// A Timer is not safe for concurrent use.  The Result returned by Update
+// and Result aliases the Timer's internal buffers and is only valid
+// until the next update (or Restore).
 type Timer struct {
 	in  Input
 	cfg Config
@@ -210,7 +208,9 @@ func (t *Timer) markRelaunch(id int) {
 // and/or cells moved (swaps, legalization).  It returns the updated
 // Result, bit-identical to a cold Analyze of the same state.
 func (t *Timer) Update(pert *Perturb) *Result {
-	t.begin()
+	t.gen++
+	t.loadList = t.loadList[:0]
+	t.relList = t.relList[:0]
 	// Placement diff: a moved cell invalidates the wire delays of every
 	// incident arc and the wire caps of every net it belongs to (its own
 	// net and each fanin's net).
@@ -236,29 +236,6 @@ func (t *Timer) Update(pert *Perturb) *Result {
 		t.seedPertChange(id)
 	}
 	return t.finish()
-}
-
-// SwapUpdate re-times the design after the caller swapped the placement
-// of cells a and b (e.g. via Placement.Swap).  Only the nets incident
-// to the pair are invalidated.  The result is bit-identical to a cold
-// Analyze of the swapped state.
-func (t *Timer) SwapUpdate(a, b int) *Result {
-	t.begin()
-	for _, id := range [2]int{a, b} {
-		x, y := t.in.Pl.X[id], t.in.Pl.Y[id]
-		if math.Float64bits(x) != math.Float64bits(t.prevX[id]) ||
-			math.Float64bits(y) != math.Float64bits(t.prevY[id]) {
-			t.prevX[id], t.prevY[id] = x, y
-			t.seedMoved(id)
-		}
-	}
-	return t.finish()
-}
-
-func (t *Timer) begin() {
-	t.gen++
-	t.loadList = t.loadList[:0]
-	t.relList = t.relList[:0]
 }
 
 // seedMoved records the timing consequences of one cell changing
@@ -410,7 +387,10 @@ func (t *Timer) finish() *Result {
 	return r
 }
 
-// fullBackward replays Analyze's backward pass verbatim.
+// fullBackward re-gathers every required time in level order, flip-flops
+// last.  The order differs from Analyze's reverse topological walk, but
+// each gather sees the same final fanout values and takes an exact min,
+// so every bit matches.
 func (t *Timer) fullBackward() {
 	r, in, cfg := t.res, t.in, t.cfg
 	for i := range r.ROut {
@@ -484,7 +464,7 @@ func (t *Timer) incrementalBackward() {
 // cheap rollback (e.g. dosePl rejecting a swap round).
 type TimerState struct {
 	aout, aend, rout, slew, inslew, load []float64
-	dl, dw                               []float64
+	dl, dw, dvth                         []float64
 	px, py                               []float64
 	mct                                  float64
 	critEnd                              int
@@ -505,6 +485,7 @@ func (t *Timer) Snapshot() *TimerState {
 		load:    append([]float64(nil), r.Load...),
 		dl:      append([]float64(nil), t.pert.DL...),
 		dw:      append([]float64(nil), t.pert.DW...),
+		dvth:    append([]float64(nil), t.pert.DVth...),
 		px:      append([]float64(nil), t.prevX...),
 		py:      append([]float64(nil), t.prevY...),
 		mct:     r.MCT,
@@ -527,6 +508,7 @@ func (t *Timer) Restore(s *TimerState) {
 	copy(r.Load, s.load)
 	copy(t.pert.DL, s.dl)
 	copy(t.pert.DW, s.dw)
+	copy(t.pert.DVth, s.dvth)
 	copy(t.prevX, s.px)
 	copy(t.prevY, s.py)
 	r.MCT = s.mct

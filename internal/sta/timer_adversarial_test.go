@@ -21,7 +21,6 @@ import (
 func TestTimerAdversarialSameCells(t *testing.T) {
 	in := mesh(t, 11)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	n := in.Circ.NumGates()
 	tm, err := NewTimer(in, cfg, nil)
 	if err != nil {
@@ -38,7 +37,7 @@ func TestTimerAdversarialSameCells(t *testing.T) {
 		name := fmt.Sprintf("round%d", round)
 
 		in.Pl.Swap(a, b)
-		checkAgainstCold(t, name+"-swap-ab", in, cfg, pert(), tm.SwapUpdate(a, b))
+		checkAgainstCold(t, name+"-swap-ab", in, cfg, pert(), tm.Update(pert()))
 
 		snap := tm.Snapshot()
 		snapX := append([]float64(nil), in.Pl.X...)
@@ -49,9 +48,9 @@ func TestTimerAdversarialSameCells(t *testing.T) {
 		// same snapshot, proving Restore does not consume its argument.
 		for rb := 0; rb < 2; rb++ {
 			in.Pl.Swap(c, d)
-			tm.SwapUpdate(c, d)
+			tm.Update(snapPert)
 			in.Pl.Swap(a, d)
-			tm.SwapUpdate(a, d)
+			tm.Update(snapPert)
 			copy(in.Pl.X, snapX)
 			copy(in.Pl.Y, snapY)
 			tm.Restore(snap)
@@ -67,11 +66,11 @@ func TestTimerAdversarialSameCells(t *testing.T) {
 		// Swap the same pair back — the placement returns to its exact
 		// pre-round coordinates while the perturbation does not.
 		in.Pl.Swap(a, b)
-		checkAgainstCold(t, name+"-swap-back", in, cfg, pert(), tm.SwapUpdate(a, b))
+		checkAgainstCold(t, name+"-swap-back", in, cfg, pert(), tm.Update(pert()))
 
 		// A self-swap is a legal no-op and must not corrupt state.
 		in.Pl.Swap(c, c)
-		checkAgainstCold(t, name+"-self-swap", in, cfg, pert(), tm.SwapUpdate(c, c))
+		checkAgainstCold(t, name+"-self-swap", in, cfg, pert(), tm.Update(pert()))
 	}
 }
 
@@ -111,7 +110,6 @@ func tinyInput(t *testing.T) Input {
 func TestTimerDegenerateSingleGrid(t *testing.T) {
 	in := tinyInput(t)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	n := in.Circ.NumGates()
 	tm, err := NewTimer(in, cfg, nil)
 	if err != nil {
@@ -140,9 +138,9 @@ func TestTimerDegenerateSingleGrid(t *testing.T) {
 	last := &Perturb{DL: append([]float64(nil), dl...)}
 
 	in.Pl.Swap(g, ff)
-	checkAgainstCold(t, "tiny-swap", in, cfg, last, tm.SwapUpdate(g, ff))
+	checkAgainstCold(t, "tiny-swap", in, cfg, last, tm.Update(last))
 	in.Pl.Swap(g, ff)
-	checkAgainstCold(t, "tiny-swap-back", in, cfg, last, tm.SwapUpdate(g, ff))
+	checkAgainstCold(t, "tiny-swap-back", in, cfg, last, tm.Update(last))
 
 	copy(in.Pl.X, snapX)
 	copy(in.Pl.Y, snapY)

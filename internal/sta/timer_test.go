@@ -126,7 +126,6 @@ func placedCells(in Input) []int {
 func TestTimerUpdateEquivalence(t *testing.T) {
 	in := mesh(t, 1)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	n := in.Circ.NumGates()
 	rng := rand.New(rand.NewSource(2))
 
@@ -161,7 +160,9 @@ func TestTimerUpdateEquivalence(t *testing.T) {
 			a := cells[rng.Intn(len(cells))]
 			b := cells[rng.Intn(len(cells))]
 			in.Pl.Swap(a, b)
-			got := tm.SwapUpdate(a, b)
+			copy(scratch.DL, dl)
+			copy(scratch.DW, dw)
+			got := tm.Update(scratch)
 			checkAgainstCold(t, name+"-swap", in, cfg, &Perturb{DL: dl, DW: dw}, got)
 		case 2: // legalization-style bulk move
 			for k := 0; k <= rng.Intn(8); k++ {
@@ -178,11 +179,11 @@ func TestTimerUpdateEquivalence(t *testing.T) {
 }
 
 // TestTimerSwapEquivalence runs 100 consecutive random swaps through
-// SwapUpdate under a fixed nonzero perturbation.
+// Update under a fixed nonzero perturbation, so every step is found by
+// the placement diff alone.
 func TestTimerSwapEquivalence(t *testing.T) {
 	in := mesh(t, 3)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	n := in.Circ.NumGates()
 	dl := make([]float64, n)
 	dw := make([]float64, n)
@@ -201,7 +202,7 @@ func TestTimerSwapEquivalence(t *testing.T) {
 		a := cells[rng.Intn(len(cells))]
 		b := cells[rng.Intn(len(cells))]
 		in.Pl.Swap(a, b)
-		got := tm.SwapUpdate(a, b)
+		got := tm.Update(pert)
 		checkAgainstCold(t, fmt.Sprintf("swap%d", step), in, cfg, pert, got)
 	}
 }
@@ -213,7 +214,6 @@ func TestTimerSwapEquivalence(t *testing.T) {
 func TestTimerSnapshotRestore(t *testing.T) {
 	in := mesh(t, 5)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	n := in.Circ.NumGates()
 	tm, err := NewTimer(in, cfg, nil)
 	if err != nil {
@@ -226,7 +226,8 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		dl[cells[rng.Intn(len(cells))]] = -5 + 10*rng.Float64()
 	}
-	tm.Update(&Perturb{DL: dl})
+	pert := &Perturb{DL: dl}
+	tm.Update(pert)
 
 	snap := tm.Snapshot()
 	snapX := append([]float64(nil), in.Pl.X...)
@@ -237,7 +238,7 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		a, b := cells[rng.Intn(len(cells))], cells[rng.Intn(len(cells))]
 		in.Pl.Swap(a, b)
-		tm.SwapUpdate(a, b)
+		tm.Update(pert)
 	}
 	dl2 := append([]float64(nil), dl...)
 	for k := 0; k < 10; k++ {
@@ -254,8 +255,29 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	// And the Timer keeps working incrementally after the rollback.
 	a, b := cells[0], cells[len(cells)-1]
 	in.Pl.Swap(a, b)
-	got := tm.SwapUpdate(a, b)
+	got := tm.Update(snapPert)
 	checkAgainstCold(t, "post-restore-swap", in, cfg, snapPert, got)
+
+	// The snapshot covers the threshold shift too: after a rollback past
+	// a DVth change, re-applying that change must re-time the design
+	// rather than match the Timer's stale copy of it.
+	uniform := func(v float64) *Perturb {
+		p := &Perturb{DVth: make([]float64, n)}
+		for i := range p.DVth {
+			p.DVth[i] = v
+		}
+		return p
+	}
+	fresh, err := NewTimer(in, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Update(uniform(0.02))
+	snap = fresh.Snapshot()
+	fresh.Update(uniform(-0.03))
+	fresh.Restore(snap)
+	checkAgainstCold(t, "restored-dvth", in, cfg, uniform(0.02), fresh.Result())
+	checkAgainstCold(t, "post-restore-dvth", in, cfg, uniform(-0.03), fresh.Update(uniform(-0.03)))
 }
 
 // regionPert builds the dense gate-length delta of a uniform dose delta
@@ -281,7 +303,6 @@ func regionPert(in Input, x0, y0, size, dl float64) *Perturb {
 func TestIncrementalUpdateEvalSavings(t *testing.T) {
 	in := mesh(t, 7)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	tm, err := NewTimer(in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +326,6 @@ func TestIncrementalUpdateEvalSavings(t *testing.T) {
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	in := mesh(b, 7)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	tm, err := NewTimer(in, cfg, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -116,13 +116,9 @@ func Analyze(d *Design) (*Timing, error) {
 	return core.GoldenNominal(d, sta.DefaultConfig())
 }
 
-// AnalyzeCtx is Analyze with cancellation and a worker-count knob
-// (workers ≤ 0 selects runtime.GOMAXPROCS(0)); the analysis is
-// bit-identical for every worker count.
-func AnalyzeCtx(ctx context.Context, d *Design, workers int) (*Timing, error) {
-	cfg := sta.DefaultConfig()
-	cfg.Workers = workers
-	return core.GoldenNominalCtx(ctx, d, cfg)
+// AnalyzeCtx is Analyze with cancellation.
+func AnalyzeCtx(ctx context.Context, d *Design) (*Timing, error) {
+	return core.GoldenNominalCtx(ctx, d, sta.DefaultConfig())
 }
 
 // FitModel calibrates the per-instance linear-delay / quadratic-leakage
