@@ -208,6 +208,32 @@ func TestReportMachineFacts(t *testing.T) {
 	}
 }
 
+// TestReportRuntimeStats checks that every dmopt-bench/v1 document
+// carries the process's heap bytes allocated, GC cycles and GC CPU
+// seconds, with a positive byte count (the test itself allocates).
+func TestReportRuntimeStats(t *testing.T) {
+	b, err := json.Marshal(New().Report("runtime", 0, 0, 1, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"heap_alloc_bytes", "gc_cycles", "gc_cpu_seconds"} {
+		v, ok := doc[key].(float64)
+		if !ok {
+			t.Fatalf("report has no numeric %q: %v", key, doc[key])
+		}
+		if v < 0 {
+			t.Errorf("%s = %v, want ≥ 0", key, v)
+		}
+	}
+	if doc["heap_alloc_bytes"].(float64) <= 0 {
+		t.Errorf("heap_alloc_bytes = %v, want > 0", doc["heap_alloc_bytes"])
+	}
+}
+
 // TestWriteTree smoke-tests the human-readable renderer.
 func TestWriteTree(t *testing.T) {
 	r := New()
@@ -223,7 +249,8 @@ func TestWriteTree(t *testing.T) {
 	var buf bytes.Buffer
 	r.WriteTree(&buf, time.Second)
 	out := buf.String()
-	for _, want := range []string{"flow/dmopt", "core/qp", "qp/iterations", "qp/prim_res", "sta/update"} {
+	for _, want := range []string{"flow/dmopt", "core/qp", "qp/iterations", "qp/prim_res", "sta/update",
+		"heap_alloc_bytes", "gc_cycles", "gc_cpu_seconds"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("tree output missing %q:\n%s", want, out)
 		}

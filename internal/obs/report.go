@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"time"
 )
@@ -21,7 +22,8 @@ const Schema = "dmopt-bench/v1"
 
 // Report is the machine-readable run record.  GOMAXPROCS and NumCPU
 // record the machine the numbers came from: runtime.GOMAXPROCS(0) and
-// runtime.NumCPU() when the report was assembled.
+// runtime.NumCPU() when the report was assembled.  The embedded
+// RuntimeStats are read at the same moment.
 type Report struct {
 	Schema     string  `json:"schema"`
 	GitRev     string  `json:"git_rev"`
@@ -34,7 +36,42 @@ type Report struct {
 	TopK       int     `json:"top_k,omitempty"`
 	Workers    int     `json:"workers"`
 	WallNS     int64   `json:"wall_ns"`
+	RuntimeStats
 	Snapshot
+}
+
+// RuntimeStats are the Go runtime's cumulative process totals: bytes
+// allocated on the heap, completed garbage-collection cycles, and the
+// CPU time the collector has used (the runtime's estimate, which it
+// updates as cycles finish).  They show how much of a run's time the
+// collector took, which no span or counter of the program can.
+type RuntimeStats struct {
+	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
+	GCCycles       uint64  `json:"gc_cycles"`
+	GCCPUSeconds   float64 `json:"gc_cpu_seconds"`
+}
+
+// readRuntimeStats reads the process's RuntimeStats now from
+// runtime/metrics.  A series the runtime does not support reads as
+// zero.
+func readRuntimeStats() RuntimeStats {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+	}
+	metrics.Read(samples)
+	var st RuntimeStats
+	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
+		st.HeapAllocBytes = v.Uint64()
+	}
+	if v := samples[1].Value; v.Kind() == metrics.KindUint64 {
+		st.GCCycles = v.Uint64()
+	}
+	if v := samples[2].Value; v.Kind() == metrics.KindFloat64 {
+		st.GCCPUSeconds = v.Float64()
+	}
+	return st
 }
 
 // GitRev returns the VCS revision baked into the binary by the Go
@@ -75,18 +112,19 @@ func GitRev() string {
 // caller supplies run parameters; wall is the end-to-end wall time.
 func (r *Recorder) Report(label string, scale float64, topK, workers int, wall time.Duration) Report {
 	return Report{
-		Schema:     Schema,
-		GitRev:     GitRev(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Label:      label,
-		Scale:      scale,
-		TopK:       topK,
-		Workers:    workers,
-		WallNS:     int64(wall),
-		Snapshot:   r.Snapshot(),
+		Schema:       Schema,
+		GitRev:       GitRev(),
+		GoVersion:    runtime.Version(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
+		Timestamp:    time.Now().UTC().Format(time.RFC3339),
+		Label:        label,
+		Scale:        scale,
+		TopK:         topK,
+		Workers:      workers,
+		WallNS:       int64(wall),
+		RuntimeStats: readRuntimeStats(),
+		Snapshot:     r.Snapshot(),
 	}
 }
 
@@ -101,9 +139,10 @@ func (rep Report) WriteJSON(path string) error {
 
 // WriteTree renders the human-readable stats tree to w: the span
 // hierarchy with counts and durations, then counters, gauges and
-// timers in lexical order.
+// timers in lexical order, then the process's RuntimeStats.
 func (r *Recorder) WriteTree(w io.Writer, wall time.Duration) {
 	snap := r.Snapshot()
+	rt := readRuntimeStats()
 	fmt.Fprintf(w, "── run stats (wall %v) ──\n", wall.Round(time.Millisecond))
 	if len(snap.Spans) > 0 {
 		fmt.Fprintln(w, "spans:")
@@ -129,6 +168,10 @@ func (r *Recorder) WriteTree(w io.Writer, wall time.Duration) {
 				avgDur(t), time.Duration(t.TotalNS).Round(time.Microsecond))
 		}
 	}
+	fmt.Fprintln(w, "runtime:")
+	fmt.Fprintf(w, "  %-36s %d\n", "heap_alloc_bytes", rt.HeapAllocBytes)
+	fmt.Fprintf(w, "  %-36s %d\n", "gc_cycles", rt.GCCycles)
+	fmt.Fprintf(w, "  %-36s %.3f\n", "gc_cpu_seconds", rt.GCCPUSeconds)
 }
 
 func avgDur(t TimerStat) time.Duration {

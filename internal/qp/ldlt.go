@@ -242,30 +242,111 @@ func fillOf(adj *CSR, perm, iperm, parent, flag []int) int {
 }
 
 // adjacencyOf builds the symmetric adjacency structure of K (off-
-// diagonal pattern of P plus the per-row cliques of A) as a CSR graph.
+// diagonal pattern of P plus the per-row cliques of A) as a CSR graph
+// whose rows list their columns ascending, once each (Val is nil: the
+// orderings read the pattern only).  Vertex v gathers its neighbours
+// from row v of P and from every row of A that holds column v, found
+// through a column → rows index of A and deduplicated by a marker.  A
+// row of A that holds column v more than once makes v its own
+// neighbour, as the clique of such a row does.
 func adjacencyOf(p *CSR, a *CSR, n int) *CSR {
-	t := NewTriplet(n, n)
-	if p != nil {
-		for r := 0; r < p.M; r++ {
-			for k := p.RowPtr[r]; k < p.RowPtr[r+1]; k++ {
-				if c := p.Col[k]; c != r {
-					t.Add(r, c, 1)
-				}
-			}
-		}
-	}
+	var colPtr, colRows []int
 	if a != nil {
+		colPtr = make([]int, n+1)
+		for _, c := range a.Col {
+			colPtr[c+1]++
+		}
+		for c := 0; c < n; c++ {
+			colPtr[c+1] += colPtr[c]
+		}
+		colRows = make([]int, len(a.Col))
 		for r := 0; r < a.M; r++ {
-			lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-			for i := lo; i < hi; i++ {
-				for j := i + 1; j < hi; j++ {
-					t.Add(a.Col[i], a.Col[j], 1)
-					t.Add(a.Col[j], a.Col[i], 1)
+			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+				c := a.Col[k]
+				colRows[colPtr[c]] = r
+				colPtr[c]++
+			}
+		}
+		// The fill pass advanced colPtr[c] to the start of column c+1.
+		copy(colPtr[1:], colPtr[:n])
+		colPtr[0] = 0
+	}
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	adj := &CSR{M: n, N: n, RowPtr: make([]int, n+1)}
+	add := func(v, c int) {
+		if mark[c] != v {
+			mark[c] = v
+			adj.Col = append(adj.Col, c)
+		}
+	}
+	for v := 0; v < n; v++ {
+		start := len(adj.Col)
+		if p != nil {
+			for k := p.RowPtr[v]; k < p.RowPtr[v+1]; k++ {
+				if c := p.Col[k]; c != v {
+					add(v, c)
 				}
 			}
 		}
+		if a != nil {
+			for i := colPtr[v]; i < colPtr[v+1]; i++ {
+				r := colRows[i]
+				if i > colPtr[v] && colRows[i-1] == r {
+					add(v, v) // v occurs twice in row r
+					continue
+				}
+				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+					if c := a.Col[k]; c != v {
+						add(v, c)
+					}
+				}
+			}
+		}
+		slices.Sort(adj.Col[start:])
+		adj.RowPtr[v+1] = len(adj.Col)
 	}
-	return t.Compile()
+	return adj
+}
+
+// patternAdjacency builds the symmetric adjacency structure of the
+// stored upper pattern of K by a counting transpose, with Val nil.
+// Row v lists its lower neighbours (column v of the pattern, ascending)
+// and then its upper neighbours (the later columns that hold row v, in
+// column order), so every row comes out sorted without a sort.
+func (f *ldltFactor) patternAdjacency() *CSR {
+	n := f.n
+	adj := &CSR{M: n, N: n, RowPtr: make([]int, n+1)}
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			if r := f.ki[p]; r != c {
+				adj.RowPtr[r+1]++
+				adj.RowPtr[c+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		adj.RowPtr[v+1] += adj.RowPtr[v]
+	}
+	adj.Col = make([]int, adj.RowPtr[n])
+	next := make([]int, n)
+	copy(next, adj.RowPtr[:n])
+	// Column c fills row c's lower part and appends c to each row r < c
+	// it holds.  Row r's lower part was filled at column r, before any
+	// later column appends to it, so every row comes out ascending.
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			if r := f.ki[p]; r != c {
+				adj.Col[next[c]] = r
+				next[c]++
+				adj.Col[next[r]] = c
+				next[r]++
+			}
+		}
+	}
+	return adj
 }
 
 // rcmOrder returns a reverse Cuthill–McKee ordering of the graph: BFS
@@ -566,10 +647,8 @@ func (f *ldltFactor) compilePattern(ents []upperEntry) {
 // mergeAppended folds extra AᵀA entries (already permuted, upper, from
 // appended constraint rows) into the existing pattern in place: the
 // two sorted streams merge column by column, existing slots accumulate
-// and new slots carry a zero base value.  The ordering is NOT
-// recomputed — appended cut rows ride on the original permutation —
-// but the elimination tree and fill counts are refreshed, which is the
-// cheap part of the analysis.
+// and new slots carry a zero base value.  Neither the ordering nor the
+// symbolic analysis is refreshed here; reorder does both.
 func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 	if len(extra) == 0 {
 		return
@@ -621,40 +700,39 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 		newKP[c+1] = len(newKI)
 	}
 	f.kp, f.ki, f.baseVal, f.ataVal = newKP, newKI, newBase, newATA
-	f.symbolic()
 }
 
 // AppendRows extends the pattern with the AᵀA cliques of rows
 // [fromRow, a.M) of the (scaled) constraint matrix, recomputes the
 // fill-reducing ordering for the merged pattern, and re-runs the
-// symbolic analysis.  Re-ordering costs one graph traversal per append
-// — appends are rare (once per cut round) while every ADMM iteration
-// pays nnz(L) twice, and cut cliques merged into a stale permutation
-// can double the fill.  The caller must Refactor before the next
-// Solve.
+// symbolic analysis once, for whichever ordering reorder keeps.
+// Re-ordering costs one graph traversal per append — appends are rare
+// (once per cut round) while every ADMM iteration pays nnz(L) twice,
+// and cut cliques merged into a stale permutation can double the fill.
+// The caller must Refactor before the next Solve.
 func (f *ldltFactor) AppendRows(a *CSR, fromRow int) {
 	f.mergeAppended(ataEntries(a, fromRow, f.iperm))
 	f.reorder()
 }
 
 // reorder recomputes the fill-reducing permutation from the current
-// merged pattern and recompiles it, composing the new relative order
-// onto the existing permutation.  Needs no access to the original P
-// and A: the stored pattern and split values carry everything.
+// merged pattern and keeps it when it predicts less fill than the
+// merged-in-place ordering, composing the new relative order onto the
+// existing permutation and recompiling the pattern.  Either way it
+// ends with one symbolic analysis of the kept pattern.  The in-place
+// fill comes from the elimination-tree walk alone, so a losing
+// candidate costs no fill pattern, views or supernodes.  Needs no
+// access to the original P and A: the stored pattern and split values
+// carry everything.
 func (f *ldltFactor) reorder() {
 	n := f.n
-	t := NewTriplet(n, n)
-	for c := 0; c < n; c++ {
-		for p := f.kp[c]; p < f.kp[c+1]; p++ {
-			if r := f.ki[p]; r != c {
-				t.Add(r, c, 1)
-				t.Add(c, r, 1)
-			}
-		}
-	}
-	rel, relFill := bestOrder(t.Compile())
-	if relFill >= f.lp[n] {
-		return // the merged-in-place ordering is already at least as good
+	merged := f.etree()
+	rel, relFill := bestOrder(f.patternAdjacency())
+	if relFill >= merged {
+		// The merged-in-place ordering is already at least as good, and
+		// etree has analysed it.
+		f.fillSymbolic()
+		return
 	}
 	irel := make([]int, n)
 	for k, v := range rel {
@@ -689,6 +767,14 @@ func (f *ldltFactor) reorder() {
 // returns, the numeric phase touches only the panels and d — which is
 // what makes factor caching (snapshot/restore of px, d) sound.
 func (f *ldltFactor) symbolic() {
+	f.etree()
+	f.fillSymbolic()
+}
+
+// etree computes the elimination tree (parent), the per-column counts
+// of L (lnz) and its column pointers (lp) for the current pattern by
+// the flag-path walk, and returns nnz(L).
+func (f *ldltFactor) etree() int {
 	n := f.n
 	if f.parent == nil {
 		f.parent = make([]int, n)
@@ -715,6 +801,14 @@ func (f *ldltFactor) symbolic() {
 	for k := 0; k < n; k++ {
 		f.lp[k+1] = f.lp[k] + f.lnz[k]
 	}
+	return f.lp[n]
+}
+
+// fillSymbolic is the rest of the symbolic analysis on the elimination
+// tree and counts etree left: the pattern of L, its row-major view,
+// the lower K view and the supernodes.
+func (f *ldltFactor) fillSymbolic() {
+	n := f.n
 	nnz := f.lp[n]
 	if cap(f.li) < nnz {
 		f.li = make([]int, nnz)

@@ -393,24 +393,29 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 // arrival times (≈ thousands of ps) — make this essential.
 func (s *Solver) equilibrate() {
 	n, m := s.n, s.m
+	// One set of buffers for all passes: dd and ee take the norms, then
+	// the scalings computed from them.
+	dd := make([]float64, n)
+	ee := make([]float64, m)
+	var colP []float64
+	if s.p != nil {
+		colP = make([]float64, n)
+	}
 	for range ruizIters {
-		colA := s.a.ColInfNorms()
-		var colP []float64
+		s.a.colInfNormsInto(dd)
 		if s.p != nil {
-			colP = s.p.ColInfNorms()
+			s.p.colInfNormsInto(colP)
 		}
-		dd := make([]float64, n)
 		for j := 0; j < n; j++ {
-			norm := colA[j]
+			norm := dd[j]
 			if colP != nil && colP[j] > norm {
 				norm = colP[j]
 			}
 			dd[j] = invSqrtSafe(norm)
 		}
-		ee := make([]float64, m)
-		rowA := s.a.RowInfNorms()
+		s.a.rowInfNormsInto(ee)
 		for i := 0; i < m; i++ {
-			ee[i] = invSqrtSafe(rowA[i])
+			ee[i] = invSqrtSafe(ee[i])
 		}
 		// Apply: P ← D P D, q ← D q, A ← E A D, l/u ← E l/u.
 		if s.p != nil {
@@ -432,7 +437,7 @@ func (s *Solver) equilibrate() {
 	// Cost scaling: normalize the gradient magnitude.
 	g := InfNorm(s.q)
 	if s.p != nil {
-		cols := s.p.ColInfNorms()
+		cols := s.p.colInfNormsInto(colP)
 		mean := 0.0
 		for _, v := range cols {
 			mean += v

@@ -51,9 +51,6 @@ func (t *Triplet) Add(i, j int, v float64) {
 	t.vals = append(t.vals, v)
 }
 
-// Dims returns the matrix dimensions.
-func (t *Triplet) Dims() (m, n int) { return t.m, t.n }
-
 // NNZ returns the number of accumulated entries (before duplicate
 // summing).
 func (t *Triplet) NNZ() int { return len(t.vals) }
@@ -181,20 +178,33 @@ func (c *CSR) AddMulTVec(y, x []float64) {
 
 // RowInfNorms returns the infinity norm of each row.
 func (c *CSR) RowInfNorms() []float64 {
-	norms := make([]float64, c.M)
+	return c.rowInfNormsInto(make([]float64, c.M))
+}
+
+// rowInfNormsInto writes the infinity norm of each row into norms (len
+// M) and returns it.
+func (c *CSR) rowInfNormsInto(norms []float64) []float64 {
 	for r := 0; r < c.M; r++ {
+		m := 0.0
 		for k := c.RowPtr[r]; k < c.RowPtr[r+1]; k++ {
-			if a := math.Abs(c.Val[k]); a > norms[r] {
-				norms[r] = a
+			if a := math.Abs(c.Val[k]); a > m {
+				m = a
 			}
 		}
+		norms[r] = m
 	}
 	return norms
 }
 
 // ColInfNorms returns the infinity norm of each column.
 func (c *CSR) ColInfNorms() []float64 {
-	norms := make([]float64, c.N)
+	return c.colInfNormsInto(make([]float64, c.N))
+}
+
+// colInfNormsInto writes the infinity norm of each column into norms
+// (len N) and returns it.
+func (c *CSR) colInfNormsInto(norms []float64) []float64 {
+	clear(norms)
 	for k, col := range c.Col {
 		if a := math.Abs(c.Val[k]); a > norms[col] {
 			norms[col] = a

@@ -2,6 +2,8 @@ package sta
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -55,6 +57,36 @@ type frontier struct {
 	heap  []heapItem
 }
 
+// pathScratch is the per-call working set of TopPathsDAG: the arc
+// offsets, the arc delays, the suffix bounds and the frontier.  Every
+// call overwrites what it reads, so a reused scratch gives the same
+// bits as a fresh one.
+type pathScratch struct {
+	arcOff []int
+	arcs   []float64
+	suffix []float64
+	f      frontier
+}
+
+// maxPooledStates caps the arena capacity of a scratch that goes back
+// to scratchPool.  The cut rounds of small designs stay well under it;
+// a search that grew past it (a large design, or a large k) is dropped,
+// so the pool does not pin megabytes of arena and heap between calls.
+const maxPooledStates = 1 << 14
+
+// scratchPool recycles TopPathsDAG's buffers across calls, and so
+// across the cut rounds and service jobs that call it.
+var scratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
+
+// grow returns s resized to n elements, reusing its capacity when it
+// suffices (contents unspecified).
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // TopPaths enumerates the K longest paths in exact non-increasing delay
 // order, the stand-in for the paper's "top-K (e.g., K = 10,000) critical
 // paths" extraction.  Fewer than K paths are returned if the design has
@@ -77,23 +109,28 @@ func (r *Result) TopPaths(k int, maxStates int) []*Path {
 // error far under that margin.  Before the stop the frontier evolves
 // exactly as without a cutoff, so the result is a prefix of the
 // NoCutoff result that holds every path above the cutoff.
+//
+// The working buffers come from scratchPool and go back to it; the
+// returned paths share no memory with them.
 func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) float64,
 	start, end func(id int) float64, k, maxStates int, cutoff float64) []*Path {
 	if k <= 0 {
 		return nil
 	}
 	n := circ.NumGates()
+	sc := scratchPool.Get().(*pathScratch)
 
 	// arcs[arcOff[id]+j] is the delay of id → Fanouts[j].
-	arcOff := make([]int, n+1)
+	arcOff := grow(sc.arcOff, n+1)
+	arcOff[0] = 0
 	for id, g := range circ.Gates {
 		arcOff[id+1] = arcOff[id] + len(g.Fanouts)
 	}
-	arcs := make([]float64, arcOff[n])
+	arcs := grow(sc.arcs, arcOff[n])
 
 	// suffix[id] = best achievable delay from id's output to any
 	// endpoint (excluding id's own launch weight); -inf for dead ends.
-	suffix := make([]float64, n)
+	suffix := grow(sc.suffix, n)
 	for i := range suffix {
 		suffix[i] = math.Inf(-1)
 	}
@@ -132,7 +169,9 @@ func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) floa
 		}
 	}
 
-	f := frontier{arena: make([]pathState, 0, 4*k)}
+	// Only relaxed gates get a live suffix, and only states at such gates
+	// are expanded, so the arc slots read below were all written above.
+	f := frontier{arena: slices.Grow(sc.f.arena[:0], 4*k), heap: sc.f.heap[:0]}
 	// Roots: all startpoints with a live suffix.
 	for id, g := range circ.Gates {
 		if g.Kind != netlist.PI && g.Kind != netlist.Seq || math.IsInf(suffix[id], -1) {
@@ -170,6 +209,12 @@ func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) floa
 				f.push(pathState{node: fo, g: ng, parent: si}, ng+suffix[fo])
 			}
 		}
+	}
+	// The paths own their node slices (frontier.nodes copies), so the
+	// scratch can go back with whatever capacity the search grew.
+	if cap(f.arena) <= maxPooledStates {
+		*sc = pathScratch{arcOff: arcOff, arcs: arcs, suffix: suffix, f: f}
+		scratchPool.Put(sc)
 	}
 	return paths
 }

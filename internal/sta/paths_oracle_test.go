@@ -2,6 +2,7 @@ package sta
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,25 +138,53 @@ func topPathsHeapOracle(circ *netlist.Circuit, order []int, arc func(from, to in
 	return paths
 }
 
+// diffPaths describes the first difference between got and want (node
+// sequences and delay bits, in order), or returns "" when they agree.
+func diffPaths(got, want []*Path) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d paths, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i].Delay) != math.Float64bits(want[i].Delay) {
+			return fmt.Sprintf("path %d delay %v, oracle %v", i, got[i].Delay, want[i].Delay)
+		}
+		if len(got[i].Nodes) != len(want[i].Nodes) {
+			return fmt.Sprintf("path %d has %d nodes, oracle %d", i, len(got[i].Nodes), len(want[i].Nodes))
+		}
+		for j := range got[i].Nodes {
+			if got[i].Nodes[j] != want[i].Nodes[j] {
+				return fmt.Sprintf("path %d node %d is %d, oracle %d", i, j, got[i].Nodes[j], want[i].Nodes[j])
+			}
+		}
+	}
+	return ""
+}
+
+// diffCutoffPrefix describes how got fails to be a prefix of the uncut
+// oracle output want that holds every oracle path with delay above
+// cutoff, or returns "" when it is one.
+func diffCutoffPrefix(got, want []*Path, cutoff float64) string {
+	if len(got) > len(want) {
+		return fmt.Sprintf("%d paths, more than the oracle's %d", len(got), len(want))
+	}
+	if d := diffPaths(got, want[:len(got)]); d != "" {
+		return d
+	}
+	for i := len(got); i < len(want); i++ {
+		if want[i].Delay > cutoff {
+			return fmt.Sprintf("oracle path %d (delay %v) above cutoff %v is missing (%d returned)",
+				i, want[i].Delay, cutoff, len(got))
+		}
+	}
+	return ""
+}
+
 // samePaths fails unless got and want hold the same node sequences and
 // bit-identical delays in the same order.
 func samePaths(t *testing.T, label string, got, want []*Path) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d paths, oracle %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i].Delay) != math.Float64bits(want[i].Delay) {
-			t.Fatalf("%s: path %d delay %v, oracle %v", label, i, got[i].Delay, want[i].Delay)
-		}
-		if len(got[i].Nodes) != len(want[i].Nodes) {
-			t.Fatalf("%s: path %d has %d nodes, oracle %d", label, i, len(got[i].Nodes), len(want[i].Nodes))
-		}
-		for j := range got[i].Nodes {
-			if got[i].Nodes[j] != want[i].Nodes[j] {
-				t.Fatalf("%s: path %d node %d is %d, oracle %d", label, i, j, got[i].Nodes[j], want[i].Nodes[j])
-			}
-		}
+	if d := diffPaths(got, want); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }
 
@@ -163,15 +192,8 @@ func samePaths(t *testing.T, label string, got, want []*Path) {
 // output want that holds every oracle path with delay above cutoff.
 func checkCutoffPrefix(t *testing.T, label string, got, want []*Path, cutoff float64) {
 	t.Helper()
-	if len(got) > len(want) {
-		t.Fatalf("%s: %d paths, more than the oracle's %d", label, len(got), len(want))
-	}
-	samePaths(t, label, got, want[:len(got)])
-	for i := len(got); i < len(want); i++ {
-		if want[i].Delay > cutoff {
-			t.Fatalf("%s: oracle path %d (delay %v) above cutoff %v is missing (%d returned)",
-				label, i, want[i].Delay, cutoff, len(got))
-		}
+	if d := diffCutoffPrefix(got, want, cutoff); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }
 
