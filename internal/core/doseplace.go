@@ -67,22 +67,6 @@ type DosePlResult struct {
 	SwapsTried    int
 }
 
-// checkFiniteDose rejects a dose map holding NaN or ±Inf.  Such a dose
-// flows into the delay and leakage of every cell on its grid cell, and
-// dosePl would report the NaN signoff as a successful run.  A nil map
-// (no active layer) passes.
-func checkFiniteDose(layer string, m *dosemap.Map) error {
-	if m == nil {
-		return nil
-	}
-	for k, v := range m.D {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: dosePl %s dose map holds %v at grid cell (%d,%d)", layer, v, k/m.Grid.N, k%m.Grid.N)
-		}
-	}
-	return nil
-}
-
 // DosePl runs the dose-map-aware placement optimization: it swaps
 // setup-critical cells into higher-dose grid regions (and non-critical
 // cells out), filtered by mutual bounding boxes, distance, HPWL and
@@ -105,10 +89,7 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	if layers.Poly == nil {
 		return nil, fmt.Errorf("core: dosePl needs a poly dose map")
 	}
-	if err := checkFiniteDose("poly", layers.Poly); err != nil {
-		return nil, err
-	}
-	if err := checkFiniteDose("active", layers.Active); err != nil {
+	if err := checkFiniteDose("dosePl", layers); err != nil {
 		return nil, err
 	}
 	res := &DosePlResult{}
@@ -120,12 +101,12 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	if err != nil {
 		return nil, err
 	}
-	evalNow := func() (Eval, *sta.Result) {
+	evalNow := func() Eval {
 		dL, dW := layers.PerGate(circ, pl, opt.Snap)
 		r := tm.Update(&sta.Perturb{DL: dL, DW: dW})
-		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}, r
+		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}
 	}
-	before, cur := evalNow()
+	before := evalNow()
 	res.Before = before
 	best := before
 
@@ -140,10 +121,18 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	grid := layers.Poly.Grid
 	ranked := rankGridsByDose(layers.Poly)
 
-	// cellsOf maps grid cells to member cells for candidate lookup.  It
-	// is rebuilt only after an accepted round: a rollback restores the
-	// exact placement the current index was built from.
-	var cellsOf [][]int
+	// The critical paths, the critical set and the Eq. 13 weights, and
+	// cellsOf (grid cell → member cells, for candidate lookup) depend on
+	// the placement and its timing only.  They are rebuilt on the first
+	// round and after an accepted one: a rollback restores the exact
+	// placement and timing state they were built from.  (fixed, the one
+	// state a rejection changes, is read by the swap loop alone.)
+	var (
+		paths    []*sta.Path
+		critical = make([]bool, circ.NumGates())
+		weight   = make([]float64, circ.NumGates())
+		cellsOf  [][]int
+	)
 	plDirty := true
 
 	for round := 0; round < dopt.Rounds; round++ {
@@ -157,25 +146,28 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 		snapW := append([]float64(nil), pl.Width...)
 		snapT := tm.Snapshot()
 
-		paths := cur.TopPaths(dopt.K, dopt.MaxPathStates)
-		if len(paths) == 0 {
-			break
-		}
-		// Critical set and weights (Eq. 13): W(cell) = Σ exp(-slack(C)).
-		critical := make(map[int]bool)
-		weight := make(map[int]float64)
-		for _, p := range paths {
-			slackNs := p.Slack(cur.MCT) / 1000
-			w := math.Exp(-slackNs)
-			for _, id := range p.Nodes {
-				if in.Masters[id] == nil {
-					continue
-				}
-				critical[id] = true
-				weight[id] += w
-			}
-		}
 		if plDirty {
+			paths = tm.TopPaths(dopt.K, dopt.MaxPathStates)
+			obs.Add(ctx, "core/dosepl_path_searches", 1)
+			if len(paths) == 0 {
+				break
+			}
+			// Critical set and weights (Eq. 13): W(cell) = Σ exp(-slack(C)),
+			// summed path by path, node by node.
+			clear(critical)
+			clear(weight)
+			mct := tm.Result().MCT
+			for _, p := range paths {
+				slackNs := p.Slack(mct) / 1000
+				w := math.Exp(-slackNs)
+				for _, id := range p.Nodes {
+					if in.Masters[id] == nil {
+						continue
+					}
+					critical[id] = true
+					weight[id] += w
+				}
+			}
 			cellsOf = make([][]int, grid.Cells())
 			for id := range circ.Gates {
 				if in.Masters[id] == nil {
@@ -225,12 +217,11 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 		if _, err := pl.Legalize(); err != nil {
 			return nil, err
 		}
-		evalAfter, r2 := evalNow()
+		evalAfter := evalNow()
 		accepted := evalAfter.MCTps < best.MCTps
 		res.Rounds = append(res.Rounds, RoundLog{Swaps: numSwaps, MCTps: evalAfter.MCTps, Accepted: accepted})
 		if accepted {
 			best = evalAfter
-			cur = r2
 			plDirty = true
 			obs.Add(ctx, "core/dosepl_rounds_accepted", 1)
 		} else {
@@ -293,7 +284,7 @@ func rankGridsByDose(poly *dosemap.Map) []rankedGrid {
 // trySwap attempts to find a partner for the critical cell per
 // Algorithm 1 lines 11-27; on success the placement is mutated.
 func trySwap(in sta.Input, layers dosemap.Layers, grid dosemap.Grid, ranked []rankedGrid,
-	cellsOf [][]int, critical map[int]bool, fixed []bool, swapped map[int]bool,
+	cellsOf [][]int, critical []bool, fixed []bool, swapped map[int]bool,
 	cell int, maxDist float64, dopt DosePlOptions, opt Options) bool {
 
 	pl := in.Pl

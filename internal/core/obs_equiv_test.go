@@ -124,6 +124,12 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 	if cutgen.Count == 0 || cutgen.Count > snap.Counters["core/cut_rounds"] {
 		t.Errorf("core/cutgen span count %d, want 1..%d (core/cut_rounds)", cutgen.Count, snap.Counters["core/cut_rounds"])
 	}
+	// dosePl searches for critical paths on its first round and after
+	// each accepted one, never after a rejected one.
+	searches, accepted := snap.Counters["core/dosepl_path_searches"], snap.Counters["core/dosepl_rounds_accepted"]
+	if searches == 0 || searches > accepted+1 {
+		t.Errorf("core/dosepl_path_searches = %d, want 1..%d (core/dosepl_rounds_accepted + 1)", searches, accepted+1)
+	}
 }
 
 // findSpan returns the first span named name in a depth-first walk of

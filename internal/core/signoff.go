@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/dosemap"
@@ -34,13 +35,45 @@ func signoff(ctx context.Context, golden *sta.Result, opt Options, layers dosema
 	return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}, nil
 }
 
+// checkFiniteDose rejects dose layers holding NaN or ±Inf, naming the
+// stage, the layer and the grid cell.  Such a dose flows into the delay
+// and leakage of every cell on its grid cell, and the stage would report
+// the NaN signoff as a successful run.  A nil map (no active layer)
+// passes.
+func checkFiniteDose(stage string, layers dosemap.Layers) error {
+	for _, l := range []struct {
+		name string
+		m    *dosemap.Map
+	}{{"poly", layers.Poly}, {"active", layers.Active}} {
+		if l.m == nil {
+			continue
+		}
+		for k, v := range l.m.D {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: %s %s dose map holds %v at grid cell (%d,%d)", stage, l.name, v, k/l.m.Grid.N, k%l.m.Grid.N)
+			}
+		}
+	}
+	return nil
+}
+
 // signoffAsn is signoff over a composed actuator assignment: the bias
 // part (when present) expands to a per-gate ΔVth perturbation via the
 // compiled domain map — snapped onto the bias ladder when opt.Snap is
 // set — and leakage is evaluated with the biased device model.  With no
 // bias it takes the exact signoff path, so dose-only acceptance numbers
-// are bit-identical.
+// are bit-identical.  A NaN or infinite dose or bias voltage is an
+// error: the golden analysis would otherwise sign off a NaN leakage, or
+// a finite MCT the snap or the delay model made up.
 func signoffAsn(ctx context.Context, comp *Compiled, opt Options, asn Assignment) (Eval, error) {
+	if err := checkFiniteDose("signoff", asn.Layers); err != nil {
+		return Eval{}, err
+	}
+	for dom, v := range asn.BiasV {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Eval{}, fmt.Errorf("core: signoff bias domain %d holds %v V", dom, v)
+		}
+	}
 	golden := comp.Golden
 	if len(asn.BiasV) == 0 {
 		return signoff(ctx, golden, opt, asn.Layers)

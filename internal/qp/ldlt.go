@@ -30,9 +30,14 @@
 // dense panel-times-vector updates, two contiguous arrays instead of
 // the scalar gather through li/lx.  Padded panel slots introduced by
 // amalgamation hold exact zeros, whose updates are bitwise inert, so
-// the per-element accumulation order (ascending source column, fixed
-// by the symbolic views) is unchanged from the scalar kernel: the
-// supernodal factor and solves match the scalar reference bit for bit.
+// the per-element accumulation order of the factor and the forward
+// solve (ascending source column, fixed by the symbolic views) is
+// unchanged from the scalar kernel.  The backward solve subtracts each
+// column's below-supernode terms before its in-supernode terms (see
+// bwdSuper), so its order, and with it the solution's bits, depends on
+// where the supernode boundaries fall.  The supernodal factor and
+// solves match the scalar reference, which follows the same
+// convention, bit for bit.
 // No pivoting is needed because K is symmetric positive definite for
 // σ > 0, ρ > 0.
 //
@@ -1083,9 +1088,14 @@ var errNotPositiveDefinite = errors.New("ldlt: zero pivot (matrix not positive d
 // budget instead, because turning width-1/2 chains into small panels
 // buys more in loop overhead than the padding costs in inert flops.
 // Larger values make wider panels (better dense-kernel throughput,
-// more padding); all three are structure-only decisions, so they
-// cannot affect result bits — padded slots hold exact zeros whose
-// updates are bitwise inert.
+// more padding).  L and D do not depend on them: padded slots hold
+// exact zeros whose updates are bitwise inert.  The backward solve
+// does, because bwdSuper's accumulation order follows the supernode
+// boundaries: on an 81×81 grid factor (6,561 columns, 7-point stencil)
+// the default partition has 1,124 supernodes, and looser thresholds
+// that leave 319 give bit-equal L and D but a different solution.
+// Retuning any of the three therefore moves every fingerprint and
+// trajectory lock.
 const (
 	amalgMaxTiny  = 8
 	amalgZeroFrac = 0.125

@@ -57,10 +57,11 @@ type frontier struct {
 	heap  []heapItem
 }
 
-// pathScratch is the per-call working set of TopPathsDAG: the arc
-// offsets, the arc delays, the suffix bounds and the frontier.  Every
-// call overwrites what it reads, so a reused scratch gives the same
-// bits as a fresh one.
+// pathScratch is the working set of one path search: the arc offsets,
+// the arc delays, the suffix bounds and the frontier.  Every search
+// overwrites what it reads, so a reused scratch gives the same bits as
+// a fresh one.  TopPathsDAG takes its scratch from scratchPool; a Timer
+// keeps one of its own for Timer.TopPaths.
 type pathScratch struct {
 	arcOff []int
 	arcs   []float64
@@ -114,11 +115,24 @@ func (r *Result) TopPaths(k int, maxStates int) []*Path {
 // returned paths share no memory with them.
 func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) float64,
 	start, end func(id int) float64, k, maxStates int, cutoff float64) []*Path {
+	sc := scratchPool.Get().(*pathScratch)
+	paths := sc.search(circ, order, arc, start, end, k, maxStates, cutoff)
+	// The paths own their node slices (frontier.nodes copies), so the
+	// scratch can go back with whatever capacity the search grew.
+	if cap(sc.f.arena) <= maxPooledStates {
+		scratchPool.Put(sc)
+	}
+	return paths
+}
+
+// search runs TopPathsDAG's enumeration on the buffers of sc and leaves
+// them in sc, grown to what the call needed, for the next search.
+func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from, to int) float64,
+	start, end func(id int) float64, k, maxStates int, cutoff float64) []*Path {
 	if k <= 0 {
 		return nil
 	}
 	n := circ.NumGates()
-	sc := scratchPool.Get().(*pathScratch)
 
 	// arcs[arcOff[id]+j] is the delay of id → Fanouts[j].
 	arcOff := grow(sc.arcOff, n+1)
@@ -210,12 +224,7 @@ func TopPathsDAG(circ *netlist.Circuit, order []int, arc func(from, to int) floa
 			}
 		}
 	}
-	// The paths own their node slices (frontier.nodes copies), so the
-	// scratch can go back with whatever capacity the search grew.
-	if cap(f.arena) <= maxPooledStates {
-		*sc = pathScratch{arcOff: arcOff, arcs: arcs, suffix: suffix, f: f}
-		scratchPool.Put(sc)
-	}
+	*sc = pathScratch{arcOff: arcOff, arcs: arcs, suffix: suffix, f: f}
 	return paths
 }
 

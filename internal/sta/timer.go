@@ -72,6 +72,10 @@ type Timer struct {
 	// disabled); updates emit aggregate counters once per finish, never
 	// inside the per-gate loops.
 	rec *obs.Recorder
+
+	// paths is the scratch of TopPaths, made on first use and kept, with
+	// whatever capacity its searches grew, for the Timer's lifetime.
+	paths *pathScratch
 }
 
 // NewTimer builds a Timer for the design, running one full analysis to
@@ -171,6 +175,20 @@ func (t *Timer) findDeadEnds() {
 // Result returns the timing of the current design state.  The pointer
 // aliases the Timer's buffers: valid until the next update or Restore.
 func (t *Timer) Result() *Result { return t.res }
+
+// TopPaths is Result().TopPaths(k, maxStates) — the same search, the
+// same paths bit for bit — run in a scratch the Timer keeps rather than
+// one from the shared pool.  A caller that searches the same design
+// round after round (dosePl) so allocates the arena and heap once, even
+// when they grow past the pool's cap.  The returned paths share no
+// memory with the scratch.
+func (t *Timer) TopPaths(k, maxStates int) []*Path {
+	if t.paths == nil {
+		t.paths = new(pathScratch)
+	}
+	r := t.res
+	return t.paths.search(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff)
+}
 
 // Evals returns the cumulative gate-evaluation count (loads, launches,
 // forward and backward gate visits) across all updates, for comparing
