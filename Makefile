@@ -6,11 +6,13 @@
 # profile` captures CPU and heap profiles of the Table IV pipeline;
 # `make serve-smoke` boots the dmopt-serve daemon, runs one job through
 # it and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
-# wafer end-to-end and proves serial-vs-parallel bit-equality.
+# wafer end-to-end and proves serial-vs-parallel bit-equality; `make
+# traffic-cover` runs every entry point once under coverage and lists
+# the functions that traffic never reaches.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json fuzz-smoke profile serve-smoke wafer-smoke all
+.PHONY: check vet build test race bench bench-json fuzz-smoke profile serve-smoke wafer-smoke traffic-cover all
 
 all: check
 
@@ -60,6 +62,13 @@ serve-smoke:
 	$(GO) build -o dmopt-serve.bin ./cmd/dmopt-serve
 	./scripts/serve_smoke.sh ./dmopt-serve.bin
 	rm -f dmopt-serve.bin
+
+# Coverage of the repository's own traffic: every command, example and
+# perfbench workload plus the service smoke, built with
+# -coverpkg=repro/... and run once.  Writes the functions at 0.0 % to
+# zero-coverage.txt (untracked); fails if any entry point fails.
+traffic-cover:
+	./scripts/traffic_cover.sh zero-coverage.txt
 
 # 30-second CI smoke of the job-spec fuzz target (corpus + new inputs).
 fuzz-smoke:

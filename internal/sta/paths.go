@@ -20,10 +20,6 @@ type Path struct {
 // Slack returns the path slack at clock period T.
 func (p *Path) Slack(period float64) float64 { return period - p.Delay }
 
-// Start and End return the path's terminal gate IDs.
-func (p *Path) Start() int { return p.Nodes[0] }
-func (p *Path) End() int   { return p.Nodes[len(p.Nodes)-1] }
-
 // NoCutoff disables the early stop of TopPathsDAG: every path up to the
 // count and state limits is enumerated.
 var NoCutoff = math.Inf(-1)
@@ -284,32 +280,4 @@ func (f *frontier) nodes(si int) []int {
 		out[n] = f.arena[i].node
 	}
 	return out
-}
-
-// PathCounts returns, for each gate, the number of the given paths that
-// pass through it — the first dosePl priority factor ("number of critical
-// paths that pass through the cell").
-func PathCounts(nGates int, paths []*Path) []int {
-	counts := make([]int, nGates)
-	for _, p := range paths {
-		for _, id := range p.Nodes {
-			counts[id]++
-		}
-	}
-	return counts
-}
-
-// FractionAbove returns the fraction of paths whose delay is at least
-// frac·mct — the Table VII criticality metric.
-func FractionAbove(paths []*Path, mct, frac float64) float64 {
-	if len(paths) == 0 {
-		return 0
-	}
-	n := 0
-	for _, p := range paths {
-		if p.Delay >= frac*mct {
-			n++
-		}
-	}
-	return float64(n) / float64(len(paths))
 }

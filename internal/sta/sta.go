@@ -1,9 +1,9 @@
 // Package sta provides the static-timing-analysis substrate standing in
 // for the paper's golden signoff tool (Synopsys PrimeTime): block-based
-// arrival/required/slack analysis with slew propagation, a placement-
-// driven wire-delay model, minimum-cycle-time extraction, and exact
-// top-K critical-path enumeration (the paper extracts the top 10 000
-// paths to drive the dosePl heuristic).
+// arrival analysis with slew propagation, a placement-driven wire-delay
+// model, minimum-cycle-time extraction, and exact top-K critical-path
+// enumeration (the paper extracts the top 10 000 paths to drive the
+// dosePl heuristic).
 //
 // Timing conventions (all times in ps):
 //
@@ -101,9 +101,6 @@ type Result struct {
 	// AEnd is the endpoint arrival (data arrival plus setup for FFs,
 	// AOut for POs); NaN for non-endpoints.
 	AEnd []float64
-	// ROut is the required time at each gate's output for clock period
-	// T = MCT (so the most critical node has zero slack).
-	ROut []float64
 	// Slew is the output transition time at each gate.
 	Slew []float64
 	// InSlew is the input transition time of each gate's worst arc
@@ -119,17 +116,6 @@ type Result struct {
 
 	order []int
 }
-
-// Slack returns the output slack of gate id at clock period T:
-// (required at T) − arrival.  ROut is stored for T = MCT, so the shift
-// is a constant.
-func (r *Result) Slack(id int, period float64) float64 {
-	return r.ROut[id] + (period - r.MCT) - r.AOut[id]
-}
-
-// WorstSlack returns the design's worst slack at clock period T, which
-// is T − MCT by construction.
-func (r *Result) WorstSlack(period float64) float64 { return period - r.MCT }
 
 // WireDelay returns the interconnect delay in ps of the arc from gate
 // from to gate to, using a distance-based Elmore-style model on the
@@ -160,7 +146,7 @@ func (in Input) netLoad(id int, cfg Config) float64 {
 	return load
 }
 
-// Analyze performs a full forward/backward timing analysis.
+// Analyze performs a full timing analysis.
 func Analyze(in Input, cfg Config, pert *Perturb) (*Result, error) {
 	return AnalyzeCtx(context.Background(), in, cfg, pert)
 }
@@ -171,8 +157,7 @@ func Analyze(in Input, cfg Config, pert *Perturb) (*Result, error) {
 //
 // The analysis is one serial walk of the topological order.  Loads and
 // flip-flop launches come first, then arrivals in topological order,
-// then required times gathered in reverse topological order with the
-// flip-flops last.
+// then the MCT scan over the endpoints.
 func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Result, error) {
 	n := in.Circ.NumGates()
 	if n == 0 {
@@ -192,7 +177,6 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 		In: in, Cfg: cfg, Pert: pert,
 		AOut:   make([]float64, n),
 		AEnd:   make([]float64, n),
-		ROut:   make([]float64, n),
 		Slew:   make([]float64, n),
 		InSlew: make([]float64, n),
 		Load:   make([]float64, n),
@@ -207,7 +191,7 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 	// does not constrain a flip-flop to precede its fanouts (edges out
 	// of registers cut the timing graph), so fanouts may be visited
 	// first and must already see the launch arrival.
-	var seqIDs []int
+	seqs := 0
 	for id := range n {
 		r.Load[id] = in.netLoad(id, cfg)
 		if in.Circ.Gates[id].Kind != netlist.Seq {
@@ -217,7 +201,7 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 		r.AOut[id] = m.DelayV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
 		r.Slew[id] = m.OutSlewV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
 		r.InSlew[id] = cfg.ClockSlew
-		seqIDs = append(seqIDs, id)
+		seqs++
 	}
 
 	// Forward pass: a gate reads only its fanins' arrival/slew, and each
@@ -237,33 +221,9 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 		}
 	}
 
-	// Backward pass: required times at T = MCT, in gather form — each
-	// node takes the min over its own fanout edges.  Non-sequential
-	// nodes run in reverse topological order: an unblocked edge u→v
-	// puts v after u, so ROut[v] is final before u gathers it.
-	// Flip-flops run last: nothing reads a flip-flop's required time
-	// (edges *into* a register need only MCT and its setup), while its
-	// own gather may read combinational fanouts anywhere in the order.
-	for i := range r.ROut {
-		r.ROut[i] = math.Inf(1)
-	}
-	for i := n - 1; i >= 0; i-- {
-		if id := order[i]; in.Circ.Gates[id].Kind != netlist.Seq {
-			gatherRequired(r, in, cfg, pert, id)
-		}
-	}
-	for _, id := range seqIDs {
-		gatherRequired(r, in, cfg, pert, id)
-	}
-	// Unloaded nodes: required defaults to MCT.
-	for id := range r.ROut {
-		if math.IsInf(r.ROut[id], 1) {
-			r.ROut[id] = r.MCT
-		}
-	}
 	if rec := obs.From(ctx); rec != nil {
 		rec.Add("sta/analyses", 1)
-		rec.Add("sta/analyze_gate_evals", int64(3*n+len(seqIDs)))
+		rec.Add("sta/analyze_gate_evals", int64(2*n+seqs))
 	}
 	return r, nil
 }
@@ -308,40 +268,6 @@ func forwardGate(r *Result, in Input, cfg Config, pert *Perturb, id int) {
 		r.AEnd[id] = arr
 		r.Slew[id] = cfg.InputSlew
 	}
-}
-
-// gatherRequired computes one node's required time as the min over its
-// fanout edges.  Dead ends stay +Inf; the caller's final pass defaults
-// them to MCT, matching the serial scatter formulation.
-func gatherRequired(r *Result, in Input, cfg Config, pert *Perturb, id int) {
-	g := in.Circ.Gates[id]
-	if g.Kind == netlist.PO {
-		r.ROut[id] = r.MCT
-		return
-	}
-	req := math.Inf(1)
-	for _, fo := range g.Fanouts {
-		og := in.Circ.Gates[fo]
-		wd := in.WireDelay(id, fo)
-		var q float64
-		switch og.Kind {
-		case netlist.PO:
-			q = r.MCT - wd
-		case netlist.Seq:
-			q = r.MCT - in.Masters[fo].Setup - wd
-		case netlist.Comb:
-			m := in.Masters[fo]
-			slewIn := r.Slew[id] + cfg.SlewWireFactor*wd
-			d := m.DelayV(pert.dl(fo), pert.dw(fo), pert.dvth(fo), slewIn, r.Load[fo])
-			q = r.ROut[fo] - d - wd
-		default:
-			continue
-		}
-		if q < req {
-			req = q
-		}
-	}
-	r.ROut[id] = req
 }
 
 func dataArrival(r *Result, in Input, id int) float64 {

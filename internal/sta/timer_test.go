@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,13 +9,14 @@ import (
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/tech"
 )
 
 // mesh builds a random layered DAG with cross-links, multi-fanout nets,
 // mid-cone flip-flops and dead-end stubs, so incremental updates face
-// reconvergence, register cuts and the +Inf required-time default.
+// reconvergence, register cuts and gates that reach no endpoint.
 func mesh(t testing.TB, seed int64) Input {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -72,7 +74,7 @@ func mesh(t testing.TB, seed int64) Input {
 		case 1:
 			ff := add(fmt.Sprintf("ffo%d", i), "DFFX1", netlist.Seq)
 			connect(id, ff)
-			// case 2: dead end — exercises the +Inf→MCT default.
+			// case 2: dead end — timed, but on no endpoint's path.
 		}
 	}
 	ms := make([]*liberty.Master, c.NumGates())
@@ -103,7 +105,6 @@ func checkAgainstCold(t *testing.T, step string, in Input, cfg Config, pert *Per
 	}
 	sameBits(t, step+" AOut", got.AOut, ref.AOut)
 	sameBits(t, step+" AEnd", got.AEnd, ref.AEnd)
-	sameBits(t, step+" ROut", got.ROut, ref.ROut)
 	sameBits(t, step+" Slew", got.Slew, ref.Slew)
 	sameBits(t, step+" InSlew", got.InSlew, ref.InSlew)
 	sameBits(t, step+" Load", got.Load, ref.Load)
@@ -297,17 +298,36 @@ func regionPert(in Input, x0, y0, size, dl float64) *Perturb {
 	return out
 }
 
+// fullEvalCost is the gate-evaluation cost of one cold Analyze in the
+// units of Timer.Evals, and the sta/analyze_gate_evals count: one load
+// and one forward visit per gate, plus one launch per flip-flop.
+func fullEvalCost(in Input) uint64 {
+	n := in.Circ.NumGates()
+	seqs := 0
+	for _, g := range in.Circ.Gates {
+		if g.Kind == netlist.Seq {
+			seqs++
+		}
+	}
+	return uint64(2*n + seqs)
+}
+
 // TestIncrementalUpdateEvalSavings is the acceptance bound behind
 // BenchmarkIncrementalUpdate: a single-grid dose delta must re-evaluate
-// at least 5x fewer gates than a full analysis.
+// at least 5x fewer gates than a full analysis, whose cost is the count
+// the Timer's initial analysis reports.
 func TestIncrementalUpdateEvalSavings(t *testing.T) {
 	in := mesh(t, 7)
 	cfg := DefaultConfig()
-	tm, err := NewTimer(in, cfg, nil)
+	rec := obs.New()
+	tm, err := NewTimerCtx(obs.With(context.Background(), rec), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := tm.FullEvalCost()
+	full := fullEvalCost(in)
+	if got := rec.Counter("sta/analyze_gate_evals"); got != int64(full) {
+		t.Fatalf("sta/analyze_gate_evals = %d, want %d", got, full)
+	}
 	const steps = 10
 	before := tm.Evals()
 	for i := 0; i < steps; i++ {
@@ -342,5 +362,5 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	b.StopTimer()
 	evals := float64(tm.Evals()-before) / float64(b.N)
 	b.ReportMetric(evals, "gate-evals/op")
-	b.ReportMetric(float64(tm.FullEvalCost())/evals, "x-fewer-than-full")
+	b.ReportMetric(float64(fullEvalCost(in))/evals, "x-fewer-than-full")
 }

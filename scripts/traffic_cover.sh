@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Lists the functions that the repository's own traffic never reaches.
+#
+# Builds every command and example, and the perfbench benchmark, with
+# coverage over the whole module (-cover -coverpkg=repro/...), runs the
+# traffic below in a temporary directory with GOCOVERDIR set, merges
+# the counters and prints every function at 0.0 %.  perfbench's own
+# lines are dropped first: the root module cannot resolve that package.
+#
+# The traffic:
+#   - perfbench's three workloads at --seed 1 --seconds 2 --trace 1;
+#   - tables -scale 0.06 -which all,ix,x;
+#   - dmopt -scale 0.06 as a plain QP, -qcp -dosepl, -qcp -both,
+#     -actuators joint and -qcp -actuators bias;
+#   - dosesweep -scale 0.05 plain, -bias and -wafer;
+#   - charlib -tables -master NAND2X1;
+#   - scripts/serve_smoke.sh against the dmopt-serve binary;
+#   - the four examples.
+# It does not pass -workers 1 or -stats, so the serial dose-sweep Timer
+# path and the report writers read 0 % although commands reach them.
+#
+# Any entry point that fails fails the script.  Run it from the
+# repository root:
+#
+#   scripts/traffic_cover.sh [OUT]
+#
+# OUT (default zero-coverage.txt) receives the 0.0 % list.
+set -euo pipefail
+
+root=$(pwd)
+out=${1:-zero-coverage.txt}
+case $out in /*) ;; *) out="$root/$out" ;; esac
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+bin="$tmp/bin"
+cov="$tmp/cov"
+mkdir -p "$bin" "$cov"
+
+go build -cover -coverpkg=repro/... -o "$bin/" ./cmd/... ./examples/...
+(cd perfbench && go build -cover -coverpkg=repro/... -o "$bin/perfbench" .)
+
+# run executes one entry point quietly, with its output shown only
+# when it fails.
+run() {
+	echo "traffic-cover: $*" >&2
+	if ! GOCOVERDIR="$cov" "$@" >"$tmp/log" 2>&1; then
+		cat "$tmp/log" >&2
+		echo "traffic-cover: failed: $*" >&2
+		exit 1
+	fi
+}
+
+cd "$tmp"
+for w in tables flows serve-mix; do
+	run "$bin/perfbench" --workload "$w" --seed 1 --seconds 2 --trace 1
+done
+run "$bin/tables" -scale 0.06 -which all,ix,x
+run "$bin/dmopt" -scale 0.06
+run "$bin/dmopt" -scale 0.06 -qcp -dosepl
+run "$bin/dmopt" -scale 0.06 -qcp -both
+run "$bin/dmopt" -scale 0.06 -actuators joint
+run "$bin/dmopt" -scale 0.06 -qcp -actuators bias
+run "$bin/dosesweep" -scale 0.05
+run "$bin/dosesweep" -scale 0.05 -bias
+run "$bin/dosesweep" -scale 0.05 -wafer
+run "$bin/charlib" -tables -master NAND2X1
+run "$root/scripts/serve_smoke.sh" "$bin/dmopt-serve"
+for ex in equipment leakagerecovery quickstart timingspeedup; do
+	run "$bin/$ex"
+done
+
+cd "$root"
+go tool covdata textfmt -i="$cov" -o "$tmp/cov.txt"
+grep -v '^repro/perfbench/' "$tmp/cov.txt" >"$tmp/root.txt"
+go tool cover -func "$tmp/root.txt" | awk '$NF == "0.0%"' >"$out"
+cat "$out"
+echo "traffic-cover: $(wc -l <"$out") functions at 0.0 % (list in $out)" >&2
