@@ -5,9 +5,12 @@
 //
 // The contract is transport-neutral: cmd/dmopt builds a JobSpec from
 // flags and runs it in-process, dmopt-serve accepts the same document
-// over HTTP — both funnel through Prepare/Execute, so the two
-// transports cannot drift and their results are bit-identical by
-// construction.
+// over HTTP, and the expt harness describes each table run as one.
+// All three build the design → golden → model → compiled chain through
+// Prepare and one build-once Cache (none for cmd/dmopt, a byte budget
+// for the server, unbounded for the harness); Execute solves through
+// core.SolveFlow.  So the transports cannot drift and their results are
+// bit-identical by construction.
 package api
 
 import (

@@ -1,9 +1,6 @@
-// Job execution shared by the transports.  Prepare builds the staged
-// artifacts (design → golden → model → compiled) fresh; the server
-// substitutes its byte-budget caches stage by stage.  Execute runs the
-// solve (+ optional dosePl) against prepared artifacts, so every
-// transport produces bit-identical numbers by construction (and the
-// compile-artifact equivalence tests prove cached == cold).
+// Job execution shared by the transports: Prepare resolves the staged
+// artifacts through a Cache, Execute solves against them.  The
+// compile-artifact equivalence tests prove cached == cold.
 package api
 
 import (
@@ -16,62 +13,151 @@ import (
 	"repro/internal/sta"
 )
 
-// Artifacts are the staged inputs one job consumes.  All four must be
-// populated before Execute; Prepare builds them in order, a caching
-// layer may supply any prefix from memory.
+// Artifacts are the staged inputs one job consumes.  Golden and
+// Compiled must be populated before Execute; Prepare builds them in
+// order.
 type Artifacts struct {
-	Design   *gen.Design
 	Golden   *sta.Result
 	Model    *core.Model
 	Compiled *core.Compiled
 }
 
-// Prepare builds the full artifact chain for a spec with no caching:
-// the CLI path.  The stage spans mirror the historical flow
-// ("flow/golden", "flow/fit"; the compile stage carries its own span).
-func Prepare(ctx context.Context, spec JobSpec) (Artifacts, error) {
-	p, err := spec.GenPreset()
+// stage resolves one artifact through the cache.  build returns the
+// value and its approximate byte cost; the bool reports a cache hit.
+func stage[T any](ctx context.Context, c *Cache, key string, build func(context.Context) (T, int64, error)) (T, bool, error) {
+	v, hit, err := c.GetOrBuild(ctx, key, func(ctx context.Context) (any, int64, error) {
+		val, bytes, err := build(ctx)
+		return val, bytes, err
+	})
 	if err != nil {
-		return Artifacts{}, err
+		var zero T
+		return zero, hit, err
 	}
-	d, err := gen.GenerateCtx(ctx, p)
-	if err != nil {
-		return Artifacts{}, err
-	}
-	return PrepareFrom(ctx, d, spec)
+	return v.(T), hit, nil
 }
 
-// PrepareFrom builds the golden/model/compiled stages over an
-// already-generated design.
-func PrepareFrom(ctx context.Context, d *gen.Design, spec JobSpec) (Artifacts, error) {
+// Design returns the spec's generated design, built at most once per
+// residency in c (a nil c builds it fresh).
+func Design(ctx context.Context, spec JobSpec, c *Cache) (*gen.Design, error) {
+	d, _, err := stage(ctx, c, "design/"+spec.DesignKey(), func(ctx context.Context) (*gen.Design, int64, error) {
+		p, err := spec.GenPreset()
+		if err != nil {
+			return nil, 0, err
+		}
+		d, err := gen.GenerateCtx(ctx, p)
+		if err != nil {
+			return nil, 0, err
+		}
+		return d, designBytes(d), nil
+	})
+	return d, err
+}
+
+// Golden returns the nominal golden analysis of the spec's design.
+func Golden(ctx context.Context, spec JobSpec, c *Cache) (*sta.Result, error) {
+	opt, err := spec.Options()
+	if err != nil {
+		return nil, err
+	}
+	d, err := Design(ctx, spec, c)
+	if err != nil {
+		return nil, err
+	}
+	return golden(ctx, spec, opt, d, c)
+}
+
+// golden is the golden stage over an already-resolved design.
+func golden(ctx context.Context, spec JobSpec, opt core.Options, d *gen.Design, c *Cache) (*sta.Result, error) {
+	g, _, err := stage(ctx, c, "golden/"+spec.DesignKey(), func(ctx context.Context) (*sta.Result, int64, error) {
+		gctx, sp := obs.Start(ctx, "flow/golden")
+		g, err := core.GoldenNominalCtx(gctx, d, opt.STA)
+		sp.End()
+		if err != nil {
+			return nil, 0, err
+		}
+		return g, goldenBytes(g), nil
+	})
+	return g, err
+}
+
+// Prepare resolves the full artifact chain for a spec through c.
+// Stage keys exclude the worker count: every stage is bit-identical for
+// any worker count (the repo-wide determinism contract), so jobs
+// differing only in budget share artifacts.  A compile served from the
+// cache ticks core/compile_hits on the context's recorder, so cache
+// effectiveness is observable next to core/compile_misses.
+func Prepare(ctx context.Context, spec JobSpec, c *Cache) (Artifacts, error) {
 	opt, err := spec.Options()
 	if err != nil {
 		return Artifacts{}, err
 	}
-	gctx, sp := obs.Start(ctx, "flow/golden")
-	golden, err := core.GoldenNominalCtx(gctx, d, opt.STA)
-	sp.End()
+	d, err := Design(ctx, spec, c)
 	if err != nil {
 		return Artifacts{}, err
 	}
-	fctx, sp := obs.Start(ctx, "flow/fit")
-	model, err := core.FitModelCtx(fctx, golden, opt.BothLayers, spec.Workers)
-	sp.End()
+	g, err := golden(ctx, spec, opt, d, c)
 	if err != nil {
 		return Artifacts{}, err
 	}
-	comp, err := core.CompileCtx(ctx, golden, model, opt.CompileOptions())
+	dKey := spec.DesignKey()
+	model, _, err := stage(ctx, c, fmt.Sprintf("model/%s/both=%t", dKey, opt.BothLayers), func(ctx context.Context) (*core.Model, int64, error) {
+		fctx, sp := obs.Start(ctx, "flow/fit")
+		m, err := core.FitModelCtx(fctx, g, opt.BothLayers, spec.Workers)
+		sp.End()
+		if err != nil {
+			return nil, 0, err
+		}
+		return m, modelBytes(m), nil
+	})
 	if err != nil {
 		return Artifacts{}, err
 	}
-	return Artifacts{Design: d, Golden: golden, Model: model, Compiled: comp}, nil
+	co := opt.CompileOptions()
+	comp, hit, err := stage(ctx, c, fmt.Sprintf("compiled/%s/%+v", dKey, co), func(ctx context.Context) (*core.Compiled, int64, error) {
+		comp, err := core.CompileCtx(ctx, g, model, co)
+		if err != nil {
+			return nil, 0, err
+		}
+		return comp, comp.ApproxBytes(), nil
+	})
+	if err != nil {
+		return Artifacts{}, err
+	}
+	if hit {
+		obs.Add(ctx, "core/compile_hits", 1)
+	}
+	return Artifacts{Golden: g, Model: model, Compiled: comp}, nil
 }
 
-// WithPrivatePlacement returns artifacts whose golden analysis views a
-// deep copy of the placement coordinate slices.  A dosePl Execute
-// mutates cell positions in place through golden.In.Pl; callers that
-// share artifacts across concurrent jobs (the server cache) hand each
-// dosePl job a private copy so no other reader of the cached design —
+// designBytes approximates a generated design's resident cost: per-gate
+// structure, adjacency and placement slices.
+func designBytes(d *gen.Design) int64 {
+	b := int64(0)
+	for _, g := range d.Circ.Gates {
+		b += 96 + int64(len(g.Name)+len(g.Master)) + 8*int64(len(g.Fanins)+len(g.Fanouts))
+	}
+	b += 8 * 3 * int64(len(d.Pl.X))
+	b += 8 * int64(len(d.Masters))
+	return b
+}
+
+// goldenBytes approximates an analysis result: six per-gate float
+// vectors plus the shared input view.
+func goldenBytes(r *sta.Result) int64 {
+	return 8 * 6 * int64(len(r.AOut))
+}
+
+// modelBytes approximates the fitted coefficient set.
+func modelBytes(m *core.Model) int64 {
+	return 8 * int64(len(m.A)+len(m.B)+len(m.Alpha)+len(m.Beta)+len(m.Gamma))
+}
+
+// WithPrivatePlacement returns artifacts whose golden analysis — and
+// compiled formulation, which dosePl reads it through — views a deep
+// copy of the placement coordinate slices.  A dosePl Execute mutates
+// cell positions in place through golden.In.Pl; callers that share
+// artifacts across concurrent jobs (the server cache) hand each dosePl
+// job a private copy so no other reader of the cached design —
 // golden/compile rebuilds, solve-stage signoff — can observe the
 // mutation.  The copied coordinates are value-identical to the
 // originals, so the results stay bit-identical to the shared path.
@@ -86,25 +172,30 @@ func (a Artifacts) WithPrivatePlacement() Artifacts {
 	g := *a.Golden
 	g.In.Pl = &pl
 	a.Golden = &g
+	if a.Compiled != nil {
+		c := *a.Compiled
+		c.Golden = &g
+		a.Compiled = &c
+	}
 	return a
 }
 
 // Execute runs the solve stage(s) a spec describes against prepared
 // artifacts and assembles the versioned result.  When spec.DosePl is
-// set the placement inside art.Golden.In is mutated in place (accepted
-// swap rounds); callers sharing artifacts across concurrent jobs must
-// pass WithPrivatePlacement artifacts (or serialize and restore around
-// Execute).
+// set the placement inside art.Compiled.Golden.In is mutated in place
+// (accepted swap rounds); callers sharing artifacts across concurrent
+// jobs must pass WithPrivatePlacement artifacts (or serialize and
+// restore around Execute).
 func Execute(ctx context.Context, art Artifacts, spec JobSpec) (*JobResult, *core.FlowOutcome, error) {
 	spec = spec.Normalized()
 	if art.Golden == nil || art.Compiled == nil {
 		return nil, nil, fmt.Errorf("api: execute needs prepared golden and compiled artifacts")
 	}
-	opt, err := spec.Options()
-	if err != nil {
-		return nil, nil, err
-	}
 	if spec.Mode == ModeWafer {
+		opt, err := spec.Options()
+		if err != nil {
+			return nil, nil, err
+		}
 		wopt, err := spec.WaferOptions()
 		if err != nil {
 			return nil, nil, err
@@ -120,47 +211,24 @@ func Execute(ctx context.Context, art Artifacts, spec JobSpec) (*JobResult, *cor
 			Final: core.Eval{MCTps: res.MCTPs, LeakUW: res.LeakUW}}
 		return res, out, nil
 	}
-	mode, err := spec.FlowMode()
+	cfg, err := spec.FlowConfig()
 	if err != nil {
 		return nil, nil, err
 	}
-	var dm *core.Result
-	dctx, sp := obs.Start(ctx, "flow/dmopt")
-	switch mode {
-	case core.ModeQPLeakage:
-		tau := spec.TauPs
-		if tau <= 0 {
-			tau = art.Golden.MCT
-		}
-		dm, err = core.SolveQP(dctx, core.QPRequest{Compiled: art.Compiled, Opt: opt, TauPs: tau})
-	case core.ModeQCPTiming:
-		dm, err = core.SolveQCP(dctx, core.QCPRequest{Compiled: art.Compiled, Opt: opt})
-	}
-	sp.End()
+	out, err := core.SolveFlow(ctx, core.FlowRequest{Compiled: art.Compiled, Config: cfg})
 	if err != nil {
 		return nil, nil, err
-	}
-	out := &core.FlowOutcome{Golden: art.Golden, Model: art.Model, DM: dm, Final: dm.Golden}
-	if spec.DosePl {
-		pctx, sp := obs.Start(ctx, "flow/dosepl")
-		dp, err := core.DosePlCtx(pctx, art.Golden, dm.Layers, opt, core.DefaultDosePlOptions())
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		out.DosePl = dp
-		out.Final = dp.After
 	}
 	return ResultOf(spec, out), out, nil
 }
 
-// Run is the whole one-shot path: Prepare then Execute.  cmd/dmopt and
-// the synchronous server endpoint both call this.
+// Run is the whole one-shot path, uncached: Prepare then Execute.
+// cmd/dmopt calls this.
 func Run(ctx context.Context, spec JobSpec) (*JobResult, *core.FlowOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	art, err := Prepare(ctx, spec)
+	art, err := Prepare(ctx, spec, nil)
 	if err != nil {
 		return nil, nil, err
 	}

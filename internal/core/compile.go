@@ -13,8 +13,9 @@
 // Runs copy what they need to mutate (the cut engine copies the
 // objective diagonal; buildProblem copies the bound vectors) and lend
 // the shared CSRs to qp.NewSolver, which clones its inputs.  This is
-// what makes one artifact shareable across concurrent table jobs — the
-// expt harness caches Compiled values exactly like designs and goldens.
+// what makes one artifact shareable across concurrent jobs — the
+// artifact cache behind api.Prepare keeps Compiled values exactly like
+// designs and goldens.
 package core
 
 import (

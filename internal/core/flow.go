@@ -72,24 +72,26 @@ func GoldenNominalCtx(ctx context.Context, d *gen.Design, cfg sta.Config) (*sta.
 	return sta.AnalyzeCtx(ctx, InputOf(d), cfg, nil)
 }
 
-// FlowRequest describes one end-to-end Fig. 7 run: the design plus the
-// flow configuration.
+// FlowRequest describes one end-to-end Fig. 7 run: the design, or a
+// formulation already compiled for it, plus the flow configuration.
 type FlowRequest struct {
 	Design *gen.Design
-	Config FlowConfig
+	// Compiled, when set, is the prepared formulation: the flow starts
+	// at DMopt and skips golden analysis, the fit and the compile.  Its
+	// compile key must match Config.Opt's.
+	Compiled *Compiled
+	Config   FlowConfig
 }
 
 // SolveFlow executes the Fig. 7 flow: golden analysis → coefficient
-// fitting → DMopt → golden signoff → optional dosePl rounds.  A
-// canceled context aborts whichever stage is in flight — golden
-// analysis before it starts, fitting between gates, DMopt between cut
-// rounds / ADMM iterations / bisection probes, dosePl between rounds —
-// with an error wrapping context.Canceled.
+// fitting → compile → DMopt → golden signoff → optional dosePl rounds
+// (a request carrying Compiled starts at DMopt).  A canceled context
+// aborts whichever stage is in flight — golden analysis before it
+// starts, fitting between gates, DMopt between cut rounds / ADMM
+// iterations / bisection probes, dosePl between rounds — with an error
+// wrapping context.Canceled.
 func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
-	d, cfg := req.Design, req.Config
-	if d == nil {
-		return nil, fmt.Errorf("core: flow request has no design")
-	}
+	cfg := req.Config
 	cfg.Opt = cfg.Opt.normalized()
 	if cfg.RunDosePl && (cfg.Opt.useBias() || cfg.Opt.DoseOff) {
 		// dosePl moves cells across the die, which both needs dose maps
@@ -98,29 +100,39 @@ func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
 		// optimization round).
 		return nil, fmt.Errorf("core: dosePl rounds require the dose-only formulation")
 	}
-	gctx, sp := obs.Start(ctx, "flow/golden")
-	golden, err := GoldenNominalCtx(gctx, d, cfg.Opt.STA)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	fctx, sp := obs.Start(ctx, "flow/fit")
-	model, err := FitModelCtx(fctx, golden, cfg.Opt.BothLayers, cfg.Opt.Workers)
-	sp.End()
-	if err != nil {
-		return nil, err
+	c := req.Compiled
+	if c == nil {
+		if req.Design == nil {
+			return nil, fmt.Errorf("core: flow request has no design")
+		}
+		gctx, sp := obs.Start(ctx, "flow/golden")
+		golden, err := GoldenNominalCtx(gctx, req.Design, cfg.Opt.STA)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		fctx, sp := obs.Start(ctx, "flow/fit")
+		model, err := FitModelCtx(fctx, golden, cfg.Opt.BothLayers, cfg.Opt.Workers)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		if c, err = CompileCtx(ctx, golden, model, cfg.Opt.CompileOptions()); err != nil {
+			return nil, err
+		}
 	}
 	var dm *Result
+	var err error
 	dctx, sp := obs.Start(ctx, "flow/dmopt")
 	switch cfg.Mode {
 	case ModeQPLeakage:
 		tau := cfg.TauPs
 		if tau <= 0 {
-			tau = golden.MCT
+			tau = c.Golden.MCT
 		}
-		dm, err = SolveQP(dctx, QPRequest{Golden: golden, Model: model, Opt: cfg.Opt, TauPs: tau})
+		dm, err = SolveQP(dctx, QPRequest{Compiled: c, Opt: cfg.Opt, TauPs: tau})
 	case ModeQCPTiming:
-		dm, err = SolveQCP(dctx, QCPRequest{Golden: golden, Model: model, Opt: cfg.Opt})
+		dm, err = SolveQCP(dctx, QCPRequest{Compiled: c, Opt: cfg.Opt})
 	default:
 		err = fmt.Errorf("core: unknown flow mode %v", cfg.Mode)
 	}
@@ -128,10 +140,10 @@ func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &FlowOutcome{Golden: golden, Model: model, DM: dm, Final: dm.Golden}
+	out := &FlowOutcome{Golden: c.Golden, Model: c.Model, DM: dm, Final: dm.Golden}
 	if cfg.RunDosePl {
 		pctx, sp := obs.Start(ctx, "flow/dosepl")
-		dp, err := DosePlCtx(pctx, golden, dm.Layers, cfg.Opt, cfg.DosePl)
+		dp, err := DosePlCtx(pctx, c.Golden, dm.Layers, cfg.Opt, cfg.DosePl)
 		sp.End()
 		if err != nil {
 			return nil, err

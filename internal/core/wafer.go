@@ -92,15 +92,12 @@ func (w WaferOptions) normalized() WaferOptions {
 	return w
 }
 
-// WaferRequest describes one full-wafer co-optimization.  Artifact
-// resolution follows QPRequest: Compiled when set, else an on-demand
-// compile from (Golden, Model).  Opt is the per-field configuration
-// (poly-only, untiled; Snap is forced off so quantization noise does
-// not swamp the across-wafer spread comparison).
+// WaferRequest describes one full-wafer co-optimization over a
+// compiled formulation.  Opt is the per-field configuration (poly-only,
+// untiled; Snap is forced off so quantization noise does not swamp the
+// across-wafer spread comparison).
 type WaferRequest struct {
 	Compiled *Compiled
-	Golden   *sta.Result
-	Model    *Model
 	Opt      Options
 	Wafer    WaferOptions
 
@@ -488,9 +485,9 @@ func mctSpreadPct(evals []Eval) float64 {
 // and a radial fingerprint collapses ~100 fields to a handful of
 // distinct solves.  Results are bit-identical for every worker count.
 func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
-	c, err := QPRequest{Compiled: req.Compiled, Golden: req.Golden, Model: req.Model, Opt: req.Opt}.compiled(ctx)
-	if err != nil {
-		return nil, err
+	c := req.Compiled
+	if c == nil {
+		return nil, errors.New("core: wafer request needs a compiled formulation")
 	}
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "core/wafer")

@@ -19,7 +19,9 @@ func TestTableIVColdVsCachedCompile(t *testing.T) {
 	}
 	run := func(workers int, cold, withObs bool) ([]DMRow, *obs.Recorder) {
 		c := New(WithScale(0.02), WithTopK(100), WithWorkers(workers))
-		c.noCompileCache = cold
+		if cold {
+			c.cache = nil
+		}
 		ctx := context.Background()
 		var rec *obs.Recorder
 		if withObs {

@@ -10,7 +10,6 @@ package expt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/tech"
@@ -92,9 +92,9 @@ func (t *Table) Markdown() string {
 // Context caches generated designs and golden analyses across
 // experiments (several tables share the same testcases).
 //
-// A Context is safe for concurrent use: the design and golden caches
-// are built at most once per testcase even under concurrent callers,
-// and the experiments that mutate a cached design's placement in place
+// A Context is safe for concurrent use: every staged artifact is built
+// at most once per testcase even under concurrent callers, and the
+// experiments that mutate a cached design's placement in place
 // (TableVIII, Fig10Profiles) serialize on an internal lock.  Every
 // experiment's numbers are bit-identical for every worker count.
 type Context struct {
@@ -111,57 +111,15 @@ type Context struct {
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	mu       sync.Mutex
-	designs  map[string]*memo[*gen.Design]
-	goldens  map[string]*memo[*sta.Result]
-	models   map[modelKey]*memo[*core.Model]
-	compiles map[compileKey]*memo[*core.Compiled]
-	// noCompileCache bypasses the model and compile memo layers; the
-	// equivalence tests use it to force cold builds for every job.
-	noCompileCache bool
+	// cache holds the design → golden → model → compiled artifacts
+	// api.Prepare builds, unbounded and unmetered; nil builds every
+	// stage cold (the equivalence tests' setting).
+	cache *api.Cache
 	// plMu serializes the experiments that mutate a cached design's
 	// placement (TableVIII, Fig10Profiles): they snapshot and restore
 	// cell positions and must not interleave with each other or with
 	// concurrent placement readers of the same design.
 	plMu sync.Mutex
-}
-
-// modelKey identifies a fitted delay/leakage model: the fit depends only
-// on the design's golden analysis and the layer mode.
-type modelKey struct {
-	design string
-	both   bool
-}
-
-// compileKey identifies a compiled DMopt formulation: everything the
-// artifact depends on beyond the golden analysis is in CompileOptions.
-type compileKey struct {
-	design string
-	co     core.CompileOptions
-}
-
-// memo is a build-once cache slot.  Unlike sync.Once, a build aborted
-// by context cancellation is NOT memoized: the next caller retries, so
-// one canceled table run cannot poison the harness cache forever.
-type memo[T any] struct {
-	mu   sync.Mutex
-	done bool
-	val  T
-	err  error
-}
-
-func (m *memo[T]) get(build func() (T, error)) (T, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done {
-		return m.val, m.err
-	}
-	v, err := build()
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return v, err
-	}
-	m.done, m.val, m.err = true, v, err
-	return v, err
 }
 
 // Option configures a Context.
@@ -202,11 +160,25 @@ func New(opts ...Option) *Context {
 	if c.Workers < 0 {
 		c.Workers = 0
 	}
-	c.designs = make(map[string]*memo[*gen.Design])
-	c.goldens = make(map[string]*memo[*sta.Result])
-	c.models = make(map[modelKey]*memo[*core.Model])
-	c.compiles = make(map[compileKey]*memo[*core.Compiled])
+	c.cache = api.NewCache(nil, 0)
 	return c
+}
+
+// spec describes a run on a preset as a job at the harness's scale and
+// worker budget; callers add the grid, layers and actuators.
+func (c *Context) spec(name string) api.JobSpec {
+	return api.JobSpec{Design: name, Scale: c.Scale, Workers: c.Workers}
+}
+
+// prepare resolves a run's artifacts through the harness cache and
+// returns them with the spec's solve options.
+func (c *Context) prepare(ctx context.Context, spec api.JobSpec) (api.Artifacts, core.Options, error) {
+	art, err := api.Prepare(ctx, spec, c.cache)
+	if err != nil {
+		return api.Artifacts{}, core.Options{}, err
+	}
+	opt, err := spec.Options()
+	return art, opt, err
 }
 
 // Design returns the (cached) design for a preset name.
@@ -217,26 +189,7 @@ func (c *Context) Design(name string) (*gen.Design, error) {
 // DesignCtx is Design with cancellation.  Concurrent callers for the
 // same preset share a single generation.
 func (c *Context) DesignCtx(ctx context.Context, name string) (*gen.Design, error) {
-	c.mu.Lock()
-	if c.designs == nil {
-		c.designs = make(map[string]*memo[*gen.Design])
-	}
-	e, ok := c.designs[name]
-	if !ok {
-		e = &memo[*gen.Design]{}
-		c.designs[name] = e
-	}
-	c.mu.Unlock()
-	return e.get(func() (*gen.Design, error) {
-		p, err := gen.PresetByName(name)
-		if err != nil {
-			return nil, err
-		}
-		if c.Scale < 1 {
-			p = p.Scaled(c.Scale)
-		}
-		return gen.GenerateCtx(ctx, p)
-	})
+	return api.Design(ctx, c.spec(name), c.cache)
 }
 
 // Golden returns the (cached) nominal analysis for a preset name.
@@ -247,92 +200,7 @@ func (c *Context) Golden(name string) (*sta.Result, error) {
 // GoldenCtx is Golden with cancellation.  Concurrent callers for the
 // same preset share a single analysis.
 func (c *Context) GoldenCtx(ctx context.Context, name string) (*sta.Result, error) {
-	c.mu.Lock()
-	if c.goldens == nil {
-		c.goldens = make(map[string]*memo[*sta.Result])
-	}
-	e, ok := c.goldens[name]
-	if !ok {
-		e = &memo[*sta.Result]{}
-		c.goldens[name] = e
-	}
-	c.mu.Unlock()
-	return e.get(func() (*sta.Result, error) {
-		d, err := c.DesignCtx(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		return core.GoldenNominalCtx(ctx, d, sta.DefaultConfig())
-	})
-}
-
-// modelCtx returns the (cached) fitted delay/leakage model for a preset
-// and layer mode.  Concurrent callers for the same key share one fit.
-func (c *Context) modelCtx(ctx context.Context, design string, both bool) (*core.Model, error) {
-	build := func() (*core.Model, error) {
-		golden, err := c.GoldenCtx(ctx, design)
-		if err != nil {
-			return nil, err
-		}
-		return core.FitModelCtx(ctx, golden, both, c.Workers)
-	}
-	if c.noCompileCache {
-		return build()
-	}
-	key := modelKey{design: design, both: both}
-	c.mu.Lock()
-	if c.models == nil {
-		c.models = make(map[modelKey]*memo[*core.Model])
-	}
-	e, ok := c.models[key]
-	if !ok {
-		e = &memo[*core.Model]{}
-		c.models[key] = e
-	}
-	c.mu.Unlock()
-	return e.get(build)
-}
-
-// compiledCtx returns the (cached) compiled DMopt formulation for a
-// preset under the given compile options.  Like the design and golden
-// memos, concurrent callers for the same key share one build and a
-// canceled build is never cached.  A served-from-cache call ticks
-// core/compile_hits; the build itself ticks core/compile_misses.
-func (c *Context) compiledCtx(ctx context.Context, design string, co core.CompileOptions) (*core.Compiled, error) {
-	build := func() (*core.Compiled, error) {
-		golden, err := c.GoldenCtx(ctx, design)
-		if err != nil {
-			return nil, err
-		}
-		model, err := c.modelCtx(ctx, design, co.BothLayers)
-		if err != nil {
-			return nil, err
-		}
-		return core.CompileCtx(ctx, golden, model, co)
-	}
-	if c.noCompileCache {
-		return build()
-	}
-	key := compileKey{design: design, co: co}
-	c.mu.Lock()
-	if c.compiles == nil {
-		c.compiles = make(map[compileKey]*memo[*core.Compiled])
-	}
-	e, ok := c.compiles[key]
-	if !ok {
-		e = &memo[*core.Compiled]{}
-		c.compiles[key] = e
-	}
-	c.mu.Unlock()
-	built := false
-	comp, err := e.get(func() (*core.Compiled, error) {
-		built = true
-		return build()
-	})
-	if err == nil && !built {
-		obs.Add(ctx, "core/compile_hits", 1)
-	}
-	return comp, err
+	return api.Golden(ctx, c.spec(name), c.cache)
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
@@ -704,37 +572,28 @@ func (c *Context) runDM(ctx context.Context, design string, gridUm float64, qcp,
 	return c.runDMActuators(ctx, design, gridUm, qcp, bothLayers, seedTau, "", c.Workers)
 }
 
-// runDMActuators is runDM with an actuator mode — "" or "dose" for the
-// historical dose-only run, "bias" for body-bias only, "joint" for the
-// co-optimization (bias domains at the default 20 µm pitch and box) —
-// and the worker budget of the run's own fan-out (signoff STA).
+// runDMActuators is runDM with an actuator selection (a JobSpec
+// Actuators value: "" for the historical dose-only run, "bias" or
+// "joint") and the worker budget of the run's own fan-out (signoff
+// STA); the cached model fit keeps the harness budget.
 func (c *Context) runDMActuators(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64, actuators string, workers int) (*core.Result, error) {
-	opt := core.DefaultOptions()
-	opt.G = gridUm
-	opt.BothLayers = bothLayers
-	opt.Workers = workers
-	switch actuators {
-	case "", "dose":
-	case "bias":
-		opt.DoseOff = true
-		opt.BiasGridUm = api.DefaultBiasGridUm
-	case "joint":
-		opt.BiasGridUm = api.DefaultBiasGridUm
-	default:
-		return nil, fmt.Errorf("expt: unknown actuator mode %q", actuators)
-	}
-	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
+	spec := c.spec(design)
+	spec.GridUm = gridUm
+	spec.BothLayers = bothLayers
+	spec.Actuators = actuators
+	art, opt, err := c.prepare(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	opt.Workers = workers
 	if qcp {
 		opt.SeedTau = seedTau
-		return core.SolveQCP(ctx, core.QCPRequest{Compiled: comp, Opt: opt})
+		return core.SolveQCP(ctx, core.QCPRequest{Compiled: art.Compiled, Opt: opt})
 	}
 	// Tighten τ a hair below the nominal MCT: the optimizer's linear
 	// delay model misses the slew compounding the golden analysis sees,
 	// so a small guard band keeps the signoff at or under nominal.
-	return core.SolveQP(ctx, core.QPRequest{Compiled: comp, Opt: opt, TauPs: 0.99 * comp.Golden.MCT})
+	return core.SolveQP(ctx, core.QPRequest{Compiled: art.Compiled, Opt: opt, TauPs: 0.99 * art.Golden.MCT})
 }
 
 func dmRow(design string, g float64, kind string, r *core.Result) DMRow {
@@ -846,7 +705,7 @@ func (c *Context) TableIVCtx(ctx context.Context) (*Table, []DMRow, error) {
 			return nil, nil, err
 		}
 		t.Rows = append(t.Rows, []string{p.Name, "-", "Nom Lgate",
-			f3(golden.MCT / 1000), "-", f1(nominalLeakUW(c, p.Name)), "-", "-"})
+			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil)), "-", "-"})
 		for range gridsFor(p.Name, c.Scale) {
 			for k := 0; k < 2; k++ {
 				row := rows[ji]
@@ -859,14 +718,6 @@ func (c *Context) TableIVCtx(ctx context.Context) (*Table, []DMRow, error) {
 		}
 	}
 	return t, rows, nil
-}
-
-func nominalLeakUW(c *Context, design string) float64 {
-	d, err := c.Design(design)
-	if err != nil {
-		return math.NaN()
-	}
-	return power.Total(d.Masters, nil, nil)
 }
 
 // --- Tables V-VI: both layers ---------------------------------------------
@@ -963,7 +814,7 @@ func (c *Context) TableXCtx(ctx context.Context) (*Table, []DMRow, error) {
 			return nil, nil, err
 		}
 		t.Rows = append(t.Rows, []string{p.Name, "nominal",
-			f3(golden.MCT / 1000), "-", f1(nominalLeakUW(c, p.Name)), "-", "-", "-"})
+			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil)), "-", "-", "-"})
 		for range modes {
 			row := rows[ji]
 			ji++
@@ -1052,17 +903,17 @@ func (c *Context) TableVIICtx(ctx context.Context) (*Table, error) {
 
 // --- Table VIII + Fig. 10: dosePl and slack profiles -----------------------
 
-// restorePlacement snapshots a design's placement and returns a restore
+// restorePlacement snapshots a placement and returns a restore
 // function: dosePl mutates cell positions, and the harness caches
 // designs across experiments.
-func restorePlacement(d *gen.Design) func() {
-	x := append([]float64(nil), d.Pl.X...)
-	y := append([]float64(nil), d.Pl.Y...)
-	w := append([]float64(nil), d.Pl.Width...)
+func restorePlacement(pl *place.Placement) func() {
+	x := append([]float64(nil), pl.X...)
+	y := append([]float64(nil), pl.Y...)
+	w := append([]float64(nil), pl.Width...)
 	return func() {
-		copy(d.Pl.X, x)
-		copy(d.Pl.Y, y)
-		copy(d.Pl.Width, w)
+		copy(pl.X, x)
+		copy(pl.Y, y)
+		copy(pl.Width, w)
 	}
 }
 
@@ -1085,37 +936,24 @@ func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 		Header: []string{"Testcase", "stage", "MCT (ns)", "Leakage (µW)"},
 	}
 	for _, name := range []string{"AES-65", "JPEG-65"} {
-		golden, err := c.GoldenCtx(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		d, err := c.DesignCtx(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		restore := restorePlacement(d)
-		opt := core.DefaultOptions()
-		opt.G = gridsFor(name, c.Scale)[0]
-		opt.Workers = c.Workers
+		spec := c.spec(name)
+		spec.GridUm = gridsFor(name, c.Scale)[0]
 		// Compile while the placement is pristine: the artifact snapshots
 		// the gate→grid map, and dosePl moves cells afterwards.
-		comp, err := c.compiledCtx(ctx, name, opt.CompileOptions())
+		art, opt, err := c.prepare(ctx, spec)
 		if err != nil {
-			restore()
-			return nil, err
-		}
-		dm, err := core.SolveQCP(ctx, core.QCPRequest{Compiled: comp, Opt: opt})
-		if err != nil {
-			restore()
 			return nil, err
 		}
 		dopt := core.DefaultDosePlOptions()
 		dopt.K = c.K
-		dp, err := core.DosePlCtx(ctx, golden, dm.Layers, opt, dopt)
+		restore := restorePlacement(art.Golden.In.Pl)
+		out, err := core.SolveFlow(ctx, core.FlowRequest{Compiled: art.Compiled, Config: core.FlowConfig{
+			Opt: opt, Mode: core.ModeQCPTiming, RunDosePl: true, DosePl: dopt}})
 		restore()
 		if err != nil {
 			return nil, err
 		}
+		dm, dp := out.DM, out.DosePl
 		t.Rows = append(t.Rows,
 			[]string{name, "Nom Lgate", f3(dm.Nominal.MCTps / 1000), f1(dm.Nominal.LeakUW)},
 			[]string{name, "QCP", f3(dm.Golden.MCTps / 1000), f1(dm.Golden.LeakUW)},
@@ -1140,23 +978,15 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 	defer sp.End()
 	c.plMu.Lock()
 	defer c.plMu.Unlock()
-	golden, err := c.GoldenCtx(ctx, design)
-	if err != nil {
-		return nil, err
-	}
-	d, err := c.DesignCtx(ctx, design)
-	if err != nil {
-		return nil, err
-	}
-	defer restorePlacement(d)()
-	opt := core.DefaultOptions()
-	opt.G = gridsFor(design, c.Scale)[0]
-	opt.Workers = c.Workers
+	spec := c.spec(design)
+	spec.GridUm = gridsFor(design, c.Scale)[0]
 	// Compile while the placement is pristine (dosePl moves cells below).
-	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
+	art, opt, err := c.prepare(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	golden, comp := art.Golden, art.Compiled
+	defer restorePlacement(golden.In.Pl)()
 	k := c.K
 	maxStates := 60 * k
 
@@ -1238,49 +1068,6 @@ func (c *Context) Fig10Ctx(ctx context.Context, design string, points int) (*Tab
 	return t, nil
 }
 
-// --- full evaluation sweep -------------------------------------------------
-
-// AllTables regenerates the paper's whole evaluation in one call: the
-// read-only tables and figures fan out across workers (each internally
-// parallel as well), then the placement-mutating experiments
-// (Table VIII, Fig. 10) run serially.  Tables come back in the paper's
-// order and are bit-identical for every worker count (except reported
-// runtimes).
-func (c *Context) AllTables(ctx context.Context, fig10Design string) ([]*Table, error) {
-	if fig10Design == "" {
-		fig10Design = "AES-65"
-	}
-	readonly := []func(context.Context) (*Table, error){
-		func(context.Context) (*Table, error) { return Fig2(), nil },
-		func(context.Context) (*Table, error) { return Fig3(), nil },
-		func(context.Context) (*Table, error) { return Fig4(), nil },
-		func(context.Context) (*Table, error) { return Fig5(), nil },
-		func(context.Context) (*Table, error) { return Fig6(), nil },
-		c.TableICtx,
-		c.TableIICtx,
-		c.TableIIICtx,
-		func(ctx context.Context) (*Table, error) { t, _, err := c.TableIVCtx(ctx); return t, err },
-		func(ctx context.Context) (*Table, error) { t, _, err := c.TableVCtx(ctx); return t, err },
-		func(ctx context.Context) (*Table, error) { t, _, err := c.TableVICtx(ctx); return t, err },
-		c.TableVIICtx,
-	}
-	out, err := par.Map(ctx, len(readonly), par.Workers(c.Workers), func(i int) (*Table, error) {
-		return readonly[i](ctx)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t8, err := c.TableVIIICtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	f10, err := c.Fig10Ctx(ctx, fig10Design, 24)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, t8, f10), nil
-}
-
 // --- Extension: full-wafer consensus co-optimization (Table IX) ---------
 
 // WaferGeometry is the production step-and-scan layout with the radial
@@ -1296,14 +1083,13 @@ func WaferGeometry() core.WaferOptions {
 // design: uniform dose, uncoupled per-field QCPs, and the
 // consensus-ADMM coupled solve at the common clock-period target.
 func (c *Context) WaferRunCtx(ctx context.Context, design string, gridUm float64, wopt core.WaferOptions) (*core.WaferResult, error) {
-	opt := core.DefaultOptions()
-	opt.G = gridUm
-	opt.Workers = c.Workers
-	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
+	spec := c.spec(design)
+	spec.GridUm = gridUm
+	art, opt, err := c.prepare(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return core.SolveWafer(ctx, core.WaferRequest{Compiled: comp, Opt: opt, Wafer: wopt})
+	return core.SolveWafer(ctx, core.WaferRequest{Compiled: art.Compiled, Opt: opt, Wafer: wopt})
 }
 
 // WaferTable renders a wafer run as the Table IX row data: one row per

@@ -1,10 +1,11 @@
 // Package serve is the long-running optimization service behind
 // cmd/dmopt-serve: a job manager that executes dmopt-job/v1 specs
 // (internal/api) over the staged compile→solve→signoff pipeline, with
-// admission control, per-job worker budgets, graceful cancellation via
-// the ctx-first core entry points, and a byte-budget LRU around the
-// design/golden/model/compile stages so the artifact cache survives
-// millions of distinct requests.
+// admission control, per-job worker budgets and graceful cancellation
+// via the ctx-first core entry points.  Jobs resolve their
+// design/golden/model/compile stages through api.Prepare with a
+// byte-budget api.Cache, so the artifact cache survives millions of
+// distinct requests.
 //
 // Job lifecycle: queued → running → done | failed | canceled.  A job
 // is admitted when a running slot (Config.MaxRunning) frees up; the
@@ -25,11 +26,8 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sta"
 )
 
 // Config sizes the service.
@@ -98,7 +96,7 @@ var ErrNotFound = errors.New("serve: no such job")
 type Server struct {
 	cfg   Config
 	rec   *obs.Recorder
-	cache *Cache
+	cache *api.Cache
 	start time.Time
 
 	baseCtx   context.Context
@@ -141,7 +139,7 @@ func New(cfg Config, rec *obs.Recorder) *Server {
 	return &Server{
 		cfg:       cfg,
 		rec:       rec,
-		cache:     NewCache(rec, cfg.CacheBytes),
+		cache:     api.NewCache(rec, cfg.CacheBytes),
 		start:     time.Now(),
 		baseCtx:   ctx,
 		cancelAll: cancel,
@@ -263,11 +261,12 @@ func (s *Server) run(ctx context.Context, j *Job) {
 	s.finish(j, res, err)
 }
 
-// execute resolves the staged artifacts through the cache and runs the
-// solve.  dosePl jobs mutate cell positions in place, so they run on a
-// private copy of the placement: the cached design — which concurrent
-// jobs on the same design read through golden/compile rebuilds and
-// solve-stage signoff — is never written after it is built.
+// execute resolves the staged artifacts through the server's cache and
+// runs the solve.  dosePl jobs mutate cell positions in place, so they
+// run on a private copy of the placement: the cached design — which
+// concurrent jobs on the same design read through golden/compile
+// rebuilds and solve-stage signoff — is never written after it is
+// built.
 //
 // A panic fails only its own job.  One raised on this goroutine is
 // recovered here; one raised on a fan-out goroutine arrives as par.Do's
@@ -287,7 +286,7 @@ func (s *Server) execute(ctx context.Context, spec api.JobSpec) (res *api.JobRes
 		}
 	}()
 	start := time.Now()
-	art, err := s.artifacts(ctx, spec)
+	art, err := api.Prepare(ctx, spec, s.cache)
 	if err != nil {
 		return nil, err
 	}
@@ -416,104 +415,4 @@ func (s *Server) Jobs() []*Job {
 		}
 	}
 	return out
-}
-
-// --- staged artifact resolution -------------------------------------------
-
-// artifacts resolves the design → golden → model → compiled chain
-// through the byte-budget cache.  Stage keys exclude the worker count:
-// every stage is bit-identical for any worker count (the repo-wide
-// determinism contract), so jobs differing only in budget share
-// artifacts.  A compile served from cache ticks core/compile_hits,
-// mirroring the expt harness, so cache effectiveness is observable at
-// /metrics.
-func (s *Server) artifacts(ctx context.Context, spec api.JobSpec) (api.Artifacts, error) {
-	opt, err := spec.Options()
-	if err != nil {
-		return api.Artifacts{}, err
-	}
-	dKey := spec.DesignKey()
-
-	dv, _, err := s.cache.GetOrBuild(ctx, "design/"+dKey, func(ctx context.Context) (any, int64, error) {
-		p, err := spec.GenPreset()
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := gen.GenerateCtx(ctx, p)
-		if err != nil {
-			return nil, 0, err
-		}
-		return d, designBytes(d), nil
-	})
-	if err != nil {
-		return api.Artifacts{}, err
-	}
-	d := dv.(*gen.Design)
-
-	gv, _, err := s.cache.GetOrBuild(ctx, "golden/"+dKey, func(ctx context.Context) (any, int64, error) {
-		g, err := core.GoldenNominalCtx(ctx, d, opt.STA)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, goldenBytes(g), nil
-	})
-	if err != nil {
-		return api.Artifacts{}, err
-	}
-	golden := gv.(*sta.Result)
-
-	mKey := fmt.Sprintf("model/%s/both=%t", dKey, opt.BothLayers)
-	mv, _, err := s.cache.GetOrBuild(ctx, mKey, func(ctx context.Context) (any, int64, error) {
-		m, err := core.FitModelCtx(ctx, golden, opt.BothLayers, spec.Workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		return m, modelBytes(m), nil
-	})
-	if err != nil {
-		return api.Artifacts{}, err
-	}
-	model := mv.(*core.Model)
-
-	co := opt.CompileOptions()
-	cKey := fmt.Sprintf("compiled/%s/%+v", dKey, co)
-	cv, hit, err := s.cache.GetOrBuild(ctx, cKey, func(ctx context.Context) (any, int64, error) {
-		c, err := core.CompileCtx(ctx, golden, model, co)
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, c.ApproxBytes(), nil
-	})
-	if err != nil {
-		return api.Artifacts{}, err
-	}
-	if hit {
-		s.rec.Add("core/compile_hits", 1)
-	}
-	return api.Artifacts{Design: d, Golden: golden, Model: model, Compiled: cv.(*core.Compiled)}, nil
-}
-
-// --- artifact byte costs ---------------------------------------------------
-
-// designBytes approximates a generated design's resident cost: per-gate
-// structure, adjacency and placement slices.
-func designBytes(d *gen.Design) int64 {
-	b := int64(0)
-	for _, g := range d.Circ.Gates {
-		b += 96 + int64(len(g.Name)+len(g.Master)) + 8*int64(len(g.Fanins)+len(g.Fanouts))
-	}
-	b += 8 * 3 * int64(len(d.Pl.X))
-	b += 8 * int64(len(d.Masters))
-	return b
-}
-
-// goldenBytes approximates an analysis result: six per-gate float
-// vectors plus the shared input view.
-func goldenBytes(r *sta.Result) int64 {
-	return 8 * 6 * int64(len(r.AOut))
-}
-
-// modelBytes approximates the fitted coefficient set.
-func modelBytes(m *core.Model) int64 {
-	return 8 * int64(len(m.A)+len(m.B)+len(m.Alpha)+len(m.Beta)+len(m.Gamma))
 }

@@ -11,13 +11,13 @@
 #   - perfbench's three workloads at --seed 1 --seconds 2 --trace 1;
 #   - tables -scale 0.06 -which all,ix,x;
 #   - dmopt -scale 0.06 as a plain QP, -qcp -dosepl, -qcp -both,
-#     -actuators joint and -qcp -actuators bias;
-#   - dosesweep -scale 0.05 plain, -bias and -wafer;
+#     -actuators joint and -qcp -actuators bias, and once more as a
+#     plain QP with -stats -bench-json (the report writers);
+#   - dosesweep -scale 0.05 plain, -bias, -wafer and -workers 1 (the
+#     serial sweep's incremental Timer);
 #   - charlib -tables -master NAND2X1;
 #   - scripts/serve_smoke.sh against the dmopt-serve binary;
 #   - the four examples.
-# It does not pass -workers 1 or -stats, so the serial dose-sweep Timer
-# path and the report writers read 0 % although commands reach them.
 #
 # Any entry point that fails fails the script.  Run it from the
 # repository root:
@@ -61,9 +61,11 @@ run "$bin/dmopt" -scale 0.06 -qcp -dosepl
 run "$bin/dmopt" -scale 0.06 -qcp -both
 run "$bin/dmopt" -scale 0.06 -actuators joint
 run "$bin/dmopt" -scale 0.06 -qcp -actuators bias
+run "$bin/dmopt" -scale 0.06 -stats -bench-json "$tmp/bench.json"
 run "$bin/dosesweep" -scale 0.05
 run "$bin/dosesweep" -scale 0.05 -bias
 run "$bin/dosesweep" -scale 0.05 -wafer
+run "$bin/dosesweep" -scale 0.05 -workers 1
 run "$bin/charlib" -tables -master NAND2X1
 run "$root/scripts/serve_smoke.sh" "$bin/dmopt-serve"
 for ex in equipment leakagerecovery quickstart timingspeedup; do
