@@ -6,7 +6,8 @@
 # profile` captures CPU and heap profiles of the Table IV pipeline;
 # `make serve-smoke` boots the dmopt-serve daemon, runs one job through
 # it and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
-# wafer end-to-end and proves serial-vs-parallel bit-equality; `make
+# wafer end-to-end, proves serial-vs-parallel bit-equality and solves
+# the Table IX wafer on two held-out designs; `make
 # traffic-cover` runs every entry point once under coverage and lists
 # the functions that traffic never reaches.
 
@@ -51,9 +52,11 @@ bench-json:
 	rm -f tables.bin
 
 # Tiny wafer end-to-end: the 12-field consensus smoke plus the
-# worker/permutation bit-identity proof (serial vs parallel dispatch).
+# worker/permutation bit-identity proof (serial vs parallel dispatch),
+# and the Table IX wafer on the two held-out AES-65 seeds whose
+# consensus once failed to converge.
 wafer-smoke:
-	$(GO) test ./internal/core/ -run 'TestWaferSmoke|TestWaferWorkerBitIdentity' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestWaferSmoke|TestWaferWorkerBitIdentity|TestWaferHeldOutSeeds' -count=1 -v
 
 # End-to-end service smoke: boot dmopt-serve, run one scale-0.15 job
 # through the synchronous endpoint, require a 200 and a well-formed

@@ -57,7 +57,8 @@ const (
 // the radial CD fingerprint (nm at wafer center and edge; zero values
 // describe a flat wafer) and the consensus outer loop.  Zero-valued
 // knobs select the production defaults (300 mm wafer, 26×33 mm fields,
-// 3 mm edge exclusion).
+// 3 mm edge exclusion, 8 consensus rounds per column group); MaxOuter
+// may not exceed MaxWaferOuter.
 type WaferSpec struct {
 	DiameterMM float64 `json:"diameter_mm,omitempty"`
 	FieldWmm   float64 `json:"field_w_mm,omitempty"`
@@ -68,6 +69,13 @@ type WaferSpec struct {
 	Power      float64 `json:"power,omitempty"`
 	MaxOuter   int     `json:"max_outer,omitempty"`
 }
+
+// MaxWaferOuter bounds WaferSpec.MaxOuter.  Each consensus round is one
+// QP solve per field of a column group.  A group that meets the
+// consensus tolerance does so within a few rounds, and one that stalls
+// runs to the cap, so a cap far above the default 8 only lets one
+// request hold a worker longer.
+const MaxWaferOuter = 64
 
 // JobSpec describes one optimization job.  Zero-valued knobs select the
 // paper's defaults (see core.DefaultOptions); Normalized materializes
@@ -255,8 +263,8 @@ func (s JobSpec) Validate() error {
 			if w.Power < 0 {
 				return fmt.Errorf("api: negative fingerprint power %g", w.Power)
 			}
-			if w.MaxOuter < 0 {
-				return fmt.Errorf("api: negative max_outer %d", w.MaxOuter)
+			if w.MaxOuter < 0 || w.MaxOuter > MaxWaferOuter {
+				return fmt.Errorf("api: max_outer %d outside [0, %d]", w.MaxOuter, MaxWaferOuter)
 			}
 		}
 	}
@@ -287,6 +295,15 @@ func (s JobSpec) Validate() error {
 	}
 	if s.GridUm < 0 {
 		return fmt.Errorf("api: negative grid size grid_um %g", s.GridUm)
+	}
+	// The dose grid must fit dosemap.MaxGridCells on the spec's die,
+	// refused here before any design is generated.
+	p, err := s.GenPreset()
+	if err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	if _, err := dosemap.NewGrid(p.ChipW, p.ChipH, s.Normalized().GridUm); err != nil {
+		return fmt.Errorf("api: grid_um: %w", err)
 	}
 	if s.Delta < 0 {
 		return fmt.Errorf("api: negative smoothness bound delta %g", s.Delta)

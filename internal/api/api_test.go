@@ -30,6 +30,12 @@ func TestValidate(t *testing.T) {
 		{"empty dose range", func(s *JobSpec) { s.DoseLo, s.DoseHi = 3, -3 }, "dose range"},
 		{"bad linsys", func(s *JobSpec) { s.LinSys = "gpu" }, "linear-system backend"},
 		{"nameless preset", func(s *JobSpec) { s.Design = ""; s.Preset = &gen.Preset{} }, "needs a name"},
+		{"grid too fine", func(s *JobSpec) { s.Design, s.Scale, s.GridUm = "JPEG-90", 1, 0.1 }, "above the cap"},
+		{"grid just under 5 µm", func(s *JobSpec) { s.Design, s.Scale, s.GridUm = "JPEG-90", 1, 4.99 }, "above the cap"},
+		{"fine grid on a scaled die", func(s *JobSpec) { s.GridUm = 0.2 }, "above the cap"},
+		{"inline die without area", func(s *JobSpec) { s.Design = ""; s.Preset = &gen.Preset{Name: "flat"} }, "bad grid spec"},
+		{"max_outer above bound", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: MaxWaferOuter + 1} }, "max_outer"},
+		{"negative max_outer", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: -1} }, "max_outer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,6 +46,23 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateAtBounds: the largest grid and the most consensus rounds
+// a spec may ask for pass, raw and normalized.
+func TestValidateAtBounds(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Design: "JPEG-90", GridUm: 5},
+		{Design: "JPEG-90"},
+		{Design: "AES-65", Scale: 0.1, GridUm: 1.7},
+		{Design: "AES-65", Scale: 0.1, Mode: ModeWafer, Wafer: &WaferSpec{MaxOuter: MaxWaferOuter}},
+	} {
+		for _, s := range []JobSpec{spec, spec.Normalized()} {
+			if err := s.Validate(); err != nil {
+				t.Errorf("%s rejected: %v", s.MarshalCanonical(), err)
+			}
+		}
 	}
 }
 

@@ -145,3 +145,43 @@ func TestCacheDeterministicErrorCached(t *testing.T) {
 		t.Fatalf("deterministic error rebuilt %d times, want 1", builds)
 	}
 }
+
+// TestPrepareKeepsGoldenWithoutDesign: under a budget that fits the
+// golden, model and compile but not the design, the first Prepare
+// evicts the design, and a second Prepare serves the whole chain from
+// the cache without generating the design again.
+func TestPrepareKeepsGoldenWithoutDesign(t *testing.T) {
+	ctx := context.Background()
+	spec := JobSpec{Design: "AES-65", Scale: 0.05}
+	cold, err := Prepare(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := goldenBytes(cold.Golden) + modelBytes(cold.Model) + cold.Compiled.ApproxBytes()
+
+	rec := obs.New()
+	c := NewCache(rec, budget)
+	first, err := Prepare(ctx, spec, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Counter("serve/cache_evictions"); n != 1 {
+		t.Fatalf("first prepare evicted %d entries, want 1 (the design)", n)
+	}
+	if n := rec.Counter("serve/cache_builds"); n != 4 {
+		t.Fatalf("first prepare built %d artifacts, want 4", n)
+	}
+	second, err := Prepare(ctx, spec, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Counter("serve/cache_builds"); n != 4 {
+		t.Fatalf("second prepare rebuilt %d artifacts, want none", n-4)
+	}
+	if second.Golden != first.Golden || second.Model != first.Model || second.Compiled != first.Compiled {
+		t.Fatal("second prepare did not serve the cached artifacts")
+	}
+	if got := c.Len(); got != 3 {
+		t.Fatalf("%d resident entries, want 3 (golden, model, compiled)", got)
+	}
+}

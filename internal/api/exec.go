@@ -53,22 +53,20 @@ func Design(ctx context.Context, spec JobSpec, c *Cache) (*gen.Design, error) {
 	return d, err
 }
 
-// Golden returns the nominal golden analysis of the spec's design.
+// Golden returns the nominal golden analysis of the spec's design.  The
+// design is resolved only inside the golden's build: the analysis views
+// the design it was built from through golden.In, so a job whose golden
+// is cached never regenerates a design the cache has evicted.
 func Golden(ctx context.Context, spec JobSpec, c *Cache) (*sta.Result, error) {
 	opt, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
-	d, err := Design(ctx, spec, c)
-	if err != nil {
-		return nil, err
-	}
-	return golden(ctx, spec, opt, d, c)
-}
-
-// golden is the golden stage over an already-resolved design.
-func golden(ctx context.Context, spec JobSpec, opt core.Options, d *gen.Design, c *Cache) (*sta.Result, error) {
 	g, _, err := stage(ctx, c, "golden/"+spec.DesignKey(), func(ctx context.Context) (*sta.Result, int64, error) {
+		d, err := Design(ctx, spec, c)
+		if err != nil {
+			return nil, 0, err
+		}
 		gctx, sp := obs.Start(ctx, "flow/golden")
 		g, err := core.GoldenNominalCtx(gctx, d, opt.STA)
 		sp.End()
@@ -91,11 +89,7 @@ func Prepare(ctx context.Context, spec JobSpec, c *Cache) (Artifacts, error) {
 	if err != nil {
 		return Artifacts{}, err
 	}
-	d, err := Design(ctx, spec, c)
-	if err != nil {
-		return Artifacts{}, err
-	}
-	g, err := golden(ctx, spec, opt, d, c)
+	g, err := Golden(ctx, spec, c)
 	if err != nil {
 		return Artifacts{}, err
 	}

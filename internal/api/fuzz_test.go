@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/dosemap"
 )
 
 // decodeStrict decodes one dmopt-job/v1 document the way dmopt-serve
@@ -21,8 +23,9 @@ func decodeStrict(data []byte) (JobSpec, error) {
 // MarshalCanonical decodes and canonicalizes back to the same bytes,
 // the identity the server deduplicates on — and the accessors the
 // server calls before any design work (Options, GenPreset, DesignKey)
-// must succeed without panicking.  Prepare stays out: it generates a
-// design per input.
+// must succeed without panicking, with a dose grid within
+// dosemap.MaxGridCells and at most MaxWaferOuter consensus rounds.
+// Prepare stays out: it generates a design per input.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
 		// One spec per mode.
@@ -51,6 +54,9 @@ func FuzzJobSpec(f *testing.F) {
 		`{"design":"AES-65","linsys":"cg"}`,
 		`{"design":"AES-65","scale":1e400}`,
 		`{"schema":"dmopt-job/v0","design":"AES-65"}`,
+		`{"design":"JPEG-90","grid_um":0.1}`,
+		`{"design":"JPEG-90","grid_um":1e-320}`,
+		`{"design":"AES-65","mode":"wafer","wafer":{"max_outer":1000000000}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -74,8 +80,15 @@ func FuzzJobSpec(f *testing.F) {
 		if _, err := spec.Options(); err != nil {
 			t.Fatalf("accepted spec has no options: %v\ncanonical: %s", err, canon)
 		}
-		if _, err := spec.GenPreset(); err != nil {
+		p, err := spec.GenPreset()
+		if err != nil {
 			t.Fatalf("accepted spec has no preset: %v\ncanonical: %s", err, canon)
+		}
+		if g, err := dosemap.NewGrid(p.ChipW, p.ChipH, spec.GridUm); err != nil || g.Cells() > dosemap.MaxGridCells {
+			t.Fatalf("accepted spec has no grid within the cap: %v\ncanonical: %s", err, canon)
+		}
+		if spec.Wafer != nil && spec.Wafer.MaxOuter > MaxWaferOuter {
+			t.Fatalf("accepted spec runs %d consensus rounds\ncanonical: %s", spec.Wafer.MaxOuter, canon)
 		}
 		if spec.DesignKey() == "" {
 			t.Fatalf("accepted spec has an empty design key\ncanonical: %s", canon)

@@ -159,13 +159,6 @@ type WaferResult struct {
 	Runtime time.Duration
 }
 
-// polishBoost is the penalty multiplier of the final consensus polish
-// solve: after the ADMM loop converges, each field re-solves once with
-// the penalty target pinned at the final consensus and the penalty
-// boosted, pulling the slit deviation onto z to solver precision before
-// the exact column adjustment.
-const polishBoost = 1e4
-
 // privatizeLinear replaces the borrowed read-only linear term with the
 // cutSolver's own mutable copy (the consensus loop rewrites the penalty
 // entries every outer iteration).
@@ -404,32 +397,11 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 		}
 	}
 
-	// Polish: pin the penalty target at the final consensus and boost
-	// the penalty, then adjust each grid column exactly onto z so every
-	// field of the column exits with the same slit profile.  The pinned
-	// target is the SHARED consensus, so the polished linear terms are
-	// identical across members and the rebuilt family batches again.
+	// Project each member's columns exactly onto z, so every field of
+	// the column exits with the same slit profile, not an ε-close one.
+	// m.e is still the deviation of the last solve's iterate.
 	for _, m := range members {
 		cs := m.cs
-		for j := 0; j < nCols; j++ {
-			cs.pd[m.eBase+j] *= polishBoost
-			cs.q[m.eBase+j] = -cs.pd[m.eBase+j] * out.z[j]
-		}
-		cs.resetSolver() // the penalty diagonal changed: rebuild once
-	}
-	_, feas, err := solveTauGroup(ctx, css, tau, math.Inf(1))
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range members {
-		if !feas[i] {
-			return nil, fmt.Errorf("core: wafer polish (bias %.2f nm) infeasible at τ̄ = %.1f ps", m.bias, tau)
-		}
-	}
-	for _, m := range members {
-		cs := m.cs
-		out.solves++
-		slitDeviation(cs.x[:nG], grid, m.e)
 		for j := 0; j < nCols; j++ {
 			d := out.z[j] - m.e[j]
 			for r := 0; r < grid.M; r++ {
@@ -601,12 +573,14 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 
 	// Stage C: consensus-coupled solve per column group.  Wafer columns
 	// with the same bias signature are one group.  The consensus penalty
-	// ρw is the mean dose curvature aggregated over a grid column.
+	// ρw is the mean per-cell dose curvature, scaled like one cell of the
+	// objective.  A stiffer penalty pins each e to the current z, and z
+	// then crawls toward consensus over many rounds (DESIGN.md §14).
 	curv := 0.0
 	for g := 0; g < c.NG; g++ {
 		curv += c.cutPD[g]
 	}
-	rhoW := curv / float64(c.NG) * float64(c.Grid.M)
+	rhoW := curv / float64(c.NG)
 	if rhoW <= 0 {
 		rhoW = 1
 	}

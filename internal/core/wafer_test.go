@@ -112,6 +112,20 @@ func checkWaferClaims(t *testing.T, r *WaferResult) {
 	}
 }
 
+// checkConsensusStopped asserts every column group stopped at the
+// consensus tolerance rather than at the outer cap: the last residual
+// (the worst group's final round) is below waferConsensusTol and the
+// rounds add up to fewer than groups × MaxOuter.
+func checkConsensusStopped(t *testing.T, r *WaferResult, wopt WaferOptions) {
+	t.Helper()
+	if n := len(r.Residuals); n == 0 || !(r.Residuals[n-1] < waferConsensusTol) {
+		t.Errorf("consensus residual trace %v does not end below %g", r.Residuals, waferConsensusTol)
+	}
+	if limit := r.Groups * wopt.normalized().MaxOuter; r.OuterIters >= limit {
+		t.Errorf("%d outer rounds over %d groups: not below the cap total %d", r.OuterIters, r.Groups, limit)
+	}
+}
+
 // TestWaferSmoke is the CI smoke gate (`make wafer-smoke`): a tiny
 // 12-field wafer solved end-to-end, serial versus parallel, must be
 // bit-identical and satisfy the equalization claim.
@@ -121,6 +135,7 @@ func TestWaferSmoke(t *testing.T) {
 	parallel := runWafer(t, comp, 2, smokeWafer(), nil)
 	waferBitsEq(t, serial, parallel)
 	checkWaferClaims(t, serial)
+	checkConsensusStopped(t, serial, smokeWafer())
 	t.Logf("fields=%d groups=%d τ̄=%.1f ps spreads: uniform %.3f%% uncoupled %.3f%% coupled %.4f%% (outer %d, solves %d, residuals %v)",
 		len(serial.Fields), serial.Groups, serial.TauPs,
 		serial.UniformSpreadPct, serial.UncoupledSpreadPct, serial.CoupledSpreadPct,
@@ -157,10 +172,11 @@ func TestWaferWorkerBitIdentity(t *testing.T) {
 }
 
 // TestWaferConsensusConvergence is the convergence property suite: on
-// randomized radial CD signatures the consensus residual must fall
-// monotonically after burn-in, fields of a scan column must exit with
-// an identical shared slit profile, and the coupled spread must not
-// exceed the uncoupled one.
+// randomized radial CD signatures every group must stop at the
+// consensus tolerance, the residual must fall monotonically after
+// burn-in, fields of a scan column must exit with an identical shared
+// slit profile, and the coupled spread must not exceed the uncoupled
+// one.
 func TestWaferConsensusConvergence(t *testing.T) {
 	comp := waferComp(t, 0.05)
 	rng := rand.New(rand.NewSource(80801))
@@ -172,6 +188,7 @@ func TestWaferConsensusConvergence(t *testing.T) {
 			Power:  1.5 + rng.Float64()*2, // [1.5, 3.5]
 		}
 		r := runWafer(t, comp, 2, wopt, nil)
+		checkConsensusStopped(t, r, wopt)
 
 		// Residual trace: monotone non-increasing after one burn-in
 		// iteration.

@@ -28,17 +28,25 @@ type Grid struct {
 	M, N int
 }
 
+// MaxGridCells caps the cells of one dose-map layer at the largest
+// Table I preset on the paper's finest grid: JPEG-90's 1,044 µm die at
+// G = 5 µm, 209² cells.  The compiled formulation allocates several
+// per-cell vectors, so an uncapped grid grows with 1/G²: the same die at
+// 0.1 µm would ask for 1.09e8 cells and about 0.87 GB per vector.
+const MaxGridCells = 209 * 209
+
 // NewGrid partitions a W×H field with granularity parameter G (the
-// user-specified upper bound on grid width and height).
+// user-specified upper bound on grid width and height).  A partition
+// with more than MaxGridCells cells is an error.
 func NewGrid(w, h, g float64) (Grid, error) {
 	if w <= 0 || h <= 0 || g <= 0 {
 		return Grid{}, fmt.Errorf("dosemap: bad grid spec %gx%g / %g", w, h, g)
 	}
-	return Grid{
-		G: g, W: w, H: h,
-		N: int(math.Ceil(w / g)),
-		M: int(math.Ceil(h / g)),
-	}, nil
+	n, m := math.Ceil(w/g), math.Ceil(h/g)
+	if !(n*m <= MaxGridCells) {
+		return Grid{}, fmt.Errorf("dosemap: grid %gx%g / %g has %g cells, above the cap of %d per layer", w, h, g, n*m, MaxGridCells)
+	}
+	return Grid{G: g, W: w, H: h, N: int(n), M: int(m)}, nil
 }
 
 // Cells returns the number of grid cells M·N.

@@ -36,6 +36,35 @@ func TestNewGrid(t *testing.T) {
 	}
 }
 
+// TestNewGridCellCap: JPEG-90's die at the paper's 5 µm grid is exactly
+// the cap and passes; anything finer, and grids whose cell count is not
+// a finite number, fail.
+func TestNewGridCellCap(t *testing.T) {
+	cases := []struct {
+		name    string
+		w, h, g float64
+		ok      bool
+	}{
+		{"JPEG-90 at 5 µm", 1044, 1044, 5, true},
+		{"JPEG-90 at 4.99 µm", 1044, 1044, 4.99, false},
+		{"JPEG-90 at 0.1 µm", 1044, 1044, 0.1, false},
+		{"long thin die", 209 * 209 * 5, 5, 5, true},
+		{"one cell over", 209*209*5 + 1, 5, 5, false},
+		{"infinite width", math.Inf(1), 10, 5, false},
+		{"NaN grid", 100, 100, math.NaN(), false},
+		{"denormal grid", 100, 100, 5e-324, false},
+	}
+	for _, tc := range cases {
+		g, err := NewGrid(tc.w, tc.h, tc.g)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok = %t", tc.name, err, tc.ok)
+		}
+		if err == nil && g.Cells() > MaxGridCells {
+			t.Errorf("%s: %d cells passed the cap of %d", tc.name, g.Cells(), MaxGridCells)
+		}
+	}
+}
+
 func TestGridIndexAndCenter(t *testing.T) {
 	g := mustGrid(t, 100, 50, 10)
 	// 10 columns, 5 rows.
