@@ -4,8 +4,8 @@
 # emits the machine-readable benchmark report (bench.json, untracked);
 # `make fuzz-smoke` gives the job-spec fuzzer a 30 s budget; `make
 # profile` captures CPU and heap profiles of the Table IV pipeline;
-# `make serve-smoke` boots the dmopt-serve daemon, runs one job through
-# it and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
+# `make serve-smoke` boots the dmopt-serve daemon, drives each endpoint
+# once and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
 # wafer end-to-end, proves serial-vs-parallel bit-equality and solves
 # the Table IX wafer on two held-out designs; `make
 # traffic-cover` runs every entry point once under coverage and lists
@@ -58,9 +58,10 @@ bench-json:
 wafer-smoke:
 	$(GO) test ./internal/core/ -run 'TestWaferSmoke|TestWaferWorkerBitIdentity|TestWaferHeldOutSeeds' -count=1 -v
 
-# End-to-end service smoke: boot dmopt-serve, run one scale-0.15 job
-# through the synchronous endpoint, require a 200 and a well-formed
-# /metrics report, then shut the daemon down.
+# End-to-end service smoke: boot dmopt-serve, run a scale-0.15 job and
+# a small wafer job through the synchronous endpoint, cancel an
+# asynchronous job, list the jobs, send a malformed body (400), require
+# a /metrics report with exact job counts, then shut the daemon down.
 serve-smoke:
 	$(GO) build -o dmopt-serve.bin ./cmd/dmopt-serve
 	./scripts/serve_smoke.sh ./dmopt-serve.bin

@@ -3,8 +3,7 @@
 //   - dose-map grid granularity (the Section V sweep);
 //   - smoothness bound δ (tighter bounds shrink the reachable dose range
 //     per grid, Section V's closing discussion);
-//   - snapping policy (nearest versus timing-safe rounding);
-//   - tiling seam constraints (the Section II-B multiple-copies case).
+//   - snapping policy (nearest versus timing-safe rounding).
 //
 // The engine ablation (cut engine versus the node-based assembly) lives
 // beside its oracle in internal/core: BenchmarkAblationEngineCuts and
@@ -103,7 +102,7 @@ func BenchmarkAblationSnapPolicy(b *testing.B) {
 	report := func(name string, m *dosemap.Map) {
 		layers := dosemap.Layers{Poly: m}
 		dl, dw := layers.PerGate(in.Circ, in.Pl, false)
-		r, err := sta.Analyze(in, golden.Cfg, &sta.Perturb{DL: dl, DW: dw})
+		r, err := sta.AnalyzeCtx(context.Background(), in, golden.Cfg, &sta.Perturb{DL: dl, DW: dw})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,35 +118,5 @@ func BenchmarkAblationSnapPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := res.Layers.Poly.Clone()
 		m.SnapTimingSafe()
-	}
-}
-
-// BenchmarkExtTiledField compares DMopt with and without the tiling
-// seam constraints (Section II-B multiple-copies case).
-func BenchmarkExtTiledField(b *testing.B) {
-	golden, model := ablationFixture(b)
-	for _, tiled := range []bool{false, true} {
-		name := "plain"
-		if tiled {
-			name = "tiled"
-		}
-		b.Run(name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.Tiled = tiled
-			for i := 0; i < b.N; i++ {
-				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					seam := "n/a"
-					if err := r.Layers.Poly.CheckTiledSmooth(opt.Delta + 0.05); err == nil {
-						seam = "ok"
-					}
-					fmt.Printf("ablation tiling=%s: Δleak %.1f nW, seam smoothness %s\n",
-						name, r.PredDeltaLeakNW, seam)
-				}
-			}
-		})
 	}
 }

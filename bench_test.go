@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -42,11 +43,11 @@ func harness() *expt.Context {
 var printed sync.Map
 
 // printOnce emits a table the first time its benchmark runs.
-func printOnce(key string, f func() (*expt.Table, error), b *testing.B) {
+func printOnce(key string, f func(context.Context) (*expt.Table, error), b *testing.B) {
 	if _, loaded := printed.LoadOrStore(key, true); loaded {
 		return
 	}
-	t, err := f()
+	t, err := f(context.Background())
 	if err != nil {
 		b.Fatalf("%s: %v", key, err)
 	}
@@ -54,7 +55,7 @@ func printOnce(key string, f func() (*expt.Table, error), b *testing.B) {
 }
 
 func BenchmarkFig2DoseSensitivity(b *testing.B) {
-	printOnce("fig2", func() (*expt.Table, error) { return expt.Fig2(), nil }, b)
+	printOnce("fig2", func(context.Context) (*expt.Table, error) { return expt.Fig2(), nil }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = expt.Fig2()
@@ -62,7 +63,7 @@ func BenchmarkFig2DoseSensitivity(b *testing.B) {
 }
 
 func BenchmarkFig3DelayVsLength(b *testing.B) {
-	printOnce("fig3", func() (*expt.Table, error) { return expt.Fig3(), nil }, b)
+	printOnce("fig3", func(context.Context) (*expt.Table, error) { return expt.Fig3(), nil }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = expt.Fig3()
@@ -70,7 +71,7 @@ func BenchmarkFig3DelayVsLength(b *testing.B) {
 }
 
 func BenchmarkFig4DelayVsWidth(b *testing.B) {
-	printOnce("fig4", func() (*expt.Table, error) { return expt.Fig4(), nil }, b)
+	printOnce("fig4", func(context.Context) (*expt.Table, error) { return expt.Fig4(), nil }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = expt.Fig4()
@@ -78,7 +79,7 @@ func BenchmarkFig4DelayVsWidth(b *testing.B) {
 }
 
 func BenchmarkFig5LeakageVsLength(b *testing.B) {
-	printOnce("fig5", func() (*expt.Table, error) { return expt.Fig5(), nil }, b)
+	printOnce("fig5", func(context.Context) (*expt.Table, error) { return expt.Fig5(), nil }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = expt.Fig5()
@@ -86,7 +87,7 @@ func BenchmarkFig5LeakageVsLength(b *testing.B) {
 }
 
 func BenchmarkFig6LeakageVsWidth(b *testing.B) {
-	printOnce("fig6", func() (*expt.Table, error) { return expt.Fig6(), nil }, b)
+	printOnce("fig6", func(context.Context) (*expt.Table, error) { return expt.Fig6(), nil }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = expt.Fig6()
@@ -95,10 +96,10 @@ func BenchmarkFig6LeakageVsWidth(b *testing.B) {
 
 func BenchmarkTableIDesigns(b *testing.B) {
 	c := harness()
-	printOnce("tableI", c.TableI, b)
+	printOnce("tableI", c.TableICtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TableI(); err != nil {
+		if _, err := c.TableICtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,10 +107,10 @@ func BenchmarkTableIDesigns(b *testing.B) {
 
 func BenchmarkTableIIDoseSweepAES65(b *testing.B) {
 	c := harness()
-	printOnce("tableII", c.TableII, b)
+	printOnce("tableII", c.TableIICtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DoseSweep("AES-65", expt.SweepDoses()); err != nil {
+		if _, err := c.DoseSweepCtx(context.Background(), "AES-65", expt.SweepDoses()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,10 +118,10 @@ func BenchmarkTableIIDoseSweepAES65(b *testing.B) {
 
 func BenchmarkTableIIIDoseSweepAES90(b *testing.B) {
 	c := harness()
-	printOnce("tableIII", c.TableIII, b)
+	printOnce("tableIII", c.TableIIICtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DoseSweep("AES-90", expt.SweepDoses()); err != nil {
+		if _, err := c.DoseSweepCtx(context.Background(), "AES-90", expt.SweepDoses()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,14 +129,14 @@ func BenchmarkTableIIIDoseSweepAES90(b *testing.B) {
 
 func BenchmarkTableIVDMoptPoly(b *testing.B) {
 	c := harness()
-	printOnce("tableIV", func() (*expt.Table, error) {
-		t, _, err := c.TableIV()
+	printOnce("tableIV", func(ctx context.Context) (*expt.Table, error) {
+		t, _, err := c.TableIVCtx(ctx)
 		return t, err
 	}, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Time one representative optimization (AES-65, finest grid, QP).
-		if _, err := c.RunDM("AES-65", 5, false, false); err != nil {
+		if _, err := c.RunDMCtx(context.Background(), "AES-65", 5, false, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,12 +150,12 @@ func BenchmarkTableIVDMoptPoly(b *testing.B) {
 // wall time differs.
 func benchTableIV(b *testing.B, workers int) {
 	c := expt.New(expt.WithScale(benchScale()), expt.WithTopK(1000), expt.WithWorkers(workers))
-	if _, err := c.Design("AES-65"); err != nil {
+	if _, err := c.DesignCtx(context.Background(), "AES-65"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.TableIV(); err != nil {
+		if _, _, err := c.TableIVCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,13 +166,13 @@ func BenchmarkTableIVParallel(b *testing.B) { benchTableIV(b, 0) }
 
 func BenchmarkTableVQCPBothLayers(b *testing.B) {
 	c := harness()
-	printOnce("tableV", func() (*expt.Table, error) {
-		t, _, err := c.TableV()
+	printOnce("tableV", func(ctx context.Context) (*expt.Table, error) {
+		t, _, err := c.TableVCtx(ctx)
 		return t, err
 	}, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunDM("AES-65", 5, true, true); err != nil {
+		if _, err := c.RunDMCtx(context.Background(), "AES-65", 5, true, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,13 +180,13 @@ func BenchmarkTableVQCPBothLayers(b *testing.B) {
 
 func BenchmarkTableVIQPBothLayers(b *testing.B) {
 	c := harness()
-	printOnce("tableVI", func() (*expt.Table, error) {
-		t, _, err := c.TableVI()
+	printOnce("tableVI", func(ctx context.Context) (*expt.Table, error) {
+		t, _, err := c.TableVICtx(ctx)
 		return t, err
 	}, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunDM("AES-65", 5, false, true); err != nil {
+		if _, err := c.RunDMCtx(context.Background(), "AES-65", 5, false, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,10 +194,10 @@ func BenchmarkTableVIQPBothLayers(b *testing.B) {
 
 func BenchmarkTableVIICriticality(b *testing.B) {
 	c := harness()
-	printOnce("tableVII", c.TableVII, b)
+	printOnce("tableVII", c.TableVIICtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := c.Criticality("AES-65"); err != nil {
+		if _, _, _, err := c.CriticalityCtx(context.Background(), "AES-65"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,10 +205,10 @@ func BenchmarkTableVIICriticality(b *testing.B) {
 
 func BenchmarkTableVIIIDosePl(b *testing.B) {
 	c := harness()
-	printOnce("tableVIII", c.TableVIII, b)
+	printOnce("tableVIII", c.TableVIIICtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TableVIII(); err != nil {
+		if _, err := c.TableVIIICtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,10 +216,10 @@ func BenchmarkTableVIIIDosePl(b *testing.B) {
 
 func BenchmarkFig10SlackProfiles(b *testing.B) {
 	c := harness()
-	printOnce("fig10", func() (*expt.Table, error) { return c.Fig10("AES-65", 16) }, b)
+	printOnce("fig10", func(ctx context.Context) (*expt.Table, error) { return c.Fig10Ctx(ctx, "AES-65", 16) }, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Fig10Profiles("AES-65"); err != nil {
+		if _, err := c.Fig10ProfilesCtx(context.Background(), "AES-65"); err != nil {
 			b.Fatal(err)
 		}
 	}

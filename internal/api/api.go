@@ -16,6 +16,8 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 
 	"repro/internal/core"
@@ -114,8 +116,6 @@ type JobSpec struct {
 	// NoSnap disables the timing-safe rounding of grid doses to the
 	// characterized library steps before golden signoff.
 	NoSnap bool `json:"no_snap,omitempty"`
-	// Tiled adds seam smoothness rows between opposite map edges.
-	Tiled bool `json:"tiled,omitempty"`
 	// DosePl appends the cell-swapping placement rounds after DMopt.
 	DosePl bool `json:"dosepl,omitempty"`
 
@@ -229,6 +229,14 @@ func (s JobSpec) Validate() error {
 	if s.Schema != "" && s.Schema != Schema {
 		return fmt.Errorf("api: unsupported schema %q (want %q)", s.Schema, Schema)
 	}
+	if err := checkFinite("", s); err != nil {
+		return err
+	}
+	if s.Wafer != nil {
+		if err := checkFinite("wafer.", *s.Wafer); err != nil {
+			return err
+		}
+	}
 	if (s.Design == "") == (s.Preset == nil) {
 		return fmt.Errorf("api: exactly one of design or preset must be set")
 	}
@@ -253,8 +261,8 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("api: wafer parameters are only valid with mode %q", ModeWafer)
 	}
 	if mode == ModeWafer {
-		if s.BothLayers || s.Tiled || s.DosePl {
-			return fmt.Errorf("api: wafer mode supports poly-only, untiled jobs without dosepl")
+		if s.BothLayers || s.DosePl {
+			return fmt.Errorf("api: wafer mode supports poly-only jobs without dosepl")
 		}
 		if w := s.Wafer; w != nil {
 			if w.DiameterMM < 0 || w.FieldWmm < 0 || w.FieldHmm < 0 || w.EdgeMM < 0 {
@@ -319,6 +327,24 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
+// checkFinite refuses a NaN or infinite float field of v, a JobSpec or
+// WaferSpec, naming the field by its JSON key.  JSON cannot carry such
+// numbers but CLI flags can, and NaN passes every range check.
+func checkFinite(prefix string, v any) error {
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.Kind() != reflect.Float64 {
+			continue
+		}
+		if x := f.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+			key, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ",")
+			return fmt.Errorf("api: %s%s is %g, want a finite number", prefix, key, x)
+		}
+	}
+	return nil
+}
+
 // biasOn reports whether the spec's actuator selection includes body
 // bias (accepting both raw and normalized spellings).
 func (s JobSpec) biasOn() bool {
@@ -371,7 +397,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	opt.BothLayers = s.BothLayers
 	opt.XiNW = s.XiNW
 	opt.Snap = !s.NoSnap
-	opt.Tiled = s.Tiled
 	opt.Workers = s.Workers
 	if s.biasOn() {
 		opt.DoseOff = strings.ToLower(s.Actuators) == ActuatorsBias

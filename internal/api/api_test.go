@@ -49,6 +49,50 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNonFinite: NaN passes every range comparison and ±Inf
+// passes the one-sided ones, so Validate refuses a non-finite value in
+// each float field of JobSpec and WaferSpec with an error naming the
+// field.  JSON cannot carry these numbers, but CLI flags can.
+func TestValidateNonFinite(t *testing.T) {
+	fields := []struct {
+		key string
+		set func(*JobSpec, float64)
+	}{
+		{"scale", func(s *JobSpec, v float64) { s.Scale = v }},
+		{"tau_ps", func(s *JobSpec, v float64) { s.TauPs = v }},
+		{"xi_nw", func(s *JobSpec, v float64) { s.XiNW = v }},
+		{"grid_um", func(s *JobSpec, v float64) { s.GridUm = v }},
+		{"delta", func(s *JobSpec, v float64) { s.Delta = v }},
+		{"dose_lo", func(s *JobSpec, v float64) { s.DoseLo = v }},
+		{"dose_hi", func(s *JobSpec, v float64) { s.DoseHi = v }},
+		{"bias_grid_um", func(s *JobSpec, v float64) { s.BiasGridUm = v }},
+		{"bias_lo_v", func(s *JobSpec, v float64) { s.BiasLoV = v }},
+		{"bias_hi_v", func(s *JobSpec, v float64) { s.BiasHiV = v }},
+		{"wafer.diameter_mm", func(s *JobSpec, v float64) { s.Wafer.DiameterMM = v }},
+		{"wafer.field_w_mm", func(s *JobSpec, v float64) { s.Wafer.FieldWmm = v }},
+		{"wafer.field_h_mm", func(s *JobSpec, v float64) { s.Wafer.FieldHmm = v }},
+		{"wafer.edge_mm", func(s *JobSpec, v float64) { s.Wafer.EdgeMM = v }},
+		{"wafer.center_nm", func(s *JobSpec, v float64) { s.Wafer.CenterNm = v }},
+		{"wafer.edge_nm", func(s *JobSpec, v float64) { s.Wafer.EdgeNm = v }},
+		{"wafer.power", func(s *JobSpec, v float64) { s.Wafer.Power = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := JobSpec{Design: "AES-65", Scale: 0.1, Actuators: ActuatorsJoint}
+			if strings.HasPrefix(f.key, "wafer.") {
+				spec = JobSpec{Design: "AES-65", Scale: 0.1, Mode: ModeWafer, Wafer: &WaferSpec{}}
+			}
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("%s: finite base spec rejected: %v", f.key, err)
+			}
+			f.set(&spec, v)
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), f.key+" is ") {
+				t.Errorf("%s = %g: err = %v, want a rejection naming %s", f.key, v, err, f.key)
+			}
+		}
+	}
+}
+
 // TestValidateAtBounds: the largest grid and the most consensus rounds
 // a spec may ask for pass, raw and normalized.
 func TestValidateAtBounds(t *testing.T) {
@@ -144,7 +188,7 @@ func TestRunMatchesFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenPreset: %v", err)
 	}
-	d, err := gen.Generate(p)
+	d, err := gen.GenerateCtx(context.Background(), p)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestRunCtxCanceled(t *testing.T) {
 func TestDMoptCtxCanceledMidFlight(t *testing.T) {
 	d, golden := smallGolden(t, 0.03)
 	_ = d
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDMoptCtxCanceledMidFlight(t *testing.T) {
 // wrapped context.Canceled and leaves the placement restored.
 func TestDosePlCtxCanceled(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@
 // (design, grid, layers) formulation: the grid geometry, the gate→grid
 // map, the objective coefficients, the delay sensitivity rows and the
 // box/smoothness constraint pattern are all invariant across those
-// runs.  Compile builds that invariant state once into an immutable
+// runs.  CompileCtx builds that invariant state once into an immutable
 // *Compiled artifact; the run views in qp_run.go / qcp_run.go / cuts.go
 // borrow it together with per-run mutable state (τ bounds, cut pool,
 // warm-started solver).
 //
-// Ownership rule: a Compiled is never mutated after Compile returns.
+// Ownership rule: a Compiled is never mutated after CompileCtx returns.
 // Runs copy what they need to mutate (the cut engine copies the
 // objective diagonal; buildProblem copies the bound vectors) and lend
 // the shared CSRs to qp.NewSolver, which clones its inputs.  This is
@@ -44,8 +44,6 @@ type CompileOptions struct {
 	DoseLo, DoseHi float64
 	// BothLayers enables simultaneous poly+active optimization.
 	BothLayers bool
-	// Tiled adds seam smoothness rows between opposite map edges.
-	Tiled bool
 	// DoseOff removes the dose actuator block (bias-only formulation).
 	DoseOff bool
 	// BiasGridUm adds the body-bias actuator block when > 0: the pitch
@@ -64,8 +62,7 @@ func (o Options) CompileOptions() CompileOptions {
 	co := CompileOptions{
 		G: o.G, Delta: o.Delta,
 		DoseLo: o.DoseLo, DoseHi: o.DoseHi,
-		BothLayers: o.BothLayers, Tiled: o.Tiled,
-		DoseOff: o.DoseOff,
+		BothLayers: o.BothLayers, DoseOff: o.DoseOff,
 	}
 	if o.useBias() {
 		co.BiasGridUm = o.BiasGridUm
@@ -125,9 +122,9 @@ type Compiled struct {
 	dosePD, doseQ []float64
 	cutPD         []float64
 
-	// Fixed constraint prefix of the cut engine: box + smoothness
-	// (+ seam) rows over the dose variables.  Cut rows are appended
-	// after this prefix, so dual indices survive pool growth.
+	// Fixed constraint prefix of the cut engine: box + smoothness rows
+	// over the dose variables.  Cut rows are appended after this
+	// prefix, so dual indices survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64
 
@@ -164,13 +161,8 @@ func (c *Compiled) check(opt Options) error {
 	return nil
 }
 
-// Compile builds the shared formulation artifact for (golden, model)
-// under the given compile options.
-func Compile(golden *sta.Result, model *Model, co CompileOptions) (*Compiled, error) {
-	return CompileCtx(context.Background(), golden, model, co)
-}
-
-// CompileCtx is Compile with cancellation.  Every compile counts as a
+// CompileCtx builds the shared formulation artifact for (golden, model)
+// under the given compile options.  Every compile counts as a
 // core/compile_misses tick (cache layers above report hits); the build
 // time lands in core/compile_ns.
 func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co CompileOptions) (*Compiled, error) {
@@ -340,11 +332,10 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 // compileFixedRows assembles the fixed constraint prefix over the
 // actuator blocks: box rows per block in block order (Eq. 3/8 for dose,
 // the bias voltage box for bias domains), then the dose smoothness rows
-// (Eq. 4/9) — bias domains have no smoothness coupling — plus the Tiled
-// seam rows.  The triplet route keeps the compiled pattern bit-identical
-// to the historical single-matrix assembly (including the degenerate
-// 1-cell grids whose seam entries cancel to empty rows); with the dose
-// blocks alone it reduces exactly to the pre-actuator emission order.
+// (Eq. 4/9) — bias domains have no smoothness coupling.  The triplet
+// route keeps the compiled pattern bit-identical to the historical
+// single-matrix assembly; with the dose blocks alone it reduces exactly
+// to the pre-actuator emission order.
 func compileFixedRows(grid dosemap.Grid, nG, nVar int, co CompileOptions, blocks []ActuatorBlock) (*qp.CSR, []float64, []float64) {
 	nLayers := 1
 	if co.BothLayers {
@@ -390,23 +381,6 @@ func compileFixedRows(grid dosemap.Grid, nG, nVar int, co CompileOptions, blocks
 					r := addRow(-co.Delta, co.Delta)
 					entries = append(entries, entry{r, off + a, 1}, entry{r, off + grid.Flat(i+1, j+1), -1})
 				}
-			}
-		}
-	}
-	if co.Tiled {
-		// Seam smoothness: tiling copies of the field places the last
-		// column/row against the first of the next copy.
-		for layer := 0; layer < nLayers; layer++ {
-			off := layer * nG
-			for i := 0; i < grid.M; i++ {
-				r := addRow(-co.Delta, co.Delta)
-				entries = append(entries, entry{r, off + grid.Flat(i, grid.N-1), 1},
-					entry{r, off + grid.Flat(i, 0), -1})
-			}
-			for j := 0; j < grid.N; j++ {
-				r := addRow(-co.Delta, co.Delta)
-				entries = append(entries, entry{r, off + grid.Flat(grid.M-1, j), 1},
-					entry{r, off + grid.Flat(0, j), -1})
 			}
 		}
 	}

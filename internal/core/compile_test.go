@@ -76,13 +76,13 @@ func (s compiledSnapshot) requireEqual(t *testing.T, o compiledSnapshot) {
 // without mutating a single bit of it.
 func TestCompiledImmutableUnderRuns(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.G = 20
-	c, err := Compile(golden, model, opt.CompileOptions())
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestCompiledImmutableUnderRuns(t *testing.T) {
 // return bit-identical results (the artifact carries no run state).
 func TestCompiledRunsDeterministic(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.G = 20
-	c, err := Compile(golden, model, opt.CompileOptions())
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +147,13 @@ func TestCompiledRunsDeterministic(t *testing.T) {
 // formulation.
 func TestCompiledOptionsMismatch(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.G = 20
-	c, err := Compile(golden, model, opt.CompileOptions())
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

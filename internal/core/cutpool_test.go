@@ -16,20 +16,20 @@ import (
 // needs more than one cut round.
 func aes65Compiled(tb testing.TB) (*Compiled, Options) {
 	tb.Helper()
-	d, err := gen.Generate(gen.AES65().Scaled(0.04))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.04))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	opt := DefaultOptions()
-	c, err := Compile(golden, model, opt.CompileOptions())
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -110,7 +110,11 @@ func TestCutPoolSolveKKT(t *testing.T) {
 	set := qp.DefaultSettings()
 	set.EpsAbs, set.EpsRel = 1e-9, 1e-9
 	set.MaxIter = 400000
-	res, err := qp.Solve(prob, set)
+	s, err := qp.NewSolver(prob, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,11 @@ func BenchmarkCutPoolSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := qp.Solve(prob, set); err != nil {
+		s, err := qp.NewSolver(prob, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.SolveCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -583,11 +583,7 @@ func (cs *cutSolver) layers() dosemap.Layers {
 		return dosemap.Layers{Poly: dosemap.NewMap(cs.comp.Grid)}
 	}
 	legalize := func(m *dosemap.Map) {
-		if opt.Tiled {
-			m.LegalizeTiled(opt.DoseLo, opt.DoseHi, opt.Delta, 50)
-		} else {
-			m.Legalize(opt.DoseLo, opt.DoseHi, opt.Delta, 50)
-		}
+		m.Legalize(opt.DoseLo, opt.DoseHi, opt.Delta, 50)
 	}
 	poly := dosemap.NewMap(cs.comp.Grid)
 	copy(poly.D, cs.x[:cs.nG])

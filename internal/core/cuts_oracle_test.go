@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -151,14 +152,14 @@ func TestCutKeyMatchesSignature(t *testing.T) {
 // cuts do not alias the scratch row and that duplicates are refused.
 func TestMakeCutMatchesMapOracle(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, true)
+	model, err := FitModelCtx(context.Background(), golden, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.BothLayers = true
 	opt.BiasGridUm = 20
-	c, err := Compile(golden, model, opt.CompileOptions())
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 // test binary (the generator and STA are deterministic).
 func smallGolden(t *testing.T, scale float64) (*gen.Design, *sta.Result) {
 	t.Helper()
-	d, err := gen.Generate(gen.AES65().Scaled(scale))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := sta.Input{Circ: d.Circ, Masters: d.Masters, Pl: d.Pl, Node: d.Node}
-	r, err := sta.Analyze(in, sta.DefaultConfig(), nil)
+	r, err := sta.AnalyzeCtx(context.Background(), in, sta.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func smallGolden(t *testing.T, scale float64) (*gen.Design, *sta.Result) {
 func TestFitModelSigns(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
 	for _, both := range []bool{false, true} {
-		m, err := FitModel(golden, both)
+		m, err := FitModelCtx(context.Background(), golden, both, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +48,8 @@ func TestFitModelSigns(t *testing.T) {
 	}
 	// The two-variable fit has more parameters and a larger residual,
 	// mirroring the paper's 0.0005 vs 0.0101 observation.
-	m1, _ := FitModel(golden, false)
-	m2, _ := FitModel(golden, true)
+	m1, _ := FitModelCtx(context.Background(), golden, false, 0)
+	m2, _ := FitModelCtx(context.Background(), golden, true, 0)
 	if m2.MaxDelaySSR < m1.MaxDelaySSR {
 		t.Logf("note: 2-var delay SSR %v < 1-var %v (acceptable, shape-dependent)", m2.MaxDelaySSR, m1.MaxDelaySSR)
 	}
@@ -59,7 +59,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 	// The linear/quadratic model evaluated at a uniform dose must agree
 	// with golden STA/power within a few percent over the dose range.
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 		_, predMCT := linearArrivalsOrder(golden, order, func(id int) float64 {
 			return model.A[id] * (-2) * dP[id]
 		})
-		gr, err := sta.Analyze(in, golden.Cfg, &sta.Perturb{DL: dL})
+		gr, err := sta.AnalyzeCtx(context.Background(), in, golden.Cfg, &sta.Perturb{DL: dL})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 
 func TestDMoptQPReducesLeakage(t *testing.T) {
 	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDMoptQPReducesLeakage(t *testing.T) {
 
 func TestDMoptQCPImprovesTiming(t *testing.T) {
 	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGranularityOrdering(t *testing.T) {
 	// (Section V: "the finer the rectangular grids, the greater the
 	// improvement").
 	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGranularityOrdering(t *testing.T) {
 
 func TestDMoptQPErrors(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestDMoptQPErrors(t *testing.T) {
 // length-only (the extra knob can only help the model optimum).
 func TestBothLayersEdgeOut(t *testing.T) {
 	_, golden := smallGolden(t, 0.05)
-	mL, err := FitModel(golden, false)
+	mL, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mLW, err := FitModel(golden, true)
+	mLW, err := FitModelCtx(context.Background(), golden, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func dosePlRecomputeOracle(golden *sta.Result, layers dosemap.Layers, opt Option
 	circ := in.Circ
 	opt = opt.normalized()
 	res := &DosePlResult{}
-	tm, err := sta.NewTimer(in, opt.STA, nil)
+	tm, err := sta.NewTimerCtx(context.Background(), in, opt.STA, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +204,15 @@ func TestDosePlMatchesRecomputeOracle(t *testing.T) {
 	ctx := context.Background()
 	var accepted, rejected int
 	for _, preset := range []gen.Preset{gen.AES65().Scaled(0.05), gen.AES90().Scaled(0.04)} {
-		d, err := gen.Generate(preset)
+		d, err := gen.GenerateCtx(context.Background(), preset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := GoldenNominal(d, sta.DefaultConfig())
+		golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := FitModel(golden, false)
+		model, err := FitModelCtx(context.Background(), golden, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,18 +67,13 @@ type DosePlResult struct {
 	SwapsTried    int
 }
 
-// DosePl runs the dose-map-aware placement optimization: it swaps
+// DosePlCtx runs the dose-map-aware placement optimization: it swaps
 // setup-critical cells into higher-dose grid regions (and non-critical
 // cells out), filtered by mutual bounding boxes, distance, HPWL and
 // leakage-increase checks, with legalization and golden-STA accept /
 // rollback per round.  The placement inside golden.In is mutated in
-// place when rounds are accepted.
-func DosePl(golden *sta.Result, layers dosemap.Layers, opt Options, dopt DosePlOptions) (*DosePlResult, error) {
-	return DosePlCtx(context.Background(), golden, layers, opt, dopt)
-}
-
-// DosePlCtx is DosePl with cancellation: a canceled context aborts
-// between swap rounds (leaving the placement in its last consistent
+// place when rounds are accepted.  A canceled context aborts between
+// swap rounds (leaving the placement in its last consistent
 // accepted-or-rolled-back state) with an error wrapping
 // context.Canceled.
 func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, opt Options, dopt DosePlOptions) (*DosePlResult, error) {

@@ -62,12 +62,7 @@ func InputOf(d *gen.Design) sta.Input {
 	return sta.Input{Circ: d.Circ, Masters: d.Masters, Pl: d.Pl, Node: d.Node}
 }
 
-// GoldenNominal analyzes the unoptimized design.
-func GoldenNominal(d *gen.Design, cfg sta.Config) (*sta.Result, error) {
-	return sta.Analyze(InputOf(d), cfg, nil)
-}
-
-// GoldenNominalCtx is GoldenNominal with cancellation.
+// GoldenNominalCtx analyzes the unoptimized design.
 func GoldenNominalCtx(ctx context.Context, d *gen.Design, cfg sta.Config) (*sta.Result, error) {
 	return sta.AnalyzeCtx(ctx, InputOf(d), cfg, nil)
 }
@@ -184,13 +179,9 @@ func PathSlackProfile(r *sta.Result, k, maxStates int, period float64) []float64
 	return out
 }
 
-// EvalPerturb runs golden STA + power on an arbitrary perturbation and
-// returns the signoff snapshot (used by the uniform-dose sweep tables).
-func EvalPerturb(in sta.Input, cfg sta.Config, pert *sta.Perturb) (Eval, *sta.Result, error) {
-	return EvalPerturbCtx(context.Background(), in, cfg, pert)
-}
-
-// EvalPerturbCtx is EvalPerturb with cancellation.
+// EvalPerturbCtx runs golden STA + power on an arbitrary perturbation
+// and returns the signoff snapshot (used by the uniform-dose sweep
+// tables).
 func EvalPerturbCtx(ctx context.Context, in sta.Input, cfg sta.Config, pert *sta.Perturb) (Eval, *sta.Result, error) {
 	r, err := sta.AnalyzeCtx(ctx, in, cfg, pert)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunFlowQP(t *testing.T) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.05))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRunFlowQP(t *testing.T) {
 }
 
 func TestRunFlowQCPWithDosePl(t *testing.T) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.05))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +62,15 @@ func TestRunFlowQCPWithDosePl(t *testing.T) {
 func TestDosePlRollbackSafety(t *testing.T) {
 	// With absurdly large γ5 and tiny HPWL/leak allowances, most swaps
 	// are filtered; whatever rounds run must never accept a worse MCT.
-	d, err := gen.Generate(gen.AES90().Scaled(0.04))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES90().Scaled(0.04))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDosePlRollbackSafety(t *testing.T) {
 	dopt.K = 300
 	dopt.Rounds = 3
 	dopt.Gamma5 = 5
-	dp, err := DosePl(golden, dm.Layers, opt, dopt)
+	dp, err := DosePlCtx(context.Background(), golden, dm.Layers, opt, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +105,16 @@ func TestDosePlRollbackSafety(t *testing.T) {
 }
 
 func TestBiasPerturbAndSlackProfile(t *testing.T) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.04))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.04))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bias := BiasPerturb(golden, 500, 0, 5)
-	biased, err := sta.Analyze(golden.In, golden.Cfg, bias)
+	biased, err := sta.AnalyzeCtx(context.Background(), golden.In, golden.Cfg, bias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDosePlRejectsNonFiniteDose(t *testing.T) {
 				bad = layers.Active
 			}
 			bad.D[tc.cell] = tc.v
-			_, err := DosePl(golden, layers, opt, DefaultDosePlOptions())
+			_, err := DosePlCtx(context.Background(), golden, layers, opt, DefaultDosePlOptions())
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
 			}

@@ -75,18 +75,14 @@ func doseLSamples() []float64 {
 // two orders of magnitude cheaper).
 var coarseDeltas = []float64{-10, -5, 0, 5, 10}
 
-// FitModel calibrates the per-gate coefficients at the operating points
-// (input slew, output load) of the golden analysis r.  If bothLayers is
-// false the width terms B and γ stay zero (poly-only optimization).
-func FitModel(r *sta.Result, bothLayers bool) (*Model, error) {
-	return FitModelCtx(context.Background(), r, bothLayers, 0)
-}
-
-// FitModelCtx is FitModel with cancellation and a worker-count knob:
-// the per-gate fits are independent (each writes only its own
-// coefficient slots) and fan out across up to workers goroutines, with
-// the SSR maxima reduced serially in gate order afterwards — the
-// fitted model is bit-identical for every worker count.
+// FitModelCtx calibrates the per-gate coefficients at the operating
+// points (input slew, output load) of the golden analysis r.  If
+// bothLayers is false the width terms B and γ stay zero (poly-only
+// optimization).  The per-gate fits are independent (each writes only
+// its own coefficient slots) and fan out across up to workers
+// goroutines, with the SSR maxima reduced serially in gate order
+// afterwards — the fitted model is bit-identical for every worker
+// count.
 func FitModelCtx(ctx context.Context, r *sta.Result, bothLayers bool, workers int) (*Model, error) {
 	in := r.In
 	n := in.Circ.NumGates()

@@ -337,7 +337,7 @@ func TestCutsVsNodeAgree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			model, err := FitModel(golden, tc.both)
+			model, err := FitModelCtx(context.Background(), golden, tc.both, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,15 +382,15 @@ func BenchmarkAblationEngineNode(b *testing.B) {
 }
 
 func benchEngine(b *testing.B, solve func(context.Context, QPRequest) (*Result, error), opt Options) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.06))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.06))
 	if err != nil {
 		b.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

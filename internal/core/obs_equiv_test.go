@@ -14,7 +14,7 @@ import (
 // under the given context.
 func runFlowOnce(t *testing.T, ctx context.Context) *FlowOutcome {
 	t.Helper()
-	d, err := gen.Generate(gen.AES65().Scaled(0.05))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,6 @@ type Options struct {
 	// Snap rounds grid doses to the characterized library steps before
 	// golden signoff (footnote 7).
 	Snap bool
-	// Tiled adds seam smoothness constraints between opposite map edges
-	// so the optimized field can be stepped side-by-side across the
-	// wafer (Section II-B: "multiple copies of the dose map solution
-	// are tiled horizontally and vertically").
-	Tiled bool
 	// SeedTau warm-brackets the QCP bisection: a clock period (ps) that a
 	// related run — the previous table row or sweep point — found
 	// feasible.  When it falls inside the fresh [lo, hi] interval the

@@ -45,20 +45,20 @@ func TestQCPWorkerBitIdentity(t *testing.T) {
 	for _, p := range gen.Presets() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			d, err := gen.Generate(p.Scaled(0.05))
+			d, err := gen.GenerateCtx(context.Background(), p.Scaled(0.05))
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden, err := GoldenNominal(d, sta.DefaultConfig())
+			golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			model, err := FitModel(golden, false)
+			model, err := FitModelCtx(context.Background(), golden, false, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt := DefaultOptions()
-			comp, err := Compile(golden, model, opt.CompileOptions())
+			comp, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,20 +89,20 @@ func TestQCPWorkerBitIdentity(t *testing.T) {
 // core/qcp_probes in -bench-json reports tell the same story at table
 // scale.
 func BenchmarkTauNewton(b *testing.B) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.05))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
 	if err != nil {
 		b.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := DefaultOptions()
-	comp, err := Compile(golden, model, opt.CompileOptions())
+	comp, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

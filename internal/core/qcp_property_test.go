@@ -24,15 +24,15 @@ func TestQCPLeakageBudgetProperty(t *testing.T) {
 		{gen.AES90().Scaled(0.04), []float64{0, 120}},
 	}
 	for _, tc := range cases {
-		d, err := gen.Generate(tc.preset)
+		d, err := gen.GenerateCtx(context.Background(), tc.preset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := GoldenNominal(d, sta.DefaultConfig())
+		golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := FitModel(golden, false)
+		model, err := FitModelCtx(context.Background(), golden, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 // error.
 func TestSignoffRejectsNonFiniteActuators(t *testing.T) {
 	d, golden := smallGolden(t, 0.04)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSignoffRejectsNonFiniteActuators(t *testing.T) {
 	opt.BiasGridUm = 20
 	opt.BothLayers = true
 	opt = opt.normalized()
-	comp, err := Compile(golden, model, opt.CompileOptions())
+	comp, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // ξ = 0 must find ~zero timing headroom.
 func TestSingleGridDegeneratesToUniform(t *testing.T) {
 	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 // path K+1 to critical.  The all-gates variant is the real floor.)
 func TestDMoptNeverBeatsMaxDose(t *testing.T) {
 	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDMoptNeverBeatsMaxDose(t *testing.T) {
 			dl[id] = tech.DoseToLength(opt.DoseHi)
 		}
 	}
-	_, floor, err := EvalPerturb(golden.In, golden.Cfg, &sta.Perturb{DL: dl})
+	_, floor, err := EvalPerturbCtx(context.Background(), golden.In, golden.Cfg, &sta.Perturb{DL: dl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,37 +103,5 @@ func TestDMoptNeverBeatsMaxDose(t *testing.T) {
 	// wall-heavy design (Fig. 10's gap between DMopt and Bias).
 	if qcp.Golden.MCTps <= floor.MCT+1 {
 		t.Logf("note: QCP nearly closed the headroom gap (%.1f vs %.1f)", qcp.Golden.MCTps, floor.MCT)
-	}
-}
-
-// TestTiledOptionSeamSmooth verifies the Section II-B tiling extension:
-// with Options.Tiled, the optimized map can be stepped side-by-side —
-// opposite edges also satisfy the smoothness bound — at a small cost in
-// objective versus the untiled solve.
-func TestTiledOptionSeamSmooth(t *testing.T) {
-	_, golden := smallGolden(t, 0.05)
-	model, err := FitModel(golden, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := DefaultOptions()
-	rp, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: plain, TauPs: golden.MCT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled := DefaultOptions()
-	tiled.Tiled = true
-	rt, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: tiled, TauPs: golden.MCT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Layers.Poly.CheckTiledSmooth(tiled.Delta + 0.02); err != nil {
-		t.Errorf("tiled map seams not smooth: %v", err)
-	}
-	// The extra constraints can only cost objective (up to ADMM solve
-	// noise, ~1% at the default 3e-4 tolerance).
-	if rt.PredDeltaLeakNW < rp.PredDeltaLeakNW-0.02*math.Abs(rp.PredDeltaLeakNW) {
-		t.Errorf("tiled objective %.1f better than unconstrained %.1f — impossible",
-			rt.PredDeltaLeakNW, rp.PredDeltaLeakNW)
 	}
 }

@@ -93,8 +93,8 @@ func (w WaferOptions) normalized() WaferOptions {
 }
 
 // WaferRequest describes one full-wafer co-optimization over a
-// compiled formulation.  Opt is the per-field configuration (poly-only,
-// untiled; Snap is forced off so quantization noise does not swamp the
+// compiled formulation.  Opt is the per-field configuration (poly-only;
+// Snap is forced off so quantization noise does not swamp the
 // across-wafer spread comparison).
 type WaferRequest struct {
 	Compiled *Compiled
@@ -469,8 +469,8 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	if err := c.check(opt); err != nil {
 		return nil, err
 	}
-	if opt.BothLayers || opt.Tiled {
-		return nil, errors.New("core: wafer solve supports poly-only, untiled formulations")
+	if opt.BothLayers {
+		return nil, errors.New("core: wafer solve supports poly-only formulations")
 	}
 	if c.hasBias() || opt.DoseOff {
 		// The consensus couples fields through the shared slit profile of

@@ -15,20 +15,20 @@ import (
 // print the same design, so every wafer run reuses this).
 func waferComp(t testing.TB, scale float64) *Compiled {
 	t.Helper()
-	d, err := gen.Generate(gen.AES65().Scaled(scale))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := GoldenNominal(d, sta.DefaultConfig())
+	golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := FitModel(golden, false)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	comp, err := Compile(golden, model, opt.CompileOptions())
+	comp, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

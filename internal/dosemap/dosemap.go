@@ -75,13 +75,6 @@ func (g Grid) Index(x, y float64) (i, j int) {
 // Flat linearizes (i, j) row-major.
 func (g Grid) Flat(i, j int) int { return i*g.N + j }
 
-// Center returns the µm coordinates of the center of cell (i, j).
-func (g Grid) Center(i, j int) (x, y float64) {
-	cw := g.W / float64(g.N)
-	ch := g.H / float64(g.M)
-	return (float64(j) + 0.5) * cw, (float64(i) + 0.5) * ch
-}
-
 // Map is a per-grid dose-delta map for one layer, in percent.
 type Map struct {
 	Grid Grid
@@ -232,47 +225,6 @@ func (m *Map) Legalize(lo, hi, delta float64, sweeps int) float64 {
 		return 0
 	}
 	return d
-}
-
-// LegalizeTiled is Legalize plus seam repair: opposite-edge pairs (the
-// tiling seams) are also driven to within delta, so the map can be
-// stepped side-by-side across the wafer.
-func (m *Map) LegalizeTiled(lo, hi, delta float64, sweeps int) float64 {
-	g := m.Grid
-	repair := func(a, b int) {
-		d := m.D[a] - m.D[b]
-		if d > delta {
-			adj := (d - delta) / 2
-			m.D[a] -= adj
-			m.D[b] += adj
-		} else if d < -delta {
-			adj := (-d - delta) / 2
-			m.D[a] += adj
-			m.D[b] -= adj
-		}
-	}
-	for s := 0; s < sweeps; s++ {
-		m.Legalize(lo, hi, delta, 2)
-		for i := 0; i < g.M; i++ {
-			repair(g.Flat(i, g.N-1), g.Flat(i, 0))
-			if i+1 < g.M {
-				repair(g.Flat(i, g.N-1), g.Flat(i+1, 0))
-			}
-		}
-		for j := 0; j < g.N; j++ {
-			repair(g.Flat(g.M-1, j), g.Flat(0, j))
-			if j+1 < g.N {
-				repair(g.Flat(g.M-1, j), g.Flat(0, j+1))
-			}
-		}
-		if m.CheckTiledSmooth(delta) == nil {
-			break
-		}
-	}
-	if err := m.CheckTiledSmooth(delta); err == nil {
-		return 0
-	}
-	return 1
 }
 
 // Stats summarizes a map.

@@ -84,21 +84,6 @@ func TestGridIndexAndCenter(t *testing.T) {
 	if i != 4 || j != 0 {
 		t.Errorf("Index(clamped) = %d,%d", i, j)
 	}
-	// Center of (0,0) is (5, 5).
-	x, y := g.Center(0, 0)
-	if x != 5 || y != 5 {
-		t.Errorf("Center = %v,%v", x, y)
-	}
-	// Round trip: the center of each cell indexes back to that cell.
-	for i := 0; i < g.M; i++ {
-		for j := 0; j < g.N; j++ {
-			x, y := g.Center(i, j)
-			ii, jj := g.Index(x, y)
-			if ii != i || jj != j {
-				t.Fatalf("center round-trip failed at %d,%d", i, j)
-			}
-		}
-	}
 }
 
 func TestMapBasics(t *testing.T) {

@@ -10,9 +10,7 @@ import (
 // methodology to minimize the delay variation of different chips across
 // the wafer or the exposure field"): the step-and-scan layout and the
 // radial CD fingerprint that the wafer consensus solve corrects per
-// field.  It also covers the Section II-B tiling remark ("multiple
-// copies of the dose map solution are tiled horizontally and
-// vertically: smoothness or gradient constraints are scaled").
+// field.
 
 // Field is one exposure-field placement on the wafer.
 type Field struct {
@@ -104,55 +102,4 @@ func (r RadialCD) FieldCD(w *Wafer) []float64 {
 		out[i] = r.At(w, f.CX, f.CY)
 	}
 	return out
-}
-
-// Tile replicates an intrafield map n×m times (the Section II-B
-// multiple-copies case) into one combined map, for inspection and
-// boundary-smoothness checking.
-func (m *Map) Tile(nx, ny int) (*Map, error) {
-	if nx < 1 || ny < 1 {
-		return nil, fmt.Errorf("dosemap: bad tiling %dx%d", nx, ny)
-	}
-	g := m.Grid
-	tg := Grid{G: g.G, W: g.W * float64(nx), H: g.H * float64(ny), M: g.M * ny, N: g.N * nx}
-	t := NewMap(tg)
-	for i := 0; i < tg.M; i++ {
-		for j := 0; j < tg.N; j++ {
-			t.Set(i, j, m.At(i%g.M, j%g.N))
-		}
-	}
-	return t, nil
-}
-
-// CheckTiledSmooth verifies that the map remains smooth when copies are
-// tiled side by side: in addition to the interior constraints, the seam
-// pairs (last column against first column, last row against first row,
-// and the corner diagonal) must satisfy δ.
-func (m *Map) CheckTiledSmooth(delta float64) error {
-	if err := m.CheckSmooth(delta); err != nil {
-		return err
-	}
-	g := m.Grid
-	worst := 0.0
-	chk := func(a, b int) {
-		if d := math.Abs(m.D[a] - m.D[b]); d > worst {
-			worst = d
-		}
-	}
-	for i := 0; i < g.M; i++ {
-		chk(g.Flat(i, g.N-1), g.Flat(i, 0)) // horizontal seam
-		if i+1 < g.M {
-			chk(g.Flat(i, g.N-1), g.Flat(i+1, 0)) // seam diagonal
-		}
-	}
-	for j := 0; j < g.N; j++ {
-		chk(g.Flat(g.M-1, j), g.Flat(0, j)) // vertical seam
-		if j+1 < g.N {
-			chk(g.Flat(g.M-1, j), g.Flat(0, j+1))
-		}
-	}
-	if worst > delta+1e-9 {
-		return fmt.Errorf("dosemap: tiled seam dose difference %.4g exceeds δ=%g", worst, delta)
-	}
-	return nil
 }

@@ -20,12 +20,12 @@ func TestMemoizedCachesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := c.Design("AES-65")
+			d, err := c.DesignCtx(context.Background(), "AES-65")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			g, err := c.Golden("AES-65")
+			g, err := c.GoldenCtx(context.Background(), "AES-65")
 			if err != nil {
 				t.Error(err)
 				return
@@ -54,7 +54,7 @@ func TestCanceledBuildNotMemoized(t *testing.T) {
 	if _, err := c.DesignCtx(ctx, "AES-65"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
-	if _, err := c.Design("AES-65"); err != nil {
+	if _, err := c.DesignCtx(context.Background(), "AES-65"); err != nil {
 		t.Fatalf("canceled build poisoned the cache: %v", err)
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -62,7 +62,7 @@ func TestCanceledBuildNotMemoized(t *testing.T) {
 	if _, err := c.GoldenCtx(ctx2, "AES-90"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
-	if _, err := c.Golden("AES-90"); err != nil {
+	if _, err := c.GoldenCtx(context.Background(), "AES-90"); err != nil {
 		t.Fatalf("canceled build poisoned the golden cache: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestTableIVWorkersEquivalent(t *testing.T) {
 	}
 	mk := func(workers int) (*Table, []DMRow) {
 		c := New(WithScale(0.02), WithTopK(100), WithWorkers(workers))
-		tbl, rows, err := c.TableIV()
+		tbl, rows, err := c.TableIVCtx(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -112,11 +112,11 @@ func TestTableIVWorkersEquivalent(t *testing.T) {
 func TestDoseSweepWorkersEquivalent(t *testing.T) {
 	c1 := New(WithScale(0.03), WithTopK(100), WithWorkers(1))
 	c8 := New(WithScale(0.03), WithTopK(100), WithWorkers(8))
-	r1, err := c1.DoseSweep("AES-65", SweepDoses())
+	r1, err := c1.DoseSweepCtx(context.Background(), "AES-65", SweepDoses())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := c8.DoseSweep("AES-65", SweepDoses())
+	r8, err := c8.DoseSweepCtx(context.Background(), "AES-65", SweepDoses())
 	if err != nil {
 		t.Fatal(err)
 	}

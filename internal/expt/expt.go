@@ -95,7 +95,7 @@ func (t *Table) Markdown() string {
 // A Context is safe for concurrent use: every staged artifact is built
 // at most once per testcase even under concurrent callers, and the
 // experiments that mutate a cached design's placement in place
-// (TableVIII, Fig10Profiles) serialize on an internal lock.  Every
+// (TableVIIICtx, Fig10ProfilesCtx) serialize on an internal lock.  Every
 // experiment's numbers are bit-identical for every worker count.
 type Context struct {
 	// Scale shrinks every preset (1 = the full Table I sizes).
@@ -116,7 +116,7 @@ type Context struct {
 	// stage cold (the equivalence tests' setting).
 	cache *api.Cache
 	// plMu serializes the experiments that mutate a cached design's
-	// placement (TableVIII, Fig10Profiles): they snapshot and restore
+	// placement (TableVIIICtx, Fig10ProfilesCtx): they snapshot and restore
 	// cell positions and must not interleave with each other or with
 	// concurrent placement readers of the same design.
 	plMu sync.Mutex
@@ -181,24 +181,14 @@ func (c *Context) prepare(ctx context.Context, spec api.JobSpec) (api.Artifacts,
 	return art, opt, err
 }
 
-// Design returns the (cached) design for a preset name.
-func (c *Context) Design(name string) (*gen.Design, error) {
-	return c.DesignCtx(context.Background(), name)
-}
-
-// DesignCtx is Design with cancellation.  Concurrent callers for the
-// same preset share a single generation.
+// DesignCtx returns the (cached) design for a preset name.  Concurrent
+// callers for the same preset share a single generation.
 func (c *Context) DesignCtx(ctx context.Context, name string) (*gen.Design, error) {
 	return api.Design(ctx, c.spec(name), c.cache)
 }
 
-// Golden returns the (cached) nominal analysis for a preset name.
-func (c *Context) Golden(name string) (*sta.Result, error) {
-	return c.GoldenCtx(context.Background(), name)
-}
-
-// GoldenCtx is Golden with cancellation.  Concurrent callers for the
-// same preset share a single analysis.
+// GoldenCtx returns the (cached) nominal analysis for a preset name.
+// Concurrent callers for the same preset share a single analysis.
 func (c *Context) GoldenCtx(ctx context.Context, name string) (*sta.Result, error) {
 	return api.Golden(ctx, c.spec(name), c.cache)
 }
@@ -286,13 +276,8 @@ func Fig2() *Table {
 
 // --- Table I: testcase characteristics -----------------------------------
 
-// TableI reports the generated designs' characteristics.
-func (c *Context) TableI() (*Table, error) {
-	return c.TableICtx(context.Background())
-}
-
-// TableICtx is TableI with cancellation; the per-design generations fan
-// out across workers.
+// TableICtx reports the generated designs' characteristics; the
+// per-design generations fan out across workers.
 func (c *Context) TableICtx(ctx context.Context) (*Table, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table I")
 	defer sp.End()
@@ -339,15 +324,11 @@ type DoseSweepRow struct {
 	LeakImp float64 // percent, positive is better
 }
 
-// DoseSweep sweeps a uniform poly-layer dose across the whole design and
-// reports golden MCT and leakage at each point (Tables II and III).
-func (c *Context) DoseSweep(design string, doses []float64) ([]DoseSweepRow, error) {
-	return c.DoseSweepCtx(context.Background(), design, doses)
-}
-
-// DoseSweepCtx is DoseSweep with cancellation.  The sweep points are
-// independent full golden analyses and fan out across workers; rows
-// come back in dose order and are bit-identical for every worker count.
+// DoseSweepCtx sweeps a uniform poly-layer dose across the whole design
+// and reports golden MCT and leakage at each point (Tables II and III).
+// The sweep points are independent full golden analyses and fan out
+// across workers; rows come back in dose order and are bit-identical
+// for every worker count.
 func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float64) ([]DoseSweepRow, error) {
 	d, err := c.DesignCtx(ctx, design)
 	if err != nil {
@@ -513,18 +494,12 @@ func (c *Context) doseSweepTable(ctx context.Context, id, design string) (*Table
 	return t, nil
 }
 
-// TableII is the AES-65 uniform dose sweep.
-func (c *Context) TableII() (*Table, error) { return c.TableIICtx(context.Background()) }
-
-// TableIICtx is TableII with cancellation.
+// TableIICtx is the AES-65 uniform dose sweep.
 func (c *Context) TableIICtx(ctx context.Context) (*Table, error) {
 	return c.doseSweepTable(ctx, "Table II", "AES-65")
 }
 
-// TableIII is the AES-90 uniform dose sweep.
-func (c *Context) TableIII() (*Table, error) { return c.TableIIICtx(context.Background()) }
-
-// TableIIICtx is TableIII with cancellation.
+// TableIIICtx is the AES-90 uniform dose sweep.
 func (c *Context) TableIIICtx(ctx context.Context) (*Table, error) {
 	return c.doseSweepTable(ctx, "Table III", "AES-90")
 }
@@ -555,27 +530,18 @@ func gridsFor(design string, scale float64) []float64 {
 	return []float64{5, 10, 30}
 }
 
-// RunDM runs one DMopt configuration on a design.
-func (c *Context) RunDM(design string, gridUm float64, qcp, bothLayers bool) (*core.Result, error) {
-	return c.RunDMCtx(context.Background(), design, gridUm, qcp, bothLayers)
-}
-
-// RunDMCtx is RunDM with cancellation; the fit, solver and signoff all
-// run with the harness worker knob.
+// RunDMCtx runs one DMopt configuration on a design; the fit, solver
+// and signoff all run with the harness worker knob.
 func (c *Context) RunDMCtx(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool) (*core.Result, error) {
-	return c.runDM(ctx, design, gridUm, qcp, bothLayers, 0)
+	return c.runDMActuators(ctx, design, gridUm, qcp, bothLayers, 0, "", c.Workers)
 }
 
-// runDM is RunDMCtx with a warm-bracket seed: seedTau > 0 passes a
-// related run's achieved clock period into the QCP bisection.
-func (c *Context) runDM(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64) (*core.Result, error) {
-	return c.runDMActuators(ctx, design, gridUm, qcp, bothLayers, seedTau, "", c.Workers)
-}
-
-// runDMActuators is runDM with an actuator selection (a JobSpec
-// Actuators value: "" for the historical dose-only run, "bias" or
-// "joint") and the worker budget of the run's own fan-out (signoff
-// STA); the cached model fit keeps the harness budget.
+// runDMActuators is RunDMCtx with a warm-bracket seed (seedTau > 0
+// passes a related run's achieved clock period into the QCP
+// bisection), an actuator selection (a JobSpec Actuators value: "" for
+// the historical dose-only run, "bias" or "joint") and the worker
+// budget of the run's own fan-out (signoff STA); the cached model fit
+// keeps the harness budget.
 func (c *Context) runDMActuators(ctx context.Context, design string, gridUm float64, qcp, bothLayers bool, seedTau float64, actuators string, workers int) (*core.Result, error) {
 	spec := c.spec(design)
 	spec.GridUm = gridUm
@@ -668,15 +634,10 @@ func (c *Context) runDMJobs(ctx context.Context, jobs []dmJob) ([]DMRow, error) 
 	return rows, nil
 }
 
-// TableIV runs QP and QCP poly-layer optimization over every design and
-// grid size.
-func (c *Context) TableIV() (*Table, []DMRow, error) {
-	return c.TableIVCtx(context.Background())
-}
-
-// TableIVCtx is TableIV with cancellation.  The 24 optimization runs
-// (4 designs × 3 grids × {QP, QCP}) are independent and fan out across
-// workers; rows assemble in the paper's fixed order afterwards.
+// TableIVCtx runs QP and QCP poly-layer optimization over every design
+// and grid size.  The 24 optimization runs (4 designs × 3 grids ×
+// {QP, QCP}) are independent and fan out across workers; rows assemble
+// in the paper's fixed order afterwards.
 func (c *Context) TableIVCtx(ctx context.Context) (*Table, []DMRow, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table IV")
 	defer sp.End()
@@ -757,32 +718,24 @@ func (c *Context) tableBoth(ctx context.Context, id string, qcp bool) (*Table, [
 	return t, rows, nil
 }
 
-// TableV is the QCP (timing) comparison on both layers.
-func (c *Context) TableV() (*Table, []DMRow, error) { return c.TableVCtx(context.Background()) }
-
-// TableVCtx is TableV with cancellation.
+// TableVCtx is the QCP (timing) comparison on both layers.
 func (c *Context) TableVCtx(ctx context.Context) (*Table, []DMRow, error) {
 	return c.tableBoth(ctx, "Table V", true)
 }
 
-// TableVI is the QP (leakage) comparison on both layers.
-func (c *Context) TableVI() (*Table, []DMRow, error) { return c.TableVICtx(context.Background()) }
-
-// TableVICtx is TableVI with cancellation.
+// TableVICtx is the QP (leakage) comparison on both layers.
 func (c *Context) TableVICtx(ctx context.Context) (*Table, []DMRow, error) {
 	return c.tableBoth(ctx, "Table VI", false)
 }
 
 // --- Table X: actuator ablation -------------------------------------------
 
-// TableX runs the actuator ablation: dose-only vs body-bias-only vs the
-// joint co-optimization on every design, QP at τ = 0.99·nominal MCT.
-func (c *Context) TableX() (*Table, []DMRow, error) { return c.TableXCtx(context.Background()) }
-
-// TableXCtx is TableX with cancellation.  The 12 runs (4 designs × 3
-// actuator modes) are independent QP solves at the same τ, so the leakage
-// columns are directly comparable per design; the joint row must come in
-// at or below both single-actuator rows (a superset feasible region).
+// TableXCtx runs the actuator ablation: dose-only vs body-bias-only vs
+// the joint co-optimization on every design, QP at τ = 0.99·nominal
+// MCT.  The 12 runs (4 designs × 3 actuator modes) are independent QP
+// solves at the same τ, so the leakage columns are directly comparable
+// per design; the joint row must come in at or below both
+// single-actuator rows (a superset feasible region).
 func (c *Context) TableXCtx(ctx context.Context) (*Table, []DMRow, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table X")
 	defer sp.End()
@@ -833,13 +786,8 @@ func (c *Context) TableXCtx(ctx context.Context) (*Table, []DMRow, error) {
 
 // --- Table VII: criticality profile ---------------------------------------
 
-// Criticality returns the fraction of timing endpoints with arrival in
-// the given fraction bands of the MCT.
-func (c *Context) Criticality(design string) (f95, f90, f80 float64, err error) {
-	return c.CriticalityCtx(context.Background(), design)
-}
-
-// CriticalityCtx is Criticality with cancellation.
+// CriticalityCtx returns the fraction of timing endpoints with arrival
+// in the given fraction bands of the MCT.
 func (c *Context) CriticalityCtx(ctx context.Context, design string) (f95, f90, f80 float64, err error) {
 	r, err := c.GoldenCtx(ctx, design)
 	if err != nil {
@@ -869,13 +817,8 @@ func (c *Context) CriticalityCtx(ctx context.Context, design string) (f95, f90, 
 	return float64(c95) / fn, float64(c90) / fn, float64(c80) / fn, nil
 }
 
-// TableVII reports the percentage of critical timing paths (endpoints)
-// within delay bands of the MCT.
-func (c *Context) TableVII() (*Table, error) {
-	return c.TableVIICtx(context.Background())
-}
-
-// TableVIICtx is TableVII with cancellation; the per-design analyses
+// TableVIICtx reports the percentage of critical timing paths
+// (endpoints) within delay bands of the MCT; the per-design analyses
 // fan out across workers.
 func (c *Context) TableVIICtx(ctx context.Context) (*Table, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table VII")
@@ -917,14 +860,10 @@ func restorePlacement(pl *place.Placement) func() {
 	}
 }
 
-// TableVIII runs QCP followed by the cell-swapping placement rounds.
-func (c *Context) TableVIII() (*Table, error) {
-	return c.TableVIIICtx(context.Background())
-}
-
-// TableVIIICtx is TableVIII with cancellation.  It mutates cached
-// placements (restoring them afterwards) and therefore serializes with
-// Fig10Profiles on the harness placement lock.
+// TableVIIICtx runs QCP followed by the cell-swapping placement rounds.
+// It mutates cached placements (restoring them afterwards) and
+// therefore serializes with Fig10ProfilesCtx on the harness placement
+// lock.
 func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table VIII")
 	defer sp.End()
@@ -963,16 +902,11 @@ func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// Fig10Profiles returns the four slack profiles of Fig. 10 for a design:
-// original, after DMopt (QCP), after dosePl, and the "Bias" reference
-// where every gate on the top-K paths gets maximum dose.
-func (c *Context) Fig10Profiles(design string) (map[string][]float64, error) {
-	return c.Fig10ProfilesCtx(context.Background(), design)
-}
-
-// Fig10ProfilesCtx is Fig10Profiles with cancellation.  It mutates the
-// cached placement (restoring it afterwards) and therefore serializes
-// with TableVIII on the harness placement lock.
+// Fig10ProfilesCtx returns the four slack profiles of Fig. 10 for a
+// design: original, after DMopt (QCP), after dosePl, and the "Bias"
+// reference where every gate on the top-K paths gets maximum dose.  It
+// mutates the cached placement (restoring it afterwards) and therefore
+// serializes with TableVIIICtx on the harness placement lock.
 func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[string][]float64, error) {
 	ctx, sp := obs.Start(ctx, "expt/Fig. 10")
 	defer sp.End()
@@ -1027,12 +961,7 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 	return out, nil
 }
 
-// Fig10 renders the slack profiles as a downsampled table.
-func (c *Context) Fig10(design string, points int) (*Table, error) {
-	return c.Fig10Ctx(context.Background(), design, points)
-}
-
-// Fig10Ctx is Fig10 with cancellation.
+// Fig10Ctx renders the slack profiles as a downsampled table.
 func (c *Context) Fig10Ctx(ctx context.Context, design string, points int) (*Table, error) {
 	profiles, err := c.Fig10ProfilesCtx(ctx, design)
 	if err != nil {

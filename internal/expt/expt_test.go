@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func atof(t *testing.T, s string) float64 {
 
 func TestTableIAndFormat(t *testing.T) {
 	c := ctx()
-	tab, err := c.TableI()
+	tab, err := c.TableICtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestTableIAndFormat(t *testing.T) {
 // higher uniform dose monotonically improves MCT and worsens leakage.
 func TestDoseSweepShape(t *testing.T) {
 	c := ctx()
-	rows, err := c.DoseSweep("AES-65", []float64{-5, -2, 0, 2, 5})
+	rows, err := c.DoseSweepCtx(context.Background(), "AES-65", []float64{-5, -2, 0, 2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestDoseSweepShape(t *testing.T) {
 // carry a bigger near-critical wall than their 90 nm counterparts.
 func TestCriticalityOrdering(t *testing.T) {
 	c := New(WithScale(0.1), WithTopK(400))
-	a65, _, _, err := c.Criticality("AES-65")
+	a65, _, _, err := c.CriticalityCtx(context.Background(), "AES-65")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a90, _, _, err := c.Criticality("AES-90")
+	a90, _, _, err := c.CriticalityCtx(context.Background(), "AES-90")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCriticalityOrdering(t *testing.T) {
 // leakage increase.
 func TestRunDMShapes(t *testing.T) {
 	c := ctx()
-	qp, err := c.RunDM("AES-65", 5, false, false)
+	qp, err := c.RunDMCtx(context.Background(), "AES-65", 5, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestRunDMShapes(t *testing.T) {
 	if qp.Golden.MCTps > qp.Nominal.MCTps*1.01 {
 		t.Error("QP must hold timing")
 	}
-	qcp, err := c.RunDM("AES-65", 5, true, false)
+	qcp, err := c.RunDMCtx(context.Background(), "AES-65", 5, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestRunDMShapes(t *testing.T) {
 
 func TestTableVIIRenders(t *testing.T) {
 	c := New(WithScale(0.05), WithTopK(200))
-	tab, err := c.TableVII()
+	tab, err := c.TableVIICtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,23 +175,23 @@ func TestSweepDoses(t *testing.T) {
 
 func TestContextCaching(t *testing.T) {
 	c := ctx()
-	d1, err := c.Design("AES-65")
+	d1, err := c.DesignCtx(context.Background(), "AES-65")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _ := c.Design("AES-65")
+	d2, _ := c.DesignCtx(context.Background(), "AES-65")
 	if d1 != d2 {
 		t.Error("designs must be cached")
 	}
-	g1, err := c.Golden("AES-65")
+	g1, err := c.GoldenCtx(context.Background(), "AES-65")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := c.Golden("AES-65")
+	g2, _ := c.GoldenCtx(context.Background(), "AES-65")
 	if g1 != g2 {
 		t.Error("goldens must be cached")
 	}
-	if _, err := c.Design("NOPE"); err == nil {
+	if _, err := c.DesignCtx(context.Background(), "NOPE"); err == nil {
 		t.Error("unknown design must fail")
 	}
 }

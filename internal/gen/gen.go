@@ -225,14 +225,9 @@ func driveFor(lib *liberty.Library, fn string, fanouts int) *liberty.Master {
 	return best
 }
 
-// Generate builds the design for a preset.
-func Generate(p Preset) (*Design, error) {
-	return GenerateCtx(context.Background(), p)
-}
-
-// GenerateCtx is Generate with cancellation: a canceled context aborts
-// the endpoint-rewiring analyses (the expensive phase) with an error
-// wrapping context.Canceled.
+// GenerateCtx builds the design for a preset.  A canceled context
+// aborts the endpoint-rewiring analyses (the expensive phase) with an
+// error wrapping context.Canceled.
 func GenerateCtx(ctx context.Context, p Preset) (*Design, error) {
 	node, err := tech.ByName(p.Tech)
 	if err != nil {

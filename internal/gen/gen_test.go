@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -60,7 +61,7 @@ func TestScaled(t *testing.T) {
 
 func TestGenerateSmall(t *testing.T) {
 	p := AES65().Scaled(0.05) // ~800 cells
-	d, err := Generate(p)
+	d, err := GenerateCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestGenerateSmall(t *testing.T) {
 	// Disconnect maintain: each fanin edge has its matching fanout
 	// entry, and each fanout its matching fanin.
 	for _, p := range Presets() {
-		d, err := Generate(p.Scaled(0.05))
+		d, err := GenerateCtx(context.Background(), p.Scaled(0.05))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -123,11 +124,11 @@ func TestGenerateSmall(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	p := AES90().Scaled(0.03)
-	d1, err := Generate(p)
+	d1, err := GenerateCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Generate(p)
+	d2, err := GenerateCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestGenerateLocality(t *testing.T) {
 	// be far below the die diagonal (random placement would be ~half the
 	// half-perimeter).
 	p := JPEG65().Scaled(0.02)
-	d, err := Generate(p)
+	d, err := GenerateCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +165,16 @@ func TestGenerateLocality(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(Preset{Name: "bad", Tech: "N13", Cells: 1000, Depth: 10}); err == nil {
+	if _, err := GenerateCtx(context.Background(), Preset{Name: "bad", Tech: "N13", Cells: 1000, Depth: 10}); err == nil {
 		t.Error("unknown tech should fail")
 	}
-	if _, err := Generate(Preset{Name: "tiny", Tech: "N65", Cells: 5, Depth: 10, ChipW: 10, ChipH: 10}); err == nil {
+	if _, err := GenerateCtx(context.Background(), Preset{Name: "tiny", Tech: "N65", Cells: 5, Depth: 10, ChipW: 10, ChipH: 10}); err == nil {
 		t.Error("tiny preset should fail")
 	}
 }
 
 func TestSetMaster(t *testing.T) {
-	d, err := Generate(AES65().Scaled(0.03))
+	d, err := GenerateCtx(context.Background(), AES65().Scaled(0.03))
 	if err != nil {
 		t.Fatal(err)
 	}

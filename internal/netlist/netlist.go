@@ -225,41 +225,12 @@ func (c *Circuit) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// ReverseTopoIndex returns the paper's node indexing: a map from gate ID
-// to an index in 1..n assigned in reverse topological order (nodes close
-// to the sink get small indices; the fictitious sink is 0 and the
-// fictitious source is n+1).
-func (c *Circuit) ReverseTopoIndex() (map[int]int, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	idx := make(map[int]int, len(order))
-	n := len(order)
-	for pos, id := range order {
-		idx[id] = n - pos
-	}
-	return idx, nil
-}
-
 // StartPoints returns the timing start points: primary inputs and
 // flip-flop outputs.
 func (c *Circuit) StartPoints() []int {
 	var s []int
 	for _, g := range c.Gates {
 		if g.Kind == PI || g.Kind == Seq {
-			s = append(s, g.ID)
-		}
-	}
-	return s
-}
-
-// EndPoints returns the timing end points: primary outputs and flip-flop
-// data inputs (represented by the flip-flop node itself).
-func (c *Circuit) EndPoints() []int {
-	var s []int
-	for _, g := range c.Gates {
-		if g.Kind == PO || g.Kind == Seq {
 			s = append(s, g.ID)
 		}
 	}

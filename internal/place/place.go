@@ -106,9 +106,6 @@ func (b Box) Contains(x, y float64) bool {
 	return x >= b.MinX && x <= b.MaxX && y >= b.MinY && y <= b.MaxY
 }
 
-// Area returns the box area in µm².
-func (b Box) Area() float64 { return (b.MaxX - b.MinX) * (b.MaxY - b.MinY) }
-
 // BoundingBox returns the dosePl bounding box of a cell: the box spanning
 // all its fanin cells, all its fanout cells, and the cell itself
 // (Appendix A, Fig. 9).

@@ -11,15 +11,6 @@ import (
 // NWPerUW converts nW to µW.
 const NWPerUW = 1000.0
 
-// Gate returns the leakage of one cell in nW at gate-length delta dl and
-// width delta dw (nm).  Nil masters (ports) contribute zero.
-func Gate(m *liberty.Master, dl, dw float64) float64 {
-	if m == nil {
-		return 0
-	}
-	return m.Leakage(dl, dw)
-}
-
 // Total returns the design's total leakage in µW.  dL and dW are per-gate
 // geometry deltas in nm; nil slices mean zero everywhere.
 func Total(masters []*liberty.Master, dL, dW []float64) float64 {

@@ -42,7 +42,7 @@ func TestSolveTrajectoryLock(t *testing.T) {
 	}
 
 	for seed := int64(0); seed < 24; seed++ {
-		res, err := Solve(randomFeasibleQP(rand.New(rand.NewSource(seed))), tightSettings())
+		res, err := solveOnce(randomFeasibleQP(rand.New(rand.NewSource(seed))), tightSettings())
 		if err != nil {
 			t.Fatalf("QP seed %d: %v", seed, err)
 		}
@@ -52,7 +52,7 @@ func TestSolveTrajectoryLock(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		prob := randomFeasibleQP(rand.New(rand.NewSource(seed)))
 		prob.P = nil
-		res, err := Solve(prob, DefaultSettings())
+		res, err := solveOnce(prob, DefaultSettings())
 		if err != nil {
 			t.Fatalf("LP seed %d: %v", seed, err)
 		}

@@ -95,7 +95,7 @@ func TestSolveKKTProperty(t *testing.T) {
 		if err := prob.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid problem: %v", seed, err)
 		}
-		res, err := Solve(prob, tightSettings())
+		res, err := solveOnce(prob, tightSettings())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -793,12 +793,3 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 func rhoRung(rho float64) float64 {
 	return math.Pow(10, math.Round(4*math.Log10(rho))/4)
 }
-
-// Solve is the one-shot convenience wrapper: build a solver, run it once.
-func Solve(prob *Problem, set Settings) (*Result, error) {
-	s, err := NewSolver(prob, set)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveCtx(context.Background())
-}

@@ -19,6 +19,15 @@ func mustSolve(t testing.TB, s *Solver) *Result {
 	return res
 }
 
+// solveOnce builds a solver for prob and runs it once.
+func solveOnce(prob *Problem, set Settings) (*Result, error) {
+	s, err := NewSolver(prob, set)
+	if err != nil {
+		return nil, err
+	}
+	return s.SolveCtx(context.Background())
+}
+
 func diagCSR(d []float64) *CSR {
 	tr := NewTriplet(len(d), len(d))
 	for i, v := range d {
@@ -58,7 +67,7 @@ func TestUnconstrainedQP(t *testing.T) {
 		P: diagCSR([]float64{2, 4}),
 		Q: []float64{-2, 8},
 	}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestBoxConstrainedProjection(t *testing.T) {
 		hi[i] = 1
 	}
 	prob := &Problem{P: diagCSR(pd), Q: q, A: tr.Compile(), L: lo, U: hi}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +125,7 @@ func TestEqualityConstraint(t *testing.T) {
 		L: []float64{1},
 		U: []float64{1},
 	}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +150,7 @@ func TestLinearProgram(t *testing.T) {
 		L: []float64{-inf(), 0, 0},
 		U: []float64{4, 3, 3},
 	}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestPrimalInfeasibleDetection(t *testing.T) {
 		L: []float64{-inf(), 2},
 		U: []float64{1, inf()},
 	}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +238,7 @@ func TestAgainstDenseKKT(t *testing.T) {
 		prob := &Problem{P: diagCSR(pd), Q: q, A: tr.Compile(), L: b, U: append([]float64(nil), b...)}
 		set := DefaultSettings()
 		set.EpsAbs, set.EpsRel = 1e-6, 1e-6
-		res, err := Solve(prob, set)
+		res, err := solveOnce(prob, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +287,7 @@ func TestDoseShapedProblem(t *testing.T) {
 		l[n+i], u[n+i] = -delta, delta
 	}
 	prob := &Problem{P: diagCSR(pd), Q: q, A: tr.Compile(), L: l, U: u}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +391,7 @@ func TestMixedScaleProblem(t *testing.T) {
 		L: []float64{-inf(), 0, 0},
 		U: []float64{1800, 5, inf()},
 	}
-	res, err := Solve(prob, DefaultSettings())
+	res, err := solveOnce(prob, DefaultSettings())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type CSR struct {
 	// ones is the length of the leading run of single-entry rows and
 	// twos the length of the run of two-entry rows right after it, both
 	// set by markOneRows.  The dose-map constraint matrices open with one
-	// box row per variable and continue with the two-entry smoothness and
-	// seam rows.  MulVec takes a branch-free fast path over the first run
+	// box row per variable and continue with the two-entry smoothness
+	// rows.  MulVec takes a branch-free fast path over the first run
 	// (RowPtr[r] == r there), and the ADMM row sweep (Solver.sweep) has
 	// row bodies without row-pointer loads or inner loops for both
 	// (RowPtr[r] == ones + 2(r − ones) on the second).  Zero means "not
@@ -194,11 +194,6 @@ func (c *CSR) rowInfNormsInto(norms []float64) []float64 {
 		norms[r] = m
 	}
 	return norms
-}
-
-// ColInfNorms returns the infinity norm of each column.
-func (c *CSR) ColInfNorms() []float64 {
-	return c.colInfNormsInto(make([]float64, c.N))
 }
 
 // colInfNormsInto writes the infinity norm of each column into norms
@@ -386,16 +381,5 @@ func InfNorm(a []float64) float64 {
 func Scale(a []float64, s float64) {
 	for i := range a {
 		a[i] *= s
-	}
-}
-
-// Clamp projects v onto [lo, hi] element-wise in place.
-func Clamp(v, lo, hi []float64) {
-	for i := range v {
-		if v[i] < lo[i] {
-			v[i] = lo[i]
-		} else if v[i] > hi[i] {
-			v[i] = hi[i]
-		}
 	}
 }

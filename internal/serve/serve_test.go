@@ -175,7 +175,8 @@ func TestHTTPSyncSolve(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors: unknown jobs 404, malformed and invalid specs 400.
+// TestHTTPErrors: unknown jobs 404, malformed and invalid specs 400,
+// and so is a body with an unknown field (the decoder is strict).
 func TestHTTPErrors(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{MaxRunning: 1})
 	if resp := getJSON(t, ts.URL+"/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
@@ -185,13 +186,15 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec: %d", resp.StatusCode)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"desing":`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: %d", resp.StatusCode)
+	for _, body := range []string{`{"desing":`, `{"design":"AES-65","scale":0.05,"tiled":true}`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed body %s: %d", body, resp.StatusCode)
+		}
 	}
 	var ok map[string]string
 	if resp := getJSON(t, ts.URL+"/healthz", &ok); resp.StatusCode != http.StatusOK || ok["status"] != "ok" {

@@ -99,7 +99,7 @@ func TestAnalyzeLock(t *testing.T) {
 			dvth[i] = -0.04 + 0.01*float64(i%9)
 		}
 		for _, pert := range []*Perturb{nil, {DL: dl, DW: dw, DVth: dvth}} {
-			r, err := Analyze(in, DefaultConfig(), pert)
+			r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), pert)
 			if err != nil {
 				t.Fatal(err)
 			}

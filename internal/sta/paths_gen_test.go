@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,12 +17,12 @@ func TestTopPathsMatchHeapOracleGenerated(t *testing.T) {
 		for _, off := range []int64{0, 17} {
 			p := base
 			p.Seed += off
-			d, err := gen.Generate(p)
+			d, err := gen.GenerateCtx(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			in := sta.Input{Circ: d.Circ, Masters: d.Masters, Pl: d.Pl, Node: d.Node}
-			r, err := sta.Analyze(in, sta.DefaultConfig(), nil)
+			r, err := sta.AnalyzeCtx(context.Background(), in, sta.DefaultConfig(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

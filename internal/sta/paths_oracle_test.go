@@ -2,6 +2,7 @@ package sta
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -268,7 +269,7 @@ func checkAgainstOracle(t *testing.T, c pathSearchCase) {
 // every path above it.
 func TestTopPathsMatchHeapOracle(t *testing.T) {
 	for _, seed := range []int64{3, 77, 4242} {
-		r, err := Analyze(mesh(t, seed), DefaultConfig(), nil)
+		r, err := AnalyzeCtx(context.Background(), mesh(t, seed), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +277,7 @@ func TestTopPathsMatchHeapOracle(t *testing.T) {
 		checkAgainstOracle(t, shiftedCase("mesh shifted", r, seed))
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		r, err := Analyze(randomDesign(rand.New(rand.NewSource(seed))), DefaultConfig(), nil)
+		r, err := AnalyzeCtx(context.Background(), randomDesign(rand.New(rand.NewSource(seed))), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +343,7 @@ func tiedDesign(t *testing.T) Input {
 // equal bounds: on a circuit of parallel identical gates the search must
 // return the oracle's paths in the oracle's order.
 func TestTopPathsTiedDelaysMatchOracle(t *testing.T) {
-	r, err := Analyze(tiedDesign(t), DefaultConfig(), nil)
+	r, err := AnalyzeCtx(context.Background(), tiedDesign(t), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

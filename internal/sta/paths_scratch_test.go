@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,14 +41,14 @@ func (j scratchJob) check() string {
 func TestTopPathsScratchReuse(t *testing.T) {
 	var cases []pathSearchCase
 	for _, seed := range []int64{3, 77} {
-		r, err := Analyze(mesh(t, seed), DefaultConfig(), nil)
+		r, err := AnalyzeCtx(context.Background(), mesh(t, seed), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases, goldenCase("mesh", r), shiftedCase("mesh shifted", r, seed))
 	}
 	for _, seed := range []int64{2, 5, 9} {
-		r, err := Analyze(randomDesign(rand.New(rand.NewSource(seed))), DefaultConfig(), nil)
+		r, err := AnalyzeCtx(context.Background(), randomDesign(rand.New(rand.NewSource(seed))), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestTopPathsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	r, err := Analyze(mesh(t, 3), DefaultConfig(), nil)
+	r, err := AnalyzeCtx(context.Background(), mesh(t, 3), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

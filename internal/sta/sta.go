@@ -146,13 +146,9 @@ func (in Input) netLoad(id int, cfg Config) float64 {
 	return load
 }
 
-// Analyze performs a full timing analysis.
-func Analyze(in Input, cfg Config, pert *Perturb) (*Result, error) {
-	return AnalyzeCtx(context.Background(), in, cfg, pert)
-}
-
-// AnalyzeCtx is Analyze with cancellation: a context canceled before the
-// analysis starts fails it with an error that wraps context.Canceled.
+// AnalyzeCtx performs a full timing analysis.  A context canceled
+// before the analysis starts fails it with an error that wraps
+// context.Canceled.
 // Once started, the analysis runs to completion.
 //
 // The analysis is one serial walk of the topological order.  Loads and

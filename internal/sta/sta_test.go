@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -56,7 +57,7 @@ func tiny(t *testing.T) (Input, map[string]int) {
 func TestAnalyzeTiny(t *testing.T) {
 	in, ids := tiny(t)
 	cfg := DefaultConfig()
-	r, err := Analyze(in, cfg, nil)
+	r, err := AnalyzeCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestAnalyzeErrors(t *testing.T) {
 	in, _ := tiny(t)
 	bad := in
 	bad.Masters = bad.Masters[:2]
-	if _, err := Analyze(bad, DefaultConfig(), nil); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), bad, DefaultConfig(), nil); err == nil {
 		t.Error("master length mismatch should fail")
 	}
 	empty := Input{Circ: netlist.New("e"), Node: in.Node}
-	if _, err := Analyze(empty, DefaultConfig(), nil); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), empty, DefaultConfig(), nil); err == nil {
 		t.Error("empty circuit should fail")
 	}
 }
@@ -99,7 +100,7 @@ func TestAnalyzeErrors(t *testing.T) {
 func TestPerturbMonotone(t *testing.T) {
 	in, _ := tiny(t)
 	cfg := DefaultConfig()
-	base, err := Analyze(in, cfg, nil)
+	base, err := AnalyzeCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestPerturbMonotone(t *testing.T) {
 		shorter.DL[i] = -10 // dose +5%
 		longer.DL[i] = 10   // dose -5%
 	}
-	fast, err := Analyze(in, cfg, shorter)
+	fast, err := AnalyzeCtx(context.Background(), in, cfg, shorter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Analyze(in, cfg, longer)
+	slow, err := AnalyzeCtx(context.Background(), in, cfg, longer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestPerturbMonotone(t *testing.T) {
 	for i := 0; i < n; i++ {
 		wider.DW[i] = 10
 	}
-	fastW, err := Analyze(in, cfg, wider)
+	fastW, err := AnalyzeCtx(context.Background(), in, cfg, wider)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPerturbMonotone(t *testing.T) {
 
 func TestTopPathsTiny(t *testing.T) {
 	in, ids := tiny(t)
-	r, err := Analyze(in, DefaultConfig(), nil)
+	r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestPropertyTopPathsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomDesign(rng)
-		r, err := Analyze(in, DefaultConfig(), nil)
+		r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 		if err != nil {
 			return false
 		}
@@ -291,7 +292,7 @@ func TestPropertyUniformDoseMonotone(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomDesign(rng)
 		cfg := DefaultConfig()
-		base, err := Analyze(in, cfg, nil)
+		base, err := AnalyzeCtx(context.Background(), in, cfg, nil)
 		if err != nil {
 			return false
 		}
@@ -300,7 +301,7 @@ func TestPropertyUniformDoseMonotone(t *testing.T) {
 		for i := range p.DL {
 			p.DL[i] = -4
 		}
-		fast, err := Analyze(in, cfg, p)
+		fast, err := AnalyzeCtx(context.Background(), in, cfg, p)
 		if err != nil {
 			return false
 		}
@@ -322,7 +323,7 @@ func TestPropertyUniformDoseMonotone(t *testing.T) {
 // re-extract paths at will without perturbing each other.
 func TestTopPathsRepeatDeterministic(t *testing.T) {
 	in := mesh(t, 77)
-	r, err := Analyze(in, DefaultConfig(), nil)
+	r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestTopPathsRepeatDeterministic(t *testing.T) {
 
 func TestTopPathsLimits(t *testing.T) {
 	in, _ := tiny(t)
-	r, err := Analyze(in, DefaultConfig(), nil)
+	r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

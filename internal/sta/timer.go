@@ -23,11 +23,11 @@ import (
 //
 // The contract is strict bitwise equivalence: after every update the
 // Timer's Result is identical under math.Float64bits to a cold full
-// Analyze of the same design state.  This holds because every value the
-// Timer writes is produced by the very same expressions Analyze uses
-// (forwardGate, the launch block, netLoad and the MCT scan), evaluated
-// in an order where every operand already carries its cold-analysis
-// bits.
+// AnalyzeCtx of the same design state.  This holds because every value
+// the Timer writes is produced by the very same expressions AnalyzeCtx
+// uses (forwardGate, the launch block, netLoad and the MCT scan),
+// evaluated in an order where every operand already carries its
+// cold-analysis bits.
 //
 // A Timer is not safe for concurrent use.  The Result returned by Update
 // and Result aliases the Timer's internal buffers and is only valid
@@ -65,14 +65,10 @@ type Timer struct {
 	paths *pathScratch
 }
 
-// NewTimer builds a Timer for the design, running one full analysis to
-// seed the timing state at the given perturbation (nil means nominal).
-func NewTimer(in Input, cfg Config, pert *Perturb) (*Timer, error) {
-	return NewTimerCtx(context.Background(), in, cfg, pert)
-}
-
-// NewTimerCtx is NewTimer with cancellation of the initial full
-// analysis.  Subsequent updates are cheap and not cancellable.
+// NewTimerCtx builds a Timer for the design, running one full analysis
+// to seed the timing state at the given perturbation (nil means
+// nominal).  ctx cancels that initial analysis; subsequent updates are
+// cheap and not cancellable.
 func NewTimerCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Timer, error) {
 	res, err := AnalyzeCtx(ctx, in, cfg, pert)
 	if err != nil {
@@ -140,7 +136,7 @@ func (t *Timer) markRelaunch(id int) {
 
 // Update re-times the design after the perturbation changed to pert
 // and/or cells moved (swaps, legalization).  It returns the updated
-// Result, bit-identical to a cold Analyze of the same state.
+// Result, bit-identical to a cold AnalyzeCtx of the same state.
 func (t *Timer) Update(pert *Perturb) *Result {
 	t.gen++
 	t.loadList = t.loadList[:0]
@@ -200,7 +196,7 @@ func (t *Timer) seedPertChange(id int) {
 }
 
 // finish runs the staged recomputation — loads, launches, forward cone,
-// MCT — mirroring Analyze's phase order exactly.
+// MCT — mirroring AnalyzeCtx's phase order exactly.
 func (t *Timer) finish() *Result {
 	r, in, cfg := t.res, t.in, t.cfg
 	evalsBefore := t.evals
@@ -243,7 +239,7 @@ func (t *Timer) finish() *Result {
 		}
 	}
 
-	// Forward cone in Analyze's topological order, with bitwise early
+	// Forward cone in AnalyzeCtx's topological order, with bitwise early
 	// cut-off: a dirty gate whose recomputed arrival AND slew are
 	// unchanged stops the wavefront (its fanouts never see a
 	// difference).  Every fanin a gate reads either precedes it in the
@@ -268,7 +264,7 @@ func (t *Timer) finish() *Result {
 		}
 	}
 
-	// MCT: always the same full endpoint scan Analyze runs, so ties
+	// MCT: always the same full endpoint scan AnalyzeCtx runs, so ties
 	// break identically.
 	r.MCT = 0
 	r.CritEnd = -1

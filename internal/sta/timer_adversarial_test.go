@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -22,7 +23,7 @@ func TestTimerAdversarialSameCells(t *testing.T) {
 	in := mesh(t, 11)
 	cfg := DefaultConfig()
 	n := in.Circ.NumGates()
-	tm, err := NewTimer(in, cfg, nil)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestTimerDegenerateSingleGrid(t *testing.T) {
 	in := tinyInput(t)
 	cfg := DefaultConfig()
 	n := in.Circ.NumGates()
-	tm, err := NewTimer(in, cfg, nil)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

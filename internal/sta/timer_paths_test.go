@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,13 +29,13 @@ func clonePaths(paths []*sta.Path) []*sta.Path {
 // past the pool's cap, where a pooled scratch would be dropped.  The
 // paths one call returns must be unchanged after the next call.
 func TestTimerTopPathsMatchesColdTopPaths(t *testing.T) {
-	d, err := gen.Generate(gen.AES65().Scaled(0.03))
+	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.03))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := sta.Input{Circ: d.Circ, Masters: d.Masters, Pl: d.Pl, Node: d.Node}
 	cfg := sta.DefaultConfig()
-	tm, err := sta.NewTimer(in, cfg, nil)
+	tm, err := sta.NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTimerTopPathsMatchesColdTopPaths(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		cold, err := sta.Analyze(in, cfg, &sta.Perturb{DL: dl})
+		cold, err := sta.AnalyzeCtx(context.Background(), in, cfg, &sta.Perturb{DL: dl})
 		if err != nil {
 			t.Fatalf("%s: cold analyze: %v", step, err)
 		}

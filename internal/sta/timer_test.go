@@ -93,7 +93,7 @@ func mesh(t testing.TB, seed int64) Input {
 // full analysis of the current design state.
 func checkAgainstCold(t *testing.T, step string, in Input, cfg Config, pert *Perturb, got *Result) {
 	t.Helper()
-	ref, err := Analyze(in, cfg, pert)
+	ref, err := AnalyzeCtx(context.Background(), in, cfg, pert)
 	if err != nil {
 		t.Fatalf("%s: cold analyze: %v", step, err)
 	}
@@ -130,7 +130,7 @@ func TestTimerUpdateEquivalence(t *testing.T) {
 	n := in.Circ.NumGates()
 	rng := rand.New(rand.NewSource(2))
 
-	tm, err := NewTimer(in, cfg, nil)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTimerSwapEquivalence(t *testing.T) {
 		dw[i] = -5 + float64(i%11)
 	}
 	pert := &Perturb{DL: dl, DW: dw}
-	tm, err := NewTimer(in, cfg, pert)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, pert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	in := mesh(t, 5)
 	cfg := DefaultConfig()
 	n := in.Circ.NumGates()
-	tm, err := NewTimer(in, cfg, nil)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTimerSnapshotRestore(t *testing.T) {
 		}
 		return p
 	}
-	fresh, err := NewTimer(in, cfg, nil)
+	fresh, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestIncrementalUpdateEvalSavings(t *testing.T) {
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	in := mesh(b, 7)
 	cfg := DefaultConfig()
-	tm, err := NewTimer(in, cfg, nil)
+	tm, err := NewTimerCtx(context.Background(), in, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

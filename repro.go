@@ -95,7 +95,7 @@ var (
 )
 
 // Generate builds the synthetic design for a preset.
-func Generate(p Preset) (*Design, error) { return gen.Generate(p) }
+func Generate(p Preset) (*Design, error) { return GenerateCtx(context.Background(), p) }
 
 // GenerateCtx is Generate with cancellation: a canceled context aborts
 // the endpoint-rewiring analyses with an error wrapping
@@ -113,7 +113,7 @@ func DefaultDosePlOptions() DosePlOptions { return core.DefaultDosePlOptions() }
 
 // Analyze runs golden STA on the unoptimized design.
 func Analyze(d *Design) (*Timing, error) {
-	return core.GoldenNominal(d, sta.DefaultConfig())
+	return AnalyzeCtx(context.Background(), d)
 }
 
 // AnalyzeCtx is Analyze with cancellation.
@@ -124,7 +124,7 @@ func AnalyzeCtx(ctx context.Context, d *Design) (*Timing, error) {
 // FitModel calibrates the per-instance linear-delay / quadratic-leakage
 // coefficients at the golden operating points.
 func FitModel(t *Timing, bothLayers bool) (*Model, error) {
-	return core.FitModel(t, bothLayers)
+	return FitModelCtx(context.Background(), t, bothLayers, 0)
 }
 
 // FitModelCtx is FitModel with cancellation and a worker-count knob.
@@ -149,7 +149,7 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 // dose map (Appendix, Algorithm 1).  The design's placement is mutated
 // when rounds are accepted.
 func RunDosePl(t *Timing, r *Result, opt Options, dopt DosePlOptions) (*DosePlResult, error) {
-	return core.DosePl(t, r.Layers, opt, dopt)
+	return RunDosePlCtx(context.Background(), t, r, opt, dopt)
 }
 
 // RunDosePlCtx is RunDosePl with cancellation: a canceled context

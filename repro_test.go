@@ -80,7 +80,7 @@ func TestFlowModes(t *testing.T) {
 // TestHarnessFacade spot-checks the experiment harness re-export.
 func TestHarnessFacade(t *testing.T) {
 	h := repro.NewHarnessOpts(repro.WithScale(0.04), repro.WithTopK(100))
-	f95, _, _, err := h.Criticality("AES-65")
+	f95, _, _, err := h.CriticalityCtx(context.Background(), "AES-65")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,15 @@
 #!/bin/sh
-# Smoke-test the dmopt-serve daemon: boot it on an ephemeral port,
-# submit one scale-0.15 AES-65 job through the synchronous endpoint,
-# require HTTP 200 with a dmopt-job/v1 result, require a dmopt-bench/v1
-# /metrics report, then shut the daemon down cleanly.
+# Smoke-test the dmopt-serve daemon: boot it on an ephemeral port and
+# drive every endpoint once:
+#   - a scale-0.15 AES-65 job through the synchronous endpoint (200 with
+#     a dmopt-job/v1 result and a solver status);
+#   - a scale-0.05 AES-65 wafer job through the same endpoint (200 with
+#     a wafer summary);
+#   - an asynchronous full-size JPEG-90 QCP, canceled at once (state
+#     canceled), then the job list (which must show it);
+#   - a malformed body (400);
+# then require a dmopt-bench/v1 /metrics report with exactly two jobs
+# done and one canceled, and shut the daemon down cleanly.
 #
 # Usage: scripts/serve_smoke.sh path/to/dmopt-serve
 set -eu
@@ -12,9 +19,10 @@ BIN=${1:?usage: serve_smoke.sh path/to/dmopt-serve}
 # Bind port 0 so the kernel picks a free port; the daemon prints the
 # resolved address on stderr, which we parse to find the server.
 LOG=$(mktemp)
+BODY=$(mktemp)
 "$BIN" -addr 127.0.0.1:0 -max-running 1 -cache-mb 64 2>"$LOG" &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
+trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG" "$BODY"' EXIT
 
 # Wait for the resolved listen address, then for liveness (up to ~10 s).
 i=0
@@ -42,43 +50,72 @@ until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-BODY=$(mktemp)
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG" "$BODY"' EXIT
-
-CODE=$(curl -s -o "$BODY" -w '%{http_code}' "$BASE/v1/solve" \
-    -d '{"design":"AES-65","scale":0.15}')
-if [ "$CODE" != 200 ]; then
-    echo "serve-smoke: /v1/solve returned $CODE:" >&2
-    cat "$BODY" >&2
-    exit 1
-fi
-grep -q '"schema": "dmopt-job/v1"' "$BODY" || {
-    echo "serve-smoke: result is not a dmopt-job/v1 document:" >&2
-    cat "$BODY" >&2
-    exit 1
-}
-grep -q '"solver_status"' "$BODY" || {
-    echo "serve-smoke: result misses solver status:" >&2
-    cat "$BODY" >&2
-    exit 1
+# req METHOD PATH [JSON]: one request; the status lands in CODE and the
+# response body in $BODY.
+req() {
+    if [ $# -ge 3 ]; then
+        CODE=$(curl -s -o "$BODY" -w '%{http_code}' -X "$1" "$BASE$2" -d "$3")
+    else
+        CODE=$(curl -s -o "$BODY" -w '%{http_code}' -X "$1" "$BASE$2")
+    fi
 }
 
-CODE=$(curl -s -o "$BODY" -w '%{http_code}' "$BASE/metrics")
-if [ "$CODE" != 200 ]; then
-    echo "serve-smoke: /metrics returned $CODE" >&2
-    exit 1
-fi
-grep -q '"schema": "dmopt-bench/v1"' "$BODY" || {
-    echo "serve-smoke: metrics is not a dmopt-bench/v1 report:" >&2
+# expect STATUS WHAT: fail unless the last request answered STATUS.
+expect() {
+    if [ "$CODE" != "$1" ]; then
+        echo "serve-smoke: $2 returned $CODE, want $1:" >&2
+        cat "$BODY" >&2
+        exit 1
+    fi
+}
+
+# has PATTERN WHAT: fail unless the last response body matches PATTERN.
+has() {
+    grep -q "$1" "$BODY" || {
+        echo "serve-smoke: $2:" >&2
+        cat "$BODY" >&2
+        exit 1
+    }
+}
+
+req POST /v1/solve '{"design":"AES-65","scale":0.15}'
+expect 200 "/v1/solve"
+has '"schema": "dmopt-job/v1"' "result is not a dmopt-job/v1 document"
+has '"solver_status"' "result misses solver status"
+
+req POST /v1/solve '{"design":"AES-65","scale":0.05,"mode":"wafer","grid_um":10}'
+expect 200 "wafer /v1/solve"
+has '"per_field"' "wafer result misses its per-field summary"
+
+# A full-size JPEG-90 QCP runs for tens of seconds, so it is still
+# generating or solving when the DELETE arrives; DELETE returns once
+# the job has stopped.
+req POST /v1/jobs '{"design":"JPEG-90","mode":"qcp"}'
+expect 202 "POST /v1/jobs"
+ID=$(sed -n 's/^  "id": "\(.*\)",$/\1/p' "$BODY")
+[ -n "$ID" ] || {
+    echo "serve-smoke: submission returned no job id:" >&2
     cat "$BODY" >&2
     exit 1
 }
-grep -q '"serve/jobs_done": 1' "$BODY" || {
-    echo "serve-smoke: job completion not visible in metrics:" >&2
-    cat "$BODY" >&2
-    exit 1
-}
+req DELETE "/v1/jobs/$ID"
+expect 200 "DELETE /v1/jobs/$ID"
+has '"state": "canceled"' "job $ID did not end canceled"
+
+req GET /v1/jobs
+expect 200 "GET /v1/jobs"
+has "\"id\": \"$ID\"" "job list misses $ID"
+
+req POST /v1/jobs '{"design":'
+expect 400 "malformed POST /v1/jobs"
+has '"error"' "malformed body answered without an error"
+
+req GET /metrics
+expect 200 "/metrics"
+has '"schema": "dmopt-bench/v1"' "metrics is not a dmopt-bench/v1 report"
+has '"serve/jobs_done": 2,*$' "metrics do not count exactly two finished jobs"
+has '"serve/jobs_canceled": 1,*$' "metrics do not count exactly one canceled job"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-echo "serve-smoke: OK (solve 200, metrics report, clean shutdown)"
+echo "serve-smoke: OK (solve and wafer 200, cancel, list, malformed 400, metrics report, clean shutdown)"

@@ -16,7 +16,9 @@
 #   - dosesweep -scale 0.05 plain, -bias, -wafer and -workers 1 (the
 #     serial sweep's incremental Timer);
 #   - charlib -tables -master NAND2X1;
-#   - scripts/serve_smoke.sh against the dmopt-serve binary;
+#   - scripts/serve_smoke.sh against the dmopt-serve binary: a
+#     synchronous solve, a wafer job, an asynchronous job canceled at
+#     once, the job list and a malformed body;
 #   - the four examples.
 #
 # Any entry point that fails fails the script.  Run it from the
