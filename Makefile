@@ -8,8 +8,9 @@
 # once and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
 # wafer end-to-end, proves serial-vs-parallel bit-equality and solves
 # the Table IX wafer on two held-out designs; `make
-# traffic-cover` runs every entry point once under coverage and lists
-# the functions that traffic never reaches.
+# traffic-cover` runs every entry point once under coverage, lists
+# the functions that traffic never reaches and fails on any of them
+# that scripts/traffic_allow.txt does not name.
 
 GO ?= go
 
@@ -61,7 +62,8 @@ wafer-smoke:
 # End-to-end service smoke: boot dmopt-serve, run a scale-0.15 job and
 # a small wafer job through the synchronous endpoint, cancel an
 # asynchronous job, list the jobs, send a malformed body (400), require
-# a /metrics report with exact job counts, then shut the daemon down.
+# a /metrics report with exact job counts (two done, one canceled, one
+# rejected), then shut the daemon down.
 serve-smoke:
 	$(GO) build -o dmopt-serve.bin ./cmd/dmopt-serve
 	./scripts/serve_smoke.sh ./dmopt-serve.bin
@@ -70,7 +72,8 @@ serve-smoke:
 # Coverage of the repository's own traffic: every command, example and
 # perfbench workload plus the service smoke, built with
 # -coverpkg=repro/... and run once.  Writes the functions at 0.0 % to
-# zero-coverage.txt (untracked); fails if any entry point fails.
+# zero-coverage.txt (untracked); fails if any entry point fails or if
+# a function at 0.0 % is missing from scripts/traffic_allow.txt.
 traffic-cover:
 	./scripts/traffic_cover.sh zero-coverage.txt
 

@@ -39,7 +39,7 @@ func main() {
 		"master", "func", "in", "drive", "area", "cin (fF)", "leak (nW)")
 	for _, m := range lib.Masters {
 		fmt.Printf("%-10s %-6s %-4d %-8.1f %-8.2f %-10.2f %-10.2f\n",
-			m.Name, m.Func, m.Inputs, m.Drive, m.Area, m.CIn, m.Leakage(0, 0))
+			m.Name, m.Func, m.Inputs, m.Drive, m.Area, m.CIn, m.Leakage(0, 0, 0))
 	}
 
 	if !*tables {

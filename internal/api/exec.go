@@ -58,8 +58,7 @@ func Design(ctx context.Context, spec JobSpec, c *Cache) (*gen.Design, error) {
 // the design it was built from through golden.In, so a job whose golden
 // is cached never regenerates a design the cache has evicted.
 func Golden(ctx context.Context, spec JobSpec, c *Cache) (*sta.Result, error) {
-	opt, err := spec.Options()
-	if err != nil {
+	if err := spec.Normalized().Validate(); err != nil {
 		return nil, err
 	}
 	g, _, err := stage(ctx, c, "golden/"+spec.DesignKey(), func(ctx context.Context) (*sta.Result, int64, error) {
@@ -68,7 +67,7 @@ func Golden(ctx context.Context, spec JobSpec, c *Cache) (*sta.Result, error) {
 			return nil, 0, err
 		}
 		gctx, sp := obs.Start(ctx, "flow/golden")
-		g, err := core.GoldenNominalCtx(gctx, d, opt.STA)
+		g, err := core.GoldenNominalCtx(gctx, d, sta.DefaultConfig())
 		sp.End()
 		if err != nil {
 			return nil, 0, err

@@ -100,15 +100,13 @@ func biasSnapMarginNW(model *Model) float64 {
 	return liberty.BiasStepV / 2 * sum
 }
 
-// predictAsn evaluates the linear timing model and the leakage model at
-// a composed assignment.  With no bias it is exactly predict, keeping
-// the dose-only float operations untouched.
-func (c *Compiled) predictAsn(asn Assignment) (mct, dleakNW float64) {
-	if len(asn.BiasV) == 0 {
-		return c.predict(asn.Layers)
-	}
+// predict evaluates the linear timing model and the leakage model at a
+// composed assignment.  The bias terms enter only when the assignment
+// carries bias voltages, so a dose-only prediction never adds a +0.
+func (c *Compiled) predict(asn Assignment) (mct, dleakNW float64) {
 	ds := tech.DoseSensitivity
 	layers := asn.Layers
+	bias := len(asn.BiasV) > 0
 	deltaOf := func(id int) float64 {
 		v := 0.0
 		if c.hasDose() {
@@ -119,8 +117,10 @@ func (c *Compiled) predictAsn(asn Assignment) (mct, dleakNW float64) {
 				}
 			}
 		}
-		if dom := c.domainOf[id]; dom >= 0 {
-			v += c.Model.DB[id] * asn.BiasV[dom]
+		if bias {
+			if dom := c.domainOf[id]; dom >= 0 {
+				v += c.Model.DB[id] * asn.BiasV[dom]
+			}
 		}
 		return v
 	}
@@ -144,9 +144,12 @@ func (c *Compiled) predictAsn(asn Assignment) (mct, dleakNW float64) {
 		}
 		dleak = c.Model.DeltaLeak(dP, dA)
 	}
-	bv := make([]float64, n)
-	for id := 0; id < n; id++ {
-		bv[id] = c.domainBias(asn.BiasV, id)
+	if bias {
+		bv := make([]float64, n)
+		for id := 0; id < n; id++ {
+			bv[id] = c.domainBias(asn.BiasV, id)
+		}
+		dleak += c.Model.DeltaLeakBias(bv)
 	}
-	return mct, dleak + c.Model.DeltaLeakBias(bv)
+	return mct, dleak
 }

@@ -14,7 +14,7 @@ import (
 // joint (dose+bias) QCP with Snap enabled and checks the bias
 // quantization contract on randomized instances: every signoff domain
 // voltage — SnapBiasUp applied to the solver's continuous optimum, the
-// same transform signoffAsn uses — lands on the step lattice inside the
+// same transform signoff uses — lands on the step lattice inside the
 // bias box, and both the model prediction and the golden signoff stay
 // within ξ plus the documented tolerance (the snap margins exist to
 // absorb exactly this rounding).
@@ -85,7 +85,7 @@ func TestBiasSnapQuantizationProperty(t *testing.T) {
 			// underestimates golden leakage by far more than any snap
 			// margin could absorb (~20 µW on AES-90 at scale 0.04, vs a
 			// ~10 nW dose tolerance), so signoff-vs-ξ is not asserted here.
-			xiTol := xiTolerance(golden, xi)
+			xiTol := xiToleranceLeak(nominalLeak(golden), xi)
 			if dm.PredDeltaLeakNW > xi+xiTol {
 				t.Errorf("%s ξ=%g: predicted Δleakage %.3f nW exceeds budget (tol %.3f)",
 					tc.preset.Name, xi, dm.PredDeltaLeakNW, xiTol)

@@ -468,36 +468,3 @@ func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) flo
 	}
 	return arr, mct
 }
-
-// predict evaluates the linear timing model and Eq. 2 leakage model at a
-// solution.
-func (c *Compiled) predict(layers dosemap.Layers) (mct, dleakNW float64) {
-	ds := tech.DoseSensitivity
-	deltaOf := func(id int) float64 {
-		gidx := c.gridOf[id]
-		if gidx < 0 {
-			return 0
-		}
-		v := c.Model.A[id] * ds * layers.Poly.D[gidx]
-		if c.Opts.BothLayers && layers.Active != nil {
-			v += c.Model.B[id] * ds * layers.Active.D[gidx]
-		}
-		return v
-	}
-	_, mct = linearArrivalsOrder(c.Golden, c.order, deltaOf)
-	n := c.Golden.In.Circ.NumGates()
-	dP := make([]float64, n)
-	var dA []float64
-	if c.Opts.BothLayers && layers.Active != nil {
-		dA = make([]float64, n)
-	}
-	for id := 0; id < n; id++ {
-		if g := c.gridOf[id]; g >= 0 {
-			dP[id] = layers.Poly.D[g]
-			if dA != nil {
-				dA[id] = layers.Active.D[g]
-			}
-		}
-	}
-	return mct, c.Model.DeltaLeak(dP, dA)
-}

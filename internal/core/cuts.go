@@ -228,7 +228,7 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 	}
 	cs.rec.Add("core/solver_rebuilds", 1)
 	cs.prob = cs.buildProblem(tau, cuts)
-	solver, err := qp.NewSolver(cs.prob, cs.opt.QP)
+	solver, err := qp.NewSolver(cs.prob, cutQPSettings())
 	if err != nil {
 		return err
 	}
@@ -603,9 +603,9 @@ func (cs *cutSolver) layers() dosemap.Layers {
 func (cs *cutSolver) result(ctx context.Context, probes int) (*Result, error) {
 	c := cs.comp
 	asn := Assignment{Layers: cs.layers(), BiasV: cs.biasOf()}
-	predMCT, predLeak := c.predictAsn(asn)
+	predMCT, predLeak := c.predict(asn)
 	nominal := Eval{MCTps: c.Golden.MCT, LeakUW: c.nomLeakUW}
-	gold, err := signoffAsn(ctx, c, cs.opt, asn)
+	gold, err := signoff(ctx, c, cs.opt, asn)
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,7 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 				// iterate, under the same iteration budget.  Genuinely
 				// infeasible probes fail both attempts and are cut off here
 				// rather than after a multiple of the budget.
-				solver, err := qp.NewSolver(cs.prob, cs.opt.QP)
+				solver, err := qp.NewSolver(cs.prob, cutQPSettings())
 				if err != nil {
 					return nil, nil, err
 				}

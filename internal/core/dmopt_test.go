@@ -65,7 +65,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 	}
 	in := golden.In
 	n := in.Circ.NumGates()
-	nomLeak := power.Total(in.Masters, nil, nil)
+	nomLeak := power.Total(in.Masters, nil, nil, nil)
 	order, err := in.Circ.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 		}
 		// Leakage.
 		predDelta := model.DeltaLeak(dP, nil) / power.NWPerUW
-		goldDelta := power.Total(in.Masters, dL, nil) - nomLeak
+		goldDelta := power.Total(in.Masters, dL, nil, nil) - nomLeak
 		// The quadratic leakage model is an acknowledged approximation of
 		// the exponential (paper footnote 4): allow a ~25% mid-range gap.
 		if math.Abs(predDelta-goldDelta) > 0.25*math.Abs(goldDelta)+0.01*nomLeak {

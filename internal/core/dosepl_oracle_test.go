@@ -26,14 +26,14 @@ func dosePlRecomputeOracle(golden *sta.Result, layers dosemap.Layers, opt Option
 	circ := in.Circ
 	opt = opt.normalized()
 	res := &DosePlResult{}
-	tm, err := sta.NewTimerCtx(context.Background(), in, opt.STA, nil)
+	tm, err := sta.NewTimerCtx(context.Background(), in, sta.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
 	evalNow := func() (Eval, *sta.Result) {
 		dL, dW := layers.PerGate(circ, pl, opt.Snap)
 		r := tm.Update(&sta.Perturb{DL: dL, DW: dW})
-		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}, r
+		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW, nil)}, r
 	}
 	before, cur := evalNow()
 	res.Before = before

@@ -92,14 +92,14 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	// only the cones of the cells that moved (swaps + legalization
 	// nudges) and the gates whose dose changed with them, bit-identical
 	// to the full re-analysis it replaces.
-	tm, err := sta.NewTimerCtx(ctx, in, opt.STA, nil)
+	tm, err := sta.NewTimerCtx(ctx, in, sta.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
 	evalNow := func() Eval {
 		dL, dW := layers.PerGate(circ, pl, opt.Snap)
 		r := tm.Update(&sta.Perturb{DL: dL, DW: dW})
-		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}
+		return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW, nil)}
 	}
 	before := evalNow()
 	res.Before = before
@@ -359,7 +359,7 @@ func pairLeak(in sta.Input, layers dosemap.Layers, a, b int) float64 {
 		if layers.Active != nil {
 			dw = tech.DoseToWidth(layers.Active.DoseAt(in.Pl.X[id], in.Pl.Y[id]))
 		}
-		return m.Leakage(dl, dw)
+		return m.Leakage(dl, dw, 0)
 	}
 	return leakAt(a) + leakAt(b)
 }

@@ -101,7 +101,7 @@ func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
 			return nil, fmt.Errorf("core: flow request has no design")
 		}
 		gctx, sp := obs.Start(ctx, "flow/golden")
-		golden, err := GoldenNominalCtx(gctx, req.Design, cfg.Opt.STA)
+		golden, err := GoldenNominalCtx(gctx, req.Design, sta.DefaultConfig())
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -191,5 +191,5 @@ func EvalPerturbCtx(ctx context.Context, in sta.Input, cfg sta.Config, pert *sta
 	if pert != nil {
 		dl, dw, dvth = pert.DL, pert.DW, pert.DVth
 	}
-	return Eval{MCTps: r.MCT, LeakUW: power.TotalV(in.Masters, dl, dw, dvth)}, r, nil
+	return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dl, dw, dvth)}, r, nil
 }

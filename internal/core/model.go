@@ -101,8 +101,8 @@ func FitModelCtx(ctx context.Context, r *sta.Result, bothLayers bool, workers in
 			return nil
 		}
 		slew, load := r.InSlew[id], r.Load[id]
-		nomD := master.Delay(0, 0, slew, load)
-		nomL := master.Leakage(0, 0)
+		nomD := master.Delay(0, 0, 0, slew, load)
+		nomL := master.Leakage(0, 0, 0)
 		// Body-bias sensitivities are fitted unconditionally (cheap, and
 		// independent of the dose-layer mode): sample the device model
 		// over the bias lattice and fit the same linear-delay /
@@ -112,8 +112,8 @@ func FitModelCtx(ctx context.Context, r *sta.Result, bothLayers bool, workers in
 			bk := make([]float64, len(bvs))
 			for i, b := range bvs {
 				dvth := in.Node.BodyBiasDVth(b)
-				bd[i] = master.DelayV(0, 0, dvth, slew, load) - nomD
-				bk[i] = master.LeakageV(0, 0, dvth) - nomL
+				bd[i] = master.Delay(0, 0, dvth, slew, load) - nomD
+				bk[i] = master.Leakage(0, 0, dvth) - nomL
 			}
 			dc, err := fit.FitDelayL(bvs, bd, nomD)
 			if err != nil {
@@ -130,8 +130,8 @@ func FitModelCtx(ctx context.Context, r *sta.Result, bothLayers bool, workers in
 			dd := make([]float64, len(dls))
 			dk := make([]float64, len(dls))
 			for i, dl := range dls {
-				dd[i] = master.Delay(dl, 0, slew, load) - nomD
-				dk[i] = master.Leakage(dl, 0) - nomL
+				dd[i] = master.Delay(dl, 0, 0, slew, load) - nomD
+				dk[i] = master.Leakage(dl, 0, 0) - nomL
 			}
 			dc, err := fit.FitDelayL(dls, dd, nomD)
 			if err != nil {
@@ -151,8 +151,8 @@ func FitModelCtx(ctx context.Context, r *sta.Result, bothLayers bool, workers in
 			for _, dw := range coarseDeltas {
 				sdl = append(sdl, dl)
 				sdw = append(sdw, dw)
-				dd = append(dd, master.Delay(dl, dw, slew, load)-nomD)
-				dk = append(dk, master.Leakage(dl, dw)-nomL)
+				dd = append(dd, master.Delay(dl, dw, 0, slew, load)-nomD)
+				dk = append(dk, master.Leakage(dl, dw, 0)-nomL)
 			}
 		}
 		dc, err := fit.FitDelay(sdl, sdw, dd, nomD)

@@ -21,10 +21,15 @@ import (
 	"repro/internal/tech"
 )
 
-// solveQPNode is SolveQP on the node-based assembly: minimize Δleakage
-// subject to MCT ≤ req.TauPs in one ADMM solve, then extract, predict
-// and sign off like the cut engine does.
+// solveQPNode is the node oracle on the cut engine's ADMM budget.
 func solveQPNode(ctx context.Context, req QPRequest) (*Result, error) {
+	return solveNode(ctx, req, cutQPSettings())
+}
+
+// solveNode is SolveQP on the node-based assembly: minimize Δleakage
+// subject to MCT ≤ req.TauPs in one ADMM solve under set, then extract,
+// predict and sign off like the cut engine does.
+func solveNode(ctx context.Context, req QPRequest, set qp.Settings) (*Result, error) {
 	c, err := req.compiled(ctx)
 	if err != nil {
 		return nil, err
@@ -36,7 +41,7 @@ func solveQPNode(ctx context.Context, req QPRequest) (*Result, error) {
 	}
 	tau := req.TauPs
 	prob, nCols := assembleNode(c, opt, tau)
-	solver, err := qp.NewSolver(prob, opt.QP)
+	solver, err := qp.NewSolver(prob, set)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +53,8 @@ func solveQPNode(ctx context.Context, req QPRequest) (*Result, error) {
 		return nil, fmt.Errorf("core: QP infeasible at τ = %.1f ps", tau)
 	}
 	asn := Assignment{Layers: nodeLayers(c, opt, res.X), BiasV: nodeBias(c, res.X)}
-	predMCT, predLeak := c.predictAsn(asn)
-	golden, err := signoffAsn(ctx, c, opt, asn)
+	predMCT, predLeak := c.predict(asn)
+	golden, err := signoff(ctx, c, opt, asn)
 	if err != nil {
 		return nil, err
 	}
@@ -375,10 +380,10 @@ func BenchmarkAblationEngineCuts(b *testing.B) {
 }
 
 func BenchmarkAblationEngineNode(b *testing.B) {
-	opt := DefaultOptions()
-	opt.QP.MaxIter = 20000
-	opt.QP.EpsAbs, opt.QP.EpsRel = 1e-4, 1e-4
-	benchEngine(b, solveQPNode, opt)
+	solve := func(ctx context.Context, req QPRequest) (*Result, error) {
+		return solveNode(ctx, req, qp.DefaultSettings())
+	}
+	benchEngine(b, solve, DefaultOptions())
 }
 
 func benchEngine(b *testing.B, solve func(context.Context, QPRequest) (*Result, error), opt Options) {

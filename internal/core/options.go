@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dosemap"
 	"repro/internal/qp"
-	"repro/internal/sta"
 )
 
 // Options configures a DMopt run.
@@ -38,10 +37,6 @@ type Options struct {
 	// halving from scratch; a stale seed costs at most two probes and
 	// still narrows the interval.  Zero disables the hint.
 	SeedTau float64
-	// QP tunes the inner solver.
-	QP qp.Settings
-	// STA sets golden-analysis boundary conditions.
-	STA sta.Config
 	// Workers bounds the fan-out across independent units of work: the
 	// per-gate model fit and the fields and column groups of a wafer
 	// solve.  A QP/QCP solve and every STA analysis run on one
@@ -91,13 +86,6 @@ const (
 // DefaultOptions returns the paper's main configuration: 5 µm grids,
 // δ = 2, ±5% dose range, poly-only, ξ = 0 (no leakage increase allowed).
 func DefaultOptions() Options {
-	set := qp.DefaultSettings()
-	// The outer cut-generation loop supplies the real convergence test
-	// (model MCT against τ), so the inner ADMM solves run on a modest
-	// budget; this is ~15x faster than solving every QP to 1e-4 with no
-	// measurable change in the optimized dose maps.
-	set.MaxIter = 1500
-	set.EpsAbs, set.EpsRel = 3e-4, 3e-4
 	return Options{
 		G:      5,
 		Delta:  2,
@@ -105,9 +93,24 @@ func DefaultOptions() Options {
 		DoseHi: 5,
 		XiNW:   0,
 		Snap:   true,
-		QP:     set,
-		STA:    sta.DefaultConfig(),
 	}
+}
+
+// The cut engine's inner ADMM budget.  The outer cut-generation loop
+// supplies the real convergence test (model MCT against τ), so the inner
+// solves run on a modest budget; this is ~15x faster than solving every
+// QP to 1e-4 with no measurable change in the optimized dose maps.
+const (
+	cutMaxIter = 1500
+	cutEps     = 3e-4
+)
+
+// cutQPSettings returns the qp settings of every cut-engine solve.
+func cutQPSettings() qp.Settings {
+	set := qp.DefaultSettings()
+	set.MaxIter = cutMaxIter
+	set.EpsAbs, set.EpsRel = cutEps, cutEps
+	return set
 }
 
 // Result is the outcome of a DMopt run.

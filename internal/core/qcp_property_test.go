@@ -43,7 +43,7 @@ func TestQCPLeakageBudgetProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s ξ=%g: %v", tc.preset.Name, xi, err)
 			}
-			xiTol := xiTolerance(golden, xi)
+			xiTol := xiToleranceLeak(nominalLeak(golden), xi)
 			// Budget property on the model prediction (what the QCP
 			// constrains directly)...
 			if dm.PredDeltaLeakNW > xi+xiTol {

@@ -1,6 +1,6 @@
 // Signoff stage of the DMopt pipeline: golden-timing and leakage
-// evaluation of an optimized dose assignment.  The solve stages talk to
-// it through one narrow interface — signoff(ctx, golden, opt, layers) —
+// evaluation of an optimized actuator assignment.  The solve stages talk
+// to it through one narrow interface — signoff(ctx, comp, opt, asn) —
 // so the optimizer's linear model never leaks into the acceptance
 // numbers.
 package core
@@ -21,18 +21,6 @@ import (
 type Eval struct {
 	MCTps  float64
 	LeakUW float64
-}
-
-// signoff applies the layers to the design and runs golden STA + power.
-func signoff(ctx context.Context, golden *sta.Result, opt Options, layers dosemap.Layers) (Eval, error) {
-	in := golden.In
-	dL, dW := layers.PerGate(in.Circ, in.Pl, opt.Snap)
-	pert := &sta.Perturb{DL: dL, DW: dW}
-	r, err := sta.AnalyzeCtx(ctx, in, opt.STA, pert)
-	if err != nil {
-		return Eval{}, err
-	}
-	return Eval{MCTps: r.MCT, LeakUW: power.Total(in.Masters, dL, dW)}, nil
 }
 
 // checkFiniteDose rejects dose layers holding NaN or ±Inf, naming the
@@ -57,15 +45,15 @@ func checkFiniteDose(stage string, layers dosemap.Layers) error {
 	return nil
 }
 
-// signoffAsn is signoff over a composed actuator assignment: the bias
-// part (when present) expands to a per-gate ΔVth perturbation via the
-// compiled domain map — snapped onto the bias ladder when opt.Snap is
-// set — and leakage is evaluated with the biased device model.  With no
-// bias it takes the exact signoff path, so dose-only acceptance numbers
-// are bit-identical.  A NaN or infinite dose or bias voltage is an
-// error: the golden analysis would otherwise sign off a NaN leakage, or
-// a finite MCT the snap or the delay model made up.
-func signoffAsn(ctx context.Context, comp *Compiled, opt Options, asn Assignment) (Eval, error) {
+// signoff applies a composed actuator assignment to the design and runs
+// golden STA + power on it.  The bias part, when the assignment carries
+// one, expands to a per-gate ΔVth perturbation via the compiled domain
+// map — snapped onto the bias ladder when opt.Snap is set; a dose-only
+// assignment leaves ΔVth nil, so every cell stays on the unbiased device
+// model.  A NaN or infinite dose or bias voltage is an error: the golden
+// analysis would otherwise sign off a NaN leakage, or a finite MCT the
+// snap or the delay model made up.
+func signoff(ctx context.Context, comp *Compiled, opt Options, asn Assignment) (Eval, error) {
 	if err := checkFiniteDose("signoff", asn.Layers); err != nil {
 		return Eval{}, err
 	}
@@ -74,36 +62,26 @@ func signoffAsn(ctx context.Context, comp *Compiled, opt Options, asn Assignment
 			return Eval{}, fmt.Errorf("core: signoff bias domain %d holds %v V", dom, v)
 		}
 	}
-	golden := comp.Golden
-	if len(asn.BiasV) == 0 {
-		return signoff(ctx, golden, opt, asn.Layers)
-	}
-	in := golden.In
+	in := comp.Golden.In
 	dL, dW := asn.Layers.PerGate(in.Circ, in.Pl, opt.Snap)
-	dVth := comp.biasDVth(asn.BiasV, opt.Snap)
-	pert := &sta.Perturb{DL: dL, DW: dW, DVth: dVth}
-	r, err := sta.AnalyzeCtx(ctx, in, opt.STA, pert)
-	if err != nil {
-		return Eval{}, err
+	pert := &sta.Perturb{DL: dL, DW: dW}
+	if len(asn.BiasV) > 0 {
+		pert.DVth = comp.biasDVth(asn.BiasV, opt.Snap)
 	}
-	return Eval{MCTps: r.MCT, LeakUW: power.TotalV(in.Masters, dL, dW, dVth)}, nil
+	ev, _, err := EvalPerturbCtx(ctx, in, sta.DefaultConfig(), pert)
+	return ev, err
 }
 
 // nominalLeak evaluates the zero-dose leakage in µW.
 func nominalLeak(golden *sta.Result) float64 {
-	return power.Total(golden.In.Masters, nil, nil)
+	return power.Total(golden.In.Masters, nil, nil, nil)
 }
 
-// xiTolerance returns the leakage-budget acceptance tolerance in nW:
-// one part in 10⁴ of the design's nominal leakage (the solver's dose
-// precision maps to roughly this much objective noise), plus a relative
-// term for large explicit budgets.
-func xiTolerance(golden *sta.Result, xiNW float64) float64 {
-	return xiToleranceLeak(nominalLeak(golden), xiNW)
-}
-
-// xiToleranceLeak is xiTolerance with the nominal leakage precomputed
-// (the compile artifact caches it).
+// xiToleranceLeak returns the leakage-budget acceptance tolerance in nW
+// for a design of nominal leakage nomLeakUW (the compile artifact caches
+// it): one part in 10⁴ of that leakage (the solver's dose precision maps
+// to roughly this much objective noise), plus a relative term for large
+// explicit budgets.
 func xiToleranceLeak(nomLeakUW, xiNW float64) float64 {
 	return 1e-6*math.Abs(xiNW) + 1e-4*nomLeakUW*power.NWPerUW
 }

@@ -44,7 +44,7 @@ func TestSignoffRejectsNonFiniteActuators(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	if _, err := signoffAsn(ctx, comp, opt, assignment()); err != nil {
+	if _, err := signoff(ctx, comp, opt, assignment()); err != nil {
 		t.Fatalf("finite assignment: %v", err)
 	}
 	last := comp.nBias - 1
@@ -63,7 +63,7 @@ func TestSignoffRejectsNonFiniteActuators(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := assignment()
 			tc.set(a)
-			ev, err := signoffAsn(ctx, comp, opt, a)
+			ev, err := signoff(ctx, comp, opt, a)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("signoff = %+v, err = %v; want an error containing %q", ev, err, tc.want)
 			}

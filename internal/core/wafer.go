@@ -409,7 +409,7 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 			}
 		}
 		layers := cs.layers()
-		ev, err := signoff(ctx, base.Golden, cs.opt, layers)
+		ev, err := signoff(ctx, base, cs.opt, Assignment{Layers: layers})
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +542,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 				dl[id] = biases[i]
 			}
 		}
-		ev, _, err := EvalPerturbCtx(ctx, in, inner.STA, &sta.Perturb{DL: dl})
+		ev, _, err := EvalPerturbCtx(ctx, in, sta.DefaultConfig(), &sta.Perturb{DL: dl})
 		return ev, err
 	})
 	if err != nil {

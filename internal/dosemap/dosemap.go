@@ -85,15 +85,6 @@ type Map struct {
 // NewMap returns an all-zero map on the grid.
 func NewMap(g Grid) *Map { return &Map{Grid: g, D: make([]float64, g.Cells())} }
 
-// Uniform returns a constant map.
-func Uniform(g Grid, v float64) *Map {
-	m := NewMap(g)
-	for i := range m.D {
-		m.D[i] = v
-	}
-	return m
-}
-
 // At returns the dose delta of cell (i, j).
 func (m *Map) At(i, j int) float64 { return m.D[m.Grid.Flat(i, j)] }
 

@@ -96,12 +96,6 @@ func TestMapBasics(t *testing.T) {
 	if m.DoseAt(25, 15) != 3.25 {
 		t.Error("DoseAt")
 	}
-	u := Uniform(g, -2)
-	for _, v := range u.D {
-		if v != -2 {
-			t.Fatal("Uniform")
-		}
-	}
 	cl := m.Clone()
 	cl.Set(0, 0, 9)
 	if m.At(0, 0) == 9 {
@@ -122,7 +116,10 @@ func TestSnap(t *testing.T) {
 
 func TestRangeAndSmoothChecks(t *testing.T) {
 	g := mustGrid(t, 30, 30, 10)
-	m := Uniform(g, 2)
+	m := NewMap(g)
+	for i := range m.D {
+		m.D[i] = 2
+	}
 	if err := m.CheckRange(-5, 5); err != nil {
 		t.Error(err)
 	}

@@ -223,16 +223,16 @@ func figCell(id, title string, node *tech.Node, vsLength, delay bool) *Table {
 		if vsLength {
 			x = node.Lnom + d
 			if delay {
-				v = m.Delay(d, 0, slew, load)
+				v = m.Delay(d, 0, 0, slew, load)
 			} else {
-				v = m.Leakage(d, 0)
+				v = m.Leakage(d, 0, 0)
 			}
 		} else {
 			x = d
 			if delay {
-				v = m.Delay(0, d, slew, load)
+				v = m.Delay(0, d, 0, slew, load)
 			} else {
-				v = m.Leakage(0, d)
+				v = m.Leakage(0, d, 0)
 			}
 		}
 		t.Rows = append(t.Rows, []string{f1(x), f3(v)})
@@ -349,7 +349,7 @@ func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float
 			return nil, err
 		}
 		nomMCT := tm.Result().MCT
-		nomLeak := power.Total(in.Masters, nil, nil)
+		nomLeak := power.Total(in.Masters, nil, nil, nil)
 		rows := make([]DoseSweepRow, len(doses))
 		dl := make([]float64, n) // reused: Update copies the perturbation
 		for i, dose := range doses {
@@ -362,7 +362,7 @@ func (c *Context) DoseSweepCtx(ctx context.Context, design string, doses []float
 				}
 			}
 			r := tm.Update(&sta.Perturb{DL: dl})
-			leak := power.Total(in.Masters, dl, nil)
+			leak := power.Total(in.Masters, dl, nil, nil)
 			rows[i] = DoseSweepRow{
 				Dose:    dose,
 				MCTns:   r.MCT / 1000,
@@ -666,7 +666,7 @@ func (c *Context) TableIVCtx(ctx context.Context) (*Table, []DMRow, error) {
 			return nil, nil, err
 		}
 		t.Rows = append(t.Rows, []string{p.Name, "-", "Nom Lgate",
-			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil)), "-", "-"})
+			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil, nil)), "-", "-"})
 		for range gridsFor(p.Name, c.Scale) {
 			for k := 0; k < 2; k++ {
 				row := rows[ji]
@@ -767,7 +767,7 @@ func (c *Context) TableXCtx(ctx context.Context) (*Table, []DMRow, error) {
 			return nil, nil, err
 		}
 		t.Rows = append(t.Rows, []string{p.Name, "nominal",
-			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil)), "-", "-", "-"})
+			f3(golden.MCT / 1000), "-", f1(power.Total(golden.In.Masters, nil, nil, nil)), "-", "-", "-"})
 		for range modes {
 			row := rows[ji]
 			ji++
@@ -934,7 +934,7 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 	}
 	in := golden.In
 	dl, dw := dm.Layers.PerGate(in.Circ, in.Pl, opt.Snap)
-	dmRes, err := sta.AnalyzeCtx(ctx, in, opt.STA, &sta.Perturb{DL: dl, DW: dw})
+	dmRes, err := sta.AnalyzeCtx(ctx, in, sta.DefaultConfig(), &sta.Perturb{DL: dl, DW: dw})
 	if err != nil {
 		return nil, err
 	}
@@ -946,14 +946,14 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 		return nil, err
 	}
 	dl2, dw2 := dm.Layers.PerGate(in.Circ, in.Pl, opt.Snap)
-	plRes, err := sta.AnalyzeCtx(ctx, in, opt.STA, &sta.Perturb{DL: dl2, DW: dw2})
+	plRes, err := sta.AnalyzeCtx(ctx, in, sta.DefaultConfig(), &sta.Perturb{DL: dl2, DW: dw2})
 	if err != nil {
 		return nil, err
 	}
 	out["dosePl"] = core.PathSlackProfile(plRes, k, maxStates, period)
 
 	bias := core.BiasPerturb(golden, k, maxStates, opt.DoseHi)
-	biasRes, err := sta.AnalyzeCtx(ctx, in, opt.STA, bias)
+	biasRes, err := sta.AnalyzeCtx(ctx, in, sta.DefaultConfig(), bias)
 	if err != nil {
 		return nil, err
 	}

@@ -167,9 +167,6 @@ type Design struct {
 	Masters []*liberty.Master // per gate ID; nil for ports
 }
 
-// Master returns the master of gate id (nil for ports).
-func (d *Design) Master(id int) *liberty.Master { return d.Masters[id] }
-
 // SetMaster rebinds gate id to a master (used by sizing-style updates).
 func (d *Design) SetMaster(id int, m *liberty.Master) {
 	d.Masters[id] = m
@@ -632,20 +629,20 @@ func rewireEndpoints(ctx context.Context, d *Design, rng *rand.Rand) error {
 			load := buf.CIn + node.WireCPerUm*dist
 			wd := cwire(dist)
 			slewIn := slew + cfg.SlewWireFactor*wd
-			small := wd + buf.Delay(0, 0, slewIn, load)
+			small := wd + buf.Delay(0, 0, 0, slewIn, load)
 			// Try a wire-detour stage when the gap warrants it.
 			distL := hop
 			loadL := buf.CIn + node.WireCPerUm*distL
 			wdL := cwire(distL)
 			slewInL := slew + cfg.SlewWireFactor*wdL
-			large := wdL + buf.Delay(0, 0, slewInL, loadL)
+			large := wdL + buf.Delay(0, 0, 0, slewInL, loadL)
 			var st float64
 			if gap-total > large+small/2 {
 				dist, st = distL, large
-				slew = buf.OutSlew(0, 0, slewInL, loadL)
+				slew = buf.OutSlew(0, 0, 0, slewInL, loadL)
 			} else {
 				st = small
-				slew = buf.OutSlew(0, 0, slewIn, load)
+				slew = buf.OutSlew(0, 0, 0, slewIn, load)
 			}
 			if total+st/2 >= gap {
 				break

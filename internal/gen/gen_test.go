@@ -87,7 +87,7 @@ func TestGenerateSmall(t *testing.T) {
 	for _, g := range d.Circ.Gates {
 		switch g.Kind {
 		case 0, 1: // Comb, Seq
-			if d.Master(g.ID) == nil {
+			if d.Masters[g.ID] == nil {
 				t.Fatalf("cell %q lacks a master", g.Name)
 			}
 		}
@@ -180,10 +180,10 @@ func TestSetMaster(t *testing.T) {
 	}
 	// Find a combinational gate and rebind it.
 	for _, g := range d.Circ.Gates {
-		if d.Master(g.ID) != nil && !d.Master(g.ID).Seq {
+		if d.Masters[g.ID] != nil && !d.Masters[g.ID].Seq {
 			m := d.Lib.MustMaster("INVX8")
 			d.SetMaster(g.ID, m)
-			if d.Master(g.ID) != m || g.Master != "INVX8" {
+			if d.Masters[g.ID] != m || g.Master != "INVX8" {
 				t.Error("SetMaster did not rebind")
 			}
 			return

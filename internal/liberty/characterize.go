@@ -39,14 +39,7 @@ func Characterize(ctx context.Context, masters []*Master, doses []float64, worke
 			Dose:   dose,
 			DL:     dl,
 			Table:  m.CharacterizeTable(dl, 0),
-			Leak:   m.Leakage(dl, 0),
+			Leak:   m.Leakage(dl, 0, 0),
 		}, nil
 	})
-}
-
-// Characterize builds the full 21-dose variant grid for every master in
-// the library.  See the package-level Characterize for ordering and
-// determinism guarantees.
-func (l *Library) Characterize(ctx context.Context, workers int) ([]Variant, error) {
-	return Characterize(ctx, l.Masters, DoseSteps(), workers)
 }

@@ -15,7 +15,7 @@ import (
 // the fixed (master-major, dose-minor) order.
 func TestCharacterizeWorkersEquivalent(t *testing.T) {
 	lib := New(tech.N65())
-	ref, err := lib.Characterize(context.Background(), 1)
+	ref, err := Characterize(context.Background(), lib.Masters, DoseSteps(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCharacterizeWorkersEquivalent(t *testing.T) {
 		}
 	}
 	for _, w := range []int{2, 8, 0} {
-		vs, err := lib.Characterize(context.Background(), w)
+		vs, err := Characterize(context.Background(), lib.Masters, DoseSteps(), w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -54,7 +54,7 @@ func TestCharacterizeCanceled(t *testing.T) {
 	lib := New(tech.N65())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := lib.Characterize(ctx, 4); !errors.Is(err, context.Canceled) {
+	if _, err := Characterize(ctx, lib.Masters, DoseSteps(), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
 }

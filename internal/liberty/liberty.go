@@ -42,38 +42,22 @@ type Master struct {
 }
 
 // Delay returns the propagation delay in ps at gate-length delta dL and
-// gate-width delta dW (nm), input slew (ps) and output load (fF).
-func (m *Master) Delay(dL, dW, slew, load float64) float64 {
-	return m.Dev.Delay(m.Dev.Node.Lnom+dL, dW, slew, load)
+// gate-width delta dW (nm), threshold shift dvth (V, e.g. from body
+// bias; 0 for the unbiased cell), input slew (ps) and output load (fF).
+func (m *Master) Delay(dL, dW, dvth, slew, load float64) float64 {
+	return m.Dev.Delay(m.Dev.Node.Lnom+dL, dW, dvth, slew, load)
 }
 
 // OutSlew returns the output transition time in ps under the same
 // conditions as Delay.
-func (m *Master) OutSlew(dL, dW, slew, load float64) float64 {
-	return m.Dev.OutSlew(m.Dev.Node.Lnom+dL, dW, slew, load)
+func (m *Master) OutSlew(dL, dW, dvth, slew, load float64) float64 {
+	return m.Dev.OutSlew(m.Dev.Node.Lnom+dL, dW, dvth, slew, load)
 }
 
-// Leakage returns the cell leakage in nW at deltas (dL, dW) in nm.
-func (m *Master) Leakage(dL, dW float64) float64 {
-	return m.Dev.Leakage(m.Dev.Node.Lnom+dL, dW)
-}
-
-// DelayV is Delay with an additional threshold-voltage shift dvth (V),
-// e.g. from body bias; dvth = 0 takes the exact unbiased path.
-func (m *Master) DelayV(dL, dW, dvth, slew, load float64) float64 {
-	return m.Dev.DelayV(m.Dev.Node.Lnom+dL, dW, dvth, slew, load)
-}
-
-// OutSlewV is OutSlew with a threshold shift dvth (V); dvth = 0 takes the
-// exact unbiased path.
-func (m *Master) OutSlewV(dL, dW, dvth, slew, load float64) float64 {
-	return m.Dev.OutSlewV(m.Dev.Node.Lnom+dL, dW, dvth, slew, load)
-}
-
-// LeakageV is Leakage with a threshold shift dvth (V); dvth = 0 takes the
-// exact unbiased path.
-func (m *Master) LeakageV(dL, dW, dvth float64) float64 {
-	return m.Dev.LeakageV(m.Dev.Node.Lnom+dL, dW, dvth)
+// Leakage returns the cell leakage in nW at deltas (dL, dW) in nm and
+// threshold shift dvth (V).
+func (m *Master) Leakage(dL, dW, dvth float64) float64 {
+	return m.Dev.Leakage(m.Dev.Node.Lnom+dL, dW, dvth)
 }
 
 // Library is a characterized standard-cell library for one node.
@@ -330,41 +314,9 @@ func (m *Master) CharacterizeTable(dL, dW float64) *Table {
 		t.Delay[i] = make([]float64, len(t.Loads))
 		t.Slew[i] = make([]float64, len(t.Loads))
 		for j, c := range t.Loads {
-			t.Delay[i][j] = m.Delay(dL, dW, s, c)
-			t.Slew[i][j] = m.OutSlew(dL, dW, s, c)
+			t.Delay[i][j] = m.Delay(dL, dW, 0, s, c)
+			t.Slew[i][j] = m.OutSlew(dL, dW, 0, s, c)
 		}
 	}
 	return t
-}
-
-// Lookup bilinearly interpolates delay and output slew at (slew, load),
-// clamping to the table edges outside the characterized region.
-func (t *Table) Lookup(slew, load float64) (delay, oslew float64) {
-	i, fi := locate(t.Slews, slew)
-	j, fj := locate(t.Loads, load)
-	bil := func(v [][]float64) float64 {
-		v00 := v[i][j]
-		v01 := v[i][j+1]
-		v10 := v[i+1][j]
-		v11 := v[i+1][j+1]
-		return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
-	}
-	return bil(t.Delay), bil(t.Slew)
-}
-
-// locate finds the cell index and fraction for x on axis ax; clamped.
-func locate(ax []float64, x float64) (int, float64) {
-	n := len(ax)
-	if x <= ax[0] {
-		return 0, 0
-	}
-	if x >= ax[n-1] {
-		return n - 2, 1
-	}
-	for i := 0; i < n-1; i++ {
-		if x < ax[i+1] {
-			return i, (x - ax[i]) / (ax[i+1] - ax[i])
-		}
-	}
-	return n - 2, 1
 }

@@ -54,10 +54,10 @@ func TestDriveStrengthOrdering(t *testing.T) {
 	x4 := lib.MustMaster("INVX4")
 	// Same conditions: stronger drive is faster and leakier, with more
 	// input capacitance.
-	if d1, d4 := x1.Delay(0, 0, 30, 6), x4.Delay(0, 0, 30, 6); d4 >= d1 {
+	if d1, d4 := x1.Delay(0, 0, 0, 30, 6), x4.Delay(0, 0, 0, 30, 6); d4 >= d1 {
 		t.Errorf("INVX4 delay %v should beat INVX1 %v", d4, d1)
 	}
-	if x4.Leakage(0, 0) <= x1.Leakage(0, 0) {
+	if x4.Leakage(0, 0, 0) <= x1.Leakage(0, 0, 0) {
 		t.Error("INVX4 should leak more than INVX1")
 	}
 	if x4.CIn <= x1.CIn {
@@ -72,7 +72,7 @@ func TestComplexGatesSlower(t *testing.T) {
 	lib := New(tech.N65())
 	inv := lib.MustMaster("INVX1")
 	nand4 := lib.MustMaster("NAND4X1")
-	if nand4.Delay(0, 0, 30, 6) <= inv.Delay(0, 0, 30, 6) {
+	if nand4.Delay(0, 0, 0, 30, 6) <= inv.Delay(0, 0, 0, 30, 6) {
 		t.Error("NAND4X1 should be slower than INVX1 at equal drive")
 	}
 }
@@ -86,20 +86,20 @@ func TestDoseShapeOnCells(t *testing.T) {
 	// Fig. 3: delay vs L near-linear, increasing.
 	var prev float64
 	for i, dl := range []float64{-10, -5, 0, 5, 10} {
-		d := m.Delay(dl, 0, 30, 6)
+		d := m.Delay(dl, 0, 0, 30, 6)
 		if i > 0 && d <= prev {
 			t.Errorf("delay must increase with L (ΔL=%v)", dl)
 		}
 		prev = d
 	}
 	// Fig. 4: delay decreasing in ΔW.
-	if m.Delay(0, 10, 30, 6) >= m.Delay(0, -10, 30, 6) {
+	if m.Delay(0, 10, 0, 30, 6) >= m.Delay(0, -10, 0, 30, 6) {
 		t.Error("delay must decrease as width grows")
 	}
 	// Fig. 5: leakage convex decreasing in L (exponential shape).
-	l1 := m.Leakage(-10, 0)
-	l2 := m.Leakage(0, 0)
-	l3 := m.Leakage(10, 0)
+	l1 := m.Leakage(-10, 0, 0)
+	l2 := m.Leakage(0, 0, 0)
+	l3 := m.Leakage(10, 0, 0)
 	if !(l1 > l2 && l2 > l3) {
 		t.Errorf("leakage must decrease with L: %v %v %v", l1, l2, l3)
 	}
@@ -107,9 +107,9 @@ func TestDoseShapeOnCells(t *testing.T) {
 		t.Error("leakage vs L must be convex (exponential-like)")
 	}
 	// Fig. 6: leakage linear increasing in ΔW.
-	a := m.Leakage(0, -10)
-	b := m.Leakage(0, 0)
-	c := m.Leakage(0, 10)
+	a := m.Leakage(0, -10, 0)
+	b := m.Leakage(0, 0, 0)
+	c := m.Leakage(0, 10, 0)
 	if !(a < b && b < c) {
 		t.Errorf("leakage must increase with W: %v %v %v", a, b, c)
 	}
@@ -144,51 +144,24 @@ func TestSnapDose(t *testing.T) {
 	}
 }
 
+// TestTableMatchesAnalyticOnGrid: every NLDM table entry is the
+// analytic device model at that (slew, load) grid point, bit for bit.
 func TestTableMatchesAnalyticOnGrid(t *testing.T) {
 	lib := New(tech.N65())
 	m := lib.MustMaster("NAND2X2")
 	tab := m.CharacterizeTable(3, -2)
+	if len(tab.Delay) != len(tab.Slews) || len(tab.Slew) != len(tab.Slews) {
+		t.Fatalf("table has %d×%d rows for %d slews", len(tab.Delay), len(tab.Slew), len(tab.Slews))
+	}
 	for i, s := range tab.Slews {
 		for j, c := range tab.Loads {
-			d, os := tab.Lookup(s, c)
-			wantD := m.Delay(3, -2, s, c)
-			wantS := m.OutSlew(3, -2, s, c)
-			if math.Abs(d-wantD) > 1e-9 || math.Abs(os-wantS) > 1e-9 {
-				t.Fatalf("grid point (%d,%d): lookup (%v,%v) vs analytic (%v,%v)", i, j, d, os, wantD, wantS)
+			d, os := tab.Delay[i][j], tab.Slew[i][j]
+			wantD := m.Delay(3, -2, 0, s, c)
+			wantS := m.OutSlew(3, -2, 0, s, c)
+			if math.Float64bits(d) != math.Float64bits(wantD) || math.Float64bits(os) != math.Float64bits(wantS) {
+				t.Fatalf("grid point (%d,%d): table (%v,%v) vs analytic (%v,%v)", i, j, d, os, wantD, wantS)
 			}
 		}
-	}
-}
-
-func TestTableInterpolationAccuracy(t *testing.T) {
-	lib := New(tech.N65())
-	m := lib.MustMaster("INVX2")
-	tab := m.CharacterizeTable(0, 0)
-	// Off-grid points: bilinear interpolation of a bilinear-ish function
-	// must be within a few percent.
-	for _, s := range []float64{10, 45, 130} {
-		for _, c := range []float64{1, 4.5, 18} {
-			d, _ := tab.Lookup(s, c)
-			want := m.Delay(0, 0, s, c)
-			if math.Abs(d-want) > 0.05*want {
-				t.Errorf("interp at (%v,%v): %v vs %v", s, c, d, want)
-			}
-		}
-	}
-}
-
-func TestTableClampsOutside(t *testing.T) {
-	lib := New(tech.N65())
-	m := lib.MustMaster("INVX1")
-	tab := m.CharacterizeTable(0, 0)
-	dLo, _ := tab.Lookup(-100, -100)
-	if dLo != tab.Delay[0][0] {
-		t.Errorf("low clamp = %v, want corner %v", dLo, tab.Delay[0][0])
-	}
-	dHi, _ := tab.Lookup(1e6, 1e6)
-	n, k := len(tab.Slews)-1, len(tab.Loads)-1
-	if dHi != tab.Delay[n][k] {
-		t.Errorf("high clamp = %v, want corner %v", dHi, tab.Delay[n][k])
 	}
 }
 
@@ -207,27 +180,23 @@ func TestSequentialMasters(t *testing.T) {
 	}
 }
 
-// Property: table lookup is monotone in both slew and load anywhere in
-// the characterized region (delay tables of real libraries are monotone;
-// our analytic model guarantees it, the interpolation must preserve it).
+// Property: the characterized delay table is monotone in both slew and
+// load (delay tables of real libraries are monotone; the analytic model
+// guarantees it at every grid point).
 func TestPropertyTableMonotone(t *testing.T) {
 	lib := New(tech.N90())
 	tab := lib.MustMaster("NOR2X1").CharacterizeTable(-4, 3)
-	f := func(s1, s2, c1, c2 float64) bool {
-		norm := func(x, lo, hi float64) float64 {
-			return lo + math.Mod(math.Abs(x), hi-lo)
-		}
-		sa, sb := norm(s1, 5, 240), norm(s2, 5, 240)
-		ca, cb := norm(c1, 0.5, 48), norm(c2, 0.5, 48)
+	ns, nl := len(tab.Slews), len(tab.Loads)
+	f := func(s1, s2, c1, c2 uint8) bool {
+		sa, sb := int(s1)%ns, int(s2)%ns
+		ca, cb := int(c1)%nl, int(c2)%nl
 		if sa > sb {
 			sa, sb = sb, sa
 		}
 		if ca > cb {
 			ca, cb = cb, ca
 		}
-		dLo, _ := tab.Lookup(sa, ca)
-		dHi, _ := tab.Lookup(sb, cb)
-		return dHi >= dLo-1e-9
+		return tab.Delay[sb][cb] >= tab.Delay[sa][ca]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -204,9 +204,6 @@ func Add(ctx context.Context, name string, delta int64) { From(ctx).Add(name, de
 // Set records a gauge via the context's Recorder.
 func Set(ctx context.Context, name string, v float64) { From(ctx).Set(name, v) }
 
-// Observe records a timer sample via the context's Recorder.
-func Observe(ctx context.Context, name string, d time.Duration) { From(ctx).Observe(name, d) }
-
 // SpanStat is one exported span-tree node.
 type SpanStat struct {
 	Name     string     `json:"name"`

@@ -39,7 +39,7 @@ func TestDisabledIsInert(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		Add(ctx, "c", 1)
 		Set(ctx, "g", 2)
-		Observe(ctx, "t", time.Millisecond)
+		From(ctx).Observe("t", time.Millisecond)
 		_, sp := Start(ctx, "span")
 		sp.End()
 	})
@@ -56,8 +56,8 @@ func TestCountersGaugesTimers(t *testing.T) {
 	Add(ctx, "c", 3)
 	Set(ctx, "g", 1.5)
 	Set(ctx, "g", 2.5) // gauge keeps the last value
-	Observe(ctx, "t", 10*time.Millisecond)
-	Observe(ctx, "t", 30*time.Millisecond)
+	From(ctx).Observe("t", 10*time.Millisecond)
+	From(ctx).Observe("t", 30*time.Millisecond)
 
 	if got := r.Counter("c"); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -120,7 +120,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				Add(root, "n", 1)
 				Set(root, "last", float64(i))
-				Observe(root, "lap", time.Microsecond)
+				From(root).Observe("lap", time.Microsecond)
 				ctx, sp := Start(root, "worker")
 				_, in := Start(ctx, "inner")
 				in.End()
@@ -244,7 +244,7 @@ func TestWriteTree(t *testing.T) {
 	sp.End()
 	Add(ctx, "qp/iterations", 42)
 	Set(ctx, "qp/prim_res", 1e-7)
-	Observe(ctx, "sta/update", 3*time.Millisecond)
+	From(ctx).Observe("sta/update", 3*time.Millisecond)
 
 	var buf bytes.Buffer
 	r.WriteTree(&buf, time.Second)

@@ -1,7 +1,7 @@
 // Package power provides the leakage-power-analysis substrate standing in
-// for the paper's Cadence SoC Encounter reports: per-instance leakage
-// from the characterized library at dose-perturbed geometry, and chip
-// roll-ups in µW.
+// for the paper's Cadence SoC Encounter reports: the chip roll-up in µW
+// of every instance's leakage from the characterized library at
+// dose-perturbed geometry and body-bias-shifted threshold.
 package power
 
 import (
@@ -12,64 +12,26 @@ import (
 const NWPerUW = 1000.0
 
 // Total returns the design's total leakage in µW.  dL and dW are per-gate
-// geometry deltas in nm; nil slices mean zero everywhere.
-func Total(masters []*liberty.Master, dL, dW []float64) float64 {
+// geometry deltas in nm and dVth per-gate threshold-voltage deltas in V
+// (from body bias); nil slices mean zero everywhere, and a zero ΔVth
+// leaves a cell on the unbiased device model.
+func Total(masters []*liberty.Master, dL, dW, dVth []float64) float64 {
 	total := 0.0
 	for id, m := range masters {
 		if m == nil {
 			continue
 		}
-		var dl, dw float64
+		var dl, dw, dv float64
 		if dL != nil {
 			dl = dL[id]
 		}
 		if dW != nil {
 			dw = dW[id]
 		}
-		total += m.Leakage(dl, dw)
+		if dVth != nil {
+			dv = dVth[id]
+		}
+		total += m.Leakage(dl, dw, dv)
 	}
 	return total / NWPerUW
-}
-
-// TotalV is Total with an additional per-gate threshold-voltage delta in
-// V (from body bias).  A nil dVth takes the exact unbiased path, so the
-// dose-only flow is bit-identical to Total.
-func TotalV(masters []*liberty.Master, dL, dW, dVth []float64) float64 {
-	if dVth == nil {
-		return Total(masters, dL, dW)
-	}
-	total := 0.0
-	for id, m := range masters {
-		if m == nil {
-			continue
-		}
-		var dl, dw float64
-		if dL != nil {
-			dl = dL[id]
-		}
-		if dW != nil {
-			dw = dW[id]
-		}
-		total += m.LeakageV(dl, dw, dVth[id])
-	}
-	return total / NWPerUW
-}
-
-// PerGate returns each gate's leakage in nW (zero for ports).
-func PerGate(masters []*liberty.Master, dL, dW []float64) []float64 {
-	out := make([]float64, len(masters))
-	for id, m := range masters {
-		if m == nil {
-			continue
-		}
-		var dl, dw float64
-		if dL != nil {
-			dl = dL[id]
-		}
-		if dW != nil {
-			dw = dW[id]
-		}
-		out[id] = m.Leakage(dl, dw)
-	}
-	return out
 }

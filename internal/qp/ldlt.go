@@ -145,9 +145,9 @@ type ldltFactor struct {
 	lowSrc []int
 
 	// Scratch reused across factorizations and solves.  w backs the
-	// numeric kernel and every single-RHS solve; tt is the below-panel
-	// gather buffer of the triangular sweeps (len maxRows); wb holds one
-	// dense workspace per right-hand side of a batched solve.
+	// numeric kernel; tt is the below-panel gather buffer of the
+	// triangular sweeps (len maxRows); wb holds one dense workspace per
+	// right-hand side of a solve.
 	flag []int
 	w    []float64
 	tt   []float64
@@ -178,7 +178,7 @@ func cmpColRow(a, b upperEntry) int {
 // newLDLTFactor runs the symbolic analysis for K = P + σI + ρAᵀA over
 // the patterns of p (may be nil) and a (may have zero rows).  No
 // numeric work happens here; call Refactor with a concrete ρ before
-// Solve.
+// SolveBatch.
 func newLDLTFactor(p *CSR, sigma float64, a *CSR, n int) *ldltFactor {
 	f := &ldltFactor{n: n}
 	adj := adjacencyOf(p, a, n)
@@ -714,7 +714,7 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 // Re-ordering costs one graph traversal per append — appends are rare
 // (once per cut round) while every ADMM iteration pays nnz(L) twice,
 // and cut cliques merged into a stale permutation can double the fill.
-// The caller must Refactor before the next Solve.
+// The caller must Refactor before the next SolveBatch.
 func (f *ldltFactor) AppendRows(a *CSR, fromRow int) {
 	f.mergeAppended(ataEntries(a, fromRow, f.iperm))
 	f.reorder()
@@ -1446,41 +1446,16 @@ func (f *ldltFactor) bwdSuper(s int, w, tt []float64) {
 	}
 }
 
-// Solve overwrites x with K⁻¹ b via permute → L solve (D scale folded
-// in per supernode) → Lᵀ solve → unpermute.  x and b may alias.
-func (f *ldltFactor) Solve(x, b []float64) {
-	n := f.n
-	ns := len(f.sPtr) - 1
-	w, tt := f.w, f.tt
-	for k := 0; k < n; k++ {
-		w[k] = b[f.perm[k]]
-	}
-	for s := 0; s < ns; s++ {
-		f.fwdSuper(s, w, tt)
-	}
-	for s := ns - 1; s >= 0; s-- {
-		f.bwdSuper(s, w, tt)
-	}
-	for k := 0; k < n; k++ {
-		x[f.perm[k]] = w[k]
-	}
-}
-
 // SolveBatch overwrites xs[q] with K⁻¹ bs[q] for every right-hand side
-// q, streaming the factor through cache ONCE per supernode for the
-// whole block (supernode-outer, RHS-inner) — the point of batching the
-// ADMM x-steps of a wafer consensus group.  Each RHS runs the same
-// kernel sequence as a solo Solve, so every xs[q] is bitwise identical
-// to Solve(xs[q], bs[q]).  xs[q] and bs[q] may alias.
+// q via permute → L solve (D scale folded in per supernode) → Lᵀ solve
+// → unpermute, streaming the factor through cache ONCE per supernode
+// for the whole block (supernode-outer, RHS-inner) — the point of
+// batching the ADMM x-steps of a wafer consensus group.  Each RHS runs
+// the same kernel sequence, in its own workspace, whatever the block
+// size, so every xs[q] is bitwise identical to a one-RHS solve of
+// bs[q].  xs[q] and bs[q] may alias.
 func (f *ldltFactor) SolveBatch(xs, bs [][]float64) {
 	nrhs := len(xs)
-	if nrhs == 0 {
-		return
-	}
-	if nrhs == 1 {
-		f.Solve(xs[0], bs[0])
-		return
-	}
 	n := f.n
 	ns := len(f.sPtr) - 1
 	wb, tt := f.ensureWB(nrhs), f.tt

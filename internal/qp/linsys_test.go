@@ -111,8 +111,8 @@ func TestLDLTAppendMatchesColdFactor(t *testing.T) {
 		}
 		x1 := make([]float64, n)
 		x2 := make([]float64, n)
-		f.Solve(x1, b)
-		cold.Solve(x2, b)
+		solve1(f, x1, b)
+		solve1(cold, x2, b)
 		for j := range x1 {
 			if d := math.Abs(x1[j] - x2[j]); d > 1e-9*(1+math.Abs(x2[j])) {
 				t.Fatalf("seed %d: appended vs cold solve differ at %d: %g vs %g", seed, j, x1[j], x2[j])

@@ -87,19 +87,28 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func decodeSpec(w http.ResponseWriter, r *http.Request) (api.JobSpec, bool) {
+// reject answers a refused job request with 400 and counts it in
+// serve/jobs_rejected, next to the refusals Submit counts itself.
+func (s *Server) reject(w http.ResponseWriter, err error) {
+	s.rec.Add("serve/jobs_rejected", 1)
+	writeErr(w, http.StatusBadRequest, err)
+}
+
+// decodeSpec reads a job spec from the request body with a strict
+// decoder; a malformed body or an unknown field is a rejected job.
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (api.JobSpec, bool) {
 	var spec api.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		s.reject(w, err)
 		return spec, false
 	}
 	return spec, true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := decodeSpec(w, r)
+	spec, ok := s.decodeSpec(w, r)
 	if !ok {
 		return
 	}
@@ -155,13 +164,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // The job context is the request context: a client disconnect cancels
 // the solve at the next cancellation point.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	spec, ok := decodeSpec(w, r)
+	spec, ok := s.decodeSpec(w, r)
 	if !ok {
 		return
 	}
 	spec = s.clampWorkers(spec.Normalized())
 	if err := spec.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		s.reject(w, err)
 		return
 	}
 	// The job context follows the request (client disconnect cancels

@@ -202,6 +202,32 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectionsCounted: every 400 a job request earns is a
+// rejected job in /metrics — a truncated body (the strict decoder) and
+// an invalid spec on both the asynchronous and the synchronous endpoint
+// — not only the ones Submit refuses.
+func TestHTTPRejectionsCounted(t *testing.T) {
+	_, ts, rec := newTestServer(t, Config{MaxRunning: 1})
+	reqs := []struct{ path, body string }{
+		{"/v1/solve", `{"design":`},
+		{"/v1/jobs", `{"design":"DES-65"}`},
+		{"/v1/solve", `{"design":"DES-65"}`},
+	}
+	for _, rq := range reqs {
+		resp, err := http.Post(ts.URL+rq.path, "application/json", strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", rq.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %s: %d, want 400", rq.path, rq.body, resp.StatusCode)
+		}
+	}
+	if got := rec.Snapshot().Counters["serve/jobs_rejected"]; got != int64(len(reqs)) {
+		t.Errorf("serve/jobs_rejected = %d, want %d", got, len(reqs))
+	}
+}
+
 // TestDosePlPrivatePlacement: dosePl jobs mutate cell positions, so
 // the server runs them on a private placement copy
 // (api.Artifacts.WithPrivatePlacement).  The cached design — which

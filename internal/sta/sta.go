@@ -37,8 +37,10 @@ type Input struct {
 
 // Perturb carries per-gate dose-induced geometry deltas in nm and
 // body-bias-induced threshold shifts in V.  Nil slices mean zero
-// everywhere; a nil DVth keeps every delay/leakage evaluation on the
-// exact unbiased code path, bit-identical to the pre-bias analysis.
+// everywhere.  The cell models take ΔVth as an argument, and ΔVth = 0 —
+// a nil DVth, or a gate outside every bias domain — skips only their
+// bias factor, so a dose-only analysis is the ΔVth = 0 point of the one
+// device model.
 type Perturb struct {
 	DL   []float64 // gate-length delta per gate ID
 	DW   []float64 // gate-width delta per gate ID
@@ -194,8 +196,8 @@ func AnalyzeCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Resu
 			continue
 		}
 		m := in.Masters[id]
-		r.AOut[id] = m.DelayV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
-		r.Slew[id] = m.OutSlewV(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
+		r.AOut[id] = m.Delay(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
+		r.Slew[id] = m.OutSlew(pert.dl(id), pert.dw(id), pert.dvth(id), cfg.ClockSlew, r.Load[id])
 		r.InSlew[id] = cfg.ClockSlew
 		seqs++
 	}
@@ -243,10 +245,10 @@ func forwardGate(r *Result, in Input, cfg Config, pert *Perturb, id int) {
 		for _, fi := range g.Fanins {
 			wd := in.WireDelay(fi, id)
 			slewIn := r.Slew[fi] + cfg.SlewWireFactor*wd
-			d := m.DelayV(pert.dl(id), pert.dw(id), pert.dvth(id), slewIn, r.Load[id])
+			d := m.Delay(pert.dl(id), pert.dw(id), pert.dvth(id), slewIn, r.Load[id])
 			if a := r.AOut[fi] + wd + d; a > best {
 				best = a
-				bestSlew = m.OutSlewV(pert.dl(id), pert.dw(id), pert.dvth(id), slewIn, r.Load[id])
+				bestSlew = m.OutSlew(pert.dl(id), pert.dw(id), pert.dvth(id), slewIn, r.Load[id])
 				bestIn = slewIn
 			}
 		}
@@ -291,7 +293,7 @@ func (r *Result) ArcDelay(from, to int) float64 {
 	case netlist.Comb:
 		m := in.Masters[to]
 		slewIn := r.Slew[from] + r.Cfg.SlewWireFactor*wd
-		return wd + m.DelayV(r.Pert.dl(to), r.Pert.dw(to), r.Pert.dvth(to), slewIn, r.Load[to])
+		return wd + m.Delay(r.Pert.dl(to), r.Pert.dw(to), r.Pert.dvth(to), slewIn, r.Load[to])
 	}
 	return wd
 }

@@ -68,7 +68,7 @@ func TestAnalyzeTiny(t *testing.T) {
 	wd := in.WireDelay(pi, i1)
 	slewIn := cfg.InputSlew + cfg.SlewWireFactor*wd
 	m := in.Masters[i1]
-	want := wd + m.Delay(0, 0, slewIn, r.Load[i1])
+	want := wd + m.Delay(0, 0, 0, slewIn, r.Load[i1])
 	if math.Abs(r.AOut[i1]-want) > 1e-9 {
 		t.Errorf("AOut(inv1) = %v, want %v", r.AOut[i1], want)
 	}

@@ -228,8 +228,8 @@ func (t *Timer) finish() *Result {
 		m := in.Masters[s]
 		oldA := math.Float64bits(r.AOut[s])
 		oldS := math.Float64bits(r.Slew[s])
-		r.AOut[s] = m.DelayV(t.pert.dl(s), t.pert.dw(s), t.pert.dvth(s), cfg.ClockSlew, r.Load[s])
-		r.Slew[s] = m.OutSlewV(t.pert.dl(s), t.pert.dw(s), t.pert.dvth(s), cfg.ClockSlew, r.Load[s])
+		r.AOut[s] = m.Delay(t.pert.dl(s), t.pert.dw(s), t.pert.dvth(s), cfg.ClockSlew, r.Load[s])
+		r.Slew[s] = m.OutSlew(t.pert.dl(s), t.pert.dw(s), t.pert.dvth(s), cfg.ClockSlew, r.Load[s])
 		r.InSlew[s] = cfg.ClockSlew
 		t.evals++
 		if math.Float64bits(r.Slew[s]) != oldS || math.Float64bits(r.AOut[s]) != oldA {

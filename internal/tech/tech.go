@@ -202,12 +202,17 @@ func (n *Node) DriveFactor(l, w, wNom float64) float64 {
 }
 
 // LeakFactor returns the multiplicative change in leakage for a device at
-// gate length L and width W relative to (Lnom, wNom): the subthreshold
-// component is exponential in -(L-Lnom), the gate/junction component is
+// gate length L, width W and threshold shift dvth (V) relative to (Lnom,
+// wNom, 0): the subthreshold component is exponential in -(L-Lnom) and,
+// for dvth ≠ 0, is further multiplied by exp(-dvth/SubSlope) (forward
+// bias → lower Vth → more leakage); the gate/junction component is
 // constant, and both scale linearly with W.
-func (n *Node) LeakFactor(l, w, wNom float64) float64 {
+func (n *Node) LeakFactor(l, w, wNom, dvth float64) float64 {
 	k := n.LeakExpK()
 	sub := n.SubFrac * math.Exp(-k*(l-n.Lnom))
+	if dvth != 0 {
+		sub *= math.Exp(-dvth / n.SubSlope)
+	}
 	gate := 1 - n.SubFrac
 	return (sub + gate) * w / wNom
 }
@@ -250,23 +255,37 @@ func (d *Device) R(l, dw float64) float64 {
 }
 
 // Delay returns the cell propagation delay in ps for input slew (ps) and
-// output load (fF) at gate length l (nm) and width delta dw (nm).
-func (d *Device) Delay(l, dw, slew, load float64) float64 {
+// output load (fF) at gate length l (nm), width delta dw (nm) and
+// threshold shift dvth (V, e.g. from body bias).  The shift scales the
+// drive (intrinsic + RC) part of the delay via the alpha-power law; the
+// slew feed-through term is unchanged.  dvth = 0 skips the bias factor,
+// so the unbiased device is the dvth = 0 point of this one formula.
+func (d *Device) Delay(l, dw, dvth, slew, load float64) float64 {
 	f := d.Node.DriveFactor(l, d.WNom+dw, d.WNom)
-	return d.TIntr*f + d.R(l, dw)*(load+d.CPar*d.Drive) + SlewDelayFraction*slew
+	drive := d.TIntr*f + d.R(l, dw)*(load+d.CPar*d.Drive)
+	if dvth != 0 {
+		drive *= d.Node.BiasDelayScale(l, dvth)
+	}
+	return drive + SlewDelayFraction*slew
 }
 
 // OutSlew returns the output transition time in ps under the same
-// conditions as Delay.
-func (d *Device) OutSlew(l, dw, slew, load float64) float64 {
-	return SlewOutFactor*d.R(l, dw)*(load+d.CPar*d.Drive) + SlewResidual*slew
+// conditions as Delay; the bias factor scales the RC part.  It multiplies
+// SlewOutFactor before R, so a biased slew keeps the operand order
+// s·SlewOutFactor·R·(…) and an unbiased one SlewOutFactor·R·(…).
+func (d *Device) OutSlew(l, dw, dvth, slew, load float64) float64 {
+	k := SlewOutFactor
+	if dvth != 0 {
+		k = d.Node.BiasDelayScale(l, dvth) * SlewOutFactor
+	}
+	return k*d.R(l, dw)*(load+d.CPar*d.Drive) + SlewResidual*slew
 }
 
-// Leakage returns the device leakage in nW at gate length l (nm) and width
-// delta dw (nm).
-func (d *Device) Leakage(l, dw float64) float64 {
+// Leakage returns the device leakage in nW at gate length l (nm), width
+// delta dw (nm) and threshold shift dvth (V).
+func (d *Device) Leakage(l, dw, dvth float64) float64 {
 	w := d.WNom + dw
-	return d.LeakNom * d.Drive * d.Node.LeakFactor(l, w, d.WNom)
+	return d.LeakNom * d.Drive * d.Node.LeakFactor(l, w, d.WNom, dvth)
 }
 
 // BodyBiasDVth converts a body-bias voltage (V, forward positive) into a
@@ -285,50 +304,6 @@ func (n *Node) BiasDelayScale(l, dvth float64) float64 {
 		den = floor
 	}
 	return math.Pow(ov/den, n.Alpha)
-}
-
-// LeakFactorV is LeakFactor with an additional threshold shift dvth (V):
-// only the subthreshold component responds, multiplied by
-// exp(-dvth/SubSlope) (forward bias → lower Vth → more leakage).
-func (n *Node) LeakFactorV(l, w, wNom, dvth float64) float64 {
-	k := n.LeakExpK()
-	sub := n.SubFrac * math.Exp(-k*(l-n.Lnom)) * math.Exp(-dvth/n.SubSlope)
-	gate := 1 - n.SubFrac
-	return (sub + gate) * w / wNom
-}
-
-// DelayV is Delay with an additional threshold-voltage shift dvth (V),
-// e.g. from body bias.  dvth = 0 takes the exact unbiased path, so the
-// unbiased flow is bit-identical to Delay.  The shift scales the drive
-// (intrinsic + RC) part of the delay via the alpha-power law; the slew
-// feed-through term is unchanged.
-func (d *Device) DelayV(l, dw, dvth, slew, load float64) float64 {
-	if dvth == 0 {
-		return d.Delay(l, dw, slew, load)
-	}
-	s := d.Node.BiasDelayScale(l, dvth)
-	f := d.Node.DriveFactor(l, d.WNom+dw, d.WNom)
-	return s*(d.TIntr*f+d.R(l, dw)*(load+d.CPar*d.Drive)) + SlewDelayFraction*slew
-}
-
-// OutSlewV is OutSlew with a threshold shift dvth (V); dvth = 0 takes the
-// exact unbiased path.
-func (d *Device) OutSlewV(l, dw, dvth, slew, load float64) float64 {
-	if dvth == 0 {
-		return d.OutSlew(l, dw, slew, load)
-	}
-	s := d.Node.BiasDelayScale(l, dvth)
-	return s*SlewOutFactor*d.R(l, dw)*(load+d.CPar*d.Drive) + SlewResidual*slew
-}
-
-// LeakageV is Leakage with a threshold shift dvth (V); dvth = 0 takes the
-// exact unbiased path.
-func (d *Device) LeakageV(l, dw, dvth float64) float64 {
-	if dvth == 0 {
-		return d.Leakage(l, dw)
-	}
-	w := d.WNom + dw
-	return d.LeakNom * d.Drive * d.Node.LeakFactorV(l, w, d.WNom, dvth)
 }
 
 // DoseToLength converts a poly-layer dose delta (percent) into a gate

@@ -59,8 +59,8 @@ func TestLeakFactorCalibration(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := c.node
-		hi := n.LeakFactor(n.Lnom-10, n.Wnom, n.Wnom)
-		lo := n.LeakFactor(n.Lnom+10, n.Wnom, n.Wnom)
+		hi := n.LeakFactor(n.Lnom-10, n.Wnom, n.Wnom, 0)
+		lo := n.LeakFactor(n.Lnom+10, n.Wnom, n.Wnom, 0)
 		if math.Abs(hi-c.hiRatio) > c.hiTol {
 			t.Errorf("%s: leak ratio at ΔL=-10 = %.4f, want %.4f±%.2f", n.Name, hi, c.hiRatio, c.hiTol)
 		}
@@ -78,7 +78,7 @@ func TestLeakFactorShapes(t *testing.T) {
 	var prevDiff float64
 	first := true
 	for l := n.Lnom - 10; l <= n.Lnom+10; l++ {
-		f := n.LeakFactor(l, n.Wnom, n.Wnom)
+		f := n.LeakFactor(l, n.Wnom, n.Wnom, 0)
 		if f >= prev {
 			t.Fatalf("leakage not strictly decreasing in L at L=%v", l)
 		}
@@ -93,8 +93,8 @@ func TestLeakFactorShapes(t *testing.T) {
 		prev = f
 	}
 	// Linear in W: f(L, w) must be exactly proportional to w.
-	f1 := n.LeakFactor(n.Lnom, 200, n.Wnom)
-	f2 := n.LeakFactor(n.Lnom, 400, n.Wnom)
+	f1 := n.LeakFactor(n.Lnom, 200, n.Wnom, 0)
+	f2 := n.LeakFactor(n.Lnom, 400, n.Wnom, 0)
 	if math.Abs(f2-2*f1) > 1e-12 {
 		t.Errorf("leakage not linear in W: f(400)=%v, 2·f(200)=%v", f2, 2*f1)
 	}
@@ -129,31 +129,31 @@ func newTestDevice(n *Node) *Device {
 
 func TestDeviceDelayMonotone(t *testing.T) {
 	d := newTestDevice(N65())
-	base := d.Delay(65, 0, 30, 4)
-	if d.Delay(75, 0, 30, 4) <= base {
+	base := d.Delay(65, 0, 0, 30, 4)
+	if d.Delay(75, 0, 0, 30, 4) <= base {
 		t.Error("delay should increase with L")
 	}
-	if d.Delay(55, 0, 30, 4) >= base {
+	if d.Delay(55, 0, 0, 30, 4) >= base {
 		t.Error("delay should decrease with shorter L")
 	}
-	if d.Delay(65, 50, 30, 4) >= base {
+	if d.Delay(65, 50, 0, 30, 4) >= base {
 		t.Error("delay should decrease with wider W")
 	}
-	if d.Delay(65, 0, 60, 4) <= base {
+	if d.Delay(65, 0, 0, 60, 4) <= base {
 		t.Error("delay should increase with input slew")
 	}
-	if d.Delay(65, 0, 30, 8) <= base {
+	if d.Delay(65, 0, 0, 30, 8) <= base {
 		t.Error("delay should increase with load")
 	}
 }
 
 func TestDeviceOutSlewMonotone(t *testing.T) {
 	d := newTestDevice(N65())
-	base := d.OutSlew(65, 0, 30, 4)
-	if d.OutSlew(55, 0, 30, 4) >= base {
+	base := d.OutSlew(65, 0, 0, 30, 4)
+	if d.OutSlew(55, 0, 0, 30, 4) >= base {
 		t.Error("output slew should improve (decrease) with shorter L")
 	}
-	if d.OutSlew(65, 0, 30, 8) <= base {
+	if d.OutSlew(65, 0, 0, 30, 8) <= base {
 		t.Error("output slew should increase with load")
 	}
 }
@@ -163,8 +163,8 @@ func TestDeviceLeakageScalesWithDrive(t *testing.T) {
 	d1 := newTestDevice(n)
 	d4 := newTestDevice(n)
 	d4.Drive = 4
-	l1 := d1.Leakage(n.Lnom, 0)
-	l4 := d4.Leakage(n.Lnom, 0)
+	l1 := d1.Leakage(n.Lnom, 0, 0)
+	l4 := d4.Leakage(n.Lnom, 0, 0)
 	if math.Abs(l4-4*l1) > 1e-9 {
 		t.Errorf("leakage should scale with drive: X4=%v, 4·X1=%v", l4, 4*l1)
 	}
@@ -195,8 +195,8 @@ func TestPropertyDoseTradeoff(t *testing.T) {
 		lo, hi := math.Min(d1, d2), math.Max(d1, d2)
 		lLo, lHi := n.Lnom+DoseToLength(lo), n.Lnom+DoseToLength(hi)
 		// Higher dose → shorter L → faster, leakier.
-		return d.Delay(lHi, 0, 30, 4) < d.Delay(lLo, 0, 30, 4) &&
-			d.Leakage(lHi, 0) > d.Leakage(lLo, 0)
+		return d.Delay(lHi, 0, 0, 30, 4) < d.Delay(lLo, 0, 0, 30, 4) &&
+			d.Leakage(lHi, 0, 0) > d.Leakage(lLo, 0, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -210,8 +210,8 @@ func TestPropertyLeakLinearInW(t *testing.T) {
 		dl := math.Mod(math.Abs(lRaw), 10)
 		w := n.Wmin + math.Mod(math.Abs(wRaw), n.Wmax-n.Wmin)
 		l := n.Lnom + dl - 5
-		a := n.LeakFactor(l, w, n.Wnom)
-		b := n.LeakFactor(l, 2*w, n.Wnom)
+		a := n.LeakFactor(l, w, n.Wnom, 0)
+		b := n.LeakFactor(l, 2*w, n.Wnom, 0)
 		return math.Abs(b-2*a) < 1e-9*math.Abs(b)+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -9,7 +9,8 @@
 #     canceled), then the job list (which must show it);
 #   - a malformed body (400);
 # then require a dmopt-bench/v1 /metrics report with exactly two jobs
-# done and one canceled, and shut the daemon down cleanly.
+# done, one canceled and one rejected (the malformed body), and shut the
+# daemon down cleanly.
 #
 # Usage: scripts/serve_smoke.sh path/to/dmopt-serve
 set -eu
@@ -115,6 +116,7 @@ expect 200 "/metrics"
 has '"schema": "dmopt-bench/v1"' "metrics is not a dmopt-bench/v1 report"
 has '"serve/jobs_done": 2,*$' "metrics do not count exactly two finished jobs"
 has '"serve/jobs_canceled": 1,*$' "metrics do not count exactly one canceled job"
+has '"serve/jobs_rejected": 1,*$' "metrics do not count exactly one rejected job"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
