@@ -122,11 +122,19 @@ type Compiled struct {
 	dosePD, doseQ []float64
 	cutPD         []float64
 
-	// Fixed constraint prefix of the cut engine: box + smoothness rows
-	// over the dose variables.  Cut rows are appended after this
-	// prefix, so dual indices survive pool growth.
+	// Fixed constraint rows of the cut engine: one box row per actuator
+	// variable, block by block, then the dose smoothness rows (Eq. 4/9).
+	// Only the first startRows rows start in every cut QP.  The rows
+	// after them are separated like path cuts: solveTauGroup scans them
+	// against each clamped iterate and pools the violated ones, so the
+	// QP holds only the smoothness rows that bind or nearly bind.  A
+	// base compile starts from its box rows; the wafer's derived
+	// artifacts start from every row, so the consensus never separates.
+	// Pooled rows are appended after the starting rows, so dual indices
+	// survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64
+	startRows      int
 
 	// fastMCT is the linear-model MCT at the fastest reachable dose —
 	// the QCP bisection's lower bound.
@@ -306,8 +314,9 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	}
 	c.sensPtr[nGates] = len(c.sensCol)
 
-	// Fixed constraint prefix of the cut engine.
+	// Fixed constraint rows of the cut engine; the box rows start.
 	c.fixedA, c.fixedL, c.fixedU = compileFixedRows(grid, c.NG, c.NVar, co, c.Blocks)
+	c.startRows = c.NVar
 
 	// The QCP lower bound.
 	_, c.fastMCT = linearArrivalsOrder(golden, order, func(id int) float64 {
@@ -329,7 +338,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	return c, nil
 }
 
-// compileFixedRows assembles the fixed constraint prefix over the
+// compileFixedRows assembles the fixed constraint rows over the
 // actuator blocks: box rows per block in block order (Eq. 3/8 for dose,
 // the bias voltage box for bias domains), then the dose smoothness rows
 // (Eq. 4/9) — bias domains have no smoothness coupling.  The triplet

@@ -37,10 +37,10 @@ func aes65Compiled(tb testing.TB) (*Compiled, Options) {
 }
 
 // cutPoolProblem runs one cut-generation QP on a scaled AES-65 instance
-// and assembles the resulting problem — box and smoothness prefix plus
-// every path cut the solve generated.  This is the real matrix the
-// x-step factors: a banded grid Laplacian with short dense-ish cut rows
-// appended.
+// and assembles the resulting problem — the box rows plus every
+// smoothness row and path cut the solve pooled.  This is the real
+// matrix the x-step factors: patches of the grid Laplacian where the
+// smoothness rows bind, with short dense-ish cut rows appended.
 func cutPoolProblem(tb testing.TB) *qp.Problem {
 	tb.Helper()
 	c, opt := aes65Compiled(tb)
@@ -50,7 +50,7 @@ func cutPoolProblem(tb testing.TB) *qp.Problem {
 		tb.Fatalf("cut solve: feasible=%v err=%v", feasible, err)
 	}
 	if cs.pool.size() == 0 {
-		tb.Fatal("cut solve generated no cuts; instance too easy to exercise the pool")
+		tb.Fatal("cut solve pooled no rows; instance too easy to exercise the pool")
 	}
 	// Grid cells with no gates carry zero curvature and zero cost, so
 	// the optimizer leaves them anywhere inside the smoothness polytope.

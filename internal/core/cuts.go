@@ -12,6 +12,13 @@
 // Cuts are valid for every clock-period probe, so the QCP bisection
 // shares one growing pool.
 //
+// The paper's dose smoothness rows (Eqs. 4/9) are separated the same
+// way.  The QP starts from the box rows alone; after each solve the
+// smoothness rows the clamped iterate violates by more than
+// smoothSepTol join the pool with their bounds [−δ, δ].  They hold for
+// every τ as well, so they persist across probes, and the QP carries
+// only the few that bind instead of a grid Laplacian in AᵀA.
+//
 // A cutSolver borrows the immutable *Compiled formulation (fixed
 // box/smoothness rows, objective terms, grid maps) and owns the per-run
 // mutable state: the cut pool, the warm-start iterate, and the
@@ -37,28 +44,35 @@ import (
 // Cut-engine limits.  A probe runs at most cutRounds cut rounds; each
 // round enumerates at most cutsPerRound paths; and a probe is accepted
 // once its linear-model clock period is within cutTolRel × the golden
-// MCT of τ.
+// MCT of τ.  A smoothness row is pooled once the clamped iterate
+// violates it by more than smoothSepTol dose percent.
 const (
 	cutRounds    = 60
 	cutsPerRound = 64
 	cutTolRel    = 2e-4
+	smoothSepTol = 1e-2
 )
 
-// cut is one path constraint over the dose variables.
+// cut is one pooled constraint row over the actuator variables: a path
+// cut nom + a·x ≤ τ, or (smooth) a dose smoothness row −δ ≤ a·x ≤ δ of
+// the compiled fixed rows.
 type cut struct {
-	cols []int
-	vals []float64
-	nom  float64 // dose-independent path delay in ps
+	cols   []int
+	vals   []float64
+	nom    float64 // path cut: dose-independent path delay in ps
+	smooth bool
 }
 
-// cutPool is the growing pool of path cuts, shared by every clock-period
-// probe (a path cut is valid for all τ) and, in the wafer consensus, by
-// every member of a column group.  Members of a group add their cuts in
-// turn; the mutex keeps the pool safe for any future concurrent writer.
+// cutPool is the growing pool of path cuts and separated smoothness
+// rows, shared by every clock-period probe (both are valid for all τ)
+// and, in the wafer consensus, by every member of a column group.
+// Members of a group add their rows in turn; the mutex keeps the pool
+// safe for any future concurrent writer.
 type cutPool struct {
-	mu   sync.Mutex
-	cuts []cut
-	seen map[string]bool
+	mu     sync.Mutex
+	cuts   []cut
+	seen   map[string]bool
+	smooth int // smoothness rows among cuts
 }
 
 // snapshot returns the current cuts.  The returned slice is never
@@ -83,6 +97,9 @@ func (p *cutPool) add(key []byte, c cut) bool {
 	c.cols = append([]int(nil), c.cols...)
 	c.vals = append([]float64(nil), c.vals...)
 	p.cuts = append(p.cuts, c)
+	if c.smooth {
+		p.smooth++
+	}
 	return true
 }
 
@@ -92,6 +109,13 @@ func (p *cutPool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.cuts)
+}
+
+// counts returns the numbers of pooled path cuts and smoothness rows.
+func (p *cutPool) counts() (paths, smooth int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.cuts) - p.smooth, p.smooth
 }
 
 type cutSolver struct {
@@ -115,13 +139,13 @@ type cutSolver struct {
 
 	// Persistent solver state.  The assembled problem and its qp.Solver
 	// are kept across cut rounds and bisection probes: when only τ moves
-	// the cut-row bounds are updated in place (no CSR rebuild, no
-	// re-equilibration), and when the pool grows the problem is rebuilt
-	// with the previous duals zero-padded onto the new rows — cut rows
-	// are appended after the fixed box/smoothness prefix, so saved dual
-	// indices stay valid.  Warm duals are what keeps the ADMM iteration
-	// count low round over round; a cold y resets the active-set
-	// estimate and regularly forced 6x-budget retries.
+	// the path-cut bounds are updated in place (no CSR rebuild, no
+	// re-equilibration), and when the pool grows the new rows are
+	// appended with zero duals — pooled rows sit after the compiled
+	// starting rows, so saved dual indices stay valid.  Warm duals are
+	// what keeps the ADMM iteration count low round over round; a cold y
+	// resets the active-set estimate and regularly forced 6x-budget
+	// retries.
 	solver    *qp.Solver
 	prob      *qp.Problem
 	builtCuts int
@@ -198,29 +222,27 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 		return cs.retarget(tau, cuts)
 	}
 	if cs.solver != nil && len(cuts) > cs.builtCuts {
-		// Append-only growth: cut rows sit after the fixed box/smoothness
-		// prefix, so new cuts extend the live solver in place — the
+		// Append-only growth: pooled rows sit after the compiled starting
+		// rows, so new rows extend the live solver in place — the
 		// factorized/preconditioned state for the old rows survives and
 		// only the appended rows cost symbolic work.  Duals persist inside
 		// the solver with zeros on the new rows, exactly the zero-padded
 		// carry-over the rebuild path used to reconstruct.
 		cs.rec.Add("core/solver_row_appends", 1)
 		newCuts := cuts[cs.builtCuts:]
-		inf := math.Inf(1)
 		l := make([]float64, len(newCuts))
 		u := make([]float64, len(newCuts))
 		cols := make([][]int, len(newCuts))
 		vals := make([][]float64, len(newCuts))
 		for i, c := range newCuts {
 			cols[i], vals[i] = c.cols, c.vals
-			l[i] = -inf
-			u[i] = tau - c.nom
+			l[i], u[i] = cs.rowBounds(c, tau)
 		}
 		newA := qp.CSRFromRows(cs.nVar, cols, vals)
 		if err := cs.solver.AppendRows(newA, l, u); err != nil {
 			return err
 		}
-		cs.prob.A = qp.ConcatRows(cs.prob.A, newA)
+		cs.prob.A.AppendRows(newA)
 		cs.prob.L = append(cs.prob.L, l...)
 		cs.prob.U = append(cs.prob.U, u...)
 		cs.builtCuts = len(cuts)
@@ -247,15 +269,17 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 }
 
 // retarget points the live solver at clock period tau and warm-starts
-// it: when τ moved since the last build every cut row's upper bound
-// becomes τ − nom (no CSR rebuild, no re-equilibration), then the
-// primal is re-anchored at the clamped iterate.  Duals persist inside
-// the solver.
+// it: when τ moved since the last build every path cut's upper bound
+// becomes τ − nom (no CSR rebuild, no re-equilibration; smoothness rows
+// keep [−δ, δ]), then the primal is re-anchored at the clamped iterate.
+// Duals persist inside the solver.
 func (cs *cutSolver) retarget(tau float64, cuts []cut) error {
 	if tau != cs.builtTau {
 		base := len(cs.prob.U) - cs.builtCuts
 		for i, c := range cuts {
-			cs.prob.U[base+i] = tau - c.nom
+			if !c.smooth {
+				cs.prob.U[base+i] = tau - c.nom
+			}
 		}
 		if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
 			return err
@@ -272,15 +296,19 @@ func (cs *cutSolver) saveDuals(y []float64) {
 }
 
 // recordTangent captures the (τ, obj, dObj/dτ) tangent of a converged
-// round.  Cut rows sit after the fixed box/smoothness prefix and their
-// upper bounds are τ − nom, so the value-function derivative is the
-// negated dual sum over exactly those rows (duals of one-sided upper
+// round solved against the pooled rows cuts.  Pooled rows sit after the
+// compiled starting rows, and a path cut's upper bound is τ − nom, so
+// the value-function derivative is the negated dual sum over exactly
+// the path-cut rows, in ascending row order (duals of one-sided upper
 // bounds are nonnegative, hence the slope is ≤ 0, matching a
-// non-increasing minLeak).
-func (cs *cutSolver) recordTangent(tau, obj float64, y []float64) {
+// non-increasing minLeak).  Smoothness rows do not move with τ.
+func (cs *cutSolver) recordTangent(tau, obj float64, y []float64, cuts []cut) {
 	slope := 0.0
-	for i := cs.comp.fixedA.M; i < len(y); i++ {
-		slope -= y[i]
+	base := cs.comp.startRows
+	for i, c := range cuts {
+		if !c.smooth {
+			slope -= y[base+i]
+		}
 	}
 	cs.tangentTau, cs.tangentObj = tau, obj
 	cs.tangentSlope, cs.tangentOK = slope, true
@@ -372,11 +400,14 @@ func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 	return cut{cols: cols, vals: vals, nom: p.Delay - lin}
 }
 
-// Dedup key tags: each number of a cut key opens with one of these.
+// Dedup key tags: each number of a cut key opens with one of the first
+// three.  A smoothness row's key is keySmooth and the uvarint row index
+// in the compiled fixed rows; no path-cut key starts with that byte.
 const (
-	keyPos  = 0 // sign bit clear; uvarint round-half-even(|v|·10ᵖ) follows
-	keyNeg  = 1 // sign bit set (−0 and tiny negatives print as "-0.00")
-	keyText = 2 // non-finite or too large; strconv text and keyTextEnd follow
+	keyPos    = 0 // sign bit clear; uvarint round-half-even(|v|·10ᵖ) follows
+	keyNeg    = 1 // sign bit set (−0 and tiny negatives print as "-0.00")
+	keyText   = 2 // non-finite or too large; strconv text and keyTextEnd follow
+	keySmooth = 3 // a smoothness row; its uvarint row index follows
 
 	keyTextEnd = ';' // closes a keyText token; never part of a formatted float
 )
@@ -441,6 +472,43 @@ func (cs *cutSolver) addCut(p *sta.Path) bool {
 	return cs.pool.add(cs.key, ct)
 }
 
+// rowBounds returns the bounds of pooled row c at the clock period tau:
+// (−∞, τ − nom] for a path cut, the compiled [−δ, δ] for a smoothness
+// row.
+func (cs *cutSolver) rowBounds(c cut, tau float64) (lo, hi float64) {
+	if c.smooth {
+		return -cs.comp.Opts.Delta, cs.comp.Opts.Delta
+	}
+	return math.Inf(-1), tau - c.nom
+}
+
+// separateSmooth is the smoothness half of a cut round's separation:
+// it scans the compiled smoothness rows (fixed rows from startRows on)
+// at the clamped iterate cs.x, pools in ascending row order every row
+// violated by more than smoothSepTol, and returns how many rows it found
+// violated, pooled before or not.
+func (cs *cutSolver) separateSmooth() int {
+	c := cs.comp
+	a := c.fixedA
+	violated, added := 0, 0
+	for r := c.startRows; r < a.M; r++ {
+		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+		v := 0.0
+		for k := lo; k < hi; k++ {
+			v += a.Val[k] * cs.x[a.Col[k]]
+		}
+		if v > c.fixedU[r]+smoothSepTol || v < c.fixedL[r]-smoothSepTol {
+			violated++
+			cs.key = binary.AppendUvarint(append(cs.key[:0], keySmooth), uint64(r))
+			if cs.pool.add(cs.key, cut{cols: a.Col[lo:hi], vals: a.Val[lo:hi], smooth: true}) {
+				added++
+			}
+		}
+	}
+	cs.rec.Add("core/smooth_rows_added", int64(added))
+	return violated
+}
+
 // generateCuts is one cut round's separation step at the clock period
 // tau: it enumerates the longest paths of the linear delay model at the
 // iterate cs.x (at most cutsPerRound, in non-increasing delay order),
@@ -481,16 +549,14 @@ func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float6
 		}
 	}
 	cs.rec.Add("core/cuts_added", int64(added))
-	if cs.rec != nil {
-		cs.rec.Set("core/cut_pool_size", float64(cs.pool.size()))
-	}
 	return added
 }
 
-// buildProblem assembles the current QP: the compiled box/smoothness
-// prefix concatenated with the cut rows.  The prefix CSR is shared (the
-// solver clones its inputs); the objective diagonal is compiled from
-// cs.pd because the run view owns that slice.
+// buildProblem assembles the current QP: the compiled starting rows
+// followed by the pooled rows.  ConcatRows copies both, so the problem
+// owns its A, L and U and ensure can append to them in place; the
+// objective diagonal is compiled from cs.pd because the run view owns
+// that slice.
 func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 	c := cs.comp
 	ptr := qp.NewTriplet(cs.nVar, cs.nVar)
@@ -499,20 +565,23 @@ func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 			ptr.Add(j, j, v)
 		}
 	}
-	inf := math.Inf(1)
-	nFixed := c.fixedA.M
-	l := make([]float64, nFixed, nFixed+len(cuts))
-	u := make([]float64, nFixed, nFixed+len(cuts))
+	n0 := c.startRows
+	nnz := c.fixedA.RowPtr[n0]
+	start := &qp.CSR{M: n0, N: cs.nVar,
+		RowPtr: c.fixedA.RowPtr[:n0+1], Col: c.fixedA.Col[:nnz], Val: c.fixedA.Val[:nnz]}
+	l := make([]float64, n0, n0+len(cuts))
+	u := make([]float64, n0, n0+len(cuts))
 	copy(l, c.fixedL)
 	copy(u, c.fixedU)
 	cols := make([][]int, len(cuts))
 	vals := make([][]float64, len(cuts))
 	for i, ct := range cuts {
 		cols[i], vals[i] = ct.cols, ct.vals
-		l = append(l, -inf)
-		u = append(u, tau-ct.nom)
+		lo, hi := cs.rowBounds(ct, tau)
+		l = append(l, lo)
+		u = append(u, hi)
 	}
-	a := qp.ConcatRows(c.fixedA, qp.CSRFromRows(cs.nVar, cols, vals))
+	a := qp.ConcatRows(start, qp.CSRFromRows(cs.nVar, cols, vals))
 	return &qp.Problem{P: ptr.Compile(), Q: cs.q, A: a, L: l, U: u}
 }
 
@@ -609,7 +678,7 @@ func (cs *cutSolver) result(ctx context.Context, probes int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nCuts := cs.pool.size()
+	nCuts, nSmooth := cs.pool.counts()
 	return &Result{
 		Layers:          asn.Layers,
 		PredMCT:         predMCT,
@@ -617,10 +686,10 @@ func (cs *cutSolver) result(ctx context.Context, probes int) (*Result, error) {
 		Nominal:         nominal,
 		Golden:          gold,
 		Probes:          probes,
-		Rows:            nCuts,
+		Rows:            nCuts + nSmooth,
 		Cols:            cs.nVar,
 		BiasV:           asn.BiasV,
 		BiasDomains:     c.nBias,
-		Status:          fmt.Sprintf("cuts=%d rounds=%d solves=%d", nCuts, cs.rounds, cs.solves),
+		Status:          fmt.Sprintf("cuts=%d smooth=%d rounds=%d solves=%d", nCuts, nSmooth, cs.rounds, cs.solves),
 	}, nil
 }

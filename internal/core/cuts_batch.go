@@ -37,11 +37,11 @@ import (
 // its tangent recorded; the member then freezes as infeasible when its
 // objective exceeds xiNW (cuts only shrink the feasible set, so round
 // objectives are non-decreasing and an over-budget probe can never
-// recover; pass +Inf for a plain QP solve), and as feasible once its
-// linear-model clock period reaches tau.  A frozen member's iterate no
-// longer moves in the rounds its slower siblings drive, which is sound
-// because convergence is verified on the full arrival propagation, not
-// on the cut subset.
+// recover; pass +Inf for a plain QP solve), and as feasible once no
+// smoothness row is violated and its linear-model clock period reaches
+// tau.  A frozen member's iterate no longer moves in the rounds
+// its slower siblings drive, which is sound because convergence is
+// verified on the full arrival propagation, not on the cut subset.
 //
 // When any member's persistent solver must be rebuilt (infeasibility
 // certificate or stall retry), every member's solver is reset with it:
@@ -153,9 +153,23 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 			copy(cs.x, res.X)
 			cs.clampVars()
 			objs[i] = cs.objective(cs.x)
-			cs.recordTangent(tau, objs[i], res.Y)
+			cs.recordTangent(tau, objs[i], res.Y, snap)
 			if objs[i] > xiLimit {
 				done[i] = true
+				continue
+			}
+			// Violated rows from this member's iterate join the shared pool
+			// in member order, so it grows deterministically.  Smoothness
+			// comes first: while any smoothness row is violated by more
+			// than smoothSepTol — newly pooled, or pooled before and left
+			// violated by an unconverged solve — the member re-solves
+			// before timing is priced.  So path cuts are generated only at
+			// iterates that meet δ within that tolerance (priced at a
+			// rough one, the path search on a slack wall explores many
+			// times the states; DESIGN.md §5), and a member is accepted
+			// only once no smoothness row is violated and its linear MCT
+			// meets τ.
+			if cs.separateSmooth() > 0 {
 				continue
 			}
 			delta := cs.deltaFn(cs.x)
@@ -165,8 +179,6 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 				feas[i] = true
 				continue
 			}
-			// Violated path cuts from this member's iterate, appended in
-			// member order so the shared pool grows deterministically.
 			added := cs.generateCuts(ctx, delta, tau)
 			if added == 0 {
 				// Every violating path is already pooled yet the QP
@@ -186,6 +198,9 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 				}
 				return nil, nil, fmt.Errorf("core: cut generation stalled at τ=%.1f (mct %.1f)", tau, mct)
 			}
+		}
+		if rec != nil {
+			rec.Set("core/cut_pool_size", float64(pool.size()))
 		}
 		if resetAny {
 			for _, cs := range css {

@@ -97,6 +97,11 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 	if snap.Counters["qp/factorizations"]+snap.Counters["qp/factor_cache_hits"] == 0 {
 		t.Error("no LDLᵀ factor counters recorded in enabled run")
 	}
+	// The dose QP starts from its box rows, so the run must separate
+	// smoothness rows into the pool.
+	if snap.Counters["core/smooth_rows_added"] < 1 {
+		t.Error("core/smooth_rows_added empty: the dose run separated no smoothness row")
+	}
 	// Supernodal hot-path telemetry: the dense panel kernels always do
 	// work on the dose-map systems, and the solver records the supernode
 	// partition shape of its live factor after every solve.
@@ -151,7 +156,8 @@ func findSpan(spans []obs.SpanStat, name string) (obs.SpanStat, bool) {
 // coupled solve must be bit-identical with and without a Recorder, and
 // the enabled run must show the lockstep batch actually firing
 // (qp/solve_batches > 0 with more right-hand sides than batches — the
-// whole point of sharing the factor across a column group).
+// whole point of sharing the factor across a column group) and no
+// smoothness row separated.
 func TestWaferObsBitwiseInert(t *testing.T) {
 	comp := waferComp(t, 0.05)
 	run := func(ctx context.Context) *WaferResult {
@@ -179,5 +185,9 @@ func TestWaferObsBitwiseInert(t *testing.T) {
 	}
 	if snap.Counters["qp/batch_lockstep_solves"] == 0 {
 		t.Error("qp/batch_lockstep_solves empty: column groups always fell back to sequential solves")
+	}
+	// Every wafer field starts from all its smoothness rows.
+	if n := snap.Counters["core/smooth_rows_added"]; n != 0 {
+		t.Errorf("core/smooth_rows_added = %d in a wafer run, want 0", n)
 	}
 }

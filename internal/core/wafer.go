@@ -180,9 +180,12 @@ func (cs *cutSolver) refreshLinear() error {
 // effective-dose space: the box rows and options shift by the virtual
 // bias dose δ, the QCP lower bound is recomputed for the shifted range,
 // and everything else (grid maps, objective, smoothness rows, golden,
-// model) is borrowed from the base.
+// model) is borrowed from the base.  Every smoothness row starts in the
+// field's QP: separating them lazily slowed the consensus more than it
+// saved per solve (DESIGN.md §5).
 func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Options) {
 	d := *base
+	d.startRows = base.fixedA.M
 	d.Opts.DoseLo += biasDose
 	d.Opts.DoseHi += biasDose
 	fl := append([]float64(nil), base.fixedL...)
@@ -263,6 +266,7 @@ func deriveConsensus(base *Compiled, opt Options, biasDose, rhoW float64) (*Comp
 		row++
 	}
 	d.fixedA = qp.ConcatRows(wide, tr.Compile())
+	d.startRows = d.fixedA.M
 	zeros := make([]float64, 2*nCols+1)
 	d.fixedL = append(d.fixedL, zeros...)
 	d.fixedU = append(d.fixedU, zeros...)

@@ -117,55 +117,12 @@ func TestRecordedResultsShape(t *testing.T) {
 		}
 	}
 
-	// Table IV: QP saves meaningful leakage at ~zero timing cost; QCP
-	// buys timing without exceeding the nominal leakage; finer grids
-	// beat the coarsest grid for the QP on every design.
-	type ivRow struct{ grid, mctImp, leakImp float64 }
-	qpRows := map[string][]ivRow{}
+	// Table IV: checkTableIVShape.
+	var ivRows [][]string
 	for _, row := range sec["Table IV"][1:] {
-		f := strings.Fields(row)
-		if f[2] == "Nom" {
-			continue
-		}
-		r := ivRow{num(t, f[1]), num(t, f[4]), num(t, f[6])}
-		switch f[2] {
-		case "QP":
-			if r.leakImp < 5 {
-				t.Errorf("Table IV: %s grid %v QP leakage saving %.2f%% below the double-digit-class floor", f[0], r.grid, r.leakImp)
-			}
-			if r.mctImp < -1 {
-				t.Errorf("Table IV: %s grid %v QP degrades timing %.2f%%", f[0], r.grid, r.mctImp)
-			}
-			qpRows[f[0]] = append(qpRows[f[0]], r)
-		case "QCP":
-			if r.mctImp <= 0 {
-				t.Errorf("Table IV: %s grid %v QCP fails to improve timing (%.2f%%)", f[0], r.grid, r.mctImp)
-			}
-			if r.leakImp < -0.1 {
-				t.Errorf("Table IV: %s grid %v QCP exceeds nominal leakage (%.2f%%)", f[0], r.grid, r.leakImp)
-			}
-		default:
-			t.Errorf("Table IV: unknown engine %q", f[2])
-		}
+		ivRows = append(ivRows, strings.Fields(row))
 	}
-	for design, rows := range qpRows {
-		if len(rows) < 2 {
-			t.Fatalf("Table IV: %s has %d QP rows", design, len(rows))
-		}
-		finest, coarsest := rows[0], rows[0]
-		for _, r := range rows[1:] {
-			if r.grid < finest.grid {
-				finest = r
-			}
-			if r.grid > coarsest.grid {
-				coarsest = r
-			}
-		}
-		if finest.leakImp <= coarsest.leakImp {
-			t.Errorf("Table IV: %s finest grid (%.2f%%) does not beat coarsest (%.2f%%)",
-				design, finest.leakImp, coarsest.leakImp)
-		}
-	}
+	checkTableIVShape(t, ivRows)
 
 	// Table VII: the 65 nm slack wall — a double-digit near-critical
 	// fraction — versus (almost) none at 90 nm.
@@ -275,6 +232,69 @@ func TestRecordedResultsShape(t *testing.T) {
 	}
 }
 
+// checkTableIVShape asserts the Table IV shape criteria on rows of
+// fields (design, grid µm, engine, MCT ns, MCT imp. %, leakage µW,
+// leakage imp. %, …); rows whose engine starts with "Nom" are the
+// nominal baselines and are skipped.  The table holds 24 optimization
+// rows (4 designs × 3 grids × QP and QCP).  The QP saves meaningful
+// leakage at ~zero timing cost, the QCP buys timing without exceeding
+// the nominal leakage, and the finest grid beats the coarsest for the
+// QP on every design.  It is shared between the recorded-results check
+// and the fresh re-run.
+func checkTableIVShape(t *testing.T, rows [][]string) {
+	t.Helper()
+	type ivRow struct{ grid, mctImp, leakImp float64 }
+	qpRows := map[string][]ivRow{}
+	runs := 0
+	for _, f := range rows {
+		if strings.HasPrefix(f[2], "Nom") {
+			continue
+		}
+		runs++
+		r := ivRow{num(t, f[1]), num(t, f[4]), num(t, f[6])}
+		switch f[2] {
+		case "QP":
+			if r.leakImp < 5 {
+				t.Errorf("Table IV: %s grid %v QP leakage saving %.2f%% below the double-digit-class floor", f[0], r.grid, r.leakImp)
+			}
+			if r.mctImp < -1 {
+				t.Errorf("Table IV: %s grid %v QP degrades timing %.2f%%", f[0], r.grid, r.mctImp)
+			}
+			qpRows[f[0]] = append(qpRows[f[0]], r)
+		case "QCP":
+			if r.mctImp <= 0 {
+				t.Errorf("Table IV: %s grid %v QCP fails to improve timing (%.2f%%)", f[0], r.grid, r.mctImp)
+			}
+			if r.leakImp < -0.1 {
+				t.Errorf("Table IV: %s grid %v QCP exceeds nominal leakage (%.2f%%)", f[0], r.grid, r.leakImp)
+			}
+		default:
+			t.Errorf("Table IV: unknown engine %q", f[2])
+		}
+	}
+	if runs != 24 {
+		t.Errorf("Table IV: %d optimization rows, want 24", runs)
+	}
+	for design, rows := range qpRows {
+		if len(rows) < 2 {
+			t.Fatalf("Table IV: %s has %d QP rows", design, len(rows))
+		}
+		finest, coarsest := rows[0], rows[0]
+		for _, r := range rows[1:] {
+			if r.grid < finest.grid {
+				finest = r
+			}
+			if r.grid > coarsest.grid {
+				coarsest = r
+			}
+		}
+		if finest.leakImp <= coarsest.leakImp {
+			t.Errorf("Table IV: %s finest grid (%.2f%%) does not beat coarsest (%.2f%%)",
+				design, finest.leakImp, coarsest.leakImp)
+		}
+	}
+}
+
 // checkWaferTableShape asserts the qualitative Table IX invariants on
 // whitespace-split rows (field, bias nm, uniform MCT ns, uncoupled MCT
 // ns, coupled MCT ns, coupled leak µW, leak-vs-nominal %).  It is
@@ -352,14 +372,22 @@ func TestWaferFreshScale015(t *testing.T) {
 
 // TestShapeFreshSubset re-runs a fast subset of the scale-0.15 harness
 // from scratch and checks the same shape criteria hold on freshly
-// computed numbers, not just on the committed file.  Skipped under
-// -short: it costs a few seconds of real optimization.
+// computed numbers, not just on the committed file: Table IV on all
+// four presets at K = 2000 through the recorded file's checker, then
+// sweeps, single runs and criticality on AES-65.  Skipped under -short:
+// it costs a few seconds of real optimization.
 func TestShapeFreshSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fresh scale-0.15 subset skipped in -short mode")
 	}
 	ctx := context.Background()
 	c := New(WithScale(0.15), WithTopK(2000))
+
+	iv, _, err := c.TableIVCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTableIVShape(t, iv.Rows)
 
 	// Uniform sweep on AES-65: the Tables II/III trade-off shape.
 	rows, err := c.DoseSweepCtx(ctx, "AES-65", SweepDoses())

@@ -128,6 +128,14 @@ type ldltFactor struct {
 	maxSuperCols     int
 	maxRows          int
 
+	// loneEnd[s] is the end (exclusive) of the run of lone diagonal
+	// supernodes that starts at s — single columns with no entries
+	// below the diagonal, which the triangular sweeps only scale by D —
+	// and s itself when supernode s is not lone.  Cut QPs that start
+	// from their box rows leave most columns lone, so the sweeps take
+	// each run in one tight loop.
+	loneEnd []int
+
 	// Row-major view of the strictly lower L: row k holds the columns
 	// j < k with L[k,j] ≠ 0 (ascending j) and, aligned, the position of
 	// that entry inside li.  This is the external-update list of the
@@ -359,6 +367,13 @@ func (f *ldltFactor) patternAdjacency() *CSR {
 // degree order, then the whole order reversed.  RCM concentrates the
 // grid-Laplacian smoothness structure into a narrow band, which keeps
 // LDLᵀ fill close to the bandwidth.
+//
+// Each component starts at its unvisited vertex of least (degree,
+// index), a cheap deterministic pseudo-peripheral choice.  The
+// vertices are counting-sorted by that key once and the starts taken
+// in one forward scan, so a pattern of many components (at the first
+// cut round most vertices are isolated) costs O(n), not a rescan of
+// every vertex per component.
 func rcmOrder(adj *CSR) []int {
 	n := adj.N
 	deg := make([]int, n)
@@ -369,17 +384,9 @@ func rcmOrder(adj *CSR) []int {
 	visited := make([]bool, n)
 	queue := make([]int, 0, n)
 	nbuf := make([]int, 0, 16)
-	for {
-		// Start the next component at its minimum-degree node (a cheap
-		// pseudo-peripheral choice that is deterministic).
-		start := -1
-		for v := 0; v < n; v++ {
-			if !visited[v] && (start < 0 || deg[v] < deg[start]) {
-				start = v
-			}
-		}
-		if start < 0 {
-			break
+	for _, start := range byDegree(deg) {
+		if visited[start] {
+			continue
 		}
 		visited[start] = true
 		queue = append(queue[:0], start)
@@ -406,6 +413,28 @@ func rcmOrder(adj *CSR) []int {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
+}
+
+// byDegree returns 0..len(deg)−1 ordered by (deg[i], i): a stable
+// counting sort, O(len(deg) + max degree).
+func byDegree(deg []int) []int {
+	maxDeg := 0
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	at := make([]int, maxDeg+2)
+	for _, d := range deg {
+		at[d+1]++
+	}
+	for d := 1; d < len(at); d++ {
+		at[d] += at[d-1]
+	}
+	out := make([]int, len(deg))
+	for i, d := range deg {
+		out[at[d]] = i
+		at[d]++
+	}
+	return out
 }
 
 // ndOrder returns a generalized nested-dissection ordering (George &
@@ -491,6 +520,56 @@ func ndOrder(adj *CSR) []int {
 	}
 
 	var rec func(verts []int, id int)
+
+	// peel orders a disconnected subgraph whose BFS from its root just
+	// filled queue with the first component.  Component by component,
+	// each is recursed on by itself, and the next one is rooted at the
+	// remaining vertex of least (degree, position in verts).  Once the
+	// remainder is a leaf or connected it is recursed on as a whole, in
+	// verts order.  The positions are counting-sorted by that key once
+	// and the roots taken in one forward scan, so a subgraph of s
+	// vertices costs O(s + its largest degree), not one copy of the
+	// remainder per component.
+	peel := func(verts []int, id int) {
+		deg := make([]int, len(verts))
+		for i, v := range verts {
+			deg[i] = adj.RowPtr[v+1] - adj.RowPtr[v]
+		}
+		keys := byDegree(deg)
+		left, next := len(verts), 0
+		for {
+			comp := append([]int(nil), queue...)
+			compID := nextID
+			nextID++
+			for _, v := range comp {
+				sub[v] = compID
+			}
+			rec(comp, compID)
+			left -= len(comp)
+			if left <= leafSize {
+				break
+			}
+			for sub[verts[keys[next]]] != id {
+				next++
+			}
+			if bfs(verts[keys[next]], id); len(queue) == left {
+				break
+			}
+		}
+		rest := make([]int, 0, left)
+		for _, v := range verts {
+			if sub[v] == id {
+				rest = append(rest, v)
+			}
+		}
+		restID := nextID
+		nextID++
+		for _, v := range rest {
+			sub[v] = restID
+		}
+		rec(rest, restID)
+	}
+
 	rec = func(verts []int, id int) {
 		if len(verts) <= leafSize {
 			cmLeaf(verts, id)
@@ -506,26 +585,7 @@ func ndOrder(adj *CSR) []int {
 		}
 		depth := bfs(root, id)
 		if len(queue) < len(verts) {
-			// Disconnected subgraph: order the components separately.
-			comp := append([]int(nil), queue...)
-			compID := nextID
-			nextID++
-			for _, v := range comp {
-				sub[v] = compID
-			}
-			rest := make([]int, 0, len(verts)-len(comp))
-			for _, v := range verts {
-				if sub[v] == id {
-					rest = append(rest, v)
-				}
-			}
-			restID := nextID
-			nextID++
-			for _, v := range rest {
-				sub[v] = restID
-			}
-			rec(comp, compID)
-			rec(rest, restID)
+			peel(verts, id)
 			return
 		}
 		if far := queue[len(queue)-1]; far != root {
@@ -1052,6 +1112,16 @@ func (f *ldltFactor) buildSupernodes() {
 	}
 	f.denseSolveFlops = solveFlops
 	f.denseFactorFlops = factorFlops
+	f.loneEnd = growInts(f.loneEnd, ns)
+	for s := ns - 1; s >= 0; s-- {
+		f.loneEnd[s] = s
+		if sPtr[s+1]-sPtr[s] == 1 && f.sRowPtr[s+1] == f.sRowPtr[s] {
+			f.loneEnd[s] = s + 1
+			if s+1 < ns && f.loneEnd[s+1] > s+1 {
+				f.loneEnd[s] = f.loneEnd[s+1]
+			}
+		}
+	}
 	if cap(f.tt) < f.maxRows {
 		f.tt = make([]float64, f.maxRows)
 	}
@@ -1465,12 +1535,28 @@ func (f *ldltFactor) SolveBatch(xs, bs [][]float64) {
 			w[k] = b[f.perm[k]]
 		}
 	}
-	for s := 0; s < ns; s++ {
+	for s := 0; s < ns; {
+		if e := f.loneEnd[s]; e > s {
+			// A run of lone columns: fwdSuper's single-column body with
+			// nothing to push down, and bwdSuper's is a no-op.
+			for q := 0; q < nrhs; q++ {
+				w := wb[q]
+				for k := f.sPtr[s]; k < f.sPtr[e]; k++ {
+					w[k] /= f.d[k]
+				}
+			}
+			s = e
+			continue
+		}
 		for q := 0; q < nrhs; q++ {
 			f.fwdSuper(s, wb[q], tt)
 		}
+		s++
 	}
 	for s := ns - 1; s >= 0; s-- {
+		if f.loneEnd[s] > s {
+			continue
+		}
 		for q := 0; q < nrhs; q++ {
 			f.bwdSuper(s, wb[q], tt)
 		}

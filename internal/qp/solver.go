@@ -359,7 +359,7 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	scaled.ScaleRows(eNew)
 
 	mOld := s.m
-	s.a = ConcatRows(s.a, scaled)
+	s.a.AppendRows(scaled)
 	s.a.markOneRows()
 	s.m = s.a.M
 	s.e = append(s.e, eNew...)
@@ -367,6 +367,8 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 		s.l = append(s.l, l[i]*eNew[i])
 		s.u = append(s.u, u[i]*eNew[i])
 	}
+	// append(v, make(…)…) extends v in place, with no temporary, and
+	// grows its capacity amortized, as CSR.AppendRows grows A.
 	grow := func(v []float64) []float64 { return append(v, make([]float64, a.M)...) }
 	s.y = grow(s.y)
 	s.z = grow(s.z)

@@ -331,6 +331,25 @@ func ConcatRows(a, b *CSR) *CSR {
 	return out
 }
 
+// AppendRows stacks b's rows below c's in place.  The arrays grow with
+// amortized capacity, so a run of appends costs O(nnz(b)) each, not a
+// copy of c.  Both matrices must share the column count, and c must own
+// its arrays: no other CSR may share them.  The fast-path marks of
+// markOneRows stay valid lower bounds; callers that want the longer
+// runs re-mark.
+func (c *CSR) AppendRows(b *CSR) {
+	if c.N != b.N {
+		panic("qp: AppendRows column mismatch")
+	}
+	off := c.RowPtr[c.M]
+	for r := 0; r < b.M; r++ {
+		c.RowPtr = append(c.RowPtr, off+b.RowPtr[r+1])
+	}
+	c.Col = append(c.Col, b.Col...)
+	c.Val = append(c.Val, b.Val...)
+	c.M += b.M
+}
+
 // Dense expands the matrix into a dense row-major [][]float64, for tests
 // and debugging only.
 func (c *CSR) Dense() [][]float64 {

@@ -218,12 +218,29 @@ func TestSupernodePartition(t *testing.T) {
 
 // TestSupernodalMatchesScalarBits factors random problems with the
 // supernodal kernels and with the scalar reference and demands exact
-// Float64bits agreement on L, D, single solves and batched solves.
+// Float64bits agreement on L, D, single solves and batched solves.  The
+// last trials append few rows, so most columns are lone and the sweeps
+// take their run path.
 func TestSupernodalMatchesScalarBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 18; trial++ {
 		n := 30 + rng.Intn(100)
-		f := randomFactor(rng, n, n+rng.Intn(n))
+		extra := n + rng.Intn(n)
+		if trial >= 12 {
+			extra = rng.Intn(n / 4)
+		}
+		f := randomFactor(rng, n, extra)
+		if trial >= 12 {
+			lone := 0
+			for s, e := range f.loneEnd {
+				if e > s {
+					lone++
+				}
+			}
+			if lone == 0 {
+				t.Fatalf("trial %d: no lone supernode among %d rows over %d columns", trial, extra, n)
+			}
+		}
 		rho := math.Exp(rng.NormFloat64())
 		if err := f.Refactor(rho); err != nil {
 			t.Fatalf("trial %d: refactor: %v", trial, err)
