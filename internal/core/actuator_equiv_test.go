@@ -43,7 +43,13 @@ func lockHash(r *Result, snap obs.Snapshot) uint64 {
 	w64(r.Nominal.LeakUW)
 	w64(float64(r.Probes))
 	for _, c := range []string{"core/qcp_probes", "core/cut_rounds", "core/cuts_added", "qp/solves", "qp/factorizations", "qp/iterations"} {
-		w64(float64(snap.Counters[c]))
+		v := snap.Counters[c]
+		// Every numeric phase, whether run or restored from the
+		// factor cache.
+		if c == "qp/factorizations" {
+			v += snap.Counters["qp/factor_cache_hits"]
+		}
+		w64(float64(v))
 	}
 	return h.Sum64()
 }
@@ -127,7 +133,10 @@ func runActuatorEngine(t *testing.T, opt Options, qcp bool, solveQP func(context
 // engine constants were re-pinned once, when the cut QP began to start
 // from its box rows and separate the smoothness rows like path cuts:
 // that changes its trajectory and moves the maps within the separation
-// tolerance (TestLazySmoothMatchesFullPrefix bounds the move).
+// tolerance (TestLazySmoothMatchesFullPrefix bounds the move).  They
+// and both TestBiasRegressionLock constants were re-pinned again when
+// the hash began to count factor-cache hits as numeric phases, which
+// moves nothing but that counter.
 func TestDoseOnlyRegressionLock(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -136,8 +145,8 @@ func TestDoseOnlyRegressionLock(t *testing.T) {
 		solveQP func(context.Context, QPRequest) (*Result, error)
 		want    uint64
 	}{
-		{"qcp-cuts", true, false, SolveQP, 0xf446a88ceea6bdd5},
-		{"qp-cuts-both", false, true, SolveQP, 0x06d6e4090a6df4fd},
+		{"qcp-cuts", true, false, SolveQP, 0x3e2ebf97789084de},
+		{"qp-cuts-both", false, true, SolveQP, 0x3fec4a41063e7634},
 		{"qp-node", false, false, solveQPNode, 0xa50601482a63eb21},
 	}
 	for _, cs := range cases {
@@ -163,6 +172,8 @@ func TestDoseOnlyRegressionLock(t *testing.T) {
 // prediction paths were folded into one; ΔVth ≠ 0 must not move a bit.
 // joint-qp was re-pinned when the cut QP began to separate its
 // smoothness rows; the bias-only QCP has none and kept its constant.
+// Both moved when lockHash began to add qp/factor_cache_hits to
+// qp/factorizations.
 func TestBiasRegressionLock(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -170,8 +181,8 @@ func TestBiasRegressionLock(t *testing.T) {
 		qcp     bool
 		want    uint64
 	}{
-		{"joint-qp", false, false, 0x4c195786de4639eb},
-		{"bias-qcp", true, true, 0x812429f66dcd03b3},
+		{"joint-qp", false, false, 0x5e2f4d44279ef3b9},
+		{"bias-qcp", true, true, 0xfe45498c6e428e20},
 	}
 	for _, cs := range cases {
 		opt := DefaultOptions()
