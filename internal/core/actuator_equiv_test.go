@@ -43,13 +43,7 @@ func lockHash(r *Result, snap obs.Snapshot) uint64 {
 	w64(r.Nominal.LeakUW)
 	w64(float64(r.Probes))
 	for _, c := range []string{"core/qcp_probes", "core/cut_rounds", "core/cuts_added", "qp/solves", "qp/factorizations", "qp/iterations"} {
-		v := snap.Counters[c]
-		// Every numeric phase, whether run or restored from the
-		// factor cache.
-		if c == "qp/factorizations" {
-			v += snap.Counters["qp/factor_cache_hits"]
-		}
-		w64(float64(v))
+		w64(float64(snap.Counters[c]))
 	}
 	return h.Sum64()
 }
@@ -135,8 +129,9 @@ func runActuatorEngine(t *testing.T, opt Options, qcp bool, solveQP func(context
 // that changes its trajectory and moves the maps within the separation
 // tolerance (TestLazySmoothMatchesFullPrefix bounds the move).  They
 // and both TestBiasRegressionLock constants were re-pinned again when
-// the hash began to count factor-cache hits as numeric phases, which
-// moves nothing but that counter.
+// qp/factorizations began to count every numeric phase, the ones a
+// factor cache used to restore included; that moves nothing but the
+// counter.
 func TestDoseOnlyRegressionLock(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -172,8 +167,7 @@ func TestDoseOnlyRegressionLock(t *testing.T) {
 // prediction paths were folded into one; ΔVth ≠ 0 must not move a bit.
 // joint-qp was re-pinned when the cut QP began to separate its
 // smoothness rows; the bias-only QCP has none and kept its constant.
-// Both moved when lockHash began to add qp/factor_cache_hits to
-// qp/factorizations.
+// Both moved when qp/factorizations began to count every numeric phase.
 func TestBiasRegressionLock(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -88,14 +88,14 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 	}
 	// Every bisection iteration is either a Newton/secant step or a
 	// bisection fallback, so the τ-probe counters cannot both be empty;
-	// likewise every LDLᵀ x-step either factors a fresh (ρ, epoch) pair
-	// or restores a cached one.  (Zero-valued counters are never
-	// recorded, so absence is the failure signature here.)
+	// and every solve runs at least one LDLᵀ numeric phase.  (Zero-valued
+	// counters are never recorded, so absence is the failure signature
+	// here.)
 	if snap.Counters["core/tau_newton_steps"]+snap.Counters["core/tau_bisect_fallbacks"] == 0 {
 		t.Error("no τ-probe step counters recorded in enabled run")
 	}
-	if snap.Counters["qp/factorizations"]+snap.Counters["qp/factor_cache_hits"] == 0 {
-		t.Error("no LDLᵀ factor counters recorded in enabled run")
+	if snap.Counters["qp/factorizations"] < 1 {
+		t.Error("no LDLᵀ factorization recorded in enabled run")
 	}
 	// The dose QP starts from its box rows, so the run must separate
 	// smoothness rows into the pool.

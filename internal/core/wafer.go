@@ -27,9 +27,9 @@
 // per-field QP through auxiliary variables (column means s_j, grand
 // mean g, deviations e_j) tied to the dose variables by sparse equality
 // rows, keeping the objective diagonal — so the existing cutting-plane
-// engine, LDLᵀ backend, ρ-ladder factor cache and warm starts all apply
-// unchanged, and the linear penalty target moves between outer
-// iterations via qp.Solver.UpdateLinear (no refactorization).
+// engine, LDLᵀ factor and warm starts all apply unchanged, and the
+// linear penalty target moves between outer iterations via
+// qp.Solver.UpdateLinear (no refactorization).
 package core
 
 import (
@@ -181,8 +181,11 @@ func (cs *cutSolver) refreshLinear() error {
 // bias dose δ, the QCP lower bound is recomputed for the shifted range,
 // and everything else (grid maps, objective, smoothness rows, golden,
 // model) is borrowed from the base.  Every smoothness row starts in the
-// field's QP: separating them lazily slowed the consensus more than it
-// saved per solve (DESIGN.md §5).
+// field's QP, so Table IX and the flows benchmark fingerprint keep the
+// bits they had before single-field QPs began to separate those rows.
+// Whether separating them in the wafer pays is unmeasured: one traced
+// run of a lazy variant read a shorter flows wall (DESIGN.md §5,
+// ROADMAP item 7).
 func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Options) {
 	d := *base
 	d.startRows = base.fixedA.M

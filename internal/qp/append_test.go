@@ -43,7 +43,7 @@ func appendRowsConcatOracle(s *Solver, a *CSR, l, u []float64) {
 		}
 		s.z[i] = sum
 	}
-	s.lin.appendRows(mOld)
+	s.appendFactorRows(mOld)
 }
 
 // TestAppendRowsMatchesConcatOracle drives two solvers of one

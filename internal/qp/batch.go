@@ -2,7 +2,7 @@
 // matrices are bitwise identical through their ADMM iterations in
 // lockstep: every iteration hands one right-hand side per member to the
 // lead solver's LDLᵀ factor as a single multi-RHS solve
-// (ldltBackend.solveBatch), so the factor is streamed through cache once
+// (ldltFactor.SolveBatch), so the factor is streamed through cache once
 // per iteration instead of once per member, and then makes one pass over
 // each member's rows of A (Solver.sweep) that finishes the iteration and
 // assembles the member's next right-hand side.  It is
@@ -156,13 +156,16 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			bs = append(bs, s.rhs)
 		}
 		rebuild = false
-		if err := host.lin.solveBatch(xs, bs); err != nil {
+		if err := host.factor(); err != nil {
 			cause = xStepError(iter, host.rho, err)
 			for _, q := range live {
 				results[q].Iters = iter - 1
 			}
 			break
 		}
+		host.f.SolveBatch(xs, bs)
+		host.nTriSolve += int64(len(xs))
+		host.nDenseFlops += int64(len(xs)) * host.f.denseSolveFlops
 		if batched {
 			host.nSolveBatch++
 			host.nSolveRHS += int64(len(live))
@@ -225,15 +228,13 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			break
 		}
 		// Shared ρ: one factor means one ρ for the family.  A stall
-		// restart resets to admmRho, which re-hits the first
-		// factor's cache key.  Otherwise ρ scales by
+		// restart resets to admmRho.  Otherwise ρ scales by
 		// sqrt(primScore/dualScore), the worst prim/epsP and dual/epsD
-		// over the live members, and snaps onto the ρ-ladder.  The 2×
-		// trigger is deliberately eager: a mild ρ misfit that the
+		// over the live members, and snaps onto the ρ-ladder (rhoRung).
+		// The 2× trigger is deliberately eager: a mild ρ misfit that the
 		// classical 5× threshold tolerates can grind for hundreds of
-		// iterations, and with the ρ-ladder factor cache an adaptation
-		// that revisits a known rung costs a snapshot restore, not a
-		// numeric refactorization.  A zero residual score leaves ρ alone.
+		// iterations, while every move costs one numeric phase on the
+		// next x-step.  A zero residual score leaves ρ alone.
 		// Frozen members track the shared ρ too, so the family stays
 		// batch-compatible for the caller's next round.
 		newRho := host.rho

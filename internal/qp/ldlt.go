@@ -829,8 +829,8 @@ func (f *ldltFactor) reorder() {
 // the current pattern, fills the pattern of L explicitly (row indices,
 // row-major view), compiles the lower-triangular K view and the
 // supernodal layout, and sizes the numeric arrays.  After symbolic
-// returns, the numeric phase touches only the panels and d — which is
-// what makes factor caching (snapshot/restore of px, d) sound.
+// returns, the numeric phase touches only the panels, d and its
+// workspace w, so a Refactor at a given ρ always writes the same bits.
 func (f *ldltFactor) symbolic() {
 	f.etree()
 	f.fillSymbolic()
@@ -1127,16 +1127,6 @@ func (f *ldltFactor) buildSupernodes() {
 	}
 }
 
-// adopt makes px and d the factor's live numeric arrays without
-// copying; the caller manages buffer ownership.  Both must be full
-// same-pattern arrays: px with the padded slots zero (any buffer that
-// held a factor of this pattern qualifies — the kernels never write
-// padding — as does a fresh allocation), d of length n.
-func (f *ldltFactor) adopt(px, d []float64) {
-	f.px = px
-	f.d = d
-}
-
 // growInts resizes an int scratch slice to exactly n elements, reusing
 // capacity when it suffices (contents unspecified).
 func growInts(s []int, n int) []int {
@@ -1256,7 +1246,7 @@ func (f *ldltFactor) factorSuper(s int, rho float64, w []float64) int {
 // failing column in the unpermuted numbering of K.
 func (f *ldltFactor) Refactor(rho float64) error {
 	w := f.w
-	clear(w) // w doubles as the solve vector, so it arrives dirty
+	clear(w) // factorSuper needs an all-zero workspace
 	for s := 0; s+1 < len(f.sPtr); s++ {
 		if k := f.factorSuper(s, rho, w); k >= 0 {
 			return fmt.Errorf("%w at column %d", errNotPositiveDefinite, f.perm[k])

@@ -215,15 +215,15 @@ type Solver struct {
 
 	rho float64
 
-	// lin is the x-step linear-system solver; the counters feed the
-	// qp/factorizations, qp/refactorizations and qp/triangular_solves
-	// telemetry.
-	lin         *ldltBackend
+	// f is the sparse LDLᵀ factor of the x-step matrix
+	// K = P + σI + ρAᵀA, numerically current for factoredRho, which is 0
+	// (never a valid ρ) before the first x-step, after AppendRows and
+	// after a zero pivot.  The counters feed the qp/factorizations,
+	// qp/triangular_solves and qp/dense_flops telemetry.
+	f           *ldltFactor
+	factoredRho float64
 	nFactor     int64
-	nRefactor   int64
 	nTriSolve   int64
-	nCacheHit   int64
-	nCacheEvict int64
 	nDenseFlops int64
 	nSolveBatch int64
 	nSolveRHS   int64
@@ -283,7 +283,7 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	s.dyAcc = make([]float64, m)
 	s.objPx = make([]float64, n)
 	s.vioAx = make([]float64, m)
-	s.lin = newLDLTBackend(s)
+	s.f = newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
 	return s, nil
 }
 
@@ -332,7 +332,7 @@ func (s *Solver) MaxViolation(x []float64) float64 {
 // factorization from scratch.  Columns are scaled by the existing
 // equilibration; the new rows receive one-shot row scalings.  Appended
 // duals start at zero, matching the zero-padded warm start the cut
-// engine previously obtained from a full rebuild.  The LDLᵀ backend
+// engine previously obtained from a full rebuild.  The LDLᵀ factor
 // extends its pattern in place and refactors on the next solve.
 func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	if a == nil || a.M == 0 {
@@ -385,7 +385,34 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 		}
 		s.z[i] = sum
 	}
-	s.lin.appendRows(mOld)
+	s.appendFactorRows(mOld)
+	return nil
+}
+
+// appendFactorRows extends the factor's pattern with rows
+// [fromRow, m) of the scaled A; the next x-step refactors.
+func (s *Solver) appendFactorRows(fromRow int) {
+	s.f.AppendRows(s.a, fromRow)
+	s.factoredRho = 0
+}
+
+// factor makes the numeric factor current for s.rho, running the
+// numeric phase in place when ρ moved, the pattern grew or a zero pivot
+// left no factor.  The phase writes every pivot and true panel slot
+// before it reads it, and padded slots stay zero, so its bits depend on
+// the pattern's values and ρ alone: refactoring at a ρ factored before
+// reproduces that factor bit for bit.
+func (s *Solver) factor() error {
+	if s.factoredRho == s.rho {
+		return nil
+	}
+	s.factoredRho = 0
+	if err := s.f.Refactor(s.rho); err != nil {
+		return err
+	}
+	s.factoredRho = s.rho
+	s.nFactor++
+	s.nDenseFlops += s.f.denseFactorFlops
 	return nil
 }
 
@@ -508,7 +535,7 @@ func (s *Solver) WarmStart(x, y []float64) error {
 
 // UpdateLinear replaces the objective's linear term q (unscaled)
 // without re-equilibrating or refactorizing: q enters only the x-step
-// right-hand side, so the cached K = P + σI + ρAᵀA factorization stays
+// right-hand side, so the live K = P + σI + ρAᵀA factorization stays
 // valid.  Used by the wafer consensus-ADMM outer loop, whose penalty
 // target moves every iteration while the matrices do not.  The caller's
 // original Problem.Q should be updated in tandem (Objective reads it).
@@ -641,18 +668,14 @@ func relax(i int, zt float64, z, y, l, u, dy []float64, alpha, beta, rho float64
 	return rho*zNew - yNew
 }
 
-// ctrSnap freezes the solver's backend counters at solve entry so the
+// ctrSnap freezes the solver's factor counters at solve entry so the
 // telemetry block can report per-solve deltas.
 type ctrSnap struct {
-	factor, refactor, trisolve       int64
-	cacheHit, cacheEvict             int64
-	denseFlops, solveBatch, solveRHS int64
+	factor, trisolve, denseFlops, solveBatch, solveRHS int64
 }
 
 func (s *Solver) snapCounters() ctrSnap {
-	return ctrSnap{s.nFactor, s.nRefactor, s.nTriSolve,
-		s.nCacheHit, s.nCacheEvict,
-		s.nDenseFlops, s.nSolveBatch, s.nSolveRHS}
+	return ctrSnap{s.nFactor, s.nTriSolve, s.nDenseFlops, s.nSolveBatch, s.nSolveRHS}
 }
 
 // emitTelemetry publishes the per-solve observation block: pure
@@ -666,10 +689,7 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	rec.Add("qp/iterations", int64(res.Iters))
 	rec.Add("qp/restarts", int64(res.Restarts))
 	rec.Add("qp/factorizations", s.nFactor-c0.factor)
-	rec.Add("qp/refactorizations", s.nRefactor-c0.refactor)
 	rec.Add("qp/triangular_solves", s.nTriSolve-c0.trisolve)
-	rec.Add("qp/factor_cache_hits", s.nCacheHit-c0.cacheHit)
-	rec.Add("qp/factor_cache_evictions", s.nCacheEvict-c0.cacheEvict)
 	rec.Add("qp/dense_flops", s.nDenseFlops-c0.denseFlops)
 	rec.Add("qp/solve_batches", s.nSolveBatch-c0.solveBatch)
 	rec.Add("qp/solve_rhs", s.nSolveRHS-c0.solveRHS)
@@ -678,8 +698,8 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	}
 	rec.Set("qp/prim_res", res.PrimRes)
 	rec.Set("qp/dual_res", res.DualRes)
-	rec.Set("qp/supernodes", float64(len(s.lin.f.sPtr)-1))
-	rec.Set("qp/supernode_cols_max", float64(s.lin.f.maxSuperCols))
+	rec.Set("qp/supernodes", float64(len(s.f.sPtr)-1))
+	rec.Set("qp/supernode_cols_max", float64(s.f.maxSuperCols))
 }
 
 // xStepError reports an x-step whose factorization hit a zero pivot.
@@ -787,11 +807,10 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 // rhoRung quantizes ρ onto the geometric quarter-decade ladder
 // 10^(k/4), k ∈ ℤ.  Adaptive moves only fire on a ≥2× residual
 // imbalance (≈ 1.2 rungs), so the ≤ 1.33× snap never suppresses a
-// genuine adaptation — but it collapses the continuum of adapted ρ
-// values onto a handful of rungs that the LDLᵀ factor cache can
-// actually revisit.  Stall restarts reset to
-// the initial admmRho, which re-hits the first factor's exact key
-// without being snapped itself.
+// genuine adaptation.  The ladder is part of the ADMM trajectory that
+// the trajectory locks and the benchmark fingerprints pin; dropping it
+// would move every adapted ρ.  Stall restarts reset to the initial
+// admmRho, which is not snapped.
 func rhoRung(rho float64) float64 {
 	return math.Pow(10, math.Round(4*math.Log10(rho))/4)
 }

@@ -219,8 +219,10 @@ func TestSupernodePartition(t *testing.T) {
 // TestSupernodalMatchesScalarBits factors random problems with the
 // supernodal kernels and with the scalar reference and demands exact
 // Float64bits agreement on L, D, single solves and batched solves.  The
-// last trials append few rows, so most columns are lone and the sweeps
-// take their run path.
+// supernodal factor is first computed at a second random ρ, so the
+// checked factor overwrites live panels in place, as every ρ move of a
+// solve does.  The last trials append few rows, so most columns are
+// lone and the sweeps take their run path.
 func TestSupernodalMatchesScalarBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 18; trial++ {
@@ -241,7 +243,10 @@ func TestSupernodalMatchesScalarBits(t *testing.T) {
 				t.Fatalf("trial %d: no lone supernode among %d rows over %d columns", trial, extra, n)
 			}
 		}
-		rho := math.Exp(rng.NormFloat64())
+		rho, first := math.Exp(rng.NormFloat64()), math.Exp(rng.NormFloat64())
+		if err := f.Refactor(first); err != nil {
+			t.Fatalf("trial %d: refactor at the first ρ: %v", trial, err)
+		}
 		if err := f.Refactor(rho); err != nil {
 			t.Fatalf("trial %d: refactor: %v", trial, err)
 		}
