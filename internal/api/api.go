@@ -140,7 +140,7 @@ type JobSpec struct {
 	// Results are bit-identical for every worker count.
 	Workers int `json:"workers,omitempty"`
 	// LinSys is legacy input: the ADMM x-step has one linear-system
-	// backend, the cached LDLᵀ factor.  "", "auto" and "ldlt" are
+	// backend, the solver's LDLᵀ factor.  "", "auto" and "ldlt" are
 	// accepted and normalize to "auto", which canonical specs keep so
 	// their bytes (and the dedup keys hashed from them) stay stable;
 	// any other value is rejected.
@@ -322,7 +322,7 @@ func (s JobSpec) Validate() error {
 	switch s.LinSys {
 	case "", linSysAuto, "ldlt":
 	default:
-		return fmt.Errorf("api: unsupported linsys %q: the only linear-system backend is the cached LDLᵀ factor (want auto or ldlt)", s.LinSys)
+		return fmt.Errorf("api: unsupported linsys %q: the only linear-system backend is the solver's LDLᵀ factor (want auto or ldlt)", s.LinSys)
 	}
 	return nil
 }

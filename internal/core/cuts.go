@@ -511,11 +511,14 @@ func (cs *cutSolver) separateSmooth() int {
 
 // generateCuts is one cut round's separation step at the clock period
 // tau: it enumerates the longest paths of the linear delay model at the
-// iterate cs.x (at most cutsPerRound, in non-increasing delay order),
-// pools a cut for each path with delay > tau + tolPs/2, where tolPs is
-// cutTolRel × the golden MCT, and returns how many were new.  delta is
-// cs.deltaFn(cs.x).  The enumeration stops at that cutoff too, so it
-// never builds the sub-cutoff paths the loop would discard.
+// iterate cs.x (at most cutsPerRound pin-level paths, in non-increasing
+// delay order), pools a cut for each path with delay > tau + tolPs/2,
+// where tolPs is cutTolRel × the golden MCT, and returns how many were
+// new.  delta is cs.deltaFn(cs.x).  The enumeration stops at that cutoff
+// too, so it never builds the sub-cutoff paths the loop would discard.
+// A gate path arrives once however many pin-level copies it stands for
+// (sta.Path.Mult); the copies would make the same cut, which the pool
+// would drop.
 func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float64, tau float64) int {
 	_, sp := obs.Start(ctx, "core/cutgen")
 	defer sp.End()

@@ -15,6 +15,13 @@ type Path struct {
 	// Delay is the total path delay in ps, including the startpoint
 	// launch (clock-to-q) and the endpoint setup.
 	Delay float64
+	// Mult is the number of pin-level paths the entry stands for.  A
+	// driver that feeds several input pins of one gate leaves parallel
+	// edges, and every pin-level copy of a gate path has the same nodes
+	// and delay.  TopPathsDAG returns each gate path once with its
+	// multiplicity; Result.TopPaths and Timer.TopPaths return one entry
+	// of multiplicity 1 per pin-level path.
+	Mult int
 }
 
 // Slack returns the path slack at clock period T.
@@ -32,12 +39,23 @@ var NoCutoff = math.Inf(-1)
 const cutoffMargin = 1e-9
 
 // pathState is a node in the implicit prefix tree of the best-first
-// search.  Its bound lives in the heap entry that refers to it.
+// search: one gate-level prefix, standing for mult pin-level prefixes.
+// Its bound lives in the heap entry that refers to it.
 type pathState struct {
-	node     int
 	g        float64 // exact delay of the prefix up to (and including) node
-	parent   int     // index into the arena; -1 for roots
+	mult     int     // pin-level prefixes it stands for, capped at k
+	node     int32
+	parent   int32 // index into the arena; -1 for roots
 	terminal bool
+}
+
+// fanArc is one distinct fanout edge of a gate in the per-call arc
+// table: its sink, the number of the sink's input pins the gate drives,
+// and its delay.
+type fanArc struct {
+	delay float64
+	to    int32
+	mult  int32
 }
 
 // heapItem is one frontier entry: a state's bound beside its arena
@@ -53,14 +71,15 @@ type frontier struct {
 	heap  []heapItem
 }
 
-// pathScratch is the working set of one path search: the arc offsets,
-// the arc delays, the suffix bounds and the frontier.  Every search
-// overwrites what it reads, so a reused scratch gives the same bits as
-// a fresh one.  TopPathsDAG takes its scratch from scratchPool; a Timer
-// keeps one of its own for Timer.TopPaths.
+// pathScratch is the working set of one path search: the arc table
+// with its offsets and stamps, the suffix bounds and the frontier.
+// Every search overwrites what it reads, so a reused scratch gives the
+// same bits as a fresh one.  TopPathsDAG takes its scratch from
+// scratchPool; a Timer keeps one of its own for Timer.TopPaths.
 type pathScratch struct {
 	arcOff []int
-	arcs   []float64
+	arcs   []fanArc
+	stamp  []int32
 	suffix []float64
 	f      frontier
 }
@@ -84,20 +103,54 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// TopPaths enumerates the K longest paths in exact non-increasing delay
-// order, the stand-in for the paper's "top-K (e.g., K = 10,000) critical
-// paths" extraction.  Fewer than K paths are returned if the design has
-// fewer distinct paths (enumeration also stops after visiting maxStates
-// prefix states as a safety valve; 0 means no limit).
+// TopPaths enumerates the K longest pin-level paths in exact
+// non-increasing delay order, the stand-in for the paper's "top-K
+// (e.g., K = 10,000) critical paths" extraction.  Fewer than K paths are
+// returned if the design has fewer (enumeration also stops after
+// visiting maxStates gate-level prefix states as a safety valve; 0 means
+// no limit).  The pin-level copies of one gate path are adjacent and
+// share one node slice; see pinPaths.
 func (r *Result) TopPaths(k int, maxStates int) []*Path {
-	return TopPathsDAG(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff)
+	return pinPaths(TopPathsDAG(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff))
+}
+
+// pinPaths expands gate paths into one entry per pin-level path: a path
+// of multiplicity m becomes m adjacent entries of multiplicity 1 with
+// its delay and its node slice.
+func pinPaths(paths []*Path) []*Path {
+	n := 0
+	for _, p := range paths {
+		n += p.Mult
+	}
+	if n == len(paths) {
+		return paths
+	}
+	out := make([]*Path, 0, n)
+	for _, p := range paths {
+		out = append(out, p)
+		for range p.Mult - 1 {
+			out = append(out, &Path{Nodes: p.Nodes, Delay: p.Delay, Mult: 1})
+		}
+		p.Mult = 1
+	}
+	return out
 }
 
 // TopPathsDAG is the graph-generic K-longest-path enumeration underlying
 // TopPaths: arc gives the delay of edge from→to, start the launch weight
 // of a startpoint, end the terminal weight of an endpoint.  The
-// optimizer reuses it on its linear delay model.  Each arc is evaluated
-// once, in the suffix pass, and read back when a state is expanded.
+// optimizer reuses it on its linear delay model.  Each distinct arc is
+// evaluated once, in the suffix pass, and read back when a state is
+// expanded.
+//
+// The search runs on gate-level prefixes.  arc depends on the gate pair
+// only, so the pin-level copies of a prefix through parallel edges are
+// identical; one state stands for all of them and carries their number,
+// capped at k.  k still counts pin-level paths: a popped terminal counts
+// min(mult, k − count) toward k and is returned once, with that number
+// as its Mult.  maxStates bounds gate-level pops.  On a circuit without
+// parallel edges every multiplicity is 1, and the search pushes and pops
+// what a pin-level search would.
 //
 // cutoff lets a caller that only wants paths with delay > cutoff stop
 // early: the search ends once the best frontier bound falls below
@@ -130,13 +183,31 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 	}
 	n := circ.NumGates()
 
-	// arcs[arcOff[id]+j] is the delay of id → Fanouts[j].
+	// arcs[arcOff[id]:arcOff[id+1]] are id's distinct fanouts in
+	// first-occurrence order, each with its pin count.  stamp[fo] is the
+	// slot fo last took; it marks a repeat only when that slot lies in
+	// id's own run and holds fo, so stale stamps need no clearing.  The
+	// pin-level edge count bounds the table, so it is sized once.
 	arcOff := grow(sc.arcOff, n+1)
-	arcOff[0] = 0
-	for id, g := range circ.Gates {
-		arcOff[id+1] = arcOff[id] + len(g.Fanouts)
+	edges := 0
+	for _, g := range circ.Gates {
+		edges += len(g.Fanouts)
 	}
-	arcs := grow(sc.arcs, arcOff[n])
+	arcs := grow(sc.arcs, edges)[:0]
+	stamp := grow(sc.stamp, n)
+	for id, g := range circ.Gates {
+		off := len(arcs)
+		arcOff[id] = off
+		for _, fo := range g.Fanouts {
+			if s := int(stamp[fo]); s >= off && s < len(arcs) && int(arcs[s].to) == fo {
+				arcs[s].mult++
+				continue
+			}
+			stamp[fo] = int32(len(arcs))
+			arcs = append(arcs, fanArc{to: int32(fo), mult: 1})
+		}
+	}
+	arcOff[n] = len(arcs)
 
 	// suffix[id] = best achievable delay from id's output to any
 	// endpoint (excluding id's own launch weight); -inf for dead ends.
@@ -146,10 +217,10 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 	}
 	relax := func(id int) {
 		best := math.Inf(-1)
-		off := arcOff[id]
-		for j, fo := range circ.Gates[id].Fanouts {
+		for j := arcOff[id]; j < arcOff[id+1]; j++ {
+			fo := int(arcs[j].to)
 			a := arc(id, fo)
-			arcs[off+j] = a
+			arcs[j].delay = a
 			var v float64
 			if kind := circ.Gates[fo].Kind; kind == netlist.PO || kind == netlist.Seq {
 				v = a + end(fo)
@@ -180,7 +251,7 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 	}
 
 	// Only relaxed gates get a live suffix, and only states at such gates
-	// are expanded, so the arc slots read below were all written above.
+	// are expanded, so the arc delays read below were all written above.
 	f := frontier{arena: slices.Grow(sc.f.arena[:0], 4*k), heap: sc.f.heap[:0]}
 	// Roots: all startpoints with a live suffix.
 	for id, g := range circ.Gates {
@@ -188,13 +259,13 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 			continue
 		}
 		g0 := start(id)
-		f.push(pathState{node: id, g: g0, parent: -1}, g0+suffix[id])
+		f.push(pathState{node: int32(id), g: g0, mult: 1, parent: -1}, g0+suffix[id])
 	}
 
 	stop := cutoff - cutoffMargin*math.Abs(cutoff)
 	var paths []*Path
-	visited := 0
-	for len(f.heap) > 0 && len(paths) < k {
+	count, visited := 0, 0
+	for len(f.heap) > 0 && count < k {
 		if f.heap[0].bound < stop {
 			break
 		}
@@ -205,23 +276,34 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 			break
 		}
 		if st.terminal {
-			paths = append(paths, &Path{Nodes: f.nodes(si), Delay: st.g})
+			m := min(st.mult, k-count)
+			paths = append(paths, &Path{Nodes: f.nodes(si), Delay: st.g, Mult: m})
+			count += m
 			continue
 		}
-		off := arcOff[st.node]
-		for j, fo := range circ.Gates[st.node].Fanouts {
-			a := arcs[off+j]
+		for _, e := range arcs[arcOff[st.node]:arcOff[st.node+1]] {
+			fo := int(e.to)
+			child := pathState{node: e.to, mult: capMul(st.mult, int(e.mult), k), parent: int32(si)}
 			if kind := circ.Gates[fo].Kind; kind == netlist.PO || kind == netlist.Seq {
-				tot := st.g + a + end(fo)
-				f.push(pathState{node: fo, g: tot, parent: si, terminal: true}, tot)
+				child.g = st.g + e.delay + end(fo)
+				child.terminal = true
+				f.push(child, child.g)
 			} else if !math.IsInf(suffix[fo], -1) {
-				ng := st.g + a
-				f.push(pathState{node: fo, g: ng, parent: si}, ng+suffix[fo])
+				child.g = st.g + e.delay
+				f.push(child, child.g+suffix[fo])
 			}
 		}
 	}
-	*sc = pathScratch{arcOff: arcOff, arcs: arcs, suffix: suffix, f: f}
+	*sc = pathScratch{arcOff: arcOff, arcs: arcs, stamp: stamp, suffix: suffix, f: f}
 	return paths
+}
+
+// capMul returns min(a·b, k) for 0 < a ≤ k and b > 0, without overflow.
+func capMul(a, b, k int) int {
+	if a > k/b {
+		return k
+	}
+	return a * b
 }
 
 // push adds a state with its bound, and pop removes the state with the
@@ -271,13 +353,13 @@ func (f *frontier) pop() int {
 // si, from startpoint to endpoint.
 func (f *frontier) nodes(si int) []int {
 	n := 0
-	for i := si; i >= 0; i = f.arena[i].parent {
+	for i := si; i >= 0; i = int(f.arena[i].parent) {
 		n++
 	}
 	out := make([]int, n)
-	for i := si; i >= 0; i = f.arena[i].parent {
+	for i := si; i >= 0; i = int(f.arena[i].parent) {
 		n--
-		out[n] = f.arena[i].node
+		out[n] = int(f.arena[i].node)
 	}
 	return out
 }

@@ -13,6 +13,7 @@ import (
 // container/heap oracle on generated designs at two generator seeds of
 // two presets.
 func TestTopPathsMatchHeapOracleGenerated(t *testing.T) {
+	bindingCaps := 0
 	for _, base := range []gen.Preset{gen.AES65().Scaled(0.03), gen.JPEG65().Scaled(0.008)} {
 		for _, off := range []int64{0, 17} {
 			p := base
@@ -26,7 +27,8 @@ func TestTopPathsMatchHeapOracleGenerated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sta.CheckTopPathsOracle(t, fmt.Sprintf("%s seed %d", p.Name, p.Seed), r, p.Seed)
+			bindingCaps += sta.CheckTopPathsOracle(t, fmt.Sprintf("%s seed %d", p.Name, p.Seed), r, p.Seed)
 		}
 	}
+	t.Logf("%d state caps truncated the oracle on these designs", bindingCaps)
 }

@@ -180,24 +180,6 @@ func diffCutoffPrefix(got, want []*Path, cutoff float64) string {
 	return ""
 }
 
-// samePaths fails unless got and want hold the same node sequences and
-// bit-identical delays in the same order.
-func samePaths(t *testing.T, label string, got, want []*Path) {
-	t.Helper()
-	if d := diffPaths(got, want); d != "" {
-		t.Fatalf("%s: %s", label, d)
-	}
-}
-
-// checkCutoffPrefix fails unless got is a prefix of the uncut oracle
-// output want that holds every oracle path with delay above cutoff.
-func checkCutoffPrefix(t *testing.T, label string, got, want []*Path, cutoff float64) {
-	t.Helper()
-	if d := diffCutoffPrefix(got, want, cutoff); d != "" {
-		t.Fatalf("%s: %s", label, d)
-	}
-}
-
 // pathSearchCase is one enumeration input: a circuit with its order and
 // the three weight functions.
 type pathSearchCase struct {
@@ -239,50 +221,136 @@ func shiftedCase(name string, r *Result, seed int64) pathSearchCase {
 	return pathSearchCase{name, r.In.Circ, r.order, arc, start, r.EndWeight}
 }
 
-// checkAgainstOracle runs TopPathsDAG against the oracle over a spread
-// of k and maxStates, and over cutoffs drawn from the oracle's own
-// delays (each exact delay, just above and below it).
-func checkAgainstOracle(t *testing.T, c pathSearchCase) {
+// hasParallelEdges reports whether some gate drives two or more input
+// pins of one gate.
+func hasParallelEdges(circ *netlist.Circuit) bool {
+	seen := map[[2]int]bool{}
+	for id, g := range circ.Gates {
+		for _, fo := range g.Fanouts {
+			if seen[[2]int{id, fo}] {
+				return true
+			}
+			seen[[2]int{id, fo}] = true
+		}
+	}
+	return false
+}
+
+// pinSearch runs TopPathsDAG and expands its gate paths into one entry
+// per pin-level path, the form the oracle returns.
+func pinSearch(c pathSearchCase, k, maxStates int, cutoff float64) []*Path {
+	return pinPaths(TopPathsDAG(c.circ, c.order, c.arc, c.start, c.end, k, maxStates, cutoff))
+}
+
+// diffCappedPrefix describes how got fails to be a prefix of the
+// uncapped oracle output full that holds every path above cutoff of the
+// capped oracle output want, or returns "" when it is one.  It is the
+// contract of a state cap on a circuit with parallel edges: the search
+// caps gate-level pops, the oracle pin-level pops, so the search gets
+// at least as far.
+func diffCappedPrefix(got, want, full []*Path, cutoff float64) string {
+	if len(got) > len(full) {
+		return fmt.Sprintf("%d paths, more than the uncapped oracle's %d", len(got), len(full))
+	}
+	if d := diffPaths(got, full[:len(got)]); d != "" {
+		return d
+	}
+	for i := len(got); i < len(want); i++ {
+		if want[i].Delay > cutoff {
+			return fmt.Sprintf("capped oracle path %d (delay %v) above cutoff %v is missing (%d returned)",
+				i, want[i].Delay, cutoff, len(got))
+		}
+	}
+	return ""
+}
+
+// checkAgainstOracle runs TopPathsDAG, expanded to pin-level paths,
+// against the oracle over a spread of k and maxStates, and over cutoffs
+// drawn from the oracle's own delays (each exact delay, just above and
+// below it).  Without a state cap, or on a circuit without parallel
+// edges, the output must equal the oracle's, or with a cutoff be a
+// prefix of it that holds every path above the cutoff.  Under a cap on
+// a circuit with parallel edges it must meet diffCappedPrefix.  It
+// returns how many (k, maxStates) pairs took that branch with a cap
+// that truncated the oracle.
+func checkAgainstOracle(t *testing.T, c pathSearchCase) (bindingCaps int) {
 	t.Helper()
+	parallel := hasParallelEdges(c.circ)
 	for _, k := range []int{1, 10, 64, 2000} {
+		full := topPathsHeapOracle(c.circ, c.order, c.arc, c.start, c.end, k, 0)
 		for _, maxStates := range []int{0, 1, 7, 60, 600} {
 			want := topPathsHeapOracle(c.circ, c.order, c.arc, c.start, c.end, k, maxStates)
-			got := TopPathsDAG(c.circ, c.order, c.arc, c.start, c.end, k, maxStates, NoCutoff)
-			samePaths(t, c.name, got, want)
+			capped := parallel && maxStates > 0
+			if capped && len(want) < len(full) {
+				bindingCaps++
+			}
+			check := func(cutoff float64) {
+				t.Helper()
+				got := pinSearch(c, k, maxStates, cutoff)
+				var d string
+				if capped {
+					d = diffCappedPrefix(got, want, full, cutoff)
+				} else {
+					d = diffCutoffPrefix(got, want, cutoff)
+				}
+				if d != "" {
+					t.Fatalf("%s k=%d maxStates=%d cutoff=%v: %s", c.name, k, maxStates, cutoff, d)
+				}
+			}
+			check(NoCutoff)
 			if len(want) == 0 {
 				continue
 			}
 			for _, i := range []int{0, len(want) / 3, len(want) / 2, len(want) - 1} {
 				d := want[i].Delay
 				for _, cut := range []float64{d, math.Nextafter(d, math.Inf(1)), d - 1e-6, d + 1, d - 1} {
-					got := TopPathsDAG(c.circ, c.order, c.arc, c.start, c.end, k, maxStates, cut)
-					checkCutoffPrefix(t, c.name, got, want, cut)
+					check(cut)
 				}
 			}
 		}
 	}
+	return bindingCaps
 }
 
 // TestTopPathsMatchHeapOracle: on seeded mesh and random layered
-// designs, under golden and shifted delays, the search returns exactly
-// the oracle's paths, and with a cutoff a prefix of them that holds
-// every path above it.
+// designs, under golden and shifted delays, the search expanded to
+// pin-level paths returns exactly the oracle's paths, and with a cutoff
+// a prefix of them that holds every path above it (checkAgainstOracle
+// gives the rule under a state cap).  The designs must include circuits
+// with and without parallel edges, and a cap that truncates the oracle
+// on one with them.
 func TestTopPathsMatchHeapOracle(t *testing.T) {
+	parallel, plain, bindingCaps := 0, 0, 0
+	count := func(in Input) {
+		if hasParallelEdges(in.Circ) {
+			parallel++
+		} else {
+			plain++
+		}
+	}
 	for _, seed := range []int64{3, 77, 4242} {
-		r, err := AnalyzeCtx(context.Background(), mesh(t, seed), DefaultConfig(), nil)
+		in := mesh(t, seed)
+		count(in)
+		r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstOracle(t, goldenCase("mesh", r))
-		checkAgainstOracle(t, shiftedCase("mesh shifted", r, seed))
+		bindingCaps += checkAgainstOracle(t, goldenCase("mesh", r))
+		bindingCaps += checkAgainstOracle(t, shiftedCase("mesh shifted", r, seed))
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		r, err := AnalyzeCtx(context.Background(), randomDesign(rand.New(rand.NewSource(seed))), DefaultConfig(), nil)
+		in := randomDesign(rand.New(rand.NewSource(seed)))
+		count(in)
+		r, err := AnalyzeCtx(context.Background(), in, DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstOracle(t, goldenCase("random", r))
-		checkAgainstOracle(t, shiftedCase("random shifted", r, seed))
+		bindingCaps += checkAgainstOracle(t, goldenCase("random", r))
+		bindingCaps += checkAgainstOracle(t, shiftedCase("random shifted", r, seed))
+	}
+	t.Logf("%d designs with parallel edges, %d without; %d binding caps on the former", parallel, plain, bindingCaps)
+	if parallel == 0 || plain == 0 || bindingCaps == 0 {
+		t.Fatal("the designs no longer cover both kinds of circuit and a binding cap over parallel edges")
 	}
 }
 

@@ -23,11 +23,7 @@ type scratchJob struct {
 // check runs the job once and describes how its output departs from
 // the oracle, or returns "".
 func (j scratchJob) check() string {
-	got := TopPathsDAG(j.c.circ, j.c.order, j.c.arc, j.c.start, j.c.end, j.k, 0, j.cutoff)
-	if math.IsInf(j.cutoff, -1) {
-		return diffPaths(got, j.oracle)
-	}
-	return diffCutoffPrefix(got, j.oracle, j.cutoff)
+	return diffCutoffPrefix(pinSearch(j.c, j.k, 0, j.cutoff), j.oracle, j.cutoff)
 }
 
 // TestTopPathsScratchReuse interleaves searches on designs of different

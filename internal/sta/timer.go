@@ -98,17 +98,17 @@ func NewTimerCtx(ctx context.Context, in Input, cfg Config, pert *Perturb) (*Tim
 func (t *Timer) Result() *Result { return t.res }
 
 // TopPaths is Result().TopPaths(k, maxStates) — the same search, the
-// same paths bit for bit — run in a scratch the Timer keeps rather than
-// one from the shared pool.  A caller that searches the same design
-// round after round (dosePl) so allocates the arena and heap once, even
-// when they grow past the pool's cap.  The returned paths share no
-// memory with the scratch.
+// same pin-level paths bit for bit — run in a scratch the Timer keeps
+// rather than one from the shared pool.  A caller that searches the
+// same design round after round (dosePl) so allocates the arena and
+// heap once, even when they grow past the pool's cap.  The returned
+// paths share no memory with the scratch.
 func (t *Timer) TopPaths(k, maxStates int) []*Path {
 	if t.paths == nil {
 		t.paths = new(pathScratch)
 	}
 	r := t.res
-	return t.paths.search(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff)
+	return pinPaths(t.paths.search(r.In.Circ, r.order, r.ArcDelay, r.StartWeight, r.EndWeight, k, maxStates, NoCutoff))
 }
 
 // Evals returns the cumulative gate-evaluation count (loads, launches
