@@ -45,6 +45,15 @@ func (c *Compiled) hasDose() bool { return !c.Opts.DoseOff }
 // hasBias reports whether the body-bias actuator block is present.
 func (c *Compiled) hasBias() bool { return c.nBias > 0 }
 
+// doseBlocks returns the dose layer blocks, the ones the smoothness
+// rows couple: every block but the trailing bias block.
+func (c *Compiled) doseBlocks() []ActuatorBlock {
+	if c.hasBias() {
+		return c.Blocks[:len(c.Blocks)-1]
+	}
+	return c.Blocks
+}
+
 // Assignment is a composed solution across all actuator blocks: the
 // dose maps plus the per-domain body-bias voltages (nil when the bias
 // actuator is off).  Both parts are unsnapped; the signoff applies the

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"repro/internal/dosemap"
 	"repro/internal/netlist"
@@ -115,26 +116,24 @@ type Compiled struct {
 	sensCol []int
 	sensVal []float64
 
-	// Dose-variable objective: ½·dosePD_j·x_j² + doseQ_j·x_j is the
-	// Eq. 2 Δleakage model.  cutPD adds the active-layer regularization
-	// the cut engine needs; the unregularized dosePD is what the
-	// node-assembly test oracle solves.
-	dosePD, doseQ []float64
-	cutPD         []float64
+	// Actuator-variable objective: ½·cutPD_j·x_j² + doseQ_j·x_j is the
+	// Eq. 2 Δleakage model of leakTerms, with the active-layer
+	// regularization the cut engine needs added to cutPD.
+	doseQ, cutPD []float64
 
-	// Fixed constraint rows of the cut engine: one box row per actuator
-	// variable, block by block, then the dose smoothness rows (Eq. 4/9).
-	// Only the first startRows rows start in every cut QP.  The rows
-	// after them are separated like path cuts: solveTauGroup scans them
-	// against each clamped iterate and pools the violated ones, so the
-	// QP holds only the smoothness rows that bind or nearly bind.  A
-	// base compile starts from its box rows; the wafer's derived
-	// artifacts start from every row, so the consensus never separates.
-	// Pooled rows are appended after the starting rows, so dual indices
-	// survive pool growth.
+	// Fixed constraint rows of the cut engine, all of which start in
+	// every cut QP.  A base compile holds one box row per actuator
+	// variable, block by block.  The dose smoothness rows (Eq. 4/9) are
+	// separated like path cuts: solveTauGroup walks the grid's stencil
+	// (dosemap.Grid.EachPair) against each clamped iterate and pools the
+	// violated pairs, so the QP holds only the smoothness rows that bind
+	// or nearly bind.  The wafer's derived artifacts hold every
+	// smoothness row after the box rows instead (withSmoothRows) and set
+	// smoothFixed, which turns that scan off.  Pooled rows are appended
+	// after the fixed rows, so dual indices survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64
-	startRows      int
+	smoothFixed    bool
 
 	// fastMCT is the linear-model MCT at the fastest reachable dose —
 	// the QCP bisection's lower bound.
@@ -146,19 +145,22 @@ type Compiled struct {
 	nomLeakUW float64
 }
 
-// ApproxBytes estimates the artifact's resident size (slices and the
-// fixed-row CSR; the borrowed Golden/Model pointers are excluded — the
-// cache layers account for those stages separately).  Byte-budget
-// eviction only needs relative magnitudes, not exact accounting.
+// ApproxBytes is the artifact's resident size as the cache counts it:
+// the bytes of every slice it holds, the fixed-row CSR included.  Slice
+// headers, scalars and the borrowed Golden/Model are left out — the
+// cache layers account for those stages separately.
 func (c *Compiled) ApproxBytes() int64 {
-	n := len(c.gridOf) + len(c.order)
-	f := len(c.dosePD) + len(c.doseQ) + len(c.cutPD) +
-		len(c.fixedL) + len(c.fixedU)
-	csr := 0
-	if c.fixedA != nil {
-		csr = 8*(len(c.fixedA.RowPtr)+len(c.fixedA.Col)) + 8*len(c.fixedA.Val)
-	}
-	return int64(8*n + 8*f + csr)
+	return sliceBytes(c.Blocks) + sliceBytes(c.gridOf) + sliceBytes(c.order) +
+		sliceBytes(c.domainOf) + sliceBytes(c.sensPtr) + sliceBytes(c.sensCol) +
+		sliceBytes(c.sensVal) + sliceBytes(c.doseQ) + sliceBytes(c.cutPD) +
+		sliceBytes(c.fixedA.RowPtr) + sliceBytes(c.fixedA.Col) + sliceBytes(c.fixedA.Val) +
+		sliceBytes(c.fixedL) + sliceBytes(c.fixedU)
+}
+
+// sliceBytes is the size of s's elements.
+func sliceBytes[T any](s []T) int64 {
+	var z T
+	return int64(len(s)) * int64(unsafe.Sizeof(z))
 }
 
 // check validates that run options match the artifact's compile key.
@@ -237,35 +239,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	}
 
 	// Objective diagonal and linear term over the actuator variables.
-	ds := tech.DoseSensitivity
-	c.dosePD = make([]float64, c.NVar)
-	c.doseQ = make([]float64, c.NVar)
-	if !co.DoseOff {
-		for id := range in.Circ.Gates {
-			g := c.gridOf[id]
-			if g < 0 {
-				continue
-			}
-			c.dosePD[g] += 2 * model.Alpha[id] * ds * ds
-			c.doseQ[g] += model.Beta[id] * ds
-			if co.BothLayers {
-				c.doseQ[c.NG+g] += model.Gamma[id] * ds
-			}
-		}
-	}
-	if c.nBias > 0 {
-		// Bias leakage model per gate: AlphaB·b² + BetaB·b, aggregated
-		// per shared domain variable.
-		for id := range in.Circ.Gates {
-			dom := c.domainOf[id]
-			if dom < 0 {
-				continue
-			}
-			c.dosePD[c.biasOff+dom] += 2 * model.AlphaB[id]
-			c.doseQ[c.biasOff+dom] += model.BetaB[id]
-		}
-	}
-	c.cutPD = append([]float64(nil), c.dosePD...)
+	c.cutPD, c.doseQ = c.leakTerms()
 	if co.BothLayers {
 		// The active-layer objective is exactly linear (leakage is linear
 		// in gate width), which leaves those variables without curvature
@@ -291,6 +265,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	}
 
 	// Per-gate delay sensitivity rows concatenated over blocks.
+	ds := tech.DoseSensitivity
 	nGates := in.Circ.NumGates()
 	c.sensPtr = make([]int, nGates+1)
 	for id := 0; id < nGates; id++ {
@@ -314,9 +289,8 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	}
 	c.sensPtr[nGates] = len(c.sensCol)
 
-	// Fixed constraint rows of the cut engine; the box rows start.
-	c.fixedA, c.fixedL, c.fixedU = compileFixedRows(grid, c.NG, c.NVar, co, c.Blocks)
-	c.startRows = c.NVar
+	// Fixed constraint rows of the cut engine: the box rows.
+	c.fixedA, c.fixedL, c.fixedU = boxRows(c.NVar, c.Blocks)
 
 	// The QCP lower bound.
 	_, c.fastMCT = linearArrivalsOrder(golden, order, func(id int) float64 {
@@ -338,66 +312,63 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	return c, nil
 }
 
-// compileFixedRows assembles the fixed constraint rows over the
-// actuator blocks: box rows per block in block order (Eq. 3/8 for dose,
-// the bias voltage box for bias domains), then the dose smoothness rows
-// (Eq. 4/9) — bias domains have no smoothness coupling.  The triplet
-// route keeps the compiled pattern bit-identical to the historical
-// single-matrix assembly; with the dose blocks alone it reduces exactly
-// to the pre-actuator emission order.
-func compileFixedRows(grid dosemap.Grid, nG, nVar int, co CompileOptions, blocks []ActuatorBlock) (*qp.CSR, []float64, []float64) {
-	nLayers := 1
-	if co.BothLayers {
-		nLayers = 2
-	}
-	if co.DoseOff {
-		nLayers = 0
-	}
-	type entry struct {
-		r, c int
-		v    float64
-	}
-	var entries []entry
-	var l, u []float64
-	row := 0
-	addRow := func(lo, hi float64) int {
-		l = append(l, lo)
-		u = append(u, hi)
-		r := row
-		row++
-		return r
-	}
-	for _, b := range blocks {
-		for k := 0; k < b.N; k++ {
-			r := addRow(b.Lo, b.Hi)
-			entries = append(entries, entry{r, b.Off + k, 1})
-		}
-	}
-	for layer := 0; layer < nLayers; layer++ {
-		off := layer * nG
-		for i := 0; i < grid.M; i++ {
-			for j := 0; j < grid.N; j++ {
-				a := grid.Flat(i, j)
-				if j+1 < grid.N {
-					r := addRow(-co.Delta, co.Delta)
-					entries = append(entries, entry{r, off + a, 1}, entry{r, off + grid.Flat(i, j+1), -1})
-				}
-				if i+1 < grid.M {
-					r := addRow(-co.Delta, co.Delta)
-					entries = append(entries, entry{r, off + a, 1}, entry{r, off + grid.Flat(i+1, j), -1})
-				}
-				if i+1 < grid.M && j+1 < grid.N {
-					r := addRow(-co.Delta, co.Delta)
-					entries = append(entries, entry{r, off + a, 1}, entry{r, off + grid.Flat(i+1, j+1), -1})
-				}
+// leakTerms returns the Eq. 2 Δleakage model over the actuator
+// variables, ½·pd_j·x_j² + q_j·x_j, summed per variable over its gates:
+// the dose terms on each gate's grid cell (the active layer's are
+// linear), the body-bias terms on its domain.  CompileCtx regularizes pd
+// into cutPD; the node-assembly test oracle solves pd as it stands.
+func (c *Compiled) leakTerms() (pd, q []float64) {
+	in, model := c.Golden.In, c.Model
+	ds := tech.DoseSensitivity
+	pd = make([]float64, c.NVar)
+	q = make([]float64, c.NVar)
+	if c.hasDose() {
+		for id := range in.Circ.Gates {
+			g := c.gridOf[id]
+			if g < 0 {
+				continue
+			}
+			pd[g] += 2 * model.Alpha[id] * ds * ds
+			q[g] += model.Beta[id] * ds
+			if c.Opts.BothLayers {
+				q[c.NG+g] += model.Gamma[id] * ds
 			}
 		}
 	}
-	tr := qp.NewTriplet(row, nVar)
-	for _, e := range entries {
-		tr.Add(e.r, e.c, e.v)
+	if c.nBias > 0 {
+		// Bias leakage model per gate: AlphaB·b² + BetaB·b, aggregated
+		// per shared domain variable.
+		for id := range in.Circ.Gates {
+			dom := c.domainOf[id]
+			if dom < 0 {
+				continue
+			}
+			pd[c.biasOff+dom] += 2 * model.AlphaB[id]
+			q[c.biasOff+dom] += model.BetaB[id]
+		}
 	}
-	return tr.Compile(), l, u
+	return pd, q
+}
+
+// boxRows returns the box rows over the actuator blocks, one per
+// variable in block order (Eq. 3/8 for dose, the bias voltage box for
+// bias domains): the identity over the nVar variables the blocks tile,
+// with each block's bounds.
+func boxRows(nVar int, blocks []ActuatorBlock) (*qp.CSR, []float64, []float64) {
+	a := &qp.CSR{M: nVar, N: nVar,
+		RowPtr: make([]int, nVar+1), Col: make([]int, nVar), Val: make([]float64, nVar)}
+	l := make([]float64, 0, nVar)
+	u := make([]float64, 0, nVar)
+	for _, b := range blocks {
+		for k := 0; k < b.N; k++ {
+			l = append(l, b.Lo)
+			u = append(u, b.Hi)
+		}
+	}
+	for r := 0; r < nVar; r++ {
+		a.RowPtr[r+1], a.Col[r], a.Val[r] = r+1, r, 1
+	}
+	return a, l, u
 }
 
 // gateGrid maps every cell to its flat grid index.

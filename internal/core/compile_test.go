@@ -3,26 +3,32 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/qp"
 )
 
 // compiledSnapshot captures every slice of the artifact bitwise.
 type compiledSnapshot struct {
-	gridOf, order         []int
-	dosePD, doseQ, cutPD  []float64
-	fixedRowPtr, fixedCol []int
-	fixedVal              []float64
-	fixedL, fixedU        []float64
-	fastMCT, snapMargin   float64
-	nomLeak               float64
+	gridOf, order, domainOf []int
+	sensPtr, sensCol        []int
+	sensVal                 []float64
+	doseQ, cutPD            []float64
+	fixedRowPtr, fixedCol   []int
+	fixedVal                []float64
+	fixedL, fixedU          []float64
+	fastMCT, snapMargin     float64
+	nomLeak                 float64
 }
 
 func snapshotCompiled(c *Compiled) compiledSnapshot {
 	cpI := func(s []int) []int { return append([]int(nil), s...) }
 	cpF := func(s []float64) []float64 { return append([]float64(nil), s...) }
 	return compiledSnapshot{
-		gridOf: cpI(c.gridOf), order: cpI(c.order),
-		dosePD: cpF(c.dosePD), doseQ: cpF(c.doseQ), cutPD: cpF(c.cutPD),
+		gridOf: cpI(c.gridOf), order: cpI(c.order), domainOf: cpI(c.domainOf),
+		sensPtr: cpI(c.sensPtr), sensCol: cpI(c.sensCol), sensVal: cpF(c.sensVal),
+		doseQ: cpF(c.doseQ), cutPD: cpF(c.cutPD),
 		fixedRowPtr: cpI(c.fixedA.RowPtr), fixedCol: cpI(c.fixedA.Col),
 		fixedVal: cpF(c.fixedA.Val),
 		fixedL:   cpF(c.fixedL), fixedU: cpF(c.fixedU),
@@ -58,7 +64,10 @@ func (s compiledSnapshot) requireEqual(t *testing.T, o compiledSnapshot) {
 	t.Helper()
 	eqI(t, "gridOf", s.gridOf, o.gridOf)
 	eqI(t, "order", s.order, o.order)
-	eqF(t, "dosePD", s.dosePD, o.dosePD)
+	eqI(t, "domainOf", s.domainOf, o.domainOf)
+	eqI(t, "sensPtr", s.sensPtr, o.sensPtr)
+	eqI(t, "sensCol", s.sensCol, o.sensCol)
+	eqF(t, "sensVal", s.sensVal, o.sensVal)
 	eqF(t, "doseQ", s.doseQ, o.doseQ)
 	eqF(t, "cutPD", s.cutPD, o.cutPD)
 	eqI(t, "fixedA.RowPtr", s.fixedRowPtr, o.fixedRowPtr)
@@ -166,5 +175,47 @@ func TestCompiledOptionsMismatch(t *testing.T) {
 	bad.BothLayers = true
 	if _, err := SolveQCP(context.Background(), QCPRequest{Compiled: c, Opt: bad}); err == nil {
 		t.Fatal("expected compile-key mismatch error for both-layers run on poly artifact")
+	}
+}
+
+// TestApproxBytesCountsEveryField: ApproxBytes is the byte count of every
+// slice the artifact holds, each slice's length times its element size,
+// the fixed-row CSR's three slices included.  The fields are enumerated
+// by reflection, so a slice added to Compiled fails here until
+// ApproxBytes counts it; the borrowed Golden and Model are left out, and
+// any other pointer, map or interface field fails too.  It covers the
+// poly, both-layers, joint and bias-only compiles.
+func TestApproxBytesCountsEveryField(t *testing.T) {
+	csrType := reflect.TypeOf((*qp.CSR)(nil))
+	for _, tc := range smoothModes {
+		opt := DefaultOptions()
+		tc.mod(&opt)
+		opt = opt.normalized()
+		c := smoothCompiled(t, opt)
+		want := int64(0)
+		add := func(v reflect.Value) {
+			want += int64(v.Len()) * int64(v.Type().Elem().Size())
+		}
+		v := reflect.ValueOf(c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			switch {
+			case name == "Golden" || name == "Model":
+			case f.Kind() == reflect.Slice:
+				add(f)
+			case f.Type() == csrType:
+				a := f.Elem()
+				for k := 0; k < a.NumField(); k++ {
+					if a.Field(k).Kind() == reflect.Slice {
+						add(a.Field(k))
+					}
+				}
+			case f.Kind() == reflect.Pointer || f.Kind() == reflect.Map || f.Kind() == reflect.Interface:
+				t.Fatalf("Compiled.%s is a %s that ApproxBytes neither counts nor excludes", name, f.Kind())
+			}
+		}
+		if got := c.ApproxBytes(); got != want {
+			t.Errorf("%s: ApproxBytes %d, want the %d bytes of every slice", tc.name, got, want)
+		}
 	}
 }

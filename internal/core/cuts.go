@@ -13,16 +13,16 @@
 // shares one growing pool.
 //
 // The paper's dose smoothness rows (Eqs. 4/9) are separated the same
-// way.  The QP starts from the box rows alone; after each solve the
-// smoothness rows the clamped iterate violates by more than
-// smoothSepTol join the pool with their bounds [−δ, δ].  They hold for
-// every τ as well, so they persist across probes, and the QP carries
-// only the few that bind instead of a grid Laplacian in AᵀA.
+// way.  The QP starts from the box rows alone; after each solve a scan
+// of the grid's stencil finds the neighbour pairs the clamped iterate
+// violates by more than smoothSepTol, and their rows join the pool with
+// bounds [−δ, δ].  They hold for every τ as well, so they persist
+// across probes, and the QP carries only the few that bind instead of a
+// grid Laplacian in AᵀA.
 //
-// A cutSolver borrows the immutable *Compiled formulation (fixed
-// box/smoothness rows, objective terms, grid maps) and owns the per-run
-// mutable state: the cut pool, the warm-start iterate, and the
-// persistent qp.Solver.
+// A cutSolver borrows the immutable *Compiled formulation (fixed rows,
+// objective terms, grid maps) and owns the per-run mutable state: the
+// cut pool, the warm-start iterate, and the persistent qp.Solver.
 package core
 
 import (
@@ -55,7 +55,7 @@ const (
 
 // cut is one pooled constraint row over the actuator variables: a path
 // cut nom + a·x ≤ τ, or (smooth) a dose smoothness row −δ ≤ a·x ≤ δ of
-// the compiled fixed rows.
+// one stencil pair.
 type cut struct {
 	cols   []int
 	vals   []float64
@@ -142,7 +142,7 @@ type cutSolver struct {
 	// the path-cut bounds are updated in place (no CSR rebuild, no
 	// re-equilibration), and when the pool grows the new rows are
 	// appended with zero duals — pooled rows sit after the compiled
-	// starting rows, so saved dual indices stay valid.  Warm duals are
+	// fixed rows, so saved dual indices stay valid.  Warm duals are
 	// what keeps the ADMM iteration count low round over round; a cold y
 	// resets the active-set estimate and regularly forced 6x-budget
 	// retries.
@@ -162,9 +162,9 @@ type cutSolver struct {
 	// estimate dminLeak/dτ = −Σ y_i over the cut rows (each cut's upper
 	// bound is τ − nom, so the bound moves one-for-one with τ and the
 	// dual sum prices the move).  The QCP outer loop turns this into a
-	// warm-started Newton/secant step on τ; tangentOK is false until a
-	// round converges and is reset at every probe's solveTauGroup entry,
-	// so stale probes never feed a step.
+	// warm-started Newton step on τ; tangentOK is false until a round
+	// converges and is reset at every probe's solveTauGroup entry, so
+	// stale probes never feed a step.
 	tangentTau   float64
 	tangentObj   float64
 	tangentSlope float64
@@ -176,7 +176,8 @@ type cutSolver struct {
 
 	// Cut-generation scratch, reused round over round: makeCut's dense
 	// accumulator (acc, with mark flagging the touched columns listed in
-	// touched), the row it emits, and the dedup key buffer.
+	// touched), the row it or separateSmooth emits, and the dedup key
+	// buffer.
 	acc     []float64
 	mark    []bool
 	touched []int
@@ -222,7 +223,7 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 		return cs.retarget(tau, cuts)
 	}
 	if cs.solver != nil && len(cuts) > cs.builtCuts {
-		// Append-only growth: pooled rows sit after the compiled starting
+		// Append-only growth: pooled rows sit after the compiled fixed
 		// rows, so new rows extend the live solver in place — the
 		// factorized/preconditioned state for the old rows survives and
 		// only the appended rows cost symbolic work.  Duals persist inside
@@ -297,14 +298,14 @@ func (cs *cutSolver) saveDuals(y []float64) {
 
 // recordTangent captures the (τ, obj, dObj/dτ) tangent of a converged
 // round solved against the pooled rows cuts.  Pooled rows sit after the
-// compiled starting rows, and a path cut's upper bound is τ − nom, so
+// compiled fixed rows, and a path cut's upper bound is τ − nom, so
 // the value-function derivative is the negated dual sum over exactly
 // the path-cut rows, in ascending row order (duals of one-sided upper
 // bounds are nonnegative, hence the slope is ≤ 0, matching a
 // non-increasing minLeak).  Smoothness rows do not move with τ.
 func (cs *cutSolver) recordTangent(tau, obj float64, y []float64, cuts []cut) {
 	slope := 0.0
-	base := cs.comp.startRows
+	base := cs.comp.fixedA.M
 	for i, c := range cuts {
 		if !c.smooth {
 			slope -= y[base+i]
@@ -401,13 +402,14 @@ func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 }
 
 // Dedup key tags: each number of a cut key opens with one of the first
-// three.  A smoothness row's key is keySmooth and the uvarint row index
-// in the compiled fixed rows; no path-cut key starts with that byte.
+// three.  A smoothness row's key is keySmooth and the uvarint index of
+// its pair in separateSmooth's walk; no path-cut key starts with that
+// byte.
 const (
 	keyPos    = 0 // sign bit clear; uvarint round-half-even(|v|·10ᵖ) follows
 	keyNeg    = 1 // sign bit set (−0 and tiny negatives print as "-0.00")
 	keyText   = 2 // non-finite or too large; strconv text and keyTextEnd follow
-	keySmooth = 3 // a smoothness row; its uvarint row index follows
+	keySmooth = 3 // a smoothness row; its uvarint pair index follows
 
 	keyTextEnd = ';' // closes a keyText token; never part of a formatted float
 )
@@ -482,27 +484,33 @@ func (cs *cutSolver) rowBounds(c cut, tau float64) (lo, hi float64) {
 	return math.Inf(-1), tau - c.nom
 }
 
-// separateSmooth is the smoothness half of a cut round's separation:
-// it scans the compiled smoothness rows (fixed rows from startRows on)
-// at the clamped iterate cs.x, pools in ascending row order every row
-// violated by more than smoothSepTol, and returns how many rows it found
-// violated, pooled before or not.
+// separateSmooth is the smoothness half of a cut round's separation: it
+// walks the grid's stencil over each dose block at the clamped iterate
+// cs.x, pools in walk order the row x_a − x_b ∈ [−δ, δ] of every pair
+// whose difference lies more than smoothSepTol outside [−δ, δ], and
+// returns how many pairs it found violated, pooled before or not.  An
+// artifact whose fixed rows already hold the smoothness rows
+// (smoothFixed) has none to separate.
 func (cs *cutSolver) separateSmooth() int {
 	c := cs.comp
-	a := c.fixedA
 	violated, added := 0, 0
-	for r := c.startRows; r < a.M; r++ {
-		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-		v := 0.0
-		for k := lo; k < hi; k++ {
-			v += a.Val[k] * cs.x[a.Col[k]]
-		}
-		if v > c.fixedU[r]+smoothSepTol || v < c.fixedL[r]-smoothSepTol {
-			violated++
-			cs.key = binary.AppendUvarint(append(cs.key[:0], keySmooth), uint64(r))
-			if cs.pool.add(cs.key, cut{cols: a.Col[lo:hi], vals: a.Val[lo:hi], smooth: true}) {
-				added++
-			}
+	if !c.smoothFixed {
+		delta := c.Opts.Delta
+		pair := 0
+		for _, b := range c.doseBlocks() {
+			x := cs.x[b.Off : b.Off+b.N]
+			c.Grid.EachPair(func(p, q int) {
+				if v := x[p] - x[q]; v > delta+smoothSepTol || v < -delta-smoothSepTol {
+					violated++
+					cs.key = binary.AppendUvarint(append(cs.key[:0], keySmooth), uint64(pair))
+					cs.rowCols = append(cs.rowCols[:0], b.Off+p, b.Off+q)
+					cs.rowVals = append(cs.rowVals[:0], 1, -1)
+					if cs.pool.add(cs.key, cut{cols: cs.rowCols, vals: cs.rowVals, smooth: true}) {
+						added++
+					}
+				}
+				pair++
+			})
 		}
 	}
 	cs.rec.Add("core/smooth_rows_added", int64(added))
@@ -555,7 +563,7 @@ func (cs *cutSolver) generateCuts(ctx context.Context, delta func(id int) float6
 	return added
 }
 
-// buildProblem assembles the current QP: the compiled starting rows
+// buildProblem assembles the current QP: the compiled fixed rows
 // followed by the pooled rows.  ConcatRows copies both, so the problem
 // owns its A, L and U and ensure can append to them in place; the
 // objective diagonal is compiled from cs.pd because the run view owns
@@ -568,10 +576,7 @@ func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 			ptr.Add(j, j, v)
 		}
 	}
-	n0 := c.startRows
-	nnz := c.fixedA.RowPtr[n0]
-	start := &qp.CSR{M: n0, N: cs.nVar,
-		RowPtr: c.fixedA.RowPtr[:n0+1], Col: c.fixedA.Col[:nnz], Val: c.fixedA.Val[:nnz]}
+	n0 := c.fixedA.M
 	l := make([]float64, n0, n0+len(cuts))
 	u := make([]float64, n0, n0+len(cuts))
 	copy(l, c.fixedL)
@@ -584,7 +589,7 @@ func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 		l = append(l, lo)
 		u = append(u, hi)
 	}
-	a := qp.ConcatRows(start, qp.CSRFromRows(cs.nVar, cols, vals))
+	a := qp.ConcatRows(c.fixedA, qp.CSRFromRows(cs.nVar, cols, vals))
 	return &qp.Problem{P: ptr.Compile(), Q: cs.q, A: a, L: l, U: u}
 }
 

@@ -103,12 +103,13 @@ func assembleNode(c *Compiled, opt Options, tau float64) (*qp.Problem, int) {
 		}
 	}
 
-	// Objective: the compiled dose terms widened with zero-cost arrival
-	// variables.
+	// Objective: the unregularized Eq. 2 terms widened with zero-cost
+	// arrival variables.
+	pd, _ := c.leakTerms()
 	q := make([]float64, nVar)
 	copy(q, c.doseQ)
 	ptr := qp.NewTriplet(nVar, nVar)
-	for j, v := range c.dosePD {
+	for j, v := range pd {
 		if v != 0 {
 			ptr.Add(j, j, v)
 		}

@@ -86,7 +86,7 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 			t.Errorf("telemetry counter %s empty in enabled run", c)
 		}
 	}
-	// Every bisection iteration is either a Newton/secant step or a
+	// Every bisection iteration is either a Newton step or a
 	// bisection fallback, so the τ-probe counters cannot both be empty;
 	// and every solve runs at least one LDLᵀ numeric phase.  (Zero-valued
 	// counters are never recorded, so absence is the failure signature

@@ -85,7 +85,7 @@ func TestQCPWorkerBitIdentity(t *testing.T) {
 }
 
 // BenchmarkTauNewton times the full QCP bisection on a compiled AES
-// instance — the loop the warm-started secant/Newton step accelerates.
+// instance — the loop the warm-started Newton step accelerates.
 // core/qcp_probes in -bench-json reports tell the same story at table
 // scale.
 func BenchmarkTauNewton(b *testing.B) {

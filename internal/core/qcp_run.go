@@ -76,20 +76,10 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	var bestX []float64
 	probes := 0
 
-	// Secant state: the last two feasible probe evaluations (τ, minLeak),
-	// most recent last.  When the dual-based tangent is useless — early
-	// probes bind few cuts, so the local slope extrapolates the frontier
-	// far below the bracket — the secant through two actual evaluations
-	// still tracks how minLeak steepens as the cut pool grows, and under
-	// convexity its downward extrapolation lower-bounds τ* exactly like
-	// the tangent root does.
-	type tauEval struct{ tau, obj float64 }
-	var feasPrev, feasLast tauEval
-
 	// probe solves one clock-period candidate and reports whether it
 	// fits the leakage budget; solver trouble counts as infeasible
 	// rather than aborting the whole bisection, but cancellation
-	// propagates.  Feasible evaluations feed the secant state.
+	// propagates.
 	probe := func(tau float64) (bool, error) {
 		obj, feasible, err := cs.solveTau(ctx, tau, opt.XiNW)
 		if err != nil {
@@ -98,27 +88,7 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 			}
 			return false, nil
 		}
-		ok := feasible && obj <= opt.XiNW+xiTol
-		if ok {
-			feasPrev, feasLast = feasLast, tauEval{tau, obj}
-		}
-		return ok, nil
-	}
-
-	// secantCandidate extrapolates the two stored feasible evaluations
-	// down to where the leakage budget binds.  Both points sit on the
-	// feasible side (obj < ξ), so the chord's root below them is a
-	// convexity-certified lower bound on τ*, same as the tangent root.
-	secantCandidate := func() (float64, bool) {
-		if feasPrev.tau <= feasLast.tau || feasLast.obj <= feasPrev.obj {
-			return 0, false
-		}
-		slope := (feasLast.obj - feasPrev.obj) / (feasLast.tau - feasPrev.tau)
-		cand := feasLast.tau + (opt.XiNW-feasLast.obj)/slope
-		if math.IsNaN(cand) || math.IsInf(cand, 0) {
-			return 0, false
-		}
-		return cand, true
+		return feasible && obj <= opt.XiNW+xiTol, nil
 	}
 
 	// First probe at the nominal period must be feasible.
@@ -191,28 +161,19 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 			return tn > lo+0.05*w && tn < hi-0.05*w
 		}
 		nc, nok := cs.newtonCandidate(opt.XiNW)
-		sc, sok := secantCandidate()
 		switch {
 		case nok && inBand(nc+guard):
 			t, candLo, newton = nc+guard, nc, true
-		case sok && inBand(sc+guard):
-			t, candLo, newton = sc+guard, sc, true
-		case (nok && nc+guard <= lo+0.05*(hi-lo) || sok && sc+guard <= lo+0.05*(hi-lo)) && !floorTried:
-			// Both model candidates certify a lower bound at or below the
-			// bracket floor: the budget looks slack on the whole interval
-			// and bisection would spend log₂(w/tol) feasible probes
-			// marching hi down to lo.  Probe just above the floor instead —
-			// a feasible hit collapses the bracket to the guard width in
-			// one step.  One attempt per run: a miss costs a single probe
-			// and hands back to bisection.
+		case nok && nc+guard <= lo+0.05*(hi-lo) && !floorTried:
+			// The tangent certifies a lower bound at or below the bracket
+			// floor: the budget looks slack on the whole interval and
+			// bisection would spend log₂(w/tol) feasible probes marching
+			// hi down to lo.  Probe just above the floor instead — a
+			// feasible hit collapses the bracket to the guard width in one
+			// step.  One attempt per run: a miss costs a single probe and
+			// hands back to bisection.
 			floorTried = true
-			cand := lo
-			if nok && nc > cand {
-				cand = nc
-			}
-			if sok && sc > cand {
-				cand = sc
-			}
+			cand := math.Max(lo, nc)
 			t, candLo, newton = cand+guard, cand, true
 		}
 		if newton {

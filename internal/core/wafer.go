@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -176,19 +177,46 @@ func (cs *cutSolver) refreshLinear() error {
 	return cs.solver.UpdateLinear(cs.q)
 }
 
+// withSmoothRows returns a copy of c whose fixed rows hold, after the
+// box rows, every dose smoothness row (Eq. 4/9): per dose block, one
+// row x_a − x_b ∈ [−δ, δ] for each pair of the grid's stencil, in the
+// order the separation scan walks them.  The copy sets smoothFixed, so
+// its cut rounds never separate.  The wafer's derived fields start
+// from it.
+func (c *Compiled) withSmoothRows() *Compiled {
+	d := *c
+	a := c.fixedA
+	rowPtr := slices.Clone(a.RowPtr)
+	col, val := slices.Clone(a.Col), slices.Clone(a.Val)
+	l, u := slices.Clone(c.fixedL), slices.Clone(c.fixedU)
+	delta := c.Opts.Delta
+	for _, b := range c.doseBlocks() {
+		c.Grid.EachPair(func(p, q int) {
+			col = append(col, b.Off+p, b.Off+q)
+			val = append(val, 1, -1)
+			rowPtr = append(rowPtr, len(col))
+			l = append(l, -delta)
+			u = append(u, delta)
+		})
+	}
+	d.fixedA = &qp.CSR{M: len(rowPtr) - 1, N: a.N, RowPtr: rowPtr, Col: col, Val: val}
+	d.fixedL, d.fixedU = l, u
+	d.smoothFixed = true
+	return &d
+}
+
 // deriveField derives a per-field view of the shared artifact in
 // effective-dose space: the box rows and options shift by the virtual
 // bias dose δ, the QCP lower bound is recomputed for the shifted range,
 // and everything else (grid maps, objective, smoothness rows, golden,
-// model) is borrowed from the base.  Every smoothness row starts in the
-// field's QP, so Table IX and the flows benchmark fingerprint keep the
-// bits they had before single-field QPs began to separate those rows.
-// Whether separating them in the wafer pays is unmeasured: one traced
-// run of a lazy variant read a shorter flows wall (DESIGN.md §5,
-// ROADMAP item 7).
+// model) is borrowed from the base.  SolveWafer passes a base built by
+// withSmoothRows, so every smoothness row starts in the field's QP and
+// Table IX and the flows benchmark fingerprint keep the bits they had
+// before single-field QPs began to separate those rows.  Whether
+// separating them in the wafer pays is unmeasured: one traced run of a
+// lazy variant read a shorter flows wall (DESIGN.md §5, ROADMAP item 7).
 func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Options) {
 	d := *base
-	d.startRows = base.fixedA.M
 	d.Opts.DoseLo += biasDose
 	d.Opts.DoseHi += biasDose
 	fl := append([]float64(nil), base.fixedL...)
@@ -269,7 +297,6 @@ func deriveConsensus(base *Compiled, opt Options, biasDose, rhoW float64) (*Comp
 		row++
 	}
 	d.fixedA = qp.ConcatRows(wide, tr.Compile())
-	d.startRows = d.fixedA.M
 	zeros := make([]float64, 2*nCols+1)
 	d.fixedL = append(d.fixedL, zeros...)
 	d.fixedU = append(d.fixedU, zeros...)
@@ -485,6 +512,8 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		// wafer-level coupling, so actuator composition stops at the field.
 		return nil, errors.New("core: wafer solve supports dose-only formulations")
 	}
+	// The field solves below start from every smoothness row.
+	c = c.withSmoothRows()
 	wopt := req.Wafer.normalized()
 	wafer, err := dosemap.NewWafer(wopt.DiameterMM, wopt.FieldWmm, wopt.FieldHmm, wopt.EdgeMM)
 	if err != nil {

@@ -75,6 +75,29 @@ func (g Grid) Index(x, y float64) (i, j int) {
 // Flat linearizes (i, j) row-major.
 func (g Grid) Flat(i, j int) int { return i*g.N + j }
 
+// EachPair calls visit(a, b) for every neighbour pair of the smoothness
+// constraints (Eq. 4 / Eq. 9): each cell a, in row-major order, with its
+// right, lower and lower-right neighbour b, where they exist, in that
+// order.  a and b are flat indices, and b > a.  This is the one
+// definition of the stencil: the map checks and repair below and the
+// optimizer's smoothness rows all walk it.
+func (g Grid) EachPair(visit func(a, b int)) {
+	for i := 0; i < g.M; i++ {
+		for j := 0; j < g.N; j++ {
+			a := g.Flat(i, j)
+			if j+1 < g.N {
+				visit(a, a+1)
+			}
+			if i+1 < g.M {
+				visit(a, a+g.N)
+				if j+1 < g.N {
+					visit(a, a+g.N+1)
+				}
+			}
+		}
+	}
+}
+
 // Map is a per-grid dose-delta map for one layer, in percent.
 type Map struct {
 	Grid Grid
@@ -133,27 +156,12 @@ func (m *Map) CheckRange(lo, hi float64) error {
 // vertically and diagonally adjacent grid pairs — the left side of the
 // smoothness constraints (Eq. 4 / Eq. 9).
 func (m *Map) MaxNeighborDiff() float64 {
-	g := m.Grid
 	worst := 0.0
-	chk := func(a, b int) {
+	m.Grid.EachPair(func(a, b int) {
 		if d := math.Abs(m.D[a] - m.D[b]); d > worst {
 			worst = d
 		}
-	}
-	for i := 0; i < g.M; i++ {
-		for j := 0; j < g.N; j++ {
-			a := g.Flat(i, j)
-			if j+1 < g.N {
-				chk(a, g.Flat(i, j+1))
-			}
-			if i+1 < g.M {
-				chk(a, g.Flat(i+1, j))
-			}
-			if i+1 < g.M && j+1 < g.N {
-				chk(a, g.Flat(i+1, j+1))
-			}
-		}
-	}
+	})
 	return worst
 }
 
@@ -179,43 +187,39 @@ func (m *Map) Legalize(lo, hi, delta float64, sweeps int) float64 {
 			m.D[i] = hi
 		}
 	}
-	g := m.Grid
-	repair := func(a, b int) {
-		d := m.D[a] - m.D[b]
-		if d > delta {
-			adj := (d - delta) / 2
-			m.D[a] -= adj
-			m.D[b] += adj
-		} else if d < -delta {
-			adj := (-d - delta) / 2
-			m.D[a] += adj
-			m.D[b] -= adj
+	// The sweeps run over the stencil's pairs listed once, flat (a, b,
+	// a, b, …), so their loops make no call per pair.
+	pairs := make([]int32, 0, 6*m.Grid.Cells())
+	m.Grid.EachPair(func(a, b int) { pairs = append(pairs, int32(a), int32(b)) })
+	d := m.D
+	worst := func() float64 {
+		w := 0.0
+		for k := 0; k < len(pairs); k += 2 {
+			if v := math.Abs(d[pairs[k]] - d[pairs[k+1]]); v > w {
+				w = v
+			}
 		}
+		return w
 	}
-	for s := 0; s < sweeps; s++ {
-		if m.MaxNeighborDiff() <= delta {
-			break
-		}
-		for i := 0; i < g.M; i++ {
-			for j := 0; j < g.N; j++ {
-				a := g.Flat(i, j)
-				if j+1 < g.N {
-					repair(a, g.Flat(i, j+1))
-				}
-				if i+1 < g.M {
-					repair(a, g.Flat(i+1, j))
-				}
-				if i+1 < g.M && j+1 < g.N {
-					repair(a, g.Flat(i+1, j+1))
-				}
+	for s := 0; s < sweeps && worst() > delta; s++ {
+		for k := 0; k < len(pairs); k += 2 {
+			a, b := pairs[k], pairs[k+1]
+			if v := d[a] - d[b]; v > delta {
+				adj := (v - delta) / 2
+				d[a] -= adj
+				d[b] += adj
+			} else if v < -delta {
+				adj := (-v - delta) / 2
+				d[a] += adj
+				d[b] -= adj
 			}
 		}
 	}
-	d := m.MaxNeighborDiff() - delta
-	if d < 0 {
+	v := worst() - delta
+	if v < 0 {
 		return 0
 	}
-	return d
+	return v
 }
 
 // Stats summarizes a map.

@@ -3,6 +3,7 @@ package dosemap
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,29 @@ func TestDiagonalSmoothness(t *testing.T) {
 	// Horizontal/vertical neighbors of the corner are still 0.
 	if d := m.MaxNeighborDiff(); d != 3 {
 		t.Errorf("diagonal difference not detected: %v", d)
+	}
+}
+
+// TestEachPairStencil: the walk visits every cell in row-major order
+// with its right, lower and lower-right neighbour where they exist, on
+// single-cell, single-row, single-column and full grids.
+func TestEachPairStencil(t *testing.T) {
+	for _, sz := range [][2]int{{1, 1}, {1, 4}, {3, 1}, {3, 4}} {
+		g := Grid{G: 1, W: float64(sz[1]), H: float64(sz[0]), M: sz[0], N: sz[1]}
+		var want, got [][2]int
+		for i := 0; i < g.M; i++ {
+			for j := 0; j < g.N; j++ {
+				for _, d := range [][2]int{{0, 1}, {1, 0}, {1, 1}} {
+					if i+d[0] < g.M && j+d[1] < g.N {
+						want = append(want, [2]int{g.Flat(i, j), g.Flat(i+d[0], j+d[1])})
+					}
+				}
+			}
+		}
+		g.EachPair(func(a, b int) { got = append(got, [2]int{a, b}) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%d×%d grid: walk %v, want %v", g.M, g.N, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -252,7 +251,9 @@ func (sc *pathScratch) search(circ *netlist.Circuit, order []int, arc func(from,
 
 	// Only relaxed gates get a live suffix, and only states at such gates
 	// are expanded, so the arc delays read below were all written above.
-	f := frontier{arena: slices.Grow(sc.f.arena[:0], 4*k), heap: sc.f.heap[:0]}
+	// The arena grows by push: no bound in k holds for a gate-level
+	// search, which usually pushes far fewer states than k.
+	f := frontier{arena: sc.f.arena[:0], heap: sc.f.heap[:0]}
 	// Roots: all startpoints with a live suffix.
 	for id, g := range circ.Gates {
 		if g.Kind != netlist.PI && g.Kind != netlist.Seq || math.IsInf(suffix[id], -1) {

@@ -62,7 +62,7 @@ func ladder(t *testing.T, d int) *sta.Result {
 func TestTopPathsParallelEdges(t *testing.T) {
 	for _, d := range []int{1, 2, 10, 40} {
 		r := ladder(t, d)
-		for _, k := range []int{1, 3, 64, 10000} {
+		for _, k := range []int{1, 3, 64, 10000, math.MaxInt} {
 			paths, pops := sta.TopPathsPops(r, k, 0)
 			if len(paths) != 1 {
 				t.Fatalf("d=%d k=%d: %d gate paths, want 1", d, k, len(paths))
