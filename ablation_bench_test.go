@@ -46,6 +46,20 @@ func ablationFixture(b *testing.B) (*sta.Result, *core.Model) {
 	return ablGolden, ablModel
 }
 
+// ablationQP compiles the formulation opt reads and solves the QP at
+// the nominal clock period; the ablations time both stages.
+func ablationQP(b *testing.B, golden *sta.Result, model *core.Model, opt core.Options) *core.Result {
+	comp, err := repro.Compile(context.Background(), golden, model, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := core.SolveQP(context.Background(), core.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkAblationGranularity sweeps the grid size G.
 func BenchmarkAblationGranularity(b *testing.B) {
 	golden, model := ablationFixture(b)
@@ -54,10 +68,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.G = g
 			for i := 0; i < b.N; i++ {
-				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-				if err != nil {
-					b.Fatal(err)
-				}
+				r := ablationQP(b, golden, model, opt)
 				if i == 0 {
 					imp := 100 * (1 - r.Golden.LeakUW/r.Nominal.LeakUW)
 					fmt.Printf("ablation G=%.1f µm: leak saved %.2f%%\n", g, imp)
@@ -75,10 +86,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Delta = delta
 			for i := 0; i < b.N; i++ {
-				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-				if err != nil {
-					b.Fatal(err)
-				}
+				r := ablationQP(b, golden, model, opt)
 				if i == 0 {
 					imp := 100 * (1 - r.Golden.LeakUW/r.Nominal.LeakUW)
 					fmt.Printf("ablation δ=%.1f: leak saved %.2f%% (max neighbor Δ %.2f)\n",
@@ -94,10 +102,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 func BenchmarkAblationSnapPolicy(b *testing.B) {
 	golden, model := ablationFixture(b)
 	opt := core.DefaultOptions()
-	res, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := ablationQP(b, golden, model, opt)
 	in := golden.In
 	report := func(name string, m *dosemap.Map) {
 		layers := dosemap.Layers{Poly: m}

@@ -56,11 +56,14 @@ func main() {
 	act.Apply(&spec)
 
 	start := time.Now()
-	res, out, err := api.Run(com.Context(), spec)
+	ctx := com.Context()
+	com.Check(spec.Validate())
+	art, err := api.Prepare(ctx, spec, nil)
+	com.Check(err)
+	res, dm, err := api.Execute(ctx, art, spec)
 	com.Check(err)
 
-	dm := out.DM
-	fmt.Printf("%s: %d cells\n", spec.DesignKey(), out.Golden.In.Circ.NumCells())
+	fmt.Printf("%s: %d cells\n", spec.DesignKey(), art.Golden.In.Circ.NumCells())
 	fmt.Printf("\n%s, grid %.1f µm, δ=%.1f, layers=%s\n", res.Mode, *grid, *delta, layers(*both))
 	fmt.Printf("  nominal : MCT %8.1f ps   leakage %9.1f µW\n", res.NominalMCTPs, res.NominalLeakUW)
 	fmt.Printf("  DMopt   : MCT %8.1f ps   leakage %9.1f µW   (%+.2f%% / %+.2f%%)\n",

@@ -29,8 +29,12 @@ func main() {
 	}
 	opt := repro.DefaultOptions()
 	opt.G = 5
-	res, err := repro.SolveQP(context.Background(),
-		repro.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+	ctx := context.Background()
+	comp, err := repro.Compile(ctx, golden, model, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := repro.SolveQP(ctx, repro.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		log.Fatal(err)
 	}

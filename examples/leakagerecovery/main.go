@@ -14,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	preset := repro.JPEG65().Scaled(0.08)
 	d, err := repro.Generate(preset)
 	if err != nil {
@@ -35,8 +36,11 @@ func main() {
 			opt := repro.DefaultOptions()
 			opt.G = g
 			opt.BothLayers = both
-			res, err := repro.SolveQP(context.Background(),
-				repro.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+			comp, err := repro.Compile(ctx, golden, model, opt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := repro.SolveQP(ctx, repro.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
 			if err != nil {
 				log.Fatal(err)
 			}

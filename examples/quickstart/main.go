@@ -22,17 +22,28 @@ func main() {
 	fmt.Printf("design %s: %d cells on %.0fx%.0f µm\n",
 		preset.Name, d.Circ.NumCells(), d.Pl.ChipW, d.Pl.ChipH)
 
-	opt := repro.DefaultOptions()
-	opt.G = 5 // the paper's finest grid; G is an equipment property, not a design one
-
-	out, err := repro.SolveFlow(context.Background(), repro.FlowRequest{
-		Design: d,
-		Config: repro.FlowConfig{Opt: opt, Mode: repro.ModeQPLeakage},
-	})
+	golden, err := repro.Analyze(d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dm := out.DM
+	model, err := repro.FitModel(golden, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt := repro.DefaultOptions()
+	opt.G = 5 // the paper's finest grid; G is an equipment property, not a design one
+
+	// One compiled formulation serves every solve at this grid, δ,
+	// dose range and layer choice.
+	ctx := context.Background()
+	comp, err := repro.Compile(ctx, golden, model, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dm, err := repro.SolveQP(ctx, repro.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("nominal : MCT %7.1f ps, leakage %7.1f µW\n", dm.Nominal.MCTps, dm.Nominal.LeakUW)
 	fmt.Printf("DMopt QP: MCT %7.1f ps, leakage %7.1f µW\n", dm.Golden.MCTps, dm.Golden.LeakUW)
 	fmt.Printf("leakage saved: %.1f%% at %.2f%% timing cost\n",

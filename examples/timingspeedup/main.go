@@ -4,10 +4,10 @@
 // the dosePl cell-swapping rounds, and prints the worst-slack profile of
 // each stage against the "Bias" headroom reference.
 //
-// It uses the context-aware facade (GenerateCtx, AnalyzeCtx, SolveQCP,
-// RunDosePlCtx): the whole flow runs under a deadline and aborts with a
-// wrapped context error if it overruns.  Results are bit-identical to
-// the plain serial API at any worker count.
+// It uses the context-aware facade (GenerateCtx, AnalyzeCtx, Compile,
+// SolveQCP, RunDosePlCtx): the whole flow runs under a deadline and
+// aborts with a wrapped context error if it overruns.  Results are
+// bit-identical to the plain serial API at any worker count.
 package main
 
 import (
@@ -43,7 +43,11 @@ func main() {
 	opt := repro.DefaultOptions()
 	opt.G = 5
 	opt.Workers = workers
-	res, err := repro.SolveQCP(ctx, repro.QCPRequest{Golden: golden, Model: model, Opt: opt})
+	comp, err := repro.Compile(ctx, golden, model, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := repro.SolveQCP(ctx, repro.QCPRequest{Compiled: comp, Opt: opt})
 	if err != nil {
 		log.Fatal(err)
 	}

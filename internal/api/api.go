@@ -8,8 +8,9 @@
 // over HTTP, and the expt harness describes each table run as one.
 // All three build the design → golden → model → compiled chain through
 // Prepare and one build-once Cache (none for cmd/dmopt, a byte budget
-// for the server, unbounded for the harness); Execute solves through
-// core.SolveFlow.  So the transports cannot drift and their results are
+// for the server, unbounded for the harness), and cmd/dmopt and the
+// server solve through Execute, which runs the QP or QCP, dosePl and
+// wafer stages.  So the transports cannot drift and their results are
 // bit-identical by construction.
 package api
 
@@ -78,6 +79,16 @@ type WaferSpec struct {
 // runs to the cap, so a cap far above the default 8 only lets one
 // request hold a worker longer.
 const MaxWaferOuter = 64
+
+// Inline-preset bounds.  Generation time and memory grow with a
+// preset's cell, depth and port counts, so Validate refuses a preset
+// past them before any build.  Every Table I preset fits at scale 1
+// (at most 98,555 cells, depth 40 and 96 ports per side).
+const (
+	MaxPresetCells = 1 << 17
+	MaxPresetDepth = 256
+	MaxPresetPorts = 4096
+)
 
 // JobSpec describes one optimization job.  Zero-valued knobs select the
 // paper's defaults (see core.DefaultOptions); Normalized materializes
@@ -304,11 +315,16 @@ func (s JobSpec) Validate() error {
 	if s.GridUm < 0 {
 		return fmt.Errorf("api: negative grid size grid_um %g", s.GridUm)
 	}
-	// The dose grid must fit dosemap.MaxGridCells on the spec's die,
-	// refused here before any design is generated.
+	// The design must fit the preset bounds and the dose grid
+	// dosemap.MaxGridCells on the spec's die, refused here before any
+	// design is generated.
 	p, err := s.GenPreset()
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
+	}
+	if p.Cells > MaxPresetCells || p.Depth > MaxPresetDepth || p.PIs > MaxPresetPorts || p.POs > MaxPresetPorts {
+		return fmt.Errorf("api: preset %q has %d cells, depth %d and %d/%d ports, above the bounds of %d cells, depth %d and %d ports",
+			p.Name, p.Cells, p.Depth, p.PIs, p.POs, MaxPresetCells, MaxPresetDepth, MaxPresetPorts)
 	}
 	if _, err := dosemap.NewGrid(p.ChipW, p.ChipH, s.Normalized().GridUm); err != nil {
 		return fmt.Errorf("api: grid_um: %w", err)
@@ -404,36 +420,6 @@ func (s JobSpec) Options() (core.Options, error) {
 		opt.BiasLo, opt.BiasHi = s.BiasLoV, s.BiasHiV
 	}
 	return opt, nil
-}
-
-// FlowMode maps the spec's mode string onto the core flow mode.
-func (s JobSpec) FlowMode() (core.Mode, error) {
-	switch strings.ToLower(s.Mode) {
-	case "", ModeQP:
-		return core.ModeQPLeakage, nil
-	case ModeQCP:
-		return core.ModeQCPTiming, nil
-	}
-	return 0, fmt.Errorf("api: unknown mode %q", s.Mode)
-}
-
-// FlowConfig maps the spec onto the end-to-end flow configuration.
-func (s JobSpec) FlowConfig() (core.FlowConfig, error) {
-	opt, err := s.Options()
-	if err != nil {
-		return core.FlowConfig{}, err
-	}
-	mode, err := s.FlowMode()
-	if err != nil {
-		return core.FlowConfig{}, err
-	}
-	return core.FlowConfig{
-		Opt:       opt,
-		Mode:      mode,
-		TauPs:     s.TauPs,
-		RunDosePl: s.DosePl,
-		DosePl:    core.DefaultDosePlOptions(),
-	}, nil
 }
 
 // WaferOptions maps a wafer-mode spec onto the core wafer options.
@@ -615,10 +601,15 @@ func WaferResultOf(spec JobSpec, wr *core.WaferResult) *JobResult {
 	}
 }
 
-// ResultOf assembles the versioned result document from a flow outcome.
-func ResultOf(spec JobSpec, out *core.FlowOutcome) *JobResult {
+// ResultOf assembles the versioned result document from the solve
+// stages' results: the DMopt result and the dosePl rounds (nil when
+// none ran), whose signoff is then the final one.
+func ResultOf(spec JobSpec, dm *core.Result, dp *core.DosePlResult) *JobResult {
 	spec = spec.Normalized()
-	dm := out.DM
+	final := dm.Golden
+	if dp != nil {
+		final = dp.After
+	}
 	st := dm.Layers.Poly.Stats()
 	r := &JobResult{
 		Schema:          Schema,
@@ -626,10 +617,10 @@ func ResultOf(spec JobSpec, out *core.FlowOutcome) *JobResult {
 		Mode:            spec.Mode,
 		NominalMCTPs:    dm.Nominal.MCTps,
 		NominalLeakUW:   dm.Nominal.LeakUW,
-		MCTPs:           out.Final.MCTps,
-		LeakUW:          out.Final.LeakUW,
-		MCTImpPct:       100 * (1 - out.Final.MCTps/dm.Nominal.MCTps),
-		LeakImpPct:      100 * (1 - out.Final.LeakUW/dm.Nominal.LeakUW),
+		MCTPs:           final.MCTps,
+		LeakUW:          final.LeakUW,
+		MCTImpPct:       100 * (1 - final.MCTps/dm.Nominal.MCTps),
+		LeakImpPct:      100 * (1 - final.LeakUW/dm.Nominal.LeakUW),
 		PredMCTPs:       dm.PredMCT,
 		PredDeltaLeakNW: dm.PredDeltaLeakNW,
 		Probes:          dm.Probes,
@@ -660,7 +651,7 @@ func ResultOf(spec JobSpec, out *core.FlowOutcome) *JobResult {
 		bs.MeanV = sum / float64(n)
 		r.Bias = bs
 	}
-	if dp := out.DosePl; dp != nil {
+	if dp != nil {
 		r.DosePl = &DosePlSummary{
 			MCTPs:         dp.After.MCTps,
 			LeakUW:        dp.After.LeakUW,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/sta"
 )
 
 func TestValidate(t *testing.T) {
@@ -36,6 +37,9 @@ func TestValidate(t *testing.T) {
 		{"inline die without area", func(s *JobSpec) { s.Design = ""; s.Preset = &gen.Preset{Name: "flat"} }, "bad grid spec"},
 		{"max_outer above bound", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: MaxWaferOuter + 1} }, "max_outer"},
 		{"negative max_outer", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: -1} }, "max_outer"},
+		{"preset cells above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.Cells = 100_000_000 }, "above the bounds"},
+		{"preset depth above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.Depth++ }, "above the bounds"},
+		{"preset ports above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.POs++ }, "above the bounds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,15 +97,30 @@ func TestValidateNonFinite(t *testing.T) {
 	}
 }
 
-// TestValidateAtBounds: the largest grid and the most consensus rounds
-// a spec may ask for pass, raw and normalized.
+// boundPreset is an inline preset at every preset bound, on AES-65's
+// die.
+func boundPreset() *gen.Preset {
+	p := gen.AES65()
+	p.Name = "bound"
+	p.Cells, p.Depth, p.PIs, p.POs = MaxPresetCells, MaxPresetDepth, MaxPresetPorts, MaxPresetPorts
+	return &p
+}
+
+// TestValidateAtBounds: the largest grid, the most consensus rounds and
+// the largest inline preset a spec may ask for pass, raw and
+// normalized, and so does every Table I preset at scale 1 sent inline.
 func TestValidateAtBounds(t *testing.T) {
-	for _, spec := range []JobSpec{
+	specs := []JobSpec{
 		{Design: "JPEG-90", GridUm: 5},
 		{Design: "JPEG-90"},
 		{Design: "AES-65", Scale: 0.1, GridUm: 1.7},
 		{Design: "AES-65", Scale: 0.1, Mode: ModeWafer, Wafer: &WaferSpec{MaxOuter: MaxWaferOuter}},
-	} {
+		{Preset: boundPreset()},
+	}
+	for _, p := range gen.Presets() {
+		specs = append(specs, JobSpec{Preset: &p})
+	}
+	for _, spec := range specs {
 		for _, s := range []JobSpec{spec, spec.Normalized()} {
 			if err := s.Validate(); err != nil {
 				t.Errorf("%s rejected: %v", s.MarshalCanonical(), err)
@@ -174,66 +193,83 @@ func TestDesignKey(t *testing.T) {
 	}
 }
 
-// TestRunMatchesFlow: the transport-neutral executor must reproduce the
-// historical flow entry point bit for bit — the invariant that lets
-// cmd/dmopt and dmopt-serve share one contract.
-func TestRunMatchesFlow(t *testing.T) {
-	spec := JobSpec{Design: "AES-65", Scale: 0.1}
-	res, out, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("api.Run: %v", err)
+// runJob is cmd/dmopt's path: Validate, an uncached Prepare, Execute.
+func runJob(t *testing.T, spec JobSpec) (*JobResult, *core.Result) {
+	t.Helper()
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
+	art, err := Prepare(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	res, dm, err := Execute(context.Background(), art, spec)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	return res, dm
+}
+
+// TestExecuteMatchesStages: the transport-neutral executor reproduces a
+// library caller's stage calls bit for bit — generate, golden analysis,
+// fit, compile and a QP at the nominal clock period — the invariant that
+// lets cmd/dmopt and dmopt-serve share one contract.
+func TestExecuteMatchesStages(t *testing.T) {
+	ctx := context.Background()
+	spec := JobSpec{Design: "AES-65", Scale: 0.1}
+	res, dm := runJob(t, spec)
 
 	p, err := spec.GenPreset()
 	if err != nil {
 		t.Fatalf("GenPreset: %v", err)
 	}
-	d, err := gen.GenerateCtx(context.Background(), p)
+	d, err := gen.GenerateCtx(ctx, p)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	cfg, err := spec.FlowConfig()
+	golden, err := core.GoldenNominalCtx(ctx, d, sta.DefaultConfig())
 	if err != nil {
-		t.Fatalf("FlowConfig: %v", err)
+		t.Fatalf("golden: %v", err)
 	}
-	ref, err := core.SolveFlow(context.Background(), core.FlowRequest{Design: d, Config: cfg})
+	model, err := core.FitModelCtx(ctx, golden, false, 0)
 	if err != nil {
-		t.Fatalf("core.SolveFlow: %v", err)
+		t.Fatalf("fit: %v", err)
+	}
+	opt := core.DefaultOptions()
+	comp, err := core.CompileCtx(ctx, golden, model, opt.CompileOptions())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ref, err := core.SolveQP(ctx, core.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
+	if err != nil {
+		t.Fatalf("SolveQP: %v", err)
 	}
 
 	pairs := [][2]float64{
-		{out.Final.MCTps, ref.Final.MCTps},
-		{out.Final.LeakUW, ref.Final.LeakUW},
-		{out.DM.PredMCT, ref.DM.PredMCT},
-		{out.DM.PredDeltaLeakNW, ref.DM.PredDeltaLeakNW},
-		{res.NominalMCTPs, ref.DM.Nominal.MCTps},
-		{res.NominalLeakUW, ref.DM.Nominal.LeakUW},
+		{res.MCTPs, ref.Golden.MCTps},
+		{res.LeakUW, ref.Golden.LeakUW},
+		{dm.PredMCT, ref.PredMCT},
+		{dm.PredDeltaLeakNW, ref.PredDeltaLeakNW},
+		{res.NominalMCTPs, ref.Nominal.MCTps},
+		{res.NominalLeakUW, ref.Nominal.LeakUW},
 	}
 	for i, p := range pairs {
 		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-			t.Fatalf("pair %d: api %v != flow %v (not bit-identical)", i, p[0], p[1])
+			t.Fatalf("pair %d: api %v != stages %v (not bit-identical)", i, p[0], p[1])
 		}
 	}
-	if res.SolverStatus != ref.DM.Status {
-		t.Fatalf("status %q != %q", res.SolverStatus, ref.DM.Status)
+	if res.SolverStatus != ref.Status {
+		t.Fatalf("status %q != %q", res.SolverStatus, ref.Status)
+	}
+	if res.DosePl != nil || res.Wafer != nil {
+		t.Fatalf("a plain QP job reports stages it did not run: dosepl %v, wafer %v", res.DosePl, res.Wafer)
 	}
 }
 
 // TestResultOfQCP: the QCP mode round-trips through the spec and
 // produces an improvement-signed result document.
 func TestResultOfQCP(t *testing.T) {
-	spec := JobSpec{Design: "AES-65", Scale: 0.1, Mode: "QCP", XiNW: 50}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	mode, err := spec.FlowMode()
-	if err != nil || mode != core.ModeQCPTiming {
-		t.Fatalf("FlowMode = %v, %v; want QCP", mode, err)
-	}
-	res, _, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := runJob(t, JobSpec{Design: "AES-65", Scale: 0.1, Mode: "QCP", XiNW: 50})
 	if res.Schema != Schema || res.Mode != ModeQCP {
 		t.Fatalf("result header %q/%q", res.Schema, res.Mode)
 	}

@@ -157,7 +157,7 @@ func TestPrepareKeepsGoldenWithoutDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := goldenBytes(cold.Golden) + modelBytes(cold.Model) + cold.Compiled.ApproxBytes()
+	budget := goldenBytes(cold.Golden) + modelBytes(cold.Compiled.Model) + cold.Compiled.ApproxBytes()
 
 	rec := obs.New()
 	c := NewCache(rec, budget)
@@ -178,7 +178,7 @@ func TestPrepareKeepsGoldenWithoutDesign(t *testing.T) {
 	if n := rec.Counter("serve/cache_builds"); n != 4 {
 		t.Fatalf("second prepare rebuilt %d artifacts, want none", n-4)
 	}
-	if second.Golden != first.Golden || second.Model != first.Model || second.Compiled != first.Compiled {
+	if second.Golden != first.Golden || second.Compiled.Model != first.Compiled.Model || second.Compiled != first.Compiled {
 		t.Fatal("second prepare did not serve the cached artifacts")
 	}
 	if got := c.Len(); got != 3 {

@@ -15,10 +15,9 @@ import (
 
 // Artifacts are the staged inputs one job consumes.  Golden and
 // Compiled must be populated before Execute; Prepare builds them in
-// order.
+// order, the fitted model in between (Compiled.Model).
 type Artifacts struct {
 	Golden   *sta.Result
-	Model    *core.Model
 	Compiled *core.Compiled
 }
 
@@ -119,7 +118,7 @@ func Prepare(ctx context.Context, spec JobSpec, c *Cache) (Artifacts, error) {
 	if hit {
 		obs.Add(ctx, "core/compile_hits", 1)
 	}
-	return Artifacts{Golden: g, Model: model, Compiled: comp}, nil
+	return Artifacts{Golden: g, Compiled: comp}, nil
 }
 
 // designBytes approximates a generated design's resident cost: per-gate
@@ -173,22 +172,24 @@ func (a Artifacts) WithPrivatePlacement() Artifacts {
 	return a
 }
 
-// Execute runs the solve stage(s) a spec describes against prepared
-// artifacts and assembles the versioned result.  When spec.DosePl is
-// set the placement inside art.Compiled.Golden.In is mutated in place
-// (accepted swap rounds); callers sharing artifacts across concurrent
-// jobs must pass WithPrivatePlacement artifacts (or serialize and
-// restore around Execute).
-func Execute(ctx context.Context, art Artifacts, spec JobSpec) (*JobResult, *core.FlowOutcome, error) {
+// Execute runs the solve stages a spec describes against prepared
+// artifacts — the QP or QCP and, for a dosepl job, the dosePl rounds;
+// or the wafer consensus — and returns the versioned result with the
+// DMopt result it reports (nil for a wafer job).  A dosepl job mutates
+// the placement inside art.Compiled.Golden.In in place (accepted swap
+// rounds); callers sharing artifacts across concurrent jobs must pass
+// WithPrivatePlacement artifacts.  A canceled context aborts whichever
+// stage is in flight with an error wrapping context.Canceled.
+func Execute(ctx context.Context, art Artifacts, spec JobSpec) (*JobResult, *core.Result, error) {
 	spec = spec.Normalized()
 	if art.Golden == nil || art.Compiled == nil {
 		return nil, nil, fmt.Errorf("api: execute needs prepared golden and compiled artifacts")
 	}
+	opt, err := spec.Options()
+	if err != nil {
+		return nil, nil, err
+	}
 	if spec.Mode == ModeWafer {
-		opt, err := spec.Options()
-		if err != nil {
-			return nil, nil, err
-		}
 		wopt, err := spec.WaferOptions()
 		if err != nil {
 			return nil, nil, err
@@ -199,31 +200,32 @@ func Execute(ctx context.Context, art Artifacts, spec JobSpec) (*JobResult, *cor
 		if err != nil {
 			return nil, nil, err
 		}
-		res := WaferResultOf(spec, wr)
-		out := &core.FlowOutcome{Golden: art.Golden, Model: art.Model,
-			Final: core.Eval{MCTps: res.MCTPs, LeakUW: res.LeakUW}}
-		return res, out, nil
+		return WaferResultOf(spec, wr), nil, nil
 	}
-	cfg, err := spec.FlowConfig()
+	golden := art.Compiled.Golden
+	var dm *core.Result
+	dctx, sp := obs.Start(ctx, "flow/dmopt")
+	if spec.Mode == ModeQCP {
+		dm, err = core.SolveQCP(dctx, core.QCPRequest{Compiled: art.Compiled, Opt: opt})
+	} else {
+		tau := spec.TauPs
+		if tau <= 0 {
+			tau = golden.MCT
+		}
+		dm, err = core.SolveQP(dctx, core.QPRequest{Compiled: art.Compiled, Opt: opt, TauPs: tau})
+	}
+	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := core.SolveFlow(ctx, core.FlowRequest{Compiled: art.Compiled, Config: cfg})
-	if err != nil {
-		return nil, nil, err
+	var dp *core.DosePlResult
+	if spec.DosePl {
+		pctx, sp := obs.Start(ctx, "flow/dosepl")
+		dp, err = core.DosePlCtx(pctx, golden, dm.Layers, opt, core.DefaultDosePlOptions())
+		sp.End()
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	return ResultOf(spec, out), out, nil
-}
-
-// Run is the whole one-shot path, uncached: Prepare then Execute.
-// cmd/dmopt calls this.
-func Run(ctx context.Context, spec JobSpec) (*JobResult, *core.FlowOutcome, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	art, err := Prepare(ctx, spec, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return Execute(ctx, art, spec)
+	return ResultOf(spec, dm, dp), dm, nil
 }

@@ -43,7 +43,7 @@ func TestBiasSnapQuantizationProperty(t *testing.T) {
 			opt := DefaultOptions()
 			opt.XiNW = xi
 			opt.BiasGridUm = 20
-			dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+			dm, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 			if err != nil {
 				t.Fatalf("%s ξ=%g: %v", tc.preset.Name, xi, err)
 			}

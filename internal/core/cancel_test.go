@@ -4,17 +4,27 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/sta"
 )
 
-// TestRunCtxCanceled asserts the end-to-end flow surfaces a wrapped
-// context.Canceled when the context is canceled before it starts.
+// TestRunCtxCanceled asserts the stages in front of the solves — golden
+// analysis and compile — surface a wrapped context.Canceled when the
+// context is canceled before they start (the fit's cancellation is
+// checked below).
 func TestRunCtxCanceled(t *testing.T) {
-	d, _ := smallGolden(t, 0.03)
+	d, golden := smallGolden(t, 0.03)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveFlow(ctx, FlowRequest{Design: d, Config: FlowConfig{Opt: DefaultOptions(), Mode: ModeQPLeakage}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want wrapped context.Canceled, got %v", err)
+	if _, err := GoldenNominalCtx(ctx, d, sta.DefaultConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("golden: want wrapped context.Canceled, got %v", err)
+	}
+	if _, err := CompileCtx(ctx, golden, model, DefaultOptions().CompileOptions()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("compile: want wrapped context.Canceled, got %v", err)
 	}
 }
 
@@ -29,12 +39,13 @@ func TestDMoptCtxCanceledMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
+	comp := mustCompile(t, golden, model, opt)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveQP(ctx, QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT}); !errors.Is(err, context.Canceled) {
+	if _, err := SolveQP(ctx, QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QP: want wrapped context.Canceled, got %v", err)
 	}
-	if _, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt}); !errors.Is(err, context.Canceled) {
+	if _, err := SolveQCP(ctx, QCPRequest{Compiled: comp, Opt: opt}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QCP: want wrapped context.Canceled, got %v", err)
 	}
 	if _, err := FitModelCtx(ctx, golden, false, 0); !errors.Is(err, context.Canceled) {
@@ -51,7 +62,7 @@ func TestDosePlCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+	dm, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,27 +76,36 @@ func TestDosePlCtxCanceled(t *testing.T) {
 }
 
 // TestWorkersEquivalentQPFlow asserts the whole QP flow — golden STA,
-// fit, DMopt, signoff — produces identical signoff numbers at
-// workers=1 and workers=8 (the tentpole acceptance criterion).
+// fit, compile, DMopt, signoff — produces identical signoff numbers at
+// workers=1 and workers=8.
 func TestWorkersEquivalentQPFlow(t *testing.T) {
 	d, _ := smallGolden(t, 0.03)
-	run := func(workers int) *FlowOutcome {
+	run := func(workers int) (*sta.Result, *Result) {
+		golden, err := GoldenNominalCtx(context.Background(), d, sta.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := FitModelCtx(context.Background(), golden, false, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		opt := DefaultOptions()
 		opt.Workers = workers
-		out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: FlowConfig{Opt: opt, Mode: ModeQPLeakage}})
+		dm, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return out
+		return golden, dm
 	}
-	a, b := run(1), run(8)
-	if a.Final != b.Final {
-		t.Fatalf("signoff differs: workers=1 %+v, workers=8 %+v", a.Final, b.Final)
+	ga, a := run(1)
+	gb, b := run(8)
+	if a.Golden != b.Golden {
+		t.Fatalf("signoff differs: workers=1 %+v, workers=8 %+v", a.Golden, b.Golden)
 	}
-	if a.DM.PredMCT != b.DM.PredMCT {
+	if a.PredMCT != b.PredMCT {
 		t.Fatalf("predicted optimum differs between worker counts")
 	}
-	if a.Golden.MCT != b.Golden.MCT {
+	if ga.MCT != gb.MCT {
 		t.Fatalf("golden MCT differs between worker counts")
 	}
 }

@@ -163,8 +163,12 @@ func sliceBytes[T any](s []T) int64 {
 	return int64(len(s)) * int64(unsafe.Sizeof(z))
 }
 
-// check validates that run options match the artifact's compile key.
+// check validates that a request carries an artifact and that its run
+// options match the artifact's compile key.
 func (c *Compiled) check(opt Options) error {
+	if c == nil {
+		return fmt.Errorf("core: request needs a compiled formulation")
+	}
 	if co := opt.CompileOptions(); co != c.Opts {
 		return fmt.Errorf("core: options %+v do not match compiled artifact %+v", co, c.Opts)
 	}
@@ -264,10 +268,26 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 		return nil, fmt.Errorf("core: compile canceled: %w", err)
 	}
 
-	// Per-gate delay sensitivity rows concatenated over blocks.
+	// Per-gate delay sensitivity rows concatenated over blocks, counted
+	// first so each slice is allocated once at its exact length.
 	ds := tech.DoseSensitivity
 	nGates := in.Circ.NumGates()
+	perDose := 1
+	if co.BothLayers {
+		perDose = 2
+	}
+	nSens := 0
+	for id := 0; id < nGates; id++ {
+		if !co.DoseOff && c.gridOf[id] >= 0 {
+			nSens += perDose
+		}
+		if c.nBias > 0 && c.domainOf[id] >= 0 {
+			nSens++
+		}
+	}
 	c.sensPtr = make([]int, nGates+1)
+	c.sensCol = make([]int, 0, nSens)
+	c.sensVal = make([]float64, 0, nSens)
 	for id := 0; id < nGates; id++ {
 		c.sensPtr[id] = len(c.sensCol)
 		if !co.DoseOff {

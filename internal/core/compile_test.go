@@ -135,8 +135,8 @@ func TestCompiledRunsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// And against the compile-on-demand entry point.
-	r3, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt})
+	// And against a second, fresh compile.
+	r3, err := SolveQCP(ctx, QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,10 @@ func TestCompiledOptionsMismatch(t *testing.T) {
 // the fixed-row CSR's three slices included.  The fields are enumerated
 // by reflection, so a slice added to Compiled fails here until
 // ApproxBytes counts it; the borrowed Golden and Model are left out, and
-// any other pointer, map or interface field fails too.  It covers the
-// poly, both-layers, joint and bias-only compiles.
+// any other pointer, map or interface field fails too.  The sensitivity
+// slices, the ones the compile builds entry by entry, must hold no spare
+// capacity: the cache would pin it uncounted.  It covers the poly,
+// both-layers, joint and bias-only compiles.
 func TestApproxBytesCountsEveryField(t *testing.T) {
 	csrType := reflect.TypeOf((*qp.CSR)(nil))
 	for _, tc := range smoothModes {
@@ -216,6 +218,10 @@ func TestApproxBytesCountsEveryField(t *testing.T) {
 		}
 		if got := c.ApproxBytes(); got != want {
 			t.Errorf("%s: ApproxBytes %d, want the %d bytes of every slice", tc.name, got, want)
+		}
+		if cap(c.sensCol) != len(c.sensCol) || cap(c.sensVal) != len(c.sensVal) {
+			t.Errorf("%s: sensitivity slices hold %d entries in %d/%d slots", tc.name,
+				len(c.sensCol), cap(c.sensCol), cap(c.sensVal))
 		}
 	}
 }

@@ -26,6 +26,17 @@ func smallGolden(t *testing.T, scale float64) (*gen.Design, *sta.Result) {
 	return d, r
 }
 
+// mustCompile builds the formulation a solve with opt reads from
+// (golden, model).
+func mustCompile(t testing.TB, golden *sta.Result, model *Model, opt Options) *Compiled {
+	t.Helper()
+	c, err := CompileCtx(context.Background(), golden, model, opt.CompileOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestFitModelSigns(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
 	for _, both := range []bool{false, true} {
@@ -108,7 +119,7 @@ func TestDMoptQPReducesLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+	res, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +156,7 @@ func TestDMoptQCPImprovesTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+	res, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +194,7 @@ func TestGranularityOrdering(t *testing.T) {
 	for _, g := range []float64{5, 30} {
 		opt := DefaultOptions()
 		opt.G = g
-		res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+		res, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,13 +212,18 @@ func TestDMoptQPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: DefaultOptions(), TauPs: 0}); err == nil {
+	opt := DefaultOptions()
+	comp := mustCompile(t, golden, model, opt)
+	if _, err := SolveQP(context.Background(), QPRequest{Compiled: comp, Opt: opt, TauPs: 0}); err == nil {
 		t.Error("non-positive tau should fail")
+	}
+	if _, err := SolveQP(context.Background(), QPRequest{Opt: opt, TauPs: golden.MCT}); err == nil {
+		t.Error("a request without a compiled formulation should fail")
 	}
 	bad := DefaultOptions()
 	bad.G = -1
-	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: bad, TauPs: golden.MCT}); err == nil {
-		t.Error("bad grid should fail")
+	if _, err := CompileCtx(context.Background(), golden, model, bad.CompileOptions()); err == nil {
+		t.Error("bad grid should fail to compile")
 	}
 }
 
@@ -225,13 +241,13 @@ func TestBothLayersEdgeOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	optL := DefaultOptions()
-	rL, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mL, Opt: optL, TauPs: golden.MCT})
+	rL, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, mL, optL), Opt: optL, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	optLW := DefaultOptions()
 	optLW.BothLayers = true
-	rLW, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mLW, Opt: optLW, TauPs: golden.MCT})
+	rLW, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, mLW, optLW), Opt: optLW, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func TestDosePlMatchesRecomputeOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := DefaultOptions()
-		dm, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt})
+		dm, err := SolveQCP(ctx, QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,12 +75,20 @@ type DosePlResult struct {
 // place when rounds are accepted.  A canceled context aborts between
 // swap rounds (leaving the placement in its last consistent
 // accepted-or-rolled-back state) with an error wrapping
-// context.Canceled.
+// context.Canceled.  Only the dose-only formulation takes dosePl
+// rounds: opt with body bias or without dose is refused.
 func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, opt Options, dopt DosePlOptions) (*DosePlResult, error) {
 	in := golden.In
 	pl := in.Pl
 	circ := in.Circ
 	opt = opt.normalized()
+	if opt.useBias() || opt.DoseOff {
+		// dosePl moves cells across the die, which both needs dose maps
+		// to trade against and would invalidate the bias-domain
+		// assignment (wells are fixed silicon, not re-floorplanned per
+		// optimization round).
+		return nil, fmt.Errorf("core: dosePl rounds require the dose-only formulation")
+	}
 	if layers.Poly == nil {
 		return nil, fmt.Errorf("core: dosePl needs a poly dose map")
 	}

@@ -11,26 +11,16 @@ import (
 	"repro/internal/sta"
 )
 
-func TestRunFlowQP(t *testing.T) {
-	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FlowConfig{Opt: DefaultOptions(), Mode: ModeQPLeakage}
-	out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.DM == nil || out.DosePl != nil {
-		t.Fatal("flow shape wrong")
-	}
-	if out.Final.LeakUW >= out.DM.Nominal.LeakUW {
-		t.Errorf("flow QP did not reduce leakage")
-	}
-}
-
+// TestRunFlowQCPWithDosePl runs the Fig. 7 timing flow stage by stage:
+// golden analysis, fit, compile, QCP, then the dosePl rounds.
 func TestRunFlowQCPWithDosePl(t *testing.T) {
-	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
+	_, golden := smallGolden(t, 0.05)
+	model, err := FitModelCtx(context.Background(), golden, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	dm, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,25 +28,20 @@ func TestRunFlowQCPWithDosePl(t *testing.T) {
 	dopt.K = 500
 	dopt.Rounds = 4
 	dopt.Gamma5 = 3
-	cfg := FlowConfig{Opt: DefaultOptions(), Mode: ModeQCPTiming, RunDosePl: true, DosePl: dopt}
-	out, err := SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
+	dp, err := DosePlCtx(context.Background(), golden, dm.Layers, opt, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.DosePl == nil {
-		t.Fatal("dosePl did not run")
-	}
 	// dosePl must never leave the design worse than DMopt left it.
-	if out.Final.MCTps > out.DM.Golden.MCTps+1e-9 {
-		t.Errorf("dosePl degraded MCT: %v → %v", out.DM.Golden.MCTps, out.Final.MCTps)
+	if dp.After.MCTps > dm.Golden.MCTps+1e-9 {
+		t.Errorf("dosePl degraded MCT: %v → %v", dm.Golden.MCTps, dp.After.MCTps)
 	}
 	// And the whole flow must beat nominal timing.
-	if out.Final.MCTps >= out.DM.Nominal.MCTps {
-		t.Errorf("flow did not improve timing: %v vs nominal %v", out.Final.MCTps, out.DM.Nominal.MCTps)
+	if dp.After.MCTps >= dm.Nominal.MCTps {
+		t.Errorf("flow did not improve timing: %v vs nominal %v", dp.After.MCTps, dm.Nominal.MCTps)
 	}
 	t.Logf("flow: nominal %.1f → DMopt %.1f → dosePl %.1f ps (accepted swaps %d, tried %d)",
-		out.DM.Nominal.MCTps, out.DM.Golden.MCTps, out.Final.MCTps,
-		out.DosePl.SwapsAccepted, out.DosePl.SwapsTried)
+		dm.Nominal.MCTps, dm.Golden.MCTps, dp.After.MCTps, dp.SwapsAccepted, dp.SwapsTried)
 }
 
 func TestDosePlRollbackSafety(t *testing.T) {
@@ -75,7 +60,7 @@ func TestDosePlRollbackSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+	dm, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +126,32 @@ func TestBiasPerturbAndSlackProfile(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if ModeQPLeakage.String() != "QP" || ModeQCPTiming.String() != "QCP" {
-		t.Error("mode strings")
+// TestDosePlRequiresDoseOnly: dosePl refuses options with body bias or
+// without dose at entry, before any timing or placement work.  Moving
+// cells would invalidate the bias-domain assignment, and signing off the
+// dose maps alone would drop the bias voltages the solve chose.
+func TestDosePlRequiresDoseOnly(t *testing.T) {
+	d, golden := smallGolden(t, 0.04)
+	grid, err := dosemap.NewGrid(d.Pl.ChipW, d.Pl.ChipH, DefaultOptions().G)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Mode(7).String() == "" {
-		t.Error("unknown mode should format")
+	layers := dosemap.Layers{Poly: dosemap.NewMap(grid)}
+	joint := DefaultOptions()
+	joint.BiasGridUm = 20
+	biasOnly := joint
+	biasOnly.DoseOff = true
+	for name, opt := range map[string]Options{"joint": joint, "bias-only": biasOnly} {
+		x := append([]float64(nil), d.Pl.X...)
+		_, err := DosePlCtx(context.Background(), golden, layers, opt, DefaultDosePlOptions())
+		if err == nil || !strings.Contains(err.Error(), "dose-only") {
+			t.Errorf("%s: err = %v, want a dose-only refusal", name, err)
+		}
+		for i := range x {
+			if x[i] != d.Pl.X[i] {
+				t.Fatalf("%s: refused dosePl moved cell %d", name, i)
+			}
+		}
 	}
 }
 

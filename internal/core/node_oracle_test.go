@@ -30,10 +30,7 @@ func solveQPNode(ctx context.Context, req QPRequest) (*Result, error) {
 // subject to MCT ≤ req.TauPs in one ADMM solve under set, then extract,
 // predict and sign off like the cut engine does.
 func solveNode(ctx context.Context, req QPRequest, set qp.Settings) (*Result, error) {
-	c, err := req.compiled(ctx)
-	if err != nil {
-		return nil, err
-	}
+	c := req.Compiled
 	start := time.Now()
 	opt := req.Opt.normalized()
 	if err := c.check(opt); err != nil {
@@ -351,7 +348,7 @@ func TestCutsVsNodeAgree(t *testing.T) {
 			opt.BothLayers = tc.both
 			opt.DoseOff = tc.doseOff
 			opt.BiasGridUm = tc.biasGridUm
-			req := QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT}
+			req := QPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt, TauPs: golden.MCT}
 			rc, err := SolveQP(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
@@ -400,7 +397,7 @@ func benchEngine(b *testing.B, solve func(context.Context, QPRequest) (*Result, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT}
+	req := QPRequest{Compiled: mustCompile(b, golden, model, opt), Opt: opt, TauPs: golden.MCT}
 	b.ResetTimer()
 	var r *Result
 	for i := 0; i < b.N; i++ {

@@ -7,28 +7,52 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/sta"
 )
 
+// flowRun is one Fig. 7 timing flow's stage results.
+type flowRun struct {
+	golden *sta.Result
+	dm     *Result
+	dp     *DosePlResult
+}
+
 // runFlowOnce generates a fresh design (dosePl mutates the placement, so
-// the two runs must not share one) and executes the full QCP+dosePl flow
-// under the given context.
-func runFlowOnce(t *testing.T, ctx context.Context) *FlowOutcome {
+// the two runs must not share one) and runs every stage of the QCP +
+// dosePl flow — golden analysis, fit, compile, QCP, dosePl — under the
+// given context.
+func runFlowOnce(t *testing.T, ctx context.Context) flowRun {
 	t.Helper()
 	d, err := gen.GenerateCtx(context.Background(), gen.AES65().Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Workers = 2 // exercise the par dispatch paths in both runs
+	golden, err := GoldenNominalCtx(ctx, d, sta.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := FitModelCtx(ctx, golden, false, opt.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := CompileCtx(ctx, golden, model, opt.CompileOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := SolveQCP(ctx, QCPRequest{Compiled: comp, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dopt := DefaultDosePlOptions()
 	dopt.K = 400
 	dopt.Rounds = 3
-	opt := DefaultOptions()
-	opt.Workers = 2 // exercise the par dispatch paths in both runs
-	cfg := FlowConfig{Opt: opt, Mode: ModeQCPTiming, RunDosePl: true, DosePl: dopt}
-	out, err := SolveFlow(ctx, FlowRequest{Design: d, Config: cfg})
+	dp, err := DosePlCtx(ctx, golden, dm.Layers, opt, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return flowRun{golden: golden, dm: dm, dp: dp}
 }
 
 func bitsEq(t *testing.T, name string, a, b float64) {
@@ -39,8 +63,8 @@ func bitsEq(t *testing.T, name string, a, b float64) {
 }
 
 // TestObsEnabledBitwiseInert is the telemetry no-interference proof: the
-// full flow (golden STA → fit → QCP bisection with cut pool → dosePl
-// swapping) must produce bit-identical numerics whether or not a
+// full flow (golden STA → fit → compile → QCP bisection with cut pool →
+// dosePl swapping) must produce bit-identical numerics whether or not a
 // Recorder rides the context.
 func TestObsEnabledBitwiseInert(t *testing.T) {
 	off := runFlowOnce(t, context.Background())
@@ -48,18 +72,16 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 	rec := obs.New()
 	on := runFlowOnce(t, obs.With(context.Background(), rec))
 
-	bitsEq(t, "golden MCT", off.Golden.MCT, on.Golden.MCT)
-	bitsEq(t, "DM nominal MCT", off.DM.Nominal.MCTps, on.DM.Nominal.MCTps)
-	bitsEq(t, "DM nominal leak", off.DM.Nominal.LeakUW, on.DM.Nominal.LeakUW)
-	bitsEq(t, "DM golden MCT", off.DM.Golden.MCTps, on.DM.Golden.MCTps)
-	bitsEq(t, "DM golden leak", off.DM.Golden.LeakUW, on.DM.Golden.LeakUW)
-	bitsEq(t, "final MCT", off.Final.MCTps, on.Final.MCTps)
-	bitsEq(t, "final leak", off.Final.LeakUW, on.Final.LeakUW)
-	if off.DM.Probes != on.DM.Probes {
-		t.Errorf("probe count differs: %d vs %d", off.DM.Probes, on.DM.Probes)
+	bitsEq(t, "golden MCT", off.golden.MCT, on.golden.MCT)
+	bitsEq(t, "DM nominal MCT", off.dm.Nominal.MCTps, on.dm.Nominal.MCTps)
+	bitsEq(t, "DM nominal leak", off.dm.Nominal.LeakUW, on.dm.Nominal.LeakUW)
+	bitsEq(t, "DM golden MCT", off.dm.Golden.MCTps, on.dm.Golden.MCTps)
+	bitsEq(t, "DM golden leak", off.dm.Golden.LeakUW, on.dm.Golden.LeakUW)
+	if off.dm.Probes != on.dm.Probes {
+		t.Errorf("probe count differs: %d vs %d", off.dm.Probes, on.dm.Probes)
 	}
 
-	da, db := off.DM.Layers.Poly.D, on.DM.Layers.Poly.D
+	da, db := off.dm.Layers.Poly.D, on.dm.Layers.Poly.D
 	if len(da) != len(db) {
 		t.Fatalf("dose map size differs: %d vs %d", len(da), len(db))
 	}
@@ -69,14 +91,14 @@ func TestObsEnabledBitwiseInert(t *testing.T) {
 		}
 	}
 
-	if off.DosePl.SwapsTried != on.DosePl.SwapsTried ||
-		off.DosePl.SwapsAccepted != on.DosePl.SwapsAccepted {
+	if off.dp.SwapsTried != on.dp.SwapsTried ||
+		off.dp.SwapsAccepted != on.dp.SwapsAccepted {
 		t.Errorf("dosePl swap trace differs: tried %d/%d accepted %d/%d",
-			off.DosePl.SwapsTried, on.DosePl.SwapsTried,
-			off.DosePl.SwapsAccepted, on.DosePl.SwapsAccepted)
+			off.dp.SwapsTried, on.dp.SwapsTried,
+			off.dp.SwapsAccepted, on.dp.SwapsAccepted)
 	}
-	bitsEq(t, "dosePl after MCT", off.DosePl.After.MCTps, on.DosePl.After.MCTps)
-	bitsEq(t, "dosePl after leak", off.DosePl.After.LeakUW, on.DosePl.After.LeakUW)
+	bitsEq(t, "dosePl after MCT", off.dp.After.MCTps, on.dp.After.MCTps)
+	bitsEq(t, "dosePl after leak", off.dp.After.LeakUW, on.dp.After.LeakUW)
 
 	// The enabled run must actually have recorded something — otherwise
 	// this test silently proves nothing.

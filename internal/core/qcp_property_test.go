@@ -39,7 +39,7 @@ func TestQCPLeakageBudgetProperty(t *testing.T) {
 		for _, xi := range tc.xis {
 			opt := DefaultOptions()
 			opt.XiNW = xi
-			dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+			dm, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 			if err != nil {
 				t.Fatalf("%s ξ=%g: %v", tc.preset.Name, xi, err)
 			}

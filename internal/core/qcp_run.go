@@ -1,8 +1,7 @@
 // QCP solve stage (Section III-A.2 / III-B.2): minimize the clock
 // period under a leakage budget, by monotone bisection with the QP as
 // the feasibility oracle.  SolveQCP is the single ctx-first entry
-// point; a QCPRequest either borrows a shared *Compiled artifact or
-// compiles on demand from (Golden, Model).
+// point; a QCPRequest borrows a shared *Compiled artifact.
 package core
 
 import (
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sta"
 )
 
 // The QCP bisection stops once its bracket is narrower than bisectTol
@@ -22,15 +20,11 @@ const (
 	maxProbes = 24
 )
 
-// QCPRequest describes one clock-period-minimization solve.  Artifact
-// resolution follows the same rule as QPRequest: Compiled when set,
-// else an on-demand compile from (Golden, Model).
+// QCPRequest describes one clock-period-minimization solve.
 type QCPRequest struct {
-	// Compiled is an optional pre-built formulation artifact.
+	// Compiled is the formulation artifact (CompileCtx); its compile key
+	// must match Opt's.
 	Compiled *Compiled
-	// Golden and Model feed the on-demand compile when Compiled is nil.
-	Golden *sta.Result
-	Model  *Model
 	// Opt parameterizes the solve; Opt.XiNW is the leakage budget ξ.
 	Opt Options
 }
@@ -42,10 +36,7 @@ type QCPRequest struct {
 // bisection between probes (and probes between cut rounds / ADMM
 // iterations) with an error that wraps context.Canceled.
 func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
-	c, err := QPRequest{Compiled: req.Compiled, Golden: req.Golden, Model: req.Model, Opt: req.Opt}.compiled(ctx)
-	if err != nil {
-		return nil, err
-	}
+	c := req.Compiled
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "core/qcp")
 	defer sp.End()

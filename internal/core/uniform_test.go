@@ -25,7 +25,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 	opt.G = math.Max(golden.In.Pl.ChipW, golden.In.Pl.ChipH) + 1
 	opt.Snap = false // snapping noise would hide the degeneracy
 
-	qp, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+	qp, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 			qp.PredDeltaLeakNW)
 	}
 
-	qcp, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+	qcp, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSingleGridDegeneratesToUniform(t *testing.T) {
 	// leakage savings on the very same instance.
 	fine := DefaultOptions()
 	fine.Snap = false
-	fineRes, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: fine, TauPs: golden.MCT})
+	fineRes, err := SolveQP(context.Background(), QPRequest{Compiled: mustCompile(t, golden, model, fine), Opt: fine, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDMoptNeverBeatsMaxDose(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	qcp, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
+	qcp, err := SolveQCP(context.Background(), QCPRequest{Compiled: mustCompile(t, golden, model, opt), Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -492,9 +492,6 @@ func mctSpreadPct(evals []Eval) float64 {
 // distinct solves.  Results are bit-identical for every worker count.
 func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	c := req.Compiled
-	if c == nil {
-		return nil, errors.New("core: wafer request needs a compiled formulation")
-	}
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "core/wafer")
 	defer sp.End()

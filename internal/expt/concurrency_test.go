@@ -129,3 +129,55 @@ func TestDoseSweepWorkersEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestDosePlExperimentsConcurrent: Table VIII and Fig. 10 run dosePl on
+// private copies of the cached placement, so they run at once, beside
+// a reader of the same cached design, leave its placement untouched and
+// render what they render alone.  Run with -race.
+func TestDosePlExperimentsConcurrent(t *testing.T) {
+	ctx := context.Background()
+	solo := New(WithScale(0.02), WithTopK(200), WithWorkers(2))
+	wantVIII, err := solo.TableVIIICtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFig10, err := solo.Fig10Ctx(ctx, "AES-65", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(WithScale(0.02), WithTopK(200), WithWorkers(2))
+	d, err := c.DesignCtx(ctx, "AES-65")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := append([]float64(nil), d.Pl.X...)
+	y := append([]float64(nil), d.Pl.Y...)
+	var (
+		wg              sync.WaitGroup
+		gotVIII, gotFig *Table
+		errVIII, errFig error
+		errRead         error
+	)
+	wg.Add(3)
+	go func() { defer wg.Done(); gotVIII, errVIII = c.TableVIIICtx(ctx) }()
+	go func() { defer wg.Done(); gotFig, errFig = c.Fig10Ctx(ctx, "AES-65", 10) }()
+	go func() { defer wg.Done(); _, errRead = c.RunDMCtx(ctx, "AES-65", 10, false, false) }()
+	wg.Wait()
+	for _, err := range []error{errVIII, errFig, errRead} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := gotVIII.Format(), wantVIII.Format(); got != want {
+		t.Errorf("concurrent Table VIII:\n%s\nalone:\n%s", got, want)
+	}
+	if got, want := gotFig.Format(), wantFig10.Format(); got != want {
+		t.Errorf("concurrent Fig. 10:\n%s\nalone:\n%s", got, want)
+	}
+	for i := range x {
+		if x[i] != d.Pl.X[i] || y[i] != d.Pl.Y[i] {
+			t.Fatalf("cached placement moved at cell %d", i)
+		}
+	}
+}

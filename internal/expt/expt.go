@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/tech"
@@ -115,11 +113,6 @@ type Context struct {
 	// api.Prepare builds, unbounded and unmetered; nil builds every
 	// stage cold (the equivalence tests' setting).
 	cache *api.Cache
-	// plMu serializes the experiments that mutate a cached design's
-	// placement (TableVIIICtx, Fig10ProfilesCtx): they snapshot and restore
-	// cell positions and must not interleave with each other or with
-	// concurrent placement readers of the same design.
-	plMu sync.Mutex
 }
 
 // Option configures a Context.
@@ -846,53 +839,20 @@ func (c *Context) TableVIICtx(ctx context.Context) (*Table, error) {
 
 // --- Table VIII + Fig. 10: dosePl and slack profiles -----------------------
 
-// restorePlacement snapshots a placement and returns a restore
-// function: dosePl mutates cell positions, and the harness caches
-// designs across experiments.
-func restorePlacement(pl *place.Placement) func() {
-	x := append([]float64(nil), pl.X...)
-	y := append([]float64(nil), pl.Y...)
-	w := append([]float64(nil), pl.Width...)
-	return func() {
-		copy(pl.X, x)
-		copy(pl.Y, y)
-		copy(pl.Width, w)
-	}
-}
-
 // TableVIIICtx runs QCP followed by the cell-swapping placement rounds.
-// It mutates cached placements (restoring them afterwards) and
-// therefore serializes with Fig10ProfilesCtx on the harness placement
-// lock.
 func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 	ctx, sp := obs.Start(ctx, "expt/Table VIII")
 	defer sp.End()
-	c.plMu.Lock()
-	defer c.plMu.Unlock()
 	t := &Table{
 		ID:     "Table VIII",
 		Title:  "QCP for improved timing followed by incremental placement (dosePl)",
 		Header: []string{"Testcase", "stage", "MCT (ns)", "Leakage (µW)"},
 	}
 	for _, name := range []string{"AES-65", "JPEG-65"} {
-		spec := c.spec(name)
-		spec.GridUm = gridsFor(name, c.Scale)[0]
-		// Compile while the placement is pristine: the artifact snapshots
-		// the gate→grid map, and dosePl moves cells afterwards.
-		art, opt, err := c.prepare(ctx, spec)
+		dm, dp, err := c.qcpDosePl(ctx, name)
 		if err != nil {
 			return nil, err
 		}
-		dopt := core.DefaultDosePlOptions()
-		dopt.K = c.K
-		restore := restorePlacement(art.Golden.In.Pl)
-		out, err := core.SolveFlow(ctx, core.FlowRequest{Compiled: art.Compiled, Config: core.FlowConfig{
-			Opt: opt, Mode: core.ModeQCPTiming, RunDosePl: true, DosePl: dopt}})
-		restore()
-		if err != nil {
-			return nil, err
-		}
-		dm, dp := out.DM, out.DosePl
 		t.Rows = append(t.Rows,
 			[]string{name, "Nom Lgate", f3(dm.Nominal.MCTps / 1000), f1(dm.Nominal.LeakUW)},
 			[]string{name, "QCP", f3(dm.Golden.MCTps / 1000), f1(dm.Golden.LeakUW)},
@@ -902,25 +862,46 @@ func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
+// qcpDosePl runs one Table VIII row: the QCP on the design's finest
+// grid, then the dosePl rounds over the harness's K paths.  dosePl moves
+// cells, so the rounds run on a private copy of the cached placement
+// (api.Artifacts.WithPrivatePlacement).
+func (c *Context) qcpDosePl(ctx context.Context, name string) (*core.Result, *core.DosePlResult, error) {
+	spec := c.spec(name)
+	spec.GridUm = gridsFor(name, c.Scale)[0]
+	art, opt, err := c.prepare(ctx, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	art = art.WithPrivatePlacement()
+	dm, err := core.SolveQCP(ctx, core.QCPRequest{Compiled: art.Compiled, Opt: opt})
+	if err != nil {
+		return nil, nil, err
+	}
+	dopt := core.DefaultDosePlOptions()
+	dopt.K = c.K
+	dp, err := core.DosePlCtx(ctx, art.Golden, dm.Layers, opt, dopt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dm, dp, nil
+}
+
 // Fig10ProfilesCtx returns the four slack profiles of Fig. 10 for a
 // design: original, after DMopt (QCP), after dosePl, and the "Bias"
-// reference where every gate on the top-K paths gets maximum dose.  It
-// mutates the cached placement (restoring it afterwards) and therefore
-// serializes with TableVIIICtx on the harness placement lock.
+// reference where every gate on the top-K paths gets maximum dose.
+// dosePl moves cells on a private copy of the cached placement.
 func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[string][]float64, error) {
 	ctx, sp := obs.Start(ctx, "expt/Fig. 10")
 	defer sp.End()
-	c.plMu.Lock()
-	defer c.plMu.Unlock()
 	spec := c.spec(design)
 	spec.GridUm = gridsFor(design, c.Scale)[0]
-	// Compile while the placement is pristine (dosePl moves cells below).
 	art, opt, err := c.prepare(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	art = art.WithPrivatePlacement()
 	golden, comp := art.Golden, art.Compiled
-	defer restorePlacement(golden.In.Pl)()
 	k := c.K
 	maxStates := 60 * k
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -39,10 +38,7 @@ func TestHTTPJointJob(t *testing.T) {
 		t.Fatal("joint job returned a flat dose map; the dose actuator went missing")
 	}
 
-	ref, _, err := api.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("direct joint run: %v", err)
-	}
+	ref := directRun(t, spec)
 	if got, want := resultFingerprint(t, &res), resultFingerprint(t, ref); got != want {
 		t.Fatalf("joint result differs from direct path:\n  http   %s\n  direct %s", got, want)
 	}

@@ -68,6 +68,21 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
+// directRun solves a spec in-process the way cmd/dmopt does: an
+// uncached Prepare on a fresh design, then Execute.
+func directRun(t *testing.T, spec api.JobSpec) *api.JobResult {
+	t.Helper()
+	art, err := api.Prepare(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatalf("direct prepare: %v", err)
+	}
+	res, _, err := api.Execute(context.Background(), art, spec)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	return res
+}
+
 // resultFingerprint strips the wall-time field, the only part of a
 // JobResult allowed to differ between two runs of the same spec.
 func resultFingerprint(t *testing.T, r *api.JobResult) string {
@@ -108,10 +123,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		t.Fatalf("done view incomplete: %+v", view)
 	}
 
-	ref, _, err := api.Run(context.Background(), testSpec())
-	if err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
+	ref := directRun(t, testSpec())
 	if got, want := resultFingerprint(t, view.Result), resultFingerprint(t, ref); got != want {
 		t.Fatalf("HTTP result differs from direct path:\n  http   %s\n  direct %s", got, want)
 	}
@@ -166,10 +178,7 @@ func TestHTTPSyncSolve(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatalf("solve body: %v", err)
 	}
-	ref, _, err := api.Run(context.Background(), testSpec())
-	if err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
+	ref := directRun(t, testSpec())
 	if got, want := resultFingerprint(t, &res), resultFingerprint(t, ref); got != want {
 		t.Fatalf("sync result differs:\n  http   %s\n  direct %s", got, want)
 	}
@@ -203,15 +212,17 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // TestHTTPRejectionsCounted: every 400 a job request earns is a
-// rejected job in /metrics — a truncated body (the strict decoder) and
-// an invalid spec on both the asynchronous and the synchronous endpoint
-// — not only the ones Submit refuses.
+// rejected job in /metrics — a truncated body (the strict decoder), an
+// invalid spec on both the asynchronous and the synchronous endpoint,
+// and an inline preset past the preset bounds, refused before any
+// generation — not only the ones Submit refuses.
 func TestHTTPRejectionsCounted(t *testing.T) {
 	_, ts, rec := newTestServer(t, Config{MaxRunning: 1})
 	reqs := []struct{ path, body string }{
 		{"/v1/solve", `{"design":`},
 		{"/v1/jobs", `{"design":"DES-65"}`},
 		{"/v1/solve", `{"design":"DES-65"}`},
+		{"/v1/jobs", fmt.Sprintf(`{"preset":{"Name":"huge","Tech":"N65","Cells":%d,"ChipW":241,"ChipH":241,"Depth":34}}`, api.MaxPresetCells+1)},
 	}
 	for _, rq := range reqs {
 		resp, err := http.Post(ts.URL+rq.path, "application/json", strings.NewReader(rq.body))
@@ -280,10 +291,7 @@ func TestDosePlPrivatePlacement(t *testing.T) {
 		}
 	}
 
-	ref, _, err := api.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("direct dosePl run: %v", err)
-	}
+	ref := directRun(t, spec)
 	if got, want := resultFingerprint(t, &res), resultFingerprint(t, ref); got != want {
 		t.Fatalf("dosePl result differs from direct path:\n  http   %s\n  direct %s", got, want)
 	}
@@ -554,10 +562,7 @@ func TestHTTPWaferJob(t *testing.T) {
 			w.CoupledSpreadPct, w.UniformSpreadPct, w.UncoupledSpreadPct)
 	}
 
-	ref, _, err := api.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("direct wafer run: %v", err)
-	}
+	ref := directRun(t, spec)
 	if got, want := resultFingerprint(t, &res), resultFingerprint(t, ref); got != want {
 		t.Fatalf("wafer result differs from direct path:\n  http   %s\n  direct %s", got, want)
 	}

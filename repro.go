@@ -5,25 +5,25 @@
 //
 // The package is the public facade over the implementation packages in
 // internal/: it re-exports the design generator, the golden analysis,
-// the two DMopt formulations (QP: minimize leakage under a clock-period
-// bound; QCP: minimize the clock period under a leakage bound), the
-// dosePl cell-swapping heuristic, the end-to-end flow, and the
-// experiment harness that regenerates every table and figure of the
-// paper's evaluation.
+// the model fit, the compile stage that builds the formulation the
+// solves share, the two DMopt formulations (QP: minimize leakage under
+// a clock-period bound; QCP: minimize the clock period under a leakage
+// bound), the dosePl cell-swapping heuristic, and the experiment
+// harness that regenerates every table and figure of the paper's
+// evaluation.
 //
-// Quick start:
+// Quick start, the Fig. 7 flow stage by stage:
 //
+//	ctx := context.Background()
 //	d, _ := repro.Generate(repro.AES65().Scaled(0.1))
-//	out, _ := repro.SolveFlow(context.Background(), repro.FlowRequest{
-//	        Design: d,
-//	        Config: repro.FlowConfig{
-//	                Opt:  repro.DefaultOptions(),
-//	                Mode: repro.ModeQCPTiming,
-//	        },
-//	})
+//	golden, _ := repro.Analyze(d)
+//	model, _ := repro.FitModel(golden, false)
+//	opt := repro.DefaultOptions()
+//	comp, _ := repro.Compile(ctx, golden, model, opt)
+//	res, _ := repro.SolveQCP(ctx, repro.QCPRequest{Compiled: comp, Opt: opt})
 //	fmt.Printf("MCT %.0f → %.0f ps at %.1f → %.1f µW\n",
-//	        out.DM.Nominal.MCTps, out.Final.MCTps,
-//	        out.DM.Nominal.LeakUW, out.Final.LeakUW)
+//	        res.Nominal.MCTps, res.Golden.MCTps,
+//	        res.Nominal.LeakUW, res.Golden.LeakUW)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.
@@ -55,34 +55,20 @@ type (
 	Result = core.Result
 	// Eval is a golden signoff snapshot (MCT in ps, leakage in µW).
 	Eval = core.Eval
-	// FlowConfig drives the end-to-end Fig. 7 flow.
-	FlowConfig = core.FlowConfig
-	// FlowOutcome bundles the flow's artifacts.
-	FlowOutcome = core.FlowOutcome
 	// DosePlOptions are the γ knobs of the cell-swapping heuristic.
 	DosePlOptions = core.DosePlOptions
 	// DosePlResult reports the dosePl rounds.
 	DosePlResult = core.DosePlResult
 	// Model holds the fitted per-instance delay/leakage coefficients.
 	Model = core.Model
-	// Mode selects the flow's formulation.
-	Mode = core.Mode
+	// Compiled is the formulation artifact the solves share (Compile).
+	Compiled = core.Compiled
 	// Timing is a full golden static-timing analysis.
 	Timing = sta.Result
 	// QPRequest describes one leakage-minimization solve (SolveQP).
 	QPRequest = core.QPRequest
 	// QCPRequest describes one clock-period-minimization solve (SolveQCP).
 	QCPRequest = core.QCPRequest
-	// FlowRequest describes one end-to-end Fig. 7 run (SolveFlow).
-	FlowRequest = core.FlowRequest
-)
-
-// Flow modes.
-const (
-	// ModeQPLeakage minimizes leakage under a timing constraint.
-	ModeQPLeakage = core.ModeQPLeakage
-	// ModeQCPTiming minimizes the clock period under a leakage budget.
-	ModeQCPTiming = core.ModeQCPTiming
 )
 
 // Testcase presets (Table I).
@@ -132,6 +118,14 @@ func FitModelCtx(ctx context.Context, t *Timing, bothLayers bool, workers int) (
 	return core.FitModelCtx(ctx, t, bothLayers, workers)
 }
 
+// Compile builds the formulation artifact that QP and QCP solves with
+// opt read from the golden analysis and its fitted model.  Solves whose
+// options share the compile key (grid, δ, dose range, layers,
+// actuators) share one artifact; a canceled context aborts the build.
+func Compile(ctx context.Context, t *Timing, m *Model, opt Options) (*Compiled, error) {
+	return core.CompileCtx(ctx, t, m, opt.CompileOptions())
+}
+
 // SolveQP is the ctx-first QP entry point: minimize Δleakage subject to
 // MCT ≤ req.TauPs (Section III QP).
 func SolveQP(ctx context.Context, req QPRequest) (*Result, error) {
@@ -157,14 +151,6 @@ func RunDosePl(t *Timing, r *Result, opt Options, dopt DosePlOptions) (*DosePlRe
 // consistent state, with an error wrapping context.Canceled.
 func RunDosePlCtx(ctx context.Context, t *Timing, r *Result, opt Options, dopt DosePlOptions) (*DosePlResult, error) {
 	return core.DosePlCtx(ctx, t, r.Layers, opt, dopt)
-}
-
-// SolveFlow is the ctx-first end-to-end entry point: it executes the
-// full Fig. 7 pipeline described by the request.  Set
-// req.Config.Opt.Workers to bound every stage's fan-out; results are
-// bit-identical for every worker count.
-func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
-	return core.SolveFlow(ctx, req)
 }
 
 // Harness is the experiment context that regenerates the paper's tables

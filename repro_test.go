@@ -8,7 +8,7 @@ import (
 )
 
 // TestPublicAPIRoundTrip drives the whole public facade the way the
-// quickstart example does: generate → analyze → fit → QP → QCP → dosePl.
+// examples do: generate → analyze → fit → compile → QP → QCP → dosePl.
 func TestPublicAPIRoundTrip(t *testing.T) {
 	preset := repro.AES65().Scaled(0.04)
 	d, err := repro.Generate(preset)
@@ -27,9 +27,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := repro.DefaultOptions()
+	comp, err := repro.Compile(context.Background(), golden, model, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	qp, err := repro.SolveQP(context.Background(),
-		repro.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
+	qp, err := repro.SolveQP(context.Background(), repro.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Error("QP must reduce leakage")
 	}
 
-	qcp, err := repro.SolveQCP(context.Background(), repro.QCPRequest{Golden: golden, Model: model, Opt: opt})
+	qcp, err := repro.SolveQCP(context.Background(), repro.QCPRequest{Compiled: comp, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,22 +60,38 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlowModes exercises SolveFlow in both modes via the facade.
+// TestFlowModes runs both formulations through the facade on AES-90,
+// off one compiled formulation.
 func TestFlowModes(t *testing.T) {
+	ctx := context.Background()
 	d, err := repro.Generate(repro.AES90().Scaled(0.04))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []repro.Mode{repro.ModeQPLeakage, repro.ModeQCPTiming} {
-		out, err := repro.SolveFlow(context.Background(), repro.FlowRequest{
-			Design: d,
-			Config: repro.FlowConfig{Opt: repro.DefaultOptions(), Mode: mode},
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if out.DM == nil || out.Final.MCTps <= 0 {
-			t.Fatalf("%v: empty outcome", mode)
+	golden, err := repro.Analyze(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := repro.FitModel(golden, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := repro.DefaultOptions()
+	comp, err := repro.Compile(ctx, golden, model, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := repro.SolveQP(ctx, repro.QPRequest{Compiled: comp, Opt: opt, TauPs: golden.MCT})
+	if err != nil {
+		t.Fatalf("QP: %v", err)
+	}
+	qcp, err := repro.SolveQCP(ctx, repro.QCPRequest{Compiled: comp, Opt: opt})
+	if err != nil {
+		t.Fatalf("QCP: %v", err)
+	}
+	for name, r := range map[string]*repro.Result{"QP": qp, "QCP": qcp} {
+		if r.Golden.MCTps <= 0 || r.Golden.LeakUW <= 0 {
+			t.Fatalf("%s: empty signoff %+v", name, r.Golden)
 		}
 	}
 }
