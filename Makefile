@@ -6,15 +6,17 @@
 # profile` captures CPU and heap profiles of the Table IV pipeline;
 # `make serve-smoke` boots the dmopt-serve daemon, drives each endpoint
 # once and scrapes /metrics; `make wafer-smoke` runs a tiny consensus
-# wafer end-to-end, proves serial-vs-parallel bit-equality and solves
-# the Table IX wafer on two held-out designs; `make
+# wafer end-to-end, proves serial-vs-parallel bit-equality and that its
+# uncoupled stage is the single-field QCP, and solves the Table IX
+# wafer on two held-out designs; `make record` regenerates the
+# scale-0.15 record file; `make
 # traffic-cover` runs every entry point once under coverage, lists
 # the functions that traffic never reaches and fails on any of them
 # that scripts/traffic_allow.txt does not name.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json fuzz-smoke profile serve-smoke wafer-smoke traffic-cover all
+.PHONY: check vet build test race bench bench-json fuzz-smoke profile serve-smoke wafer-smoke record traffic-cover all
 
 all: check
 
@@ -54,10 +56,16 @@ bench-json:
 
 # Tiny wafer end-to-end: the 12-field consensus smoke plus the
 # worker/permutation bit-identity proof (serial vs parallel dispatch),
-# and the Table IX wafer on the two held-out AES-65 seeds whose
-# consensus once failed to converge.
+# each uncoupled field bit-equal to an isolated single-field QCP, and
+# the Table IX wafer on the two held-out AES-65 seeds whose consensus
+# once failed to converge.
 wafer-smoke:
-	$(GO) test ./internal/core/ -run 'TestWaferSmoke|TestWaferWorkerBitIdentity|TestWaferHeldOutSeeds' -count=1 -v
+	$(GO) test ./internal/core/ -run 'TestWaferSmoke|TestWaferWorkerBitIdentity|TestWaferUncoupledIsSingleFieldQCP|TestWaferHeldOutSeeds' -count=1 -v
+
+# Regenerate the committed scale-0.15 record of every table, Table IX
+# and Table X included (a few seconds on 2 vCPUs).
+record:
+	$(GO) run ./cmd/tables -scale 0.15 -k 2000 -which all,ix,x > results_scale0.15.txt
 
 # End-to-end service smoke: boot dmopt-serve, run a scale-0.15 job and
 # a small wafer job through the synchronous endpoint, cancel an

@@ -61,7 +61,8 @@ const (
 // describe a flat wafer) and the consensus outer loop.  Zero-valued
 // knobs select the production defaults (300 mm wafer, 26×33 mm fields,
 // 3 mm edge exclusion, 8 consensus rounds per column group); MaxOuter
-// may not exceed MaxWaferOuter.
+// may not exceed MaxWaferOuter, and the layout may not have room for
+// more than MaxWaferFields fields.
 type WaferSpec struct {
 	DiameterMM float64 `json:"diameter_mm,omitempty"`
 	FieldWmm   float64 `json:"field_w_mm,omitempty"`
@@ -79,6 +80,12 @@ type WaferSpec struct {
 // runs to the cap, so a cap far above the default 8 only lets one
 // request hold a worker longer.
 const MaxWaferOuter = 64
+
+// MaxWaferFields bounds a wafer layout: Validate refuses, before any
+// build, a layout whose usable disc has the area of more fields, or
+// that has no printable field (dosemap.NewWafer, which every wafer
+// solve calls, refuses the same).
+const MaxWaferFields = dosemap.MaxWaferFields
 
 // Inline-preset bounds.  Generation time and memory grow with a
 // preset's cell, depth and port counts, so Validate refuses a preset
@@ -285,6 +292,10 @@ func (s JobSpec) Validate() error {
 			if w.MaxOuter < 0 || w.MaxOuter > MaxWaferOuter {
 				return fmt.Errorf("api: max_outer %d outside [0, %d]", w.MaxOuter, MaxWaferOuter)
 			}
+		}
+		w := s.Normalized().Wafer
+		if _, err := dosemap.NewWafer(w.DiameterMM, w.FieldWmm, w.FieldHmm, w.EdgeMM); err != nil {
+			return fmt.Errorf("api: wafer: %w", err)
 		}
 	}
 	switch strings.ToLower(s.Actuators) {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -37,6 +38,11 @@ func TestValidate(t *testing.T) {
 		{"inline die without area", func(s *JobSpec) { s.Design = ""; s.Preset = &gen.Preset{Name: "flat"} }, "bad grid spec"},
 		{"max_outer above bound", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: MaxWaferOuter + 1} }, "max_outer"},
 		{"negative max_outer", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{MaxOuter: -1} }, "max_outer"},
+		{"wafer fields above bound", func(s *JobSpec) {
+			s.Scale, s.Mode = 0.02, ModeWafer
+			s.Wafer = &WaferSpec{FieldWmm: 0.01, FieldHmm: 0.01}
+		}, fmt.Sprintf("above the cap of %d fields", MaxWaferFields)},
+		{"wafer without a printable field", func(s *JobSpec) { s.Mode = ModeWafer; s.Wafer = &WaferSpec{FieldWmm: 400} }, "no printable fields"},
 		{"preset cells above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.Cells = 100_000_000 }, "above the bounds"},
 		{"preset depth above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.Depth++ }, "above the bounds"},
 		{"preset ports above bound", func(s *JobSpec) { s.Design, s.Scale = "", 1; s.Preset = boundPreset(); s.Preset.POs++ }, "above the bounds"},
@@ -106,15 +112,17 @@ func boundPreset() *gen.Preset {
 	return &p
 }
 
-// TestValidateAtBounds: the largest grid, the most consensus rounds and
-// the largest inline preset a spec may ask for pass, raw and
-// normalized, and so does every Table I preset at scale 1 sent inline.
+// TestValidateAtBounds: the largest grid, the most consensus rounds, a
+// wafer of 10×10 mm fields (616 of them, 679 by area) and the largest
+// inline preset a spec may ask for pass, raw and normalized, and so
+// does every Table I preset at scale 1 sent inline.
 func TestValidateAtBounds(t *testing.T) {
 	specs := []JobSpec{
 		{Design: "JPEG-90", GridUm: 5},
 		{Design: "JPEG-90"},
 		{Design: "AES-65", Scale: 0.1, GridUm: 1.7},
 		{Design: "AES-65", Scale: 0.1, Mode: ModeWafer, Wafer: &WaferSpec{MaxOuter: MaxWaferOuter}},
+		{Design: "AES-65", Scale: 0.1, Mode: ModeWafer, Wafer: &WaferSpec{FieldWmm: 10, FieldHmm: 10}},
 		{Preset: boundPreset()},
 	}
 	for _, p := range gen.Presets() {

@@ -24,7 +24,8 @@ func decodeStrict(data []byte) (JobSpec, error) {
 // the identity the server deduplicates on — and the accessors the
 // server calls before any design work (Options, GenPreset, DesignKey)
 // must succeed without panicking, with a dose grid within
-// dosemap.MaxGridCells and at most MaxWaferOuter consensus rounds.
+// dosemap.MaxGridCells, at most MaxWaferOuter consensus rounds and a
+// wafer layout of at least one and at most MaxWaferFields fields.
 // Prepare stays out: it generates a design per input.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
@@ -57,6 +58,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"design":"JPEG-90","grid_um":0.1}`,
 		`{"design":"JPEG-90","grid_um":1e-320}`,
 		`{"design":"AES-65","mode":"wafer","wafer":{"max_outer":1000000000}}`,
+		`{"design":"AES-65","scale":0.02,"mode":"wafer","wafer":{"field_w_mm":0.01,"field_h_mm":0.01}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -87,8 +89,14 @@ func FuzzJobSpec(f *testing.F) {
 		if g, err := dosemap.NewGrid(p.ChipW, p.ChipH, spec.GridUm); err != nil || g.Cells() > dosemap.MaxGridCells {
 			t.Fatalf("accepted spec has no grid within the cap: %v\ncanonical: %s", err, canon)
 		}
-		if spec.Wafer != nil && spec.Wafer.MaxOuter > MaxWaferOuter {
-			t.Fatalf("accepted spec runs %d consensus rounds\ncanonical: %s", spec.Wafer.MaxOuter, canon)
+		if w := spec.Wafer; w != nil {
+			if w.MaxOuter > MaxWaferOuter {
+				t.Fatalf("accepted spec runs %d consensus rounds\ncanonical: %s", w.MaxOuter, canon)
+			}
+			wafer, err := dosemap.NewWafer(w.DiameterMM, w.FieldWmm, w.FieldHmm, w.EdgeMM)
+			if err != nil || len(wafer.Fields) > MaxWaferFields {
+				t.Fatalf("accepted spec has no wafer layout within the cap: %v\ncanonical: %s", err, canon)
+			}
 		}
 		if spec.DesignKey() == "" {
 			t.Fatalf("accepted spec has an empty design key\ncanonical: %s", canon)

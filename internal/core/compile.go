@@ -127,9 +127,10 @@ type Compiled struct {
 	// separated like path cuts: solveTauGroup walks the grid's stencil
 	// (dosemap.Grid.EachPair) against each clamped iterate and pools the
 	// violated pairs, so the QP holds only the smoothness rows that bind
-	// or nearly bind.  The wafer's derived artifacts hold every
+	// or nearly bind.  The wafer's consensus fields hold every
 	// smoothness row after the box rows instead (withSmoothRows) and set
-	// smoothFixed, which turns that scan off.  Pooled rows are appended
+	// smoothFixed, which turns that scan off; its uncoupled fields
+	// separate like any single-field QP.  Pooled rows are appended
 	// after the fixed rows, so dual indices survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64

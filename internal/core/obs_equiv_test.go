@@ -178,8 +178,9 @@ func findSpan(spans []obs.SpanStat, name string) (obs.SpanStat, bool) {
 // coupled solve must be bit-identical with and without a Recorder, and
 // the enabled run must show the lockstep batch actually firing
 // (qp/solve_batches > 0 with more right-hand sides than batches — the
-// whole point of sharing the factor across a column group) and no
-// smoothness row separated.
+// whole point of sharing the factor across a column group), one span
+// per stage under core/wafer, and the uncoupled fields separating
+// smoothness rows.
 func TestWaferObsBitwiseInert(t *testing.T) {
 	comp := waferComp(t, 0.05)
 	run := func(ctx context.Context) *WaferResult {
@@ -208,8 +209,18 @@ func TestWaferObsBitwiseInert(t *testing.T) {
 	if snap.Counters["qp/batch_lockstep_solves"] == 0 {
 		t.Error("qp/batch_lockstep_solves empty: column groups always fell back to sequential solves")
 	}
-	// Every wafer field starts from all its smoothness rows.
-	if n := snap.Counters["core/smooth_rows_added"]; n != 0 {
-		t.Errorf("core/smooth_rows_added = %d in a wafer run, want 0", n)
+	wafer, ok := findSpan(snap.Spans, "core/wafer")
+	if !ok {
+		t.Fatal("core/wafer span missing in enabled run")
+	}
+	for _, name := range []string{"wafer/uniform", "wafer/uncoupled", "wafer/coupled"} {
+		if sp, ok := findSpan(wafer.Children, name); !ok || sp.Count != 1 {
+			t.Errorf("span %s under core/wafer: found %v, count %d; want one", name, ok, sp.Count)
+		}
+	}
+	// The uncoupled fields separate their smoothness rows; the consensus
+	// fields start from all of them (TestWaferUncoupledIsSingleFieldQCP).
+	if n := snap.Counters["core/smooth_rows_added"]; n == 0 {
+		t.Error("core/smooth_rows_added = 0 in a wafer run: the uncoupled fields separated no smoothness row")
 	}
 }

@@ -141,11 +141,11 @@ func requireRows(t *testing.T, what string, got *qp.CSR, gl, gu []float64, want 
 // TestSmoothRowsMatchTripletOracle pins every route to the smoothness
 // rows to the Triplet assembly the compile used to store, in every
 // actuator mode.  A base compile holds exactly the oracle's box rows.
-// withSmoothRows, the base of the wafer's fields, holds all of its
-// rows, and so does a poly field derived from it at zero bias.  And the
-// separation scan, at an iterate that violates every pair, pools
-// exactly the oracle's smoothness rows in the oracle's order with its
-// bounds, and a second scan pools none of them again.
+// withSmoothRows, the base of the wafer's consensus fields, holds all
+// of its rows, and so does a poly field derived from it at zero bias.
+// And the separation scan, at an iterate that violates every pair,
+// pools exactly the oracle's smoothness rows in the oracle's order with
+// its bounds, and a second scan pools none of them again.
 func TestSmoothRowsMatchTripletOracle(t *testing.T) {
 	for _, tc := range smoothModes {
 		opt := DefaultOptions()
@@ -266,18 +266,18 @@ func TestSeparatedMapsMeetDelta(t *testing.T) {
 }
 
 // TestLazySmoothMatchesFullPrefix solves AES-65 at scale 0.05 twice per
-// clock period, from the box rows (the production compile) and from
-// every smoothness row (withSmoothRows, the base of the wafer's fields),
-// over a range of τ from the
-// nominal MCT down past the fastest reachable one, as a plain QP and
-// under the ξ = 0 budget of the QCP.  The verdicts must agree, a solver
-// error counting as infeasible as in the QCP's probes.  Where both are
-// feasible, the lazy objective lies between the full-prefix one and
-// that less the dual-priced separation slack Σ|y_r|·smoothSepTol over
-// the full solve's smoothness rows, up to the QCP's leakage tolerance
-// on either side: each separated row may end up to smoothSepTol outside
-// [−δ, δ], and a convex program's value falls by at most its duals
-// times such a relaxation.
+// clock period, from the box rows (the production compile, and the base
+// of the wafer's uncoupled fields) and from every smoothness row
+// (withSmoothRows, the base of the wafer's consensus fields), over a
+// range of τ from the nominal MCT down past the fastest reachable one,
+// as a plain QP and under the ξ = 0 budget of the QCP.  The verdicts
+// must agree, a solver error counting as infeasible as in the QCP's
+// probes.  Where both are feasible, the lazy objective lies between the
+// full-prefix one and that less the dual-priced separation slack
+// Σ|y_r|·smoothSepTol over the full solve's smoothness rows, up to the
+// QCP's leakage tolerance on either side: each separated row may end up
+// to smoothSepTol outside [−δ, δ], and a convex program's value falls
+// by at most its duals times such a relaxation.
 func TestLazySmoothMatchesFullPrefix(t *testing.T) {
 	ctx := context.Background()
 	opt := DefaultOptions()

@@ -181,8 +181,8 @@ func (cs *cutSolver) refreshLinear() error {
 // box rows, every dose smoothness row (Eq. 4/9): per dose block, one
 // row x_a − x_b ∈ [−δ, δ] for each pair of the grid's stencil, in the
 // order the separation scan walks them.  The copy sets smoothFixed, so
-// its cut rounds never separate.  The wafer's derived fields start
-// from it.
+// its cut rounds never separate.  The wafer's consensus fields start
+// from it; its uncoupled fields start from the base compile.
 func (c *Compiled) withSmoothRows() *Compiled {
 	d := *c
 	a := c.fixedA
@@ -208,13 +208,12 @@ func (c *Compiled) withSmoothRows() *Compiled {
 // deriveField derives a per-field view of the shared artifact in
 // effective-dose space: the box rows and options shift by the virtual
 // bias dose δ, the QCP lower bound is recomputed for the shifted range,
-// and everything else (grid maps, objective, smoothness rows, golden,
-// model) is borrowed from the base.  SolveWafer passes a base built by
-// withSmoothRows, so every smoothness row starts in the field's QP and
-// Table IX and the flows benchmark fingerprint keep the bits they had
-// before single-field QPs began to separate those rows.  Whether
-// separating them in the wafer pays is unmeasured: one traced run of a
-// lazy variant read a shorter flows wall (DESIGN.md §5, ROADMAP item 7).
+// and everything else (grid maps, objective, fixed smoothness rows if
+// any, golden, model) is borrowed from the base.  SolveWafer's
+// uncoupled stage passes the base compile, whose fixed rows are its
+// box rows, so each field QCP separates its own smoothness rows like a
+// single-field QCP; its consensus stage passes a base built by
+// withSmoothRows (DESIGN.md §14).
 func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Options) {
 	d := *base
 	d.Opts.DoseLo += biasDose
@@ -477,14 +476,18 @@ func mctSpreadPct(evals []Eval) float64 {
 //
 //  1. uniform — nominal dose everywhere; the fingerprint shows through
 //     unattenuated (the "before" picture).
-//  2. uncoupled — an isolated QCP per field in effective-dose space;
-//     each field races to its own minimum clock period under the shared
-//     leakage budget, so faster fields overshoot and the across-wafer
-//     spread remains.
+//  2. uncoupled — an isolated QCP per field in effective-dose space,
+//     the single-field engine on a shifted box; each field races to its
+//     own minimum clock period under the shared leakage budget, so
+//     faster fields overshoot and the across-wafer spread remains.
 //  3. coupled — the consensus-ADMM solve at the common target τ̄ (the
-//     worst uncoupled period plus a guard): every field lands just
-//     under τ̄ while fields of a scan column agree on the cross-slit
-//     profile, equalizing the wafer.
+//     worst uncoupled period plus a guard), its fields starting from
+//     every smoothness row: every field lands just under τ̄ while fields
+//     of a scan column agree on the cross-slit profile, equalizing the
+//     wafer.
+//
+// Each stage runs under its own span (wafer/uniform, wafer/uncoupled,
+// wafer/coupled) inside core/wafer.
 //
 // Fields with bit-equal sub-problems (same bias, same column signature)
 // are solved once and fanned out — the result is identical either way,
@@ -509,8 +512,6 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		// wafer-level coupling, so actuator composition stops at the field.
 		return nil, errors.New("core: wafer solve supports dose-only formulations")
 	}
-	// The field solves below start from every smoothness row.
-	c = c.withSmoothRows()
 	wopt := req.Wafer.normalized()
 	wafer, err := dosemap.NewWafer(wopt.DiameterMM, wopt.FieldWmm, wopt.FieldHmm, wopt.EdgeMM)
 	if err != nil {
@@ -568,33 +569,39 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 
 	// Stage A: uniform nominal dose — golden signoff of each distinct
 	// bias applied as a uniform ΔL.
-	uniform, err := par.Map(ctx, len(biases), workers, func(i int) (Eval, error) {
+	actx, asp := obs.Start(ctx, "wafer/uniform")
+	uniform, err := par.Map(actx, len(biases), workers, func(i int) (Eval, error) {
 		dl := make([]float64, in.Circ.NumGates())
 		for id, m := range in.Masters {
 			if m != nil {
 				dl[id] = biases[i]
 			}
 		}
-		ev, _, err := EvalPerturbCtx(ctx, in, sta.DefaultConfig(), &sta.Perturb{DL: dl})
+		ev, _, err := EvalPerturbCtx(actx, in, sta.DefaultConfig(), &sta.Perturb{DL: dl})
 		return ev, err
 	})
+	asp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage B: uncoupled per-field QCP in effective-dose space.
+	// Stage B: uncoupled per-field QCP in effective-dose space.  Derived
+	// from the base compile, each field separates its own smoothness
+	// rows like a single-field QCP.
 	type uncoupledOut struct {
 		eval Eval
 		pred float64
 	}
-	uncoupled, err := par.Map(ctx, len(biases), workers, func(i int) (uncoupledOut, error) {
+	bctx, bsp := obs.Start(ctx, "wafer/uncoupled")
+	uncoupled, err := par.Map(bctx, len(biases), workers, func(i int) (uncoupledOut, error) {
 		fc, fopt := deriveField(c, inner, biases[i]/tech.DoseSensitivity)
-		r, err := SolveQCP(ctx, QCPRequest{Compiled: fc, Opt: fopt})
+		r, err := SolveQCP(bctx, QCPRequest{Compiled: fc, Opt: fopt})
 		if err != nil {
 			return uncoupledOut{}, fmt.Errorf("core: uncoupled field solve (bias %.2f nm): %w", biases[i], err)
 		}
 		return uncoupledOut{eval: r.Golden, pred: r.PredMCT}, nil
 	})
+	bsp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -609,6 +616,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	// ρw is the mean per-cell dose curvature, scaled like one cell of the
 	// objective.  A stiffer penalty pins each e to the current z, and z
 	// then crawls toward consensus over many rounds (DESIGN.md §14).
+	cctx, csp := obs.Start(ctx, "wafer/coupled")
 	curv := 0.0
 	for g := 0; g < c.NG; g++ {
 		curv += c.cutPD[g]
@@ -666,6 +674,11 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	}
 	obs.Add(ctx, "wafer/groups", int64(len(groups)))
 
+	// The consensus fields start from every smoothness row: separating
+	// them there doubled the consensus' ADMM iterations on the Table IX
+	// wafer (DESIGN.md §5).
+	full := c.withSmoothRows()
+
 	// Dispatch the group solves, optionally in a permuted order; the
 	// outcomes land in canonical slots so the permutation (like the
 	// worker count) cannot leak into the result.
@@ -674,18 +687,19 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		proc = nil
 	}
 	outcomes := make([]*groupOutcome, len(groups))
-	_, err = par.Map(ctx, len(groups), workers, func(i int) (struct{}, error) {
+	_, err = par.Map(cctx, len(groups), workers, func(i int) (struct{}, error) {
 		gi := i
 		if proc != nil {
 			gi = proc[i]
 		}
-		o, err := solveWaferGroup(ctx, c, inner, groups[gi], tau, rhoW, wopt.MaxOuter)
+		o, err := solveWaferGroup(cctx, full, inner, groups[gi], tau, rhoW, wopt.MaxOuter)
 		if err != nil {
 			return struct{}{}, err
 		}
 		outcomes[gi] = o
 		return struct{}{}, nil
 	})
+	csp.End()
 	if err != nil {
 		return nil, err
 	}

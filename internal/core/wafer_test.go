@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dosemap"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sta"
 )
 
@@ -145,6 +147,49 @@ func TestWaferSmoke(t *testing.T) {
 	}
 	if len(serial.Fields) != 12 {
 		t.Errorf("smoke wafer has %d fields, want 12", len(serial.Fields))
+	}
+}
+
+// TestWaferUncoupledIsSingleFieldQCP: the uncoupled stage is the
+// single-field engine on a shifted box.  Each field's Uncoupled signoff
+// and UncoupledPredMCT equal, bit for bit, a SolveQCP on deriveField of
+// the base compile (box rows only) at that field's bias, and the
+// wafer's core/smooth_rows_added is the sum of those QCPs' separated
+// rows, so the consensus fields, which start from every smoothness row,
+// separate none.
+func TestWaferUncoupledIsSingleFieldQCP(t *testing.T) {
+	comp := waferComp(t, 0.05)
+	ctx := context.Background()
+	opt := DefaultOptions()
+	opt.Workers = 2
+	rec := obs.New()
+	r, err := SolveWafer(obs.With(ctx, rec), WaferRequest{Compiled: comp, Opt: opt, Wafer: smokeWafer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The options SolveWafer hands each field solve.
+	inner := opt.normalized()
+	inner.Snap, inner.Workers = false, 1
+	solved := map[uint64]*Result{}
+	rows := int64(0)
+	for i := range r.Fields {
+		f := &r.Fields[i]
+		qr, ok := solved[math.Float64bits(f.CDBiasNm)]
+		if !ok {
+			fc, fopt := deriveField(comp, inner, f.BiasDosePct)
+			qrec := obs.New()
+			if qr, err = SolveQCP(obs.With(ctx, qrec), QCPRequest{Compiled: fc, Opt: fopt}); err != nil {
+				t.Fatalf("field (%d,%d): %v", f.Col, f.Row, err)
+			}
+			rows += qrec.Counter("core/smooth_rows_added")
+			solved[math.Float64bits(f.CDBiasNm)] = qr
+		}
+		bitsEqSlice(t, fmt.Sprintf("field (%d,%d) uncoupled signoff and model MCT", f.Col, f.Row),
+			[]float64{f.Uncoupled.MCTps, f.Uncoupled.LeakUW, f.UncoupledPredMCT},
+			[]float64{qr.Golden.MCTps, qr.Golden.LeakUW, qr.PredMCT})
+	}
+	if got := rec.Counter("core/smooth_rows_added"); rows == 0 || got != rows {
+		t.Errorf("wafer core/smooth_rows_added = %d, want the %d rows its %d uncoupled QCPs separate (and more than 0)", got, rows, len(solved))
 	}
 }
 

@@ -33,30 +33,50 @@ type Wafer struct {
 	Fields []Field
 }
 
+// MaxWaferFields caps the fields of one wafer layout.  A wafer solve
+// keeps a dose map and three signoffs per field, so its memory grows
+// with 1/(field area): the production 26×33 mm layout has 64 fields,
+// 10×10 mm fields on a 300 mm wafer fit (679 by area), and 0.01 mm
+// fields would number about 7·10⁸.
+const MaxWaferFields = 1024
+
 // NewWafer lays out fields of the given size (mm) on a wafer, keeping
-// only fields whose four corners fall inside the usable radius.
+// only fields whose four corners fall inside the usable radius.  It
+// refuses, before it scans any position, a layout whose usable disc has
+// the area of more than MaxWaferFields fields (π·r²/(w·h), an upper
+// bound on the field count), and it scans none when the field is wider
+// or taller than the usable radius.  A scan then visits fewer than
+// 16·MaxWaferFields positions.
 func NewWafer(diameterMM, fieldW, fieldH, edgeMM float64) (*Wafer, error) {
-	if diameterMM <= 0 || fieldW <= 0 || fieldH <= 0 {
+	if !(diameterMM > 0 && fieldW > 0 && fieldH > 0) {
 		return nil, fmt.Errorf("dosemap: bad wafer spec %g/%g/%g", diameterMM, fieldW, fieldH)
 	}
 	w := &Wafer{DiameterMM: diameterMM, FieldW: fieldW, FieldH: fieldH, EdgeMM: edgeMM}
 	usable := diameterMM/2 - edgeMM
-	nCols := int(diameterMM/fieldW) + 2
-	nRows := int(diameterMM/fieldH) + 2
-	for r := -nRows; r <= nRows; r++ {
-		for c := -nCols; c <= nCols; c++ {
-			cx := (float64(c) + 0.5) * fieldW
-			cy := (float64(r) + 0.5) * fieldH
-			ok := true
-			for _, dx := range []float64{-fieldW / 2, fieldW / 2} {
-				for _, dy := range []float64{-fieldH / 2, fieldH / 2} {
-					if math.Hypot(cx+dx, cy+dy) > usable {
-						ok = false
+	// Every field reaches its own width and height from the wafer
+	// center, so none fits a usable radius below either.
+	if fieldW <= usable && fieldH <= usable {
+		if n := math.Pi * usable * usable / (fieldW * fieldH); !(n <= MaxWaferFields) {
+			return nil, fmt.Errorf("dosemap: a %g mm wafer with %g mm edge exclusion has room for %.0f fields of %gx%g mm, above the cap of %d fields",
+				diameterMM, edgeMM, n, fieldW, fieldH, MaxWaferFields)
+		}
+		nCols := int(usable/fieldW) + 2
+		nRows := int(usable/fieldH) + 2
+		for r := -nRows; r <= nRows; r++ {
+			for c := -nCols; c <= nCols; c++ {
+				cx := (float64(c) + 0.5) * fieldW
+				cy := (float64(r) + 0.5) * fieldH
+				ok := true
+				for _, dx := range []float64{-fieldW / 2, fieldW / 2} {
+					for _, dy := range []float64{-fieldH / 2, fieldH / 2} {
+						if math.Hypot(cx+dx, cy+dy) > usable {
+							ok = false
+						}
 					}
 				}
-			}
-			if ok {
-				w.Fields = append(w.Fields, Field{Col: c, Row: r, CX: cx, CY: cy})
+				if ok {
+					w.Fields = append(w.Fields, Field{Col: c, Row: r, CX: cx, CY: cy})
+				}
 			}
 		}
 	}

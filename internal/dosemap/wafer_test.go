@@ -2,6 +2,7 @@ package dosemap
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,41 @@ func TestNewWaferLayout(t *testing.T) {
 	}
 	if _, err := NewWafer(20, 26, 33, 3); err == nil {
 		t.Error("field larger than wafer should fail")
+	}
+}
+
+// TestNewWaferFieldCap: a layout whose usable disc has the area of
+// more than MaxWaferFields fields, or whose field is wider or taller
+// than the usable radius, is refused before the scan, however many
+// positions that would visit; every layout it accepts has at least one
+// and at most MaxWaferFields fields.
+func TestNewWaferFieldCap(t *testing.T) {
+	refused := []struct {
+		d, w, h, e float64
+		want       string
+	}{
+		{300, 0.01, 0.01, 3, "above the cap"},  // about 7·10⁸ fields
+		{300, 5, 5, 3, "above the cap"},        // 2,716 by area
+		{300, 1e-6, 100, 3, "above the cap"},   // a sliver field
+		{300, 1e-6, 1e6, 3, "no printable"},    // taller than the wafer
+		{300, 1e-6, 1e-6, 150, "no printable"}, // no usable disc
+		{300, 1e-6, 1e-6, 400, "no printable"}, // exclusion past the edge
+		{math.NaN(), 26, 33, 3, "bad wafer spec"},
+	}
+	for _, tc := range refused {
+		if w, err := NewWafer(tc.d, tc.w, tc.h, tc.e); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewWafer(%g, %g, %g, %g) = %v, %v; want an error containing %q", tc.d, tc.w, tc.h, tc.e, w, err, tc.want)
+		}
+	}
+	for _, tc := range [][4]float64{{300, 26, 33, 3}, {300, 58, 58, 3}, {300, 10, 10, 3}, {300, 1e-3, 1e-3, 149.99}} {
+		w, err := NewWafer(tc[0], tc[1], tc[2], tc[3])
+		if err != nil {
+			t.Errorf("NewWafer%v: %v", tc, err)
+			continue
+		}
+		if n := len(w.Fields); n == 0 || n > MaxWaferFields {
+			t.Errorf("NewWafer%v: %d fields, want 1..%d", tc, n, MaxWaferFields)
+		}
 	}
 }
 

@@ -214,8 +214,9 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPRejectionsCounted: every 400 a job request earns is a
 // rejected job in /metrics — a truncated body (the strict decoder), an
 // invalid spec on both the asynchronous and the synchronous endpoint,
-// and an inline preset past the preset bounds, refused before any
-// generation — not only the ones Submit refuses.
+// an inline preset past the preset bounds and a wafer layout past
+// api.MaxWaferFields, each refused before any generation — not only
+// the ones Submit refuses.
 func TestHTTPRejectionsCounted(t *testing.T) {
 	_, ts, rec := newTestServer(t, Config{MaxRunning: 1})
 	reqs := []struct{ path, body string }{
@@ -223,6 +224,7 @@ func TestHTTPRejectionsCounted(t *testing.T) {
 		{"/v1/jobs", `{"design":"DES-65"}`},
 		{"/v1/solve", `{"design":"DES-65"}`},
 		{"/v1/jobs", fmt.Sprintf(`{"preset":{"Name":"huge","Tech":"N65","Cells":%d,"ChipW":241,"ChipH":241,"Depth":34}}`, api.MaxPresetCells+1)},
+		{"/v1/solve", `{"design":"AES-65","scale":0.02,"mode":"wafer","wafer":{"field_w_mm":0.01,"field_h_mm":0.01}}`},
 	}
 	for _, rq := range reqs {
 		resp, err := http.Post(ts.URL+rq.path, "application/json", strings.NewReader(rq.body))
