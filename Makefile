@@ -43,13 +43,15 @@ bench:
 # counters).  Built as a binary (not `go run`) so the toolchain stamps
 # vcs.revision into the report's git_rev field.  Also runs the full
 # ADMM solve of the cut-pool matrix, the τ-Newton bisection and wafer
-# benchmarks, the supernodal numeric factorization and the multi-RHS
-# supernodal solve sweep.  The tables run covers Table IV plus the
-# actuator ablation (Table X), so the report times the joint dose+bias
-# solves alongside the dose-only pipeline.
+# benchmarks, the supernodal numeric factorization, the multi-RHS
+# supernodal solve sweep, and the time and allocations of serve-mix
+# sized jobs (QP, QCP, joint QP) on a prepared artifact.  The tables run
+# covers Table IV plus the actuator ablation (Table X), so the report
+# times the joint dose+bias solves alongside the dose-only pipeline.
 bench-json:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'CutPoolSolve|TauNewton|WaferSolve' -benchtime 3x
 	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTFactor|SupernodalSolve' -benchtime 20x
+	$(GO) test ./internal/api/ -run '^$$' -bench 'SmallJob' -benchtime 200x
 	$(GO) build -o tables.bin ./cmd/tables
 	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json bench.json
 	rm -f tables.bin

@@ -133,7 +133,7 @@ func (c *Compiled) predict(asn Assignment) (mct, dleakNW float64) {
 		}
 		return v
 	}
-	_, mct = linearArrivalsOrder(c.Golden, c.order, deltaOf)
+	_, mct = linearArrivalsOrder(c.Golden, c.order, nil, deltaOf)
 
 	n := c.Golden.In.Circ.NumGates()
 	dleak := 0.0

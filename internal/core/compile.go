@@ -314,7 +314,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	c.fixedA, c.fixedL, c.fixedU = boxRows(c.NVar, c.Blocks)
 
 	// The QCP lower bound.
-	_, c.fastMCT = linearArrivalsOrder(golden, order, func(id int) float64 {
+	_, c.fastMCT = linearArrivalsOrder(golden, order, nil, func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
 		}
@@ -427,11 +427,13 @@ func minDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
 // order, over the frozen golden arc delays with the given per-gate delay
 // deltas, returning per-gate output arrivals and the resulting MCT.  This
 // is the optimizer's linear timing model (Eq. 5/10) evaluated at a
-// concrete dose assignment.
-func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) float64) ([]float64, float64) {
+// concrete dose assignment.  The arrivals are written into buf, grown
+// as needed (nil allocates), so a caller that evaluates the model every
+// cut round keeps one buffer.
+func linearArrivalsOrder(golden *sta.Result, order []int, buf []float64, delta func(id int) float64) ([]float64, float64) {
 	in := golden.In
 	n := in.Circ.NumGates()
-	arr := make([]float64, n)
+	arr := append(buf[:0], make([]float64, n)...) // zeroed, in place when buf fits
 	// Launches first (order does not cover FF-out edges).
 	for id, g := range in.Circ.Gates {
 		if g.Kind == netlist.Seq {

@@ -176,20 +176,30 @@ type cutSolver struct {
 
 	// Cut-generation scratch, reused round over round: makeCut's dense
 	// accumulator (acc, with mark flagging the touched columns listed in
-	// touched), the row it or separateSmooth emits, and the dedup key
-	// buffer.
-	acc     []float64
-	mark    []bool
-	touched []int
-	rowCols []int
-	rowVals []float64
-	key     []byte
+	// touched), the row it or separateSmooth emits, the dedup key buffer,
+	// the arrivals of the linear timing model, and the bounds and rows
+	// ensure appends to the live solver.
+	acc        []float64
+	mark       []bool
+	touched    []int
+	rowCols    []int
+	rowVals    []float64
+	key        []byte
+	arr        []float64
+	newL, newU []float64
+	newCols    [][]int
+	newVals    [][]float64
 }
 
-// resetSolver drops the persistent solver so the next round rebuilds
-// from scratch.  Called when a solve diverged (infeasible certificate or
-// stall): its internal iterate would poison later warm starts.
+// resetSolver releases the persistent solver's storage to qp's pool and
+// drops it, so the next round rebuilds from scratch.  Called when a
+// solve diverged (infeasible certificate or stall), since its internal
+// iterate would poison later warm starts, and when the run is done with
+// the solver.
 func (cs *cutSolver) resetSolver() {
+	if cs.solver != nil {
+		cs.solver.Release()
+	}
 	cs.solver = nil
 	cs.prob = nil
 	cs.builtCuts = 0
@@ -230,15 +240,13 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 		// the solver with zeros on the new rows, exactly the zero-padded
 		// carry-over the rebuild path used to reconstruct.
 		cs.rec.Add("core/solver_row_appends", 1)
-		newCuts := cuts[cs.builtCuts:]
-		l := make([]float64, len(newCuts))
-		u := make([]float64, len(newCuts))
-		cols := make([][]int, len(newCuts))
-		vals := make([][]float64, len(newCuts))
-		for i, c := range newCuts {
-			cols[i], vals[i] = c.cols, c.vals
-			l[i], u[i] = cs.rowBounds(c, tau)
+		l, u, cols, vals := cs.newL[:0], cs.newU[:0], cs.newCols[:0], cs.newVals[:0]
+		for _, c := range cuts[cs.builtCuts:] {
+			lo, hi := cs.rowBounds(c, tau)
+			l, u = append(l, lo), append(u, hi)
+			cols, vals = append(cols, c.cols), append(vals, c.vals)
 		}
+		cs.newL, cs.newU, cs.newCols, cs.newVals = l, u, cols, vals
 		newA := qp.CSRFromRows(cs.nVar, cols, vals)
 		if err := cs.solver.AppendRows(newA, l, u); err != nil {
 			return err

@@ -134,6 +134,7 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 					return nil, nil, err
 				}
 				viol := solver.MaxViolation(res2.X)
+				solver.Release()
 				cs.resetSolver()
 				resetAny = true
 				if res2.Status == qp.PrimalInfeasible {
@@ -173,7 +174,8 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) (ob
 				continue
 			}
 			delta := cs.deltaFn(cs.x)
-			_, mct := linearArrivalsOrder(c.Golden, c.order, delta)
+			var mct float64
+			cs.arr, mct = linearArrivalsOrder(c.Golden, c.order, cs.arr, delta)
 			if mct <= tau+tolPs {
 				done[i] = true
 				feas[i] = true

@@ -99,7 +99,7 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 			t.Errorf("dose %v: Δleak model %v vs golden %v µW", dose, predDelta, goldDelta)
 		}
 		// Timing.
-		_, predMCT := linearArrivalsOrder(golden, order, func(id int) float64 {
+		_, predMCT := linearArrivalsOrder(golden, order, nil, func(id int) float64 {
 			return model.A[id] * (-2) * dP[id]
 		})
 		gr, err := sta.AnalyzeCtx(context.Background(), in, golden.Cfg, &sta.Perturb{DL: dL})

@@ -81,7 +81,7 @@ func assembleNode(c *Compiled, opt Options, tau float64) (*qp.Problem, int) {
 	nG := c.NG
 
 	worst := func(id int) float64 { return maxDelayDeltaFor(c.Model, c.Opts, id) }
-	worstArr, _ := linearArrivalsOrder(golden, c.order, worst)
+	worstArr, _ := linearArrivalsOrder(golden, c.order, nil, worst)
 	worstSuf := linearSuffixOrder(golden, c.order, worst)
 	pruneThresh := tau - 1
 	arrIdx := make([]int, in.Circ.NumGates())

@@ -63,6 +63,7 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	// The cut pool is shared across probes: a path cut is valid for
 	// every τ.
 	cs := newCutSolverCompiled(c, opt)
+	defer cs.resetSolver()
 	xiTol := xiToleranceLeak(c.nomLeakUW, opt.XiNW)
 	var bestX []float64
 	probes := 0

@@ -46,6 +46,7 @@ func SolveQP(ctx context.Context, req QPRequest) (*Result, error) {
 		obs.Add(ctx, "core/joint_solves", 1)
 	}
 	cs := newCutSolverCompiled(c, opt)
+	defer cs.resetSolver()
 	_, feasible, err := cs.solveTau(ctx, tau, math.Inf(1))
 	if err != nil {
 		return nil, err

@@ -227,7 +227,7 @@ func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Opti
 	d.fixedL, d.fixedU = fl, fu
 	in := base.Golden.In
 	model, co := base.Model, d.Opts
-	_, d.fastMCT = linearArrivalsOrder(base.Golden, base.order, func(id int) float64 {
+	_, d.fastMCT = linearArrivalsOrder(base.Golden, base.order, nil, func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
 		}
@@ -373,6 +373,11 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 			u: make([]float64, nCols), e: make([]float64, nCols), bias: b}
 		css[i] = cs
 	}
+	defer func() {
+		for _, cs := range css {
+			cs.resetSolver()
+		}
+	}()
 
 	wSum := 0.0
 	for _, w := range gr.weights {

@@ -57,10 +57,10 @@ func patternAdjacencyTripletOracle(f *ldltFactor) *CSR {
 // win recompiles and analyses the pattern a second time.  It reports
 // whether the new ordering won.
 func appendRowsTwoPassOracle(f *ldltFactor, a *CSR, fromRow int) bool {
-	f.mergeAppended(ataEntries(a, fromRow, f.iperm))
+	f.mergeAppended(ataEntries(nil, a, fromRow, f.iperm))
 	f.symbolic()
 	n := f.n
-	rel, relFill := bestOrder(patternAdjacencyTripletOracle(f))
+	rel, relFill := new(orderWork).bestOrder(patternAdjacencyTripletOracle(f))
 	if relFill >= f.lp[n] {
 		return false
 	}
@@ -154,22 +154,22 @@ func TestAdjacencyMatchesTripletOracle(t *testing.T) {
 			a = randomPattern(rng, rng.Intn(25), n, 8, trial%3 == 0)
 		}
 		label := fmt.Sprintf("trial %d (n=%d, P %v, A %v)", trial, n, p != nil, a != nil)
-		samePattern(t, label, adjacencyOf(p, a, n), adjacencyTripletOracle(p, a, n))
+		samePattern(t, label, new(orderWork).adjacencyOf(p, a, n), adjacencyTripletOracle(p, a, n))
 	}
 
 	for _, g := range []int{3, 6, 9} {
 		rng := rand.New(rand.NewSource(int64(g)))
 		prob := gridCutQP(rng, g, 2, 0, 1, 1)
 		n := g * g
-		f := newLDLTFactor(prob.P, DefaultSettings().Sigma, prob.A, n)
-		samePattern(t, fmt.Sprintf("g=%d adjacencyOf", g), adjacencyOf(prob.P, prob.A, n), adjacencyTripletOracle(prob.P, prob.A, n))
+		f := new(ldltFactor).analyze(prob.P, DefaultSettings().Sigma, prob.A, n)
+		samePattern(t, fmt.Sprintf("g=%d adjacencyOf", g), new(orderWork).adjacencyOf(prob.P, prob.A, n), adjacencyTripletOracle(prob.P, prob.A, n))
 		samePattern(t, fmt.Sprintf("g=%d cold", g), f.patternAdjacency(), patternAdjacencyTripletOracle(f))
 		a := prob.A
 		for round := 0; round < 4; round++ {
 			cols, vals, _ := gridCuts(rng, g, 1+rng.Intn(6))
 			from := a.M
 			a = ConcatRows(a, CSRFromRows(n, cols, vals))
-			f.mergeAppended(ataEntries(a, from, f.iperm))
+			f.mergeAppended(ataEntries(nil, a, from, f.iperm))
 			samePattern(t, fmt.Sprintf("g=%d append %d", g, round), f.patternAdjacency(), patternAdjacencyTripletOracle(f))
 			f.reorder()
 		}
@@ -191,8 +191,8 @@ func TestAppendRowsMatchesTwoPassOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(100 + int64(g)))
 		prob := gridCutQP(rng, g, 1, 0, 1, 1)
 		n := g * g
-		got := newLDLTFactor(prob.P, sigma, prob.A, n)
-		want := newLDLTFactor(prob.P, sigma, prob.A, n)
+		got := new(ldltFactor).analyze(prob.P, sigma, prob.A, n)
+		want := new(ldltFactor).analyze(prob.P, sigma, prob.A, n)
 		a := prob.A
 		for round := 0; round < 12; round++ {
 			cols, vals, _ := gridCuts(rng, g, 1+rng.Intn(4))

@@ -13,9 +13,9 @@ import (
 // copy of A by ConcatRows and every row-indexed vector is regrown by
 // appending a zero block.
 func appendRowsConcatOracle(s *Solver, a *CSR, l, u []float64) {
-	scaled := a.Clone()
+	scaled := a.cloneInto(new(CSR))
 	scaled.ScaleCols(s.d)
-	eNew := scaled.RowInfNorms()
+	eNew := scaled.rowInfNormsInto(make([]float64, scaled.M))
 	for i := range eNew {
 		eNew[i] = invSqrtSafe(eNew[i])
 	}

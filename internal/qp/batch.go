@@ -73,6 +73,7 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 		return nil, nil
 	}
 	for i, s := range solvers {
+		s.mustLive()
 		for _, t := range solvers[:i] {
 			if s == t {
 				return nil, errors.New("qp: solver batch lists the same solver twice")
@@ -110,6 +111,7 @@ func lockstep(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	bestScore := make([]float64, nb)
 	stalledChecks := make([]int, nb)
 	for q, s := range solvers {
+		s.mustLive()
 		results[q] = &Result{Status: MaxIterations, RhoFinal: s.rho}
 		snaps[q] = s.snapCounters()
 		// A solve is a warm-start hit when it reuses iterate state — any

@@ -48,7 +48,7 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb int) ([]*Solver, []*Problem
 		// the same cost scaling, then move q through UpdateLinear — the
 		// wafer consensus loop's exact protocol (the penalty target
 		// moves every outer iteration, the matrices never do).
-		probs[q] = &Problem{P: diagCSRBench(pd), Q: make([]float64, n), A: a.Clone(), L: l, U: u}
+		probs[q] = &Problem{P: diagCSRBench(pd), Q: make([]float64, n), A: a.cloneInto(new(CSR)), L: l, U: u}
 		s, err := NewSolver(probs[q], DefaultSettings())
 		if err != nil {
 			t.Fatalf("member %d: %v", q, err)

@@ -160,6 +160,21 @@ type ldltFactor struct {
 	w    []float64
 	tt   []float64
 	wb   [][]float64
+
+	// Symbolic-phase storage, reused by every AppendRows of the factor
+	// and, through the solver storage pool, by later factors: the
+	// clique entry list, the spare pattern arrays that the merge and the
+	// relabelling write into before they swap with kp/ki/baseVal/ataVal,
+	// the spare permutation, a per-column scratch (the cursor of
+	// fillSymbolic and patternAdjacency, relabel's inverse order),
+	// buildSupernodes' fundamental blocks and count prefix sums, and the
+	// ordering workspace with its graph.
+	ents         []upperEntry
+	kp2, ki2     []int
+	base2, ata2  []float64
+	perm2, next  []int
+	fund, lnzSum []int
+	ow           orderWork
 }
 
 // upperEntry is one upper-triangular entry contribution before
@@ -183,22 +198,89 @@ func cmpColRow(a, b upperEntry) int {
 	return cmp.Compare(a.row, b.row)
 }
 
-// newLDLTFactor runs the symbolic analysis for K = P + σI + ρAᵀA over
-// the patterns of p (may be nil) and a (may have zero rows).  No
-// numeric work happens here; call Refactor with a concrete ρ before
-// SolveBatch.
-func newLDLTFactor(p *CSR, sigma float64, a *CSR, n int) *ldltFactor {
-	f := &ldltFactor{n: n}
-	adj := adjacencyOf(p, a, n)
-	f.perm, _ = bestOrder(adj)
-	f.iperm = make([]int, n)
+// analyze runs the symbolic analysis for K = P + σI + ρAᵀA over the
+// patterns of p (may be nil) and a (may have zero rows) into f and
+// returns f.  It builds into whatever storage f holds from an earlier
+// analysis, so the result does not depend on it.  No numeric work
+// happens here; call Refactor with a concrete ρ before SolveBatch.
+//
+// A K without off-diagonal entries (a cut QP's first build, whose A
+// holds only box rows) has an edgeless adjacency, on which both
+// orderings return the identity with zero fill and nested dissection
+// wins the tie (TestDiagonalKSkipsOrderings), so it takes the identity
+// directly.
+func (f *ldltFactor) analyze(p *CSR, sigma float64, a *CSR, n int) *ldltFactor {
+	f.n = n
+	f.sizeColumns()
+	if adj := f.ow.adjacencyOf(p, a, n); len(adj.Col) > 0 {
+		order, _ := f.ow.bestOrder(adj)
+		copy(f.perm, order)
+	} else {
+		for k := range f.perm {
+			f.perm[k] = k
+		}
+	}
 	for k, v := range f.perm {
 		f.iperm[v] = k
 	}
-	f.compilePattern(collectUpper(p, sigma, a, n, f.iperm))
+	f.ents = collectUpper(f.ents[:0], p, sigma, a, n, f.iperm)
+	f.compilePattern(f.ents)
 	f.symbolic()
 	return f
 }
+
+// sizeColumns sizes every per-column array for f.n columns.  Their
+// contents are unspecified: each phase writes an entry before it reads
+// it, and clears what it accumulates into.
+func (f *ldltFactor) sizeColumns() {
+	n := f.n
+	f.perm, f.iperm, f.perm2 = grow(f.perm, n), grow(f.iperm, n), grow(f.perm2, n)
+	f.parent, f.lnz, f.flag, f.next = grow(f.parent, n), grow(f.lnz, n), grow(f.flag, n), grow(f.next, n)
+	f.lp = grow(f.lp, n+1)
+	f.w, f.d = grow(f.w, n), grow(f.d, n)
+	for q := range f.wb {
+		f.wb[q] = grow(f.wb[q], n)
+	}
+}
+
+// orderWork is the workspace of the fill-reducing orderings: the graph
+// they run on, nested dissection's and RCM's state, both orders, and
+// the fill count's elimination-tree arrays.  A factor keeps one across
+// its AppendRows calls, and the solver storage pool across factors, so
+// an ordering allocates only when its graph outgrows every earlier one.
+// The orders bestOrder, ndOrder and rcmOrder return, and the graph
+// adjacencyOf returns, live in the workspace and stay valid until its
+// next call of the same method.
+type orderWork struct {
+	// adj is the graph adjacencyOf or patternAdjacency builds, g the
+	// graph the orderings run on.
+	adj CSR
+	g   *CSR
+
+	// adjacencyOf's column → rows index of A and its dedup marker.
+	colPtr, colRows, mark []int
+
+	// Nested dissection: each vertex's subgraph id, the BFS levels and
+	// queue (RCM's queue too), the neighbour buffer of the
+	// Cuthill–McKee sweeps, the next free subgraph id, and the frame
+	// stack that holds each recursion's vertex lists (see push).
+	sub, level, queue, nbuf, stack []int
+	nextID                         int
+
+	// Vertex degrees, RCM's start order and byDegree's counts.
+	deg, keys, at []int
+	visited       []bool
+
+	// The two candidate orders.
+	nd, rcm []int
+
+	// fillOf's inverse permutation and elimination tree.
+	iperm, parent, flag []int
+}
+
+// ndLeafSize is the subgraph size at which nested dissection stops
+// splitting and orders by Cuthill–McKee.
+const ndLeafSize = 32
 
 // bestOrder evaluates the two candidate fill-reducing orderings —
 // nested dissection and reverse Cuthill–McKee — against the exact
@@ -207,20 +289,10 @@ func newLDLTFactor(p *CSR, sigma float64, a *CSR, n int) *ldltFactor {
 // RCM's bandwidth ordering decisively (every ADMM iteration sweeps
 // nnz(L) twice, so predicted fill is exactly the cost that matters);
 // RCM remains better on long path-like patterns.
-func bestOrder(adj *CSR) ([]int, int) {
-	n := adj.N
-	iperm := make([]int, n)
-	parent := make([]int, n)
-	flag := make([]int, n)
-	fill := func(perm []int) int {
-		for k, v := range perm {
-			iperm[v] = k
-		}
-		return fillOf(adj, perm, iperm, parent, flag)
-	}
-	nd := ndOrder(adj)
-	rcm := rcmOrder(adj)
-	fnd, frcm := fill(nd), fill(rcm)
+func (w *orderWork) bestOrder(adj *CSR) ([]int, int) {
+	nd := w.ndOrder(adj)
+	rcm := w.rcmOrder(adj)
+	fnd, frcm := w.fillOf(adj, nd), w.fillOf(adj, rcm)
 	if fnd <= frcm {
 		return nd, fnd
 	}
@@ -230,8 +302,13 @@ func bestOrder(adj *CSR) ([]int, int) {
 // fillOf counts nnz(L) for a candidate ordering directly from the
 // adjacency structure via the elimination-tree flag-path walk — no
 // pattern compilation, O(nnz(K)) plus path lengths.
-func fillOf(adj *CSR, perm, iperm, parent, flag []int) int {
+func (w *orderWork) fillOf(adj *CSR, perm []int) int {
 	n := adj.N
+	w.iperm, w.parent, w.flag = grow(w.iperm, n), grow(w.parent, n), grow(w.flag, n)
+	iperm, parent, flag := w.iperm, w.parent, w.flag
+	for k, v := range perm {
+		iperm[v] = k
+	}
 	nnz := 0
 	for k := 0; k < n; k++ {
 		parent[k] = -1
@@ -261,18 +338,21 @@ func fillOf(adj *CSR, perm, iperm, parent, flag []int) int {
 // from row v of P and from every row of A that holds column v, found
 // through a column → rows index of A and deduplicated by a marker.  A
 // row of A that holds column v more than once makes v its own
-// neighbour, as the clique of such a row does.
-func adjacencyOf(p *CSR, a *CSR, n int) *CSR {
+// neighbour, as the clique of such a row does.  The graph is w.adj.
+func (w *orderWork) adjacencyOf(p *CSR, a *CSR, n int) *CSR {
 	var colPtr, colRows []int
 	if a != nil {
-		colPtr = make([]int, n+1)
+		w.colPtr = grow(w.colPtr, n+1)
+		colPtr = w.colPtr
+		clear(colPtr)
 		for _, c := range a.Col {
 			colPtr[c+1]++
 		}
 		for c := 0; c < n; c++ {
 			colPtr[c+1] += colPtr[c]
 		}
-		colRows = make([]int, len(a.Col))
+		w.colRows = grow(w.colRows, len(a.Col))
+		colRows = w.colRows
 		for r := 0; r < a.M; r++ {
 			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 				c := a.Col[k]
@@ -284,11 +364,14 @@ func adjacencyOf(p *CSR, a *CSR, n int) *CSR {
 		copy(colPtr[1:], colPtr[:n])
 		colPtr[0] = 0
 	}
-	mark := make([]int, n)
+	w.mark = grow(w.mark, n)
+	mark := w.mark
 	for i := range mark {
 		mark[i] = -1
 	}
-	adj := &CSR{M: n, N: n, RowPtr: make([]int, n+1)}
+	adj := &w.adj
+	*adj = CSR{M: n, N: n, RowPtr: grow(adj.RowPtr, n+1), Col: adj.Col[:0]}
+	adj.RowPtr[0] = 0
 	add := func(v, c int) {
 		if mark[c] != v {
 			mark[c] = v
@@ -328,10 +411,13 @@ func adjacencyOf(p *CSR, a *CSR, n int) *CSR {
 // stored upper pattern of K by a counting transpose, with Val nil.
 // Row v lists its lower neighbours (column v of the pattern, ascending)
 // and then its upper neighbours (the later columns that hold row v, in
-// column order), so every row comes out sorted without a sort.
+// column order), so every row comes out sorted without a sort.  The
+// graph is the ordering workspace's.
 func (f *ldltFactor) patternAdjacency() *CSR {
 	n := f.n
-	adj := &CSR{M: n, N: n, RowPtr: make([]int, n+1)}
+	adj := &f.ow.adj
+	*adj = CSR{M: n, N: n, RowPtr: grow(adj.RowPtr, n+1), Col: adj.Col}
+	clear(adj.RowPtr)
 	for c := 0; c < n; c++ {
 		for p := f.kp[c]; p < f.kp[c+1]; p++ {
 			if r := f.ki[p]; r != c {
@@ -343,8 +429,8 @@ func (f *ldltFactor) patternAdjacency() *CSR {
 	for v := 0; v < n; v++ {
 		adj.RowPtr[v+1] += adj.RowPtr[v]
 	}
-	adj.Col = make([]int, adj.RowPtr[n])
-	next := make([]int, n)
+	adj.Col = grow(adj.Col, adj.RowPtr[n])
+	next := f.next
 	copy(next, adj.RowPtr[:n])
 	// Column c fills row c's lower part and appends c to each row r < c
 	// it holds.  Row r's lower part was filled at column r, before any
@@ -374,17 +460,20 @@ func (f *ldltFactor) patternAdjacency() *CSR {
 // in one forward scan, so a pattern of many components (at the first
 // cut round most vertices are isolated) costs O(n), not a rescan of
 // every vertex per component.
-func rcmOrder(adj *CSR) []int {
+func (w *orderWork) rcmOrder(adj *CSR) []int {
 	n := adj.N
-	deg := make([]int, n)
+	w.deg = grow(w.deg, n)
+	deg := w.deg
 	for v := 0; v < n; v++ {
 		deg[v] = adj.RowPtr[v+1] - adj.RowPtr[v]
 	}
-	order := make([]int, 0, n)
-	visited := make([]bool, n)
-	queue := make([]int, 0, n)
-	nbuf := make([]int, 0, 16)
-	for _, start := range byDegree(deg) {
+	order := grow(w.rcm, n)[:0]
+	w.visited = grow(w.visited, n)
+	visited := w.visited
+	clear(visited)
+	queue, nbuf := grow(w.queue, n)[:0], w.nbuf[:0]
+	w.keys = w.byDegree(grow(w.keys, n), deg)
+	for _, start := range w.keys {
 		if visited[start] {
 			continue
 		}
@@ -395,9 +484,9 @@ func rcmOrder(adj *CSR) []int {
 			order = append(order, v)
 			nbuf = nbuf[:0]
 			for k := adj.RowPtr[v]; k < adj.RowPtr[v+1]; k++ {
-				if w := adj.Col[k]; !visited[w] {
-					visited[w] = true
-					nbuf = append(nbuf, w)
+				if u := adj.Col[k]; !visited[u] {
+					visited[u] = true
+					nbuf = append(nbuf, u)
 				}
 			}
 			slices.SortFunc(nbuf, func(a, b int) int {
@@ -412,24 +501,27 @@ func rcmOrder(adj *CSR) []int {
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
+	w.rcm, w.queue, w.nbuf = order, queue, nbuf
 	return order
 }
 
-// byDegree returns 0..len(deg)−1 ordered by (deg[i], i): a stable
-// counting sort, O(len(deg) + max degree).
-func byDegree(deg []int) []int {
+// byDegree writes 0..len(deg)−1 ordered by (deg[i], i) into out (of
+// length len(deg)) and returns it: a stable counting sort, O(len(deg) +
+// max degree).
+func (w *orderWork) byDegree(out, deg []int) []int {
 	maxDeg := 0
 	for _, d := range deg {
 		maxDeg = max(maxDeg, d)
 	}
-	at := make([]int, maxDeg+2)
+	w.at = grow(w.at, maxDeg+2)
+	at := w.at
+	clear(at)
 	for _, d := range deg {
 		at[d+1]++
 	}
 	for d := 1; d < len(at); d++ {
 		at[d] += at[d-1]
 	}
-	out := make([]int, len(deg))
 	for i, d := range deg {
 		out[at[d]] = i
 		at[d]++
@@ -445,198 +537,235 @@ func byDegree(deg []int) []int {
 // factor fill drops from O(n·w) toward O(n log n).  Everything is
 // index-deterministic: component roots and BFS tie-breaks follow
 // vertex order, never map iteration.
-func ndOrder(adj *CSR) []int {
+func (w *orderWork) ndOrder(adj *CSR) []int {
 	n := adj.N
-	const leafSize = 32
-	order := make([]int, 0, n)
-	sub := make([]int, n) // vertex → current subgraph id (always ≥ 1)
-	for i := range sub {
-		sub[i] = 1
+	w.g = adj
+	w.sub = grow(w.sub, n) // vertex → current subgraph id (always ≥ 1)
+	for i := range w.sub {
+		w.sub[i] = 1
 	}
-	level := make([]int, n)
-	queue := make([]int, 0, n)
-	nextID := 2
-
-	// bfs runs a breadth-first sweep from root restricted to vertices
-	// with sub[v] == id, filling queue with the visited set in order
-	// and level with BFS depths.  Returns the number of levels.
-	bfs := func(root, id int) int {
-		queue = queue[:0]
-		queue = append(queue, root)
-		level[root] = 0
-		sub[root] = -id // negative marks visited-within-this-sweep
-		depth := 0
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for k := adj.RowPtr[v]; k < adj.RowPtr[v+1]; k++ {
-				if w := adj.Col[k]; sub[w] == id {
-					sub[w] = -id
-					level[w] = level[v] + 1
-					depth = level[w]
-					queue = append(queue, w)
-				}
-			}
-		}
-		for _, v := range queue {
-			sub[v] = id
-		}
-		return depth + 1
-	}
-
-	// cmLeaf appends a Cuthill–McKee order of the (possibly
-	// disconnected) subgraph id to order.
-	var nbuf []int
-	cmLeaf := func(verts []int, id int) {
-		for {
-			root := -1
-			for _, v := range verts {
-				if sub[v] != id {
-					continue
-				}
-				if root < 0 || adj.RowPtr[v+1]-adj.RowPtr[v] < adj.RowPtr[root+1]-adj.RowPtr[root] {
-					root = v
-				}
-			}
-			if root < 0 {
-				return
-			}
-			queue = queue[:0]
-			queue = append(queue, root)
-			sub[root] = -id
-			for qi := 0; qi < len(queue); qi++ {
-				v := queue[qi]
-				order = append(order, v)
-				nbuf = nbuf[:0]
-				for k := adj.RowPtr[v]; k < adj.RowPtr[v+1]; k++ {
-					if w := adj.Col[k]; sub[w] == id {
-						sub[w] = -id
-						nbuf = append(nbuf, w)
-					}
-				}
-				slices.Sort(nbuf)
-				queue = append(queue, nbuf...)
-			}
-		}
-	}
-
-	var rec func(verts []int, id int)
-
-	// peel orders a disconnected subgraph whose BFS from its root just
-	// filled queue with the first component.  Component by component,
-	// each is recursed on by itself, and the next one is rooted at the
-	// remaining vertex of least (degree, position in verts).  Once the
-	// remainder is a leaf or connected it is recursed on as a whole, in
-	// verts order.  The positions are counting-sorted by that key once
-	// and the roots taken in one forward scan, so a subgraph of s
-	// vertices costs O(s + its largest degree), not one copy of the
-	// remainder per component.
-	peel := func(verts []int, id int) {
-		deg := make([]int, len(verts))
-		for i, v := range verts {
-			deg[i] = adj.RowPtr[v+1] - adj.RowPtr[v]
-		}
-		keys := byDegree(deg)
-		left, next := len(verts), 0
-		for {
-			comp := append([]int(nil), queue...)
-			compID := nextID
-			nextID++
-			for _, v := range comp {
-				sub[v] = compID
-			}
-			rec(comp, compID)
-			left -= len(comp)
-			if left <= leafSize {
-				break
-			}
-			for sub[verts[keys[next]]] != id {
-				next++
-			}
-			if bfs(verts[keys[next]], id); len(queue) == left {
-				break
-			}
-		}
-		rest := make([]int, 0, left)
-		for _, v := range verts {
-			if sub[v] == id {
-				rest = append(rest, v)
-			}
-		}
-		restID := nextID
-		nextID++
-		for _, v := range rest {
-			sub[v] = restID
-		}
-		rec(rest, restID)
-	}
-
-	rec = func(verts []int, id int) {
-		if len(verts) <= leafSize {
-			cmLeaf(verts, id)
-			return
-		}
-		// Pseudo-peripheral root: BFS from the min-degree vertex, then
-		// once more from the deepest last-visited vertex.
-		root := verts[0]
-		for _, v := range verts {
-			if adj.RowPtr[v+1]-adj.RowPtr[v] < adj.RowPtr[root+1]-adj.RowPtr[root] {
-				root = v
-			}
-		}
-		depth := bfs(root, id)
-		if len(queue) < len(verts) {
-			peel(verts, id)
-			return
-		}
-		if far := queue[len(queue)-1]; far != root {
-			depth = bfs(far, id)
-		}
-		if depth < 3 {
-			cmLeaf(verts, id)
-			return
-		}
-		mid := depth / 2
-		left := make([]int, 0, len(verts))
-		right := make([]int, 0, len(verts))
-		sep := make([]int, 0, 64)
-		for _, v := range queue {
-			switch {
-			case level[v] < mid:
-				left = append(left, v)
-			case level[v] > mid:
-				right = append(right, v)
-			default:
-				sep = append(sep, v)
-			}
-		}
-		leftID, rightID := nextID, nextID+1
-		nextID += 2
-		for _, v := range left {
-			sub[v] = leftID
-		}
-		for _, v := range right {
-			sub[v] = rightID
-		}
-		rec(left, leftID)
-		rec(right, rightID)
-		slices.Sort(sep)
-		order = append(order, sep...)
-	}
-
-	all := make([]int, n)
+	w.level = grow(w.level, n)
+	w.queue = grow(w.queue, n)[:0]
+	w.nd = grow(w.nd, n)[:0]
+	w.nextID = 2
+	all := w.push(n)
 	for v := range all {
 		all[v] = v
 	}
-	rec(all, 1)
-	return order
+	w.rec(all, 1)
+	w.stack = w.stack[:0]
+	return w.nd
 }
 
-// collectUpper gathers the upper-triangular entries of the permuted K,
-// with the P + σI contribution and the AᵀA contribution kept separate.
-// P must be stored symmetrically (both halves); only its i ≤ j half is
-// read so each logical entry contributes once.
-func collectUpper(p *CSR, sigma float64, a *CSR, n int, iperm []int) []upperEntry {
-	var ents []upperEntry
+// push reserves k ints on top of the frame stack and returns them; the
+// frame pops them by truncating the stack to its length before the
+// push.  A push that outgrows the stack moves it to a larger array, but
+// the frames below keep their slices of the old one, whose contents
+// nothing writes any more.
+func (w *orderWork) push(k int) []int {
+	top := len(w.stack)
+	w.stack = slices.Grow(w.stack, k)[:top+k]
+	return w.stack[top : top+k : top+k]
+}
+
+// degree returns the number of neighbours of v in the ordered graph.
+func (w *orderWork) degree(v int) int { return w.g.RowPtr[v+1] - w.g.RowPtr[v] }
+
+// bfs runs a breadth-first sweep from root restricted to vertices with
+// sub[v] == id, filling queue with the visited set in order and level
+// with BFS depths.  Returns the number of levels.
+func (w *orderWork) bfs(root, id int) int {
+	adj, sub, level := w.g, w.sub, w.level
+	queue := append(w.queue[:0], root)
+	level[root] = 0
+	sub[root] = -id // negative marks visited-within-this-sweep
+	depth := 0
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		for k := adj.RowPtr[v]; k < adj.RowPtr[v+1]; k++ {
+			if u := adj.Col[k]; sub[u] == id {
+				sub[u] = -id
+				level[u] = level[v] + 1
+				depth = level[u]
+				queue = append(queue, u)
+			}
+		}
+	}
+	for _, v := range queue {
+		sub[v] = id
+	}
+	w.queue = queue
+	return depth + 1
+}
+
+// cmLeaf appends a Cuthill–McKee order of the (possibly disconnected)
+// subgraph id to the nested-dissection order.
+func (w *orderWork) cmLeaf(verts []int, id int) {
+	adj, sub := w.g, w.sub
+	for {
+		root := -1
+		for _, v := range verts {
+			if sub[v] != id {
+				continue
+			}
+			if root < 0 || w.degree(v) < w.degree(root) {
+				root = v
+			}
+		}
+		if root < 0 {
+			return
+		}
+		queue := append(w.queue[:0], root)
+		sub[root] = -id
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			w.nd = append(w.nd, v)
+			nbuf := w.nbuf[:0]
+			for k := adj.RowPtr[v]; k < adj.RowPtr[v+1]; k++ {
+				if u := adj.Col[k]; sub[u] == id {
+					sub[u] = -id
+					nbuf = append(nbuf, u)
+				}
+			}
+			slices.Sort(nbuf)
+			queue = append(queue, nbuf...)
+			w.nbuf = nbuf
+		}
+		w.queue = queue
+	}
+}
+
+// peel orders a disconnected subgraph whose BFS from its root just
+// filled queue with the first component.  Component by component, each
+// is recursed on by itself, and the next one is rooted at the remaining
+// vertex of least (degree, position in verts).  Once the remainder is a
+// leaf or connected it is recursed on as a whole, in verts order.  The
+// positions are counting-sorted by that key once and the roots taken in
+// one forward scan, so a subgraph of s vertices costs O(s + its largest
+// degree), not one copy of the remainder per component.
+func (w *orderWork) peel(verts []int, id int) {
+	sub := w.sub
+	top := len(w.stack)
+	w.deg = grow(w.deg, len(verts))
+	for i, v := range verts {
+		w.deg[i] = w.degree(v)
+	}
+	keys := w.byDegree(w.push(len(verts)), w.deg)
+	left, next := len(verts), 0
+	for {
+		comp := w.push(len(w.queue))
+		copy(comp, w.queue)
+		compID := w.nextID
+		w.nextID++
+		for _, v := range comp {
+			sub[v] = compID
+		}
+		w.rec(comp, compID)
+		w.stack = w.stack[:top+len(keys)]
+		left -= len(comp)
+		if left <= ndLeafSize {
+			break
+		}
+		for sub[verts[keys[next]]] != id {
+			next++
+		}
+		if w.bfs(verts[keys[next]], id); len(w.queue) == left {
+			break
+		}
+	}
+	rest := w.push(left)[:0]
+	for _, v := range verts {
+		if sub[v] == id {
+			rest = append(rest, v)
+		}
+	}
+	restID := w.nextID
+	w.nextID++
+	for _, v := range rest {
+		sub[v] = restID
+	}
+	w.rec(rest, restID)
+	w.stack = w.stack[:top]
+}
+
+// rec orders subgraph id, whose vertices are verts: a leaf by
+// Cuthill–McKee, a disconnected one by peel, otherwise the two sides of
+// the middle BFS level and then that level, the separator.  The sides
+// and the separator keep their BFS order in one frame.
+func (w *orderWork) rec(verts []int, id int) {
+	if len(verts) <= ndLeafSize {
+		w.cmLeaf(verts, id)
+		return
+	}
+	// Pseudo-peripheral root: BFS from the min-degree vertex, then once
+	// more from the deepest last-visited vertex.
+	root := verts[0]
+	for _, v := range verts {
+		if w.degree(v) < w.degree(root) {
+			root = v
+		}
+	}
+	depth := w.bfs(root, id)
+	if len(w.queue) < len(verts) {
+		w.peel(verts, id)
+		return
+	}
+	if far := w.queue[len(w.queue)-1]; far != root {
+		depth = w.bfs(far, id)
+	}
+	if depth < 3 {
+		w.cmLeaf(verts, id)
+		return
+	}
+	mid := depth / 2
+	level, sub := w.level, w.sub
+	top := len(w.stack)
+	seg := w.push(len(w.queue))
+	nl, nr := 0, 0
+	for _, v := range w.queue {
+		switch {
+		case level[v] < mid:
+			nl++
+		case level[v] > mid:
+			nr++
+		}
+	}
+	l, r, s := 0, nl, nl+nr
+	for _, v := range w.queue {
+		switch {
+		case level[v] < mid:
+			seg[l] = v
+			l++
+		case level[v] > mid:
+			seg[r] = v
+			r++
+		default:
+			seg[s] = v
+			s++
+		}
+	}
+	left, right, sep := seg[:nl], seg[nl:nl+nr], seg[nl+nr:]
+	leftID, rightID := w.nextID, w.nextID+1
+	w.nextID += 2
+	for _, v := range left {
+		sub[v] = leftID
+	}
+	for _, v := range right {
+		sub[v] = rightID
+	}
+	w.rec(left, leftID)
+	w.rec(right, rightID)
+	slices.Sort(sep)
+	w.nd = append(w.nd, sep...)
+	w.stack = w.stack[:top]
+}
+
+// collectUpper appends to ents the upper-triangular entries of the
+// permuted K, with the P + σI contribution and the AᵀA contribution
+// kept separate, and returns it.  P must be stored symmetrically (both
+// halves); only its i ≤ j half is read so each logical entry
+// contributes once.
+func collectUpper(ents []upperEntry, p *CSR, sigma float64, a *CSR, n int, iperm []int) []upperEntry {
 	put := func(i, j int, base, ata float64) {
 		pi, pj := iperm[i], iperm[j]
 		if pi > pj {
@@ -657,16 +786,15 @@ func collectUpper(p *CSR, sigma float64, a *CSR, n int, iperm []int) []upperEntr
 		}
 	}
 	if a != nil {
-		ents = append(ents, ataEntries(a, 0, iperm)...)
+		ents = ataEntries(ents, a, 0, iperm)
 	}
 	return ents
 }
 
-// ataEntries emits the upper-triangular AᵀA contributions of rows
-// [fromRow, a.M) in permuted coordinates: each constraint row is a
-// clique over its columns.
-func ataEntries(a *CSR, fromRow int, iperm []int) []upperEntry {
-	var ents []upperEntry
+// ataEntries appends to ents the upper-triangular AᵀA contributions of
+// rows [fromRow, a.M) in permuted coordinates, each constraint row a
+// clique over its columns, and returns it.
+func ataEntries(ents []upperEntry, a *CSR, fromRow int, iperm []int) []upperEntry {
 	for r := fromRow; r < a.M; r++ {
 		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
 		for i := lo; i < hi; i++ {
@@ -686,7 +814,8 @@ func ataEntries(a *CSR, fromRow int, iperm []int) []upperEntry {
 // pattern with the two aligned value streams.
 func (f *ldltFactor) compilePattern(ents []upperEntry) {
 	slices.SortFunc(ents, cmpColRow)
-	f.kp = make([]int, f.n+1)
+	f.kp = grow(f.kp, f.n+1)
+	clear(f.kp)
 	f.ki = f.ki[:0]
 	f.baseVal = f.baseVal[:0]
 	f.ataVal = f.ataVal[:0]
@@ -710,10 +839,11 @@ func (f *ldltFactor) compilePattern(ents []upperEntry) {
 }
 
 // mergeAppended folds extra AᵀA entries (already permuted, upper, from
-// appended constraint rows) into the existing pattern in place: the
-// two sorted streams merge column by column, existing slots accumulate
-// and new slots carry a zero base value.  Neither the ordering nor the
-// symbolic analysis is refreshed here; reorder does both.
+// appended constraint rows) into the existing pattern: the two sorted
+// streams merge column by column into the spare pattern arrays, which
+// then swap with the live ones; existing slots accumulate and new slots
+// carry a zero base value.  Neither the ordering nor the symbolic
+// analysis is refreshed here; reorder does both.
 func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 	if len(extra) == 0 {
 		return
@@ -734,10 +864,12 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 	}
 	extra = extra[:dst]
 
-	newKP := make([]int, f.n+1)
-	newKI := make([]int, 0, len(f.ki)+len(extra))
-	newBase := make([]float64, 0, cap(newKI))
-	newATA := make([]float64, 0, cap(newKI))
+	size := len(f.ki) + len(extra)
+	newKP := grow(f.kp2, f.n+1)
+	newKP[0] = 0
+	newKI := slices.Grow(f.ki2[:0], size)
+	newBase := slices.Grow(f.base2[:0], size)
+	newATA := slices.Grow(f.ata2[:0], size)
 	xi := 0
 	for c := 0; c < f.n; c++ {
 		p := f.kp[c]
@@ -764,7 +896,10 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 		}
 		newKP[c+1] = len(newKI)
 	}
-	f.kp, f.ki, f.baseVal, f.ataVal = newKP, newKI, newBase, newATA
+	f.kp, f.kp2 = newKP, f.kp
+	f.ki, f.ki2 = newKI, f.ki
+	f.baseVal, f.base2 = newBase, f.baseVal
+	f.ataVal, f.ata2 = newATA, f.ataVal
 }
 
 // AppendRows extends the pattern with the AᵀA cliques of rows
@@ -776,14 +911,15 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 // and cut cliques merged into a stale permutation can double the fill.
 // The caller must Refactor before the next SolveBatch.
 func (f *ldltFactor) AppendRows(a *CSR, fromRow int) {
-	f.mergeAppended(ataEntries(a, fromRow, f.iperm))
+	f.ents = ataEntries(f.ents[:0], a, fromRow, f.iperm)
+	f.mergeAppended(f.ents)
 	f.reorder()
 }
 
 // reorder recomputes the fill-reducing permutation from the current
 // merged pattern and keeps it when it predicts less fill than the
 // merged-in-place ordering, composing the new relative order onto the
-// existing permutation and recompiling the pattern.  Either way it
+// existing permutation and relabelling the pattern.  Either way it
 // ends with one symbolic analysis of the kept pattern.  The in-place
 // fill comes from the elimination-tree walk alone, so a losing
 // candidate costs no fill pattern, views or supernodes.  Needs no
@@ -792,37 +928,84 @@ func (f *ldltFactor) AppendRows(a *CSR, fromRow int) {
 func (f *ldltFactor) reorder() {
 	n := f.n
 	merged := f.etree()
-	rel, relFill := bestOrder(f.patternAdjacency())
+	rel, relFill := f.ow.bestOrder(f.patternAdjacency())
 	if relFill >= merged {
 		// The merged-in-place ordering is already at least as good, and
 		// etree has analysed it.
 		f.fillSymbolic()
 		return
 	}
-	irel := make([]int, n)
+	for k := 0; k < n; k++ {
+		f.perm2[k] = f.perm[rel[k]]
+	}
+	f.perm, f.perm2 = f.perm2, f.perm
+	for k, v := range f.perm {
+		f.iperm[v] = k
+	}
+	f.relabel(rel)
+	f.symbolic()
+}
+
+// relabel rewrites the stored pattern for the relative order rel: entry
+// (r, c) moves to (irel[r], irel[c]), swapped into the upper triangle.
+// A permutation maps the deduplicated pattern to one without
+// duplicates, so there is nothing to sum and the relabelled pattern is
+// fixed by its positions alone: two counting passes build it without a
+// sort.  The first buckets the entries by new row into the spare
+// arrays, the second walks the rows ascending and scatters each entry
+// into its new column, so every column's rows come out sorted.
+func (f *ldltFactor) relabel(rel []int) {
+	n, nnz := f.n, len(f.ki)
+	irel := f.next
 	for k, v := range rel {
 		irel[v] = k
 	}
-	ents := make([]upperEntry, 0, len(f.ki))
+	rowPtr := grow(f.kp2, n+1)
+	clear(rowPtr)
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			rowPtr[min(irel[f.ki[p]], irel[c])+1]++
+		}
+	}
+	for r := 0; r < n; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	colOf := grow(f.ki2, nnz)
+	base, ata := grow(f.base2, nnz), grow(f.ata2, nnz)
 	for c := 0; c < n; c++ {
 		for p := f.kp[c]; p < f.kp[c+1]; p++ {
 			pi, pj := irel[f.ki[p]], irel[c]
 			if pi > pj {
 				pi, pj = pj, pi
 			}
-			ents = append(ents, upperEntry{row: pi, col: pj, base: f.baseVal[p], ata: f.ataVal[p]})
+			slot := rowPtr[pi]
+			colOf[slot], base[slot], ata[slot] = pj, f.baseVal[p], f.ataVal[p]
+			rowPtr[pi]++
 		}
 	}
-	newPerm := make([]int, n)
-	for k := 0; k < n; k++ {
-		newPerm[k] = f.perm[rel[k]]
+	// The fill advanced rowPtr[r] to the start of row r+1.
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+
+	kp := f.kp
+	clear(kp)
+	for _, c := range colOf {
+		kp[c+1]++
 	}
-	f.perm = newPerm
-	for k, v := range f.perm {
-		f.iperm[v] = k
+	for c := 0; c < n; c++ {
+		kp[c+1] += kp[c]
 	}
-	f.compilePattern(ents)
-	f.symbolic()
+	for r := 0; r < n; r++ {
+		for t := rowPtr[r]; t < rowPtr[r+1]; t++ {
+			c := colOf[t]
+			slot := kp[c]
+			f.ki[slot], f.baseVal[slot], f.ataVal[slot] = r, base[t], ata[t]
+			kp[c]++
+		}
+	}
+	copy(kp[1:], kp[:n])
+	kp[0] = 0
+	f.kp2, f.ki2, f.base2, f.ata2 = rowPtr, colOf, base, ata
 }
 
 // symbolic computes the elimination tree and column counts of L for
@@ -841,13 +1024,6 @@ func (f *ldltFactor) symbolic() {
 // the flag-path walk, and returns nnz(L).
 func (f *ldltFactor) etree() int {
 	n := f.n
-	if f.parent == nil {
-		f.parent = make([]int, n)
-		f.lnz = make([]int, n)
-		f.lp = make([]int, n+1)
-		f.flag = make([]int, n)
-		f.w = make([]float64, n)
-	}
 	for k := 0; k < n; k++ {
 		f.parent[k] = -1
 		f.flag[k] = k
@@ -875,19 +1051,13 @@ func (f *ldltFactor) etree() int {
 func (f *ldltFactor) fillSymbolic() {
 	n := f.n
 	nnz := f.lp[n]
-	if cap(f.li) < nnz {
-		f.li = make([]int, nnz)
-	} else {
-		f.li = f.li[:nnz]
-	}
-	if f.d == nil {
-		f.d = make([]float64, n)
-	}
+	f.li = grow(f.li, nnz)
 
 	// Fill li by a second flag-path walk: visiting rows k in ascending
 	// order appends k to every column on the path, so each column's row
 	// indices come out sorted without a sort.
-	next := make([]int, n)
+	next := f.next
+	clear(next)
 	for k := 0; k < n; k++ {
 		f.flag[k] = -1
 	}
@@ -905,7 +1075,7 @@ func (f *ldltFactor) fillSymbolic() {
 	// Row-major view of L.  Iterating source columns in ascending order
 	// makes each row's column list ascending — the fixed accumulation
 	// order of the numeric kernel and the forward solve.
-	f.rowPtr = growInts(f.rowPtr, n+1)
+	f.rowPtr = grow(f.rowPtr, n+1)
 	clear(f.rowPtr)
 	for _, r := range f.li {
 		f.rowPtr[r+1]++
@@ -913,8 +1083,8 @@ func (f *ldltFactor) fillSymbolic() {
 	for k := 0; k < n; k++ {
 		f.rowPtr[k+1] += f.rowPtr[k]
 	}
-	f.rowCol = growInts(f.rowCol, nnz)
-	f.rowPos = growInts(f.rowPos, nnz)
+	f.rowCol = grow(f.rowCol, nnz)
+	f.rowPos = grow(f.rowPos, nnz)
 	clear(next)
 	for j := 0; j < n; j++ {
 		for p := f.lp[j]; p < f.lp[j+1]; p++ {
@@ -931,7 +1101,7 @@ func (f *ldltFactor) fillSymbolic() {
 	// positions into baseVal/ataVal.  σI puts the diagonal in every
 	// column, and ascending source columns keep it first.
 	nk := len(f.ki)
-	f.lowPtr = growInts(f.lowPtr, n+1)
+	f.lowPtr = grow(f.lowPtr, n+1)
 	clear(f.lowPtr)
 	for _, r := range f.ki {
 		f.lowPtr[r+1]++
@@ -939,8 +1109,8 @@ func (f *ldltFactor) fillSymbolic() {
 	for k := 0; k < n; k++ {
 		f.lowPtr[k+1] += f.lowPtr[k]
 	}
-	f.lowRow = growInts(f.lowRow, nk)
-	f.lowSrc = growInts(f.lowSrc, nk)
+	f.lowRow = grow(f.lowRow, nk)
+	f.lowSrc = grow(f.lowSrc, nk)
 	clear(next)
 	for c := 0; c < n; c++ {
 		for p := f.kp[c]; p < f.kp[c+1]; p++ {
@@ -977,7 +1147,7 @@ func (f *ldltFactor) buildSupernodes() {
 	nnz := f.lp[n]
 
 	// Fundamental block starts (sentinel n closes the last block).
-	fund := make([]int, 0, n+1)
+	fund := f.fund[:0]
 	for k := 0; k < n; k++ {
 		if k == 0 || f.parent[k-1] != k || f.lnz[k-1] != f.lnz[k]+1 {
 			fund = append(fund, k)
@@ -986,12 +1156,12 @@ func (f *ldltFactor) buildSupernodes() {
 	fund = append(fund, n)
 
 	// Amalgamation over fundamental blocks, greedy left to right.
-	lnzSum := make([]int, n+1)
+	lnzSum := grow(f.lnzSum, n+1)
+	lnzSum[0] = 0
 	for k := 0; k < n; k++ {
 		lnzSum[k+1] = lnzSum[k] + f.lnz[k]
 	}
-	sPtr := make([]int, 0, len(fund))
-	sPtr = append(sPtr, 0)
+	sPtr := append(f.sPtr[:0], 0)
 	for bi := 0; bi+1 < len(fund); {
 		a := fund[bi]
 		ci := bi + 1
@@ -1013,10 +1183,10 @@ func (f *ldltFactor) buildSupernodes() {
 		sPtr = append(sPtr, fund[ci])
 		bi = ci
 	}
-	f.sPtr = sPtr
+	f.fund, f.lnzSum, f.sPtr = fund, lnzSum, sPtr
 	ns := len(sPtr) - 1
 
-	f.snode = growInts(f.snode, n)
+	f.snode = grow(f.snode, n)
 	for s := 0; s < ns; s++ {
 		for k := sPtr[s]; k < sPtr[s+1]; k++ {
 			f.snode[k] = s
@@ -1024,12 +1194,12 @@ func (f *ldltFactor) buildSupernodes() {
 	}
 
 	// Below-panel rows: the structure of each supernode's last column.
-	f.sRowPtr = growInts(f.sRowPtr, ns+1)
+	f.sRowPtr = grow(f.sRowPtr, ns+1)
 	f.sRowPtr[0] = 0
 	for s := 0; s < ns; s++ {
 		f.sRowPtr[s+1] = f.sRowPtr[s] + f.lnz[sPtr[s+1]-1]
 	}
-	f.sRows = growInts(f.sRows, f.sRowPtr[ns])
+	f.sRows = grow(f.sRows, f.sRowPtr[ns])
 	for s := 0; s < ns; s++ {
 		last := sPtr[s+1] - 1
 		copy(f.sRows[f.sRowPtr[s]:f.sRowPtr[s+1]], f.li[f.lp[last]:f.lp[last+1]])
@@ -1038,7 +1208,7 @@ func (f *ldltFactor) buildSupernodes() {
 	// Panel offsets and storage.  Padded slots must be exact zeros and
 	// the numeric kernels only ever write true-entry slots, so the
 	// buffer is cleared once here and stays clean forever after.
-	f.pOff = growInts(f.pOff, ns+1)
+	f.pOff = grow(f.pOff, ns+1)
 	off := 0
 	for s := 0; s < ns; s++ {
 		f.pOff[s] = off
@@ -1046,16 +1216,12 @@ func (f *ldltFactor) buildSupernodes() {
 		off += width * (width + f.sRowPtr[s+1] - f.sRowPtr[s])
 	}
 	f.pOff[ns] = off
-	if cap(f.px) < off {
-		f.px = make([]float64, off)
-	} else {
-		f.px = f.px[:off]
-		clear(f.px)
-	}
+	f.px = grow(f.px, off)
+	clear(f.px)
 
 	// CSC position → panel slot.  Rows inside the panel map by offset;
 	// rows below merge against the sorted sRows list.
-	f.cscPos = growInts(f.cscPos, nnz)
+	f.cscPos = grow(f.cscPos, nnz)
 	for s := 0; s < ns; s++ {
 		c0, c1 := sPtr[s], sPtr[s+1]
 		width := c1 - c0
@@ -1076,14 +1242,14 @@ func (f *ldltFactor) buildSupernodes() {
 			}
 		}
 	}
-	f.rowSlot = growInts(f.rowSlot, nnz)
+	f.rowSlot = grow(f.rowSlot, nnz)
 	for t, p := range f.rowPos {
 		f.rowSlot[t] = f.cscPos[p]
 	}
 
 	// Split each L row into external (earlier supernode) and internal
 	// entries; rowCol is ascending, so one scan finds the boundary.
-	f.extEnd = growInts(f.extEnd, n)
+	f.extEnd = grow(f.extEnd, n)
 	for k := 0; k < n; k++ {
 		c0 := sPtr[f.snode[k]]
 		t := f.rowPtr[k]
@@ -1112,7 +1278,7 @@ func (f *ldltFactor) buildSupernodes() {
 	}
 	f.denseSolveFlops = solveFlops
 	f.denseFactorFlops = factorFlops
-	f.loneEnd = growInts(f.loneEnd, ns)
+	f.loneEnd = grow(f.loneEnd, ns)
 	for s := ns - 1; s >= 0; s-- {
 		f.loneEnd[s] = s
 		if sPtr[s+1]-sPtr[s] == 1 && f.sRowPtr[s+1] == f.sRowPtr[s] {
@@ -1122,18 +1288,16 @@ func (f *ldltFactor) buildSupernodes() {
 			}
 		}
 	}
-	if cap(f.tt) < f.maxRows {
-		f.tt = make([]float64, f.maxRows)
-	}
+	f.tt = grow(f.tt, f.maxRows)
 }
 
-// growInts resizes an int scratch slice to exactly n elements, reusing
-// capacity when it suffices (contents unspecified).
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+// grow returns s resized to n elements, reusing its capacity when it
+// suffices and otherwise growing it the way append does (doubling small
+// arrays, a quarter more for large ones), so a buffer that creeps up
+// with every appended cut row reallocates a logarithmic number of
+// times.  The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // errNotPositiveDefinite reports a zero pivot during the numeric

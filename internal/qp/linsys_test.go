@@ -92,12 +92,12 @@ func TestLDLTAppendMatchesColdFactor(t *testing.T) {
 		a1 := csrRows(prob.A, 0, split)
 		const sigma, rho = 1e-6, 0.34
 
-		f := newLDLTFactor(prob.P, sigma, a1, n)
+		f := new(ldltFactor).analyze(prob.P, sigma, a1, n)
 		f.AppendRows(prob.A, split)
 		if err := f.Refactor(rho); err != nil {
 			t.Fatalf("seed %d: append refactor: %v", seed, err)
 		}
-		cold := newLDLTFactor(prob.P, sigma, prob.A, n)
+		cold := new(ldltFactor).analyze(prob.P, sigma, prob.A, n)
 		if err := cold.Refactor(rho); err != nil {
 			t.Fatalf("seed %d: cold refactor: %v", seed, err)
 		}

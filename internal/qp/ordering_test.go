@@ -249,7 +249,7 @@ func orderingGraphs(rng *rand.Rand) []struct {
 		out = append(out, struct {
 			name string
 			adj  *CSR
-		}{name, adjacencyOf(p, a, n)})
+		}{name, new(orderWork).adjacencyOf(p, a, n)})
 	}
 	ones := func(n int) []float64 {
 		d := make([]float64, n)
@@ -352,10 +352,10 @@ func orderingGraphs(rng *rand.Rand) []struct {
 func TestOrderingsMatchComponentLoopOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, g := range orderingGraphs(rng) {
-		if got, want := rcmOrder(g.adj), rcmOrderOracle(g.adj); !slices.Equal(got, want) {
+		if got, want := new(orderWork).rcmOrder(g.adj), rcmOrderOracle(g.adj); !slices.Equal(got, want) {
 			t.Errorf("%s: rcmOrder %v, oracle %v", g.name, got, want)
 		}
-		if got, want := ndOrder(g.adj), ndOrderOracle(g.adj); !slices.Equal(got, want) {
+		if got, want := new(orderWork).ndOrder(g.adj), ndOrderOracle(g.adj); !slices.Equal(got, want) {
 			t.Errorf("%s: ndOrder %v, oracle %v", g.name, got, want)
 		}
 	}
@@ -386,12 +386,13 @@ func BenchmarkOrderingDisconnected(b *testing.B) {
 	for i := range pd {
 		pd[i] = 1
 	}
-	adj := adjacencyOf(diagCSRBench(pd), CSRFromRows(n, cols, vals), n)
+	adj := new(orderWork).adjacencyOf(diagCSRBench(pd), CSRFromRows(n, cols, vals), n)
+	w := new(orderWork)
 	for _, o := range []struct {
 		name  string
 		order func(*CSR) []int
 	}{
-		{"rcm", rcmOrder}, {"nd", ndOrder},
+		{"rcm", w.rcmOrder}, {"nd", w.ndOrder},
 		{"rcm-oracle", rcmOrderOracle}, {"nd-oracle", ndOrderOracle},
 	} {
 		b.Run(o.name, func(b *testing.B) {
@@ -399,5 +400,84 @@ func BenchmarkOrderingDisconnected(b *testing.B) {
 				o.order(adj)
 			}
 		})
+	}
+}
+
+// analyzeOrderingOracle is analyze without the diagonal-K short path:
+// it orders every adjacency, edgeless or not, with bestOrder.
+func analyzeOrderingOracle(p *CSR, sigma float64, a *CSR, n int) *ldltFactor {
+	f := &ldltFactor{n: n}
+	f.sizeColumns()
+	order, _ := f.ow.bestOrder(f.ow.adjacencyOf(p, a, n))
+	copy(f.perm, order)
+	for k, v := range f.perm {
+		f.iperm[v] = k
+	}
+	f.ents = collectUpper(f.ents[:0], p, sigma, a, n, f.iperm)
+	f.compilePattern(f.ents)
+	f.symbolic()
+	return f
+}
+
+// TestDiagonalKSkipsOrderings: on an edgeless graph both candidate
+// orderings return the identity with zero fill, and nested dissection
+// wins the tie, so bestOrder is the identity at every size, the
+// leaf size and the sizes of serve-mix's cut QPs included.  A K whose P
+// is diagonal and whose A holds one-entry box rows has such an
+// adjacency, and the factor analyze builds for it by the short path
+// equals the one the orderings build: permutation, K and L patterns,
+// supernodes, and after a refactor the panels and pivots, bit for bit.
+func TestDiagonalKSkipsOrderings(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 5, 32, 33, 49, 53, 100, 6561} {
+		pd := make([]float64, n)
+		cols, vals := make([][]int, n), make([][]float64, n)
+		for j := range pd {
+			pd[j] = 0.5 + rng.Float64()
+			cols[j], vals[j] = []int{j}, []float64{0.1 + rng.Float64()}
+		}
+		p, a := diagCSRBench(pd), CSRFromRows(n, cols, vals)
+		w := new(orderWork)
+		adj := w.adjacencyOf(p, a, n)
+		if len(adj.Col) != 0 {
+			t.Fatalf("n=%d: the adjacency of a diagonal K has %d entries", n, len(adj.Col))
+		}
+		order, fill := w.bestOrder(adj)
+		for k, v := range order {
+			if v != k {
+				t.Fatalf("n=%d: bestOrder puts vertex %d at %d, want the identity", n, v, k)
+			}
+		}
+		if fill != 0 || len(order) != n {
+			t.Fatalf("n=%d: bestOrder has fill %d over %d vertices", n, fill, len(order))
+		}
+		sigma := DefaultSettings().Sigma
+		got := new(ldltFactor).analyze(p, sigma, a, n)
+		want := analyzeOrderingOracle(p, sigma, a, n)
+		for _, v := range []struct {
+			name      string
+			got, want []int
+		}{
+			{"perm", got.perm, want.perm},
+			{"kp", got.kp, want.kp},
+			{"ki", got.ki, want.ki},
+			{"lp", got.lp, want.lp},
+			{"li", got.li, want.li},
+			{"sPtr", got.sPtr, want.sPtr},
+			{"sRows", got.sRows, want.sRows},
+		} {
+			if !slices.Equal(v.got, v.want) {
+				t.Fatalf("n=%d: %s differs from the ordered analysis", n, v.name)
+			}
+		}
+		if err := got.Refactor(0.3); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Refactor(0.3); err != nil {
+			t.Fatal(err)
+		}
+		if !floatBitsEqual(got.px, want.px) || !floatBitsEqual(got.d, want.d) {
+			t.Fatalf("n=%d: panels or pivots differ from the ordered analysis", n)
+		}
 	}
 }

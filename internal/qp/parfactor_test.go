@@ -36,7 +36,7 @@ func gridDoseFactor(g int) *ldltFactor {
 			}
 		}
 	}
-	return newLDLTFactor(diagCSRBench(pd), DefaultSettings().Sigma, tr.Compile(), n)
+	return new(ldltFactor).analyze(diagCSRBench(pd), DefaultSettings().Sigma, tr.Compile(), n)
 }
 
 func diagCSRBench(d []float64) *CSR {

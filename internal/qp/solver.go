@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -235,62 +236,152 @@ type Solver struct {
 	warmed bool
 
 	orig *Problem
+
+	// st is the storage the solver builds into: s.p, s.a and s.f point
+	// into it, and Release hands it, with the vectors, to storagePool.
+	st *storage
+}
+
+// storage is the memory a Solver owns: its vectors (in the order of
+// Solver.vectors), its scaled copies of P and A, its LDLᵀ factor with
+// every symbolic and ordering buffer, and AppendRows' scratch for the
+// scaled new rows and their scalings.  Release puts it in storagePool
+// when it is small enough, and NewSolver builds into pooled storage
+// when there is some.
+type storage struct {
+	vecs     [numVecs][]float64
+	p, a     CSR
+	f        ldltFactor
+	appended CSR
+	eNew     []float64
+}
+
+// storagePool holds the storage of released solvers whose factor panels
+// fit in maxPooledPanel entries.
+var storagePool = sync.Pool{New: func() any { return new(storage) }}
+
+// maxPooledPanel bounds the storage the pool keeps, by the capacity of
+// the factor's dense panels, its largest array.  Small solvers, built
+// per job and per cut-solver reset, are what recycling pays for; a
+// solver past the bound solves long enough for its allocation not to
+// show, and pooled idle it would hold megabytes that the collector
+// counts as live.  Pooling every solver raised the peak RSS of
+// perfbench tables, whose panels reach 107,584 entries, from 63 to
+// 75 MB (medians of 5 runs, 2-vCPU VM); serve-mix's panels stay below
+// 1,000 entries.
+const maxPooledPanel = 1 << 14
+
+// numVecs is the number of vectors a Solver owns.
+const numVecs = 16
+
+// vectors lists the Solver's vectors in storage order.
+func (s *Solver) vectors() [numVecs]*[]float64 {
+	return [numVecs]*[]float64{&s.q, &s.l, &s.u, &s.d, &s.e, &s.x, &s.y, &s.z,
+		&s.xt, &s.rhs, &s.resAx, &s.resPx, &s.resAty, &s.dyAcc, &s.objPx, &s.vioAx}
 }
 
 // NewSolver prepares a solver for the given problem.  The problem data is
-// copied; later mutations of prob do not affect the solver.
+// copied; later mutations of prob do not affect the solver.  It builds
+// into the storage of a released solver when the pool holds one; the
+// solver is the same, bit for bit, as one built into fresh memory
+// (TestRecycledSolverMatchesFresh).
 func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
+	return buildSolver(prob, set, storagePool.Get().(*storage)), nil
+}
+
+// buildSolver builds the solver of the validated prob into st.
+func buildSolver(prob *Problem, set Settings, st *storage) *Solver {
 	n := len(prob.Q)
 	m := 0
 	if prob.A != nil {
 		m = prob.A.M
 	}
-	s := &Solver{set: set, n: n, m: m, orig: prob, rho: admmRho, cinv: 1}
-	s.q = append([]float64(nil), prob.Q...)
+	s := &Solver{set: set, n: n, m: m, orig: prob, rho: admmRho, cinv: 1, st: st}
+	for i, v := range s.vectors() {
+		*v, st.vecs[i] = st.vecs[i][:0], nil
+	}
+	s.q = append(s.q, prob.Q...)
 	if prob.P != nil {
-		s.p = prob.P.Clone()
+		s.p = prob.P.cloneInto(&st.p)
 	}
+	s.a = &st.a
 	if prob.A != nil {
-		s.a = prob.A.Clone()
+		prob.A.cloneInto(s.a)
 		s.a.markOneRows()
-		s.l = append([]float64(nil), prob.L...)
-		s.u = append([]float64(nil), prob.U...)
+		s.l = append(s.l, prob.L...)
+		s.u = append(s.u, prob.U...)
 	} else {
-		s.a = (&Triplet{m: 0, n: n}).Compile()
-		s.l = nil
-		s.u = nil
+		*s.a = CSR{M: 0, N: n, RowPtr: append(s.a.RowPtr[:0], 0), Col: s.a.Col[:0], Val: s.a.Val[:0]}
 	}
-	s.d = make([]float64, n)
-	s.e = make([]float64, m)
-	for i := range s.d {
-		s.d[i] = 1
-	}
-	for i := range s.e {
-		s.e[i] = 1
-	}
+	s.d = filled(s.d, n, 1)
+	s.e = filled(s.e, m, 1)
+	// equilibrate's norms and scalings live in the residual scratch,
+	// which every reader overwrites first.
+	s.resAx, s.resPx, s.resAty = grow(s.resAx, m), grow(s.resPx, n), grow(s.resAty, n)
 	s.equilibrate()
-	s.x = make([]float64, n)
-	s.y = make([]float64, m)
-	s.z = make([]float64, m)
-	s.xt = make([]float64, n)
-	s.rhs = make([]float64, n)
-	s.resAx = make([]float64, m)
-	s.resPx = make([]float64, n)
-	s.resAty = make([]float64, n)
-	s.dyAcc = make([]float64, m)
-	s.objPx = make([]float64, n)
-	s.vioAx = make([]float64, m)
-	s.f = newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
-	return s, nil
+	s.x = filled(s.x, n, 0)
+	s.y = filled(s.y, m, 0)
+	s.z = filled(s.z, m, 0)
+	s.xt = filled(s.xt, n, 0)
+	s.rhs = filled(s.rhs, n, 0)
+	s.dyAcc = filled(s.dyAcc, m, 0)
+	s.objPx = filled(s.objPx, n, 0)
+	s.vioAx = filled(s.vioAx, m, 0)
+	s.f = st.f.analyze(s.p, s.set.Sigma, s.a, s.n)
+	return s
+}
+
+// filled returns v resized to n elements, every one set to c.
+func filled(v []float64, n int, c float64) []float64 {
+	v = grow(v, n)
+	for i := range v {
+		v[i] = c
+	}
+	return v
+}
+
+// Release returns the solver's storage (its vectors, its scaled P and
+// A, its LDLᵀ factor with the symbolic and ordering buffers) to a
+// package pool that later NewSolver calls build into, unless the
+// factor's panels are past maxPooledPanel.  The caller must
+// be done with the solver: Release poisons it, and every later method
+// call on it panics.  Results it returned stay valid, since they never
+// share its storage.  A solver dropped without Release is collected as
+// usual; Release only saves the next NewSolver its allocations.  It is
+// safe to build and release solvers from several goroutines, but one
+// solver is released once, by its owner.
+func (s *Solver) Release() {
+	if st := s.detach(); cap(st.f.px) <= maxPooledPanel {
+		storagePool.Put(st)
+	}
+}
+
+// detach poisons s and returns its storage.
+func (s *Solver) detach() *storage {
+	s.mustLive()
+	st := s.st
+	for i, v := range s.vectors() {
+		st.vecs[i] = *v
+	}
+	*s = Solver{}
+	return st
+}
+
+// mustLive panics on a released Solver, whose factor Release dropped.
+func (s *Solver) mustLive() {
+	if s.f == nil {
+		panic("qp: Solver used after Release")
+	}
 }
 
 // Objective evaluates ½ xᵀPx + qᵀx of the ORIGINAL (unscaled) problem
 // using solver scratch — the allocation-free twin of
 // Problem.Objective for the hot per-probe signoff path.
 func (s *Solver) Objective(x []float64) float64 {
+	s.mustLive()
 	p := s.orig
 	obj := Dot(p.Q, x)
 	if p.P != nil {
@@ -304,6 +395,7 @@ func (s *Solver) Objective(x []float64) float64 {
 // of x using solver scratch.  Unlike Problem.MaxViolation it also
 // covers rows appended with AppendRows after construction.
 func (s *Solver) MaxViolation(x []float64) float64 {
+	s.mustLive()
 	if s.m == 0 {
 		return 0
 	}
@@ -335,6 +427,7 @@ func (s *Solver) MaxViolation(x []float64) float64 {
 // engine previously obtained from a full rebuild.  The LDLᵀ factor
 // extends its pattern in place and refactors on the next solve.
 func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
+	s.mustLive()
 	if a == nil || a.M == 0 {
 		return nil
 	}
@@ -350,9 +443,10 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	if err := checkBounds("appended constraint", l, u); err != nil {
 		return err
 	}
-	scaled := a.Clone()
+	scaled := a.cloneInto(&s.st.appended)
 	scaled.ScaleCols(s.d)
-	eNew := scaled.RowInfNorms()
+	s.st.eNew = scaled.rowInfNormsInto(grow(s.st.eNew, a.M))
+	eNew := s.st.eNew
 	for i := range eNew {
 		eNew[i] = invSqrtSafe(eNew[i])
 	}
@@ -423,12 +517,12 @@ func (s *Solver) factor() error {
 func (s *Solver) equilibrate() {
 	n, m := s.n, s.m
 	// One set of buffers for all passes: dd and ee take the norms, then
-	// the scalings computed from them.
-	dd := make([]float64, n)
-	ee := make([]float64, m)
+	// the scalings computed from them.  They and colP are the residual
+	// scratch, free until the first solve.
+	dd, ee := s.resPx, s.resAx
 	var colP []float64
 	if s.p != nil {
-		colP = make([]float64, n)
+		colP = s.resAty
 	}
 	for range ruizIters {
 		s.a.colInfNormsInto(dd)
@@ -506,6 +600,7 @@ func invSqrtSafe(v float64) float64 {
 // WarmStart seeds the next Solve with an unscaled primal (and optionally
 // dual) iterate.  Pass nil to leave a component unchanged.
 func (s *Solver) WarmStart(x, y []float64) error {
+	s.mustLive()
 	if x != nil {
 		if len(x) != s.n {
 			return fmt.Errorf("qp: warm-start x has length %d, want %d", len(x), s.n)
@@ -540,6 +635,7 @@ func (s *Solver) WarmStart(x, y []float64) error {
 // target moves every iteration while the matrices do not.  The caller's
 // original Problem.Q should be updated in tandem (Objective reads it).
 func (s *Solver) UpdateLinear(q []float64) error {
+	s.mustLive()
 	if len(q) != s.n {
 		return fmt.Errorf("qp: linear term has length %d, want %d", len(q), s.n)
 	}
@@ -556,6 +652,7 @@ func (s *Solver) UpdateLinear(q []float64) error {
 // re-equilibrating, preserving warm-start state.  Used by the QCP
 // bisection, which only moves the clock-period bound between probes.
 func (s *Solver) UpdateBounds(l, u []float64) error {
+	s.mustLive()
 	if len(l) != s.m || len(u) != s.m {
 		return fmt.Errorf("qp: bounds length %d/%d, want %d", len(l), len(u), s.m)
 	}

@@ -176,11 +176,6 @@ func (c *CSR) AddMulTVec(y, x []float64) {
 	}
 }
 
-// RowInfNorms returns the infinity norm of each row.
-func (c *CSR) RowInfNorms() []float64 {
-	return c.rowInfNormsInto(make([]float64, c.M))
-}
-
 // rowInfNormsInto writes the infinity norm of each row into norms (len
 // M) and returns it.
 func (c *CSR) rowInfNormsInto(norms []float64) []float64 {
@@ -224,16 +219,17 @@ func (c *CSR) ScaleCols(s []float64) {
 	}
 }
 
-// Clone returns a deep copy.
-func (c *CSR) Clone() *CSR {
-	out := &CSR{M: c.M, N: c.N,
-		RowPtr: append([]int(nil), c.RowPtr...),
-		Col:    append([]int(nil), c.Col...),
-		Val:    append([]float64(nil), c.Val...),
+// cloneInto makes dst a deep copy of c, reusing dst's arrays, and
+// returns dst.
+func (c *CSR) cloneInto(dst *CSR) *CSR {
+	*dst = CSR{M: c.M, N: c.N,
+		RowPtr: append(dst.RowPtr[:0], c.RowPtr...),
+		Col:    append(dst.Col[:0], c.Col...),
+		Val:    append(dst.Val[:0], c.Val...),
 		ones:   c.ones,
 		twos:   c.twos,
 	}
-	return out
+	return dst
 }
 
 // csrEqual reports whether two matrices hold the identical structure

@@ -120,9 +120,9 @@ func TestRowColNorms(t *testing.T) {
 	tr.Add(0, 2, 1)
 	tr.Add(1, 1, 2)
 	c := tr.Compile()
-	rn := c.RowInfNorms()
+	rn := c.rowInfNormsInto([]float64{7, 7})
 	if rn[0] != 3 || rn[1] != 2 {
-		t.Errorf("RowInfNorms = %v", rn)
+		t.Errorf("rowInfNormsInto = %v", rn)
 	}
 	cn := c.colInfNormsInto([]float64{7, 7, 7})
 	if cn[0] != 3 || cn[1] != 2 || cn[2] != 1 {
@@ -153,10 +153,17 @@ func TestCloneIndependent(t *testing.T) {
 	tr := NewTriplet(1, 1)
 	tr.Add(0, 0, 1)
 	c := tr.Compile()
-	cl := c.Clone()
+	cl := c.cloneInto(new(CSR))
 	cl.Val[0] = 99
 	if c.Val[0] != 1 {
-		t.Error("Clone must not share storage")
+		t.Error("a clone must not share storage")
+	}
+	// Cloning into a larger matrix's arrays reuses them without sharing.
+	big := randCSR(rand.New(rand.NewSource(1)), 6, 6, 0.5)
+	c.cloneInto(big)
+	big.Val[0] = 7
+	if big.M != 1 || len(big.Val) != 1 || c.Val[0] != 1 {
+		t.Errorf("clone into a larger matrix: %d rows, %d values, source value %v", big.M, len(big.Val), c.Val[0])
 	}
 }
 

@@ -132,7 +132,7 @@ func randomFactor(rng *rand.Rand, n, extraRows int) *ldltFactor {
 			tr.Add(n+r, rng.Intn(n), rng.NormFloat64())
 		}
 	}
-	return newLDLTFactor(diagCSRBench(pd), DefaultSettings().Sigma, tr.Compile(), n)
+	return new(ldltFactor).analyze(diagCSRBench(pd), DefaultSettings().Sigma, tr.Compile(), n)
 }
 
 // TestSupernodePartition checks the structural invariants of supernode

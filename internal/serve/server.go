@@ -343,24 +343,31 @@ func (s *Server) finish(j *Job, res *api.JobResult, err error) {
 	}
 }
 
-// gcLocked drops the oldest finished jobs past the registry bound.
-// Caller holds s.mu.
+// gcLocked drops the oldest finished jobs past the registry bound; a
+// queued or running job is never dropped.  The walk from the oldest job
+// stops once the excess is dropped, and the unfinished jobs it passed
+// slide up against the rest, so a finish costs the jobs ahead of the
+// last one dropped, not a walk of the whole registry.  Caller holds
+// s.mu.
 func (s *Server) gcLocked() {
 	excess := len(s.order) - s.cfg.KeepJobs
 	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.state.Terminal() {
+	kept, i := 0, 0 // order[:kept] holds the unfinished jobs passed
+	for ; i < len(s.order) && excess > 0; i++ {
+		id := s.order[i]
+		if j := s.jobs[id]; j != nil && j.state.Terminal() {
 			delete(s.jobs, id)
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		s.order[kept] = id
+		kept++
 	}
-	s.order = kept
+	copy(s.order[i-kept:i], s.order[:kept])
+	clear(s.order[:i-kept])
+	s.order = s.order[i-kept:]
 }
 
 // Get returns a job by id.
